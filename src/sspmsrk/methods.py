@@ -12,6 +12,7 @@ dt <= r * dt_FE.  The largest such r is the coefficient computed by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,7 +29,6 @@ __all__ = [
     "canonical",
     "ssp_coefficient",
     "abscissae",
-    "extended_matrices",
     "forward_euler",
     "ssprk33",
 ]
@@ -68,6 +68,8 @@ class MSRKMethod:
     b: NDArray
     name: str = "unnamed"
     claimed_order: int = 1
+    # memo of to_spijker: the instance is frozen and its arrays read-only
+    _spijker: Optional["SpijkerForm"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s < 1 or self.k < 1:
@@ -126,6 +128,10 @@ def validate(method: MSRKMethod) -> ValidationReport:
     v: list[str] = []
     s, k = method.s, method.k
 
+    arrays = (method.D, method.Ahat, method.A, method.theta, method.bhat, method.b)
+    if not all(np.isfinite(a).all() for a in arrays):
+        v.append("coefficients must be finite")
+
     first_row = np.zeros(k)
     first_row[-1] = 1.0
     if not np.array_equal(method.D[0], first_row):
@@ -152,9 +158,12 @@ def validate(method: MSRKMethod) -> ValidationReport:
 def to_spijker(method: MSRKMethod) -> SpijkerForm:
     """Assemble the block matrices S ((k+s) x k) and T ((k+s) x (k+s)).
 
-    Raises :class:`MethodStructureError` naming the first violated
-    invariant if the method is invalid.
+    The method is validated on the first call and the result is kept on
+    the method.  Raises :class:`MethodStructureError` naming the first
+    violated invariant if the method is invalid.
     """
+    if method._spijker is not None:
+        return method._spijker
     report = validate(method)
     if not report.ok:
         raise MethodStructureError(report.violations[0])
@@ -173,7 +182,45 @@ def to_spijker(method: MSRKMethod) -> SpijkerForm:
     T[n - 1, : k - 1] = method.bhat
     T[n - 1, k - 1 : k - 1 + s] = method.b
 
-    return SpijkerForm(S=S, T=T, k=k, s=s)
+    S.setflags(write=False)
+    T.setflags(write=False)
+    sp = SpijkerForm(S=S, T=T, k=k, s=s)
+    object.__setattr__(method, "_spijker", sp)
+    return sp
+
+
+def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h):
+    """One step as the forward substitution w_i = sum_j S_ij x_j + h(sum_{j<i} T_ij f(w_j)).
+
+    ``x`` and ``fx`` stack the k inputs and their f values along axis 0.
+    Rows 0..k-1 of w are the inputs themselves; rows k..n-1 are computed,
+    each on inputs flattened to one row.  ``h`` maps a flattened row to
+    its product with the step: dt times it for states, the shift by one
+    degree for series and polynomial tables.  Returns the last row,
+    shaped like one input, and the f values of the s stages as rows.
+    """
+    k, n = sp.k, sp.k + sp.s
+    shape = x.shape[1:]
+    X = x.reshape(k, -1)
+    F = np.empty((n - 1, X.shape[1]))
+    F[:k] = fx.reshape(k, -1)
+    for i in range(k, n):
+        w = sp.S[i] @ X + h(sp.T[i, :i] @ F[:i])
+        if i < n - 1:
+            F[i] = f(w.reshape(shape)).reshape(-1)
+    return w.reshape(shape), F[k - 1 :]
+
+
+def _degree_shift(width: int):
+    """h for series and polynomial tables stored degree-first: multiply by
+    the step variable, dropping the top degree of a flattened row."""
+
+    def h(v: NDArray) -> NDArray:
+        out = np.zeros_like(v)
+        out[width:] = v[:-width]
+        return out
+
+    return h
 
 
 def canonical(sp: SpijkerForm, r: float) -> CanonicalForm:
@@ -232,32 +279,14 @@ def ssp_coefficient(
     return lo
 
 
-def extended_matrices(method: MSRKMethod):
-    """The (k-1+s)-row matrices Dt, At and the vector bt used in order analysis.
-
-    Dt stacks [I_{k-1} | 0] over D; At has Ahat and A in its last s rows;
-    bt concatenates bhat and b.
-    """
-    s, k = method.s, method.k
-    n = k - 1 + s
-    Dt = np.zeros((n, k))
-    Dt[: k - 1, : k - 1] = np.eye(k - 1)
-    Dt[k - 1 :, :] = method.D
-    At = np.zeros((n, n))
-    At[k - 1 :, : k - 1] = method.Ahat
-    At[k - 1 :, k - 1 :] = method.A
-    bt = np.concatenate([method.bhat, method.b])
-    return Dt, At, bt
-
-
 def abscissae(method: MSRKMethod):
-    """Stage abscissae c = At e - Dt l, with l = (k-1, k-2, ..., 1, 0)."""
-    report = validate(method)
-    if not report.ok:
-        raise MethodStructureError(report.violations[0])
-    Dt, At, _ = extended_matrices(method)
+    """Stage abscissae c = At e - Dt l, with l = (k-1, k-2, ..., 1, 0).
+
+    Dt and At are S and T without their last row (and column).
+    """
+    sp = to_spijker(method)
     l = np.arange(method.k - 1, -1, -1, dtype=float)
-    c = At.sum(axis=1) - Dt @ l
+    c = sp.T[:-1, :-1].sum(axis=1) - sp.S[:-1] @ l
     return c, l
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .methods import MSRKMethod, abscissae, extended_matrices
+from .methods import MSRKMethod, _degree_shift, _spijker_step, abscissae, to_spijker
 from .series import PolynomialODE, TaylorSeries, flow_series
 
 __all__ = [
@@ -32,10 +32,6 @@ __all__ = [
 
 MAX_ORACLE_ORDER = 12
 
-# back-value series keyed by (id(problem), N, k), with the problem object
-# kept alongside so a recycled id cannot alias a stale entry
-_BACK_CACHE: dict = {}
-
 
 @dataclass(frozen=True)
 class ResidualSet:
@@ -50,19 +46,21 @@ def stage_residuals(method: MSRKMethod, jmax: int) -> ResidualSet:
 
     tau_j (vector) = (1/j!)(c^j - Dt (-l)^j) - (1/(j-1)!) At c^{j-1},
     and the scalar residual replaces (Dt, At, c-rows) by (theta, bt, 1),
-    with exponents taken elementwise.
+    with exponents taken elementwise.  Dt, At, theta and bt are slices
+    of the Spijker matrices S and T.
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
     c, l = abscissae(method)
-    Dt, At, bt = extended_matrices(method)
+    sp = to_spijker(method)
+    Dt, At, theta, bt = sp.S[:-1], sp.T[:-1, :-1], sp.S[-1], sp.T[-1, :-1]
     stage = {}
     final = {}
     for j in range(1, jmax + 1):
         fj = math.factorial(j)
         fj1 = math.factorial(j - 1)
         stage[j] = (c**j - Dt @ (-l) ** j) / fj - (At @ c ** (j - 1)) / fj1
-        final[j] = (1.0 - method.theta @ (-l) ** j) / fj - (bt @ c ** (j - 1)) / fj1
+        final[j] = (1.0 - theta @ (-l) ** j) / fj - (bt @ c ** (j - 1)) / fj1
     return ResidualSet(stage=stage, final=final)
 
 
@@ -97,54 +95,19 @@ def series_step_error(method: MSRKMethod, problem: PolynomialODE, N: int) -> NDA
     array is the coefficient of h^n, divided entrywise by
     max(1, |exact flow coefficient|) so tolerances are scale-free.
     """
-    s, k = method.s, method.k
+    k = method.k
     flow = flow_series(problem, N)
 
-    key = (id(problem), N, k)
-    cached = _BACK_CACHE.get(key)
-    if cached is not None and cached[0] is problem:
-        _, back, f_back, f_last = cached
-    else:
-        back = [flow.scale_argument(float(-(k - l))) for l in range(1, k + 1)]
-        f_back = [problem.eval_on_series(u) for u in back[: k - 1]]
-        f_last = problem.eval_on_series(back[-1])
-        if len(_BACK_CACHE) > 4096:
-            _BACK_CACHE.clear()
-        _BACK_CACHE[key] = (problem, back, f_back, f_last)
+    def f(coeffs):
+        return problem.eval_on_series(TaylorSeries(coeffs)).coeffs
 
-    stages: list[TaylorSeries] = [back[-1]]
-    f_stages: list[TaylorSeries] = [f_last]
-    zero = TaylorSeries(np.zeros_like(flow.coeffs))
-    for i in range(1, s):
-        acc = zero
-        for l in range(k):
-            if method.D[i, l]:
-                acc = acc + back[l].scale(method.D[i, l])
-        dacc = zero
-        for l in range(k - 1):
-            if method.Ahat[i, l]:
-                dacc = dacc + f_back[l].scale(method.Ahat[i, l])
-        for j in range(i):
-            if method.A[i, j]:
-                dacc = dacc + f_stages[j].scale(method.A[i, j])
-        y = acc + dacc.shift()
-        stages.append(y)
-        f_stages.append(problem.eval_on_series(y))
-
-    acc = zero
-    for l in range(k):
-        if method.theta[l]:
-            acc = acc + back[l].scale(method.theta[l])
-    dacc = zero
-    for l in range(k - 1):
-        if method.bhat[l]:
-            dacc = dacc + f_back[l].scale(method.bhat[l])
-    for j in range(s):
-        if method.b[j]:
-            dacc = dacc + f_stages[j].scale(method.b[j])
-    u_next = acc + dacc.shift()
-
-    err = u_next.coeffs - flow.coeffs
+    key = ("back", N, k)
+    if key not in problem.cache:
+        back = np.array([flow.scale_argument(float(l - k)).coeffs for l in range(1, k + 1)])
+        problem.cache[key] = (back, np.array([f(u) for u in back]))
+    back, f_back = problem.cache[key]
+    u_next, _ = _spijker_step(to_spijker(method), back, f_back, f, _degree_shift(problem.dim))
+    err = u_next - flow.coeffs
     scale = np.maximum(1.0, np.abs(flow.coeffs))
     return err / scale
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .methods import MSRKMethod, ssp_coefficient, ssprk33, to_spijker
+from .methods import MSRKMethod, _spijker_step, ssp_coefficient, ssprk33, to_spijker
 
 __all__ = [
     "SemiDiscretization",
@@ -110,46 +110,16 @@ def msrk_step(
 ):
     """One step of the method: stages y_2..y_s, then the new step value.
 
-    ``history`` holds u^{n-k+1}..u^n in order with matching rhs values.
-    Returns (u_next, stage_rhs_values); together with the subsequent
-    evaluation at u_next this costs exactly s evaluations per step.
+    ``history`` holds u^{n-k+1}..u^n in order with matching rhs values
+    (sequences or (k, dim) arrays).  Returns (u_next, stage_rhs_values);
+    together with the subsequent evaluation at u_next this costs exactly
+    s evaluations per step.
     """
-    k, s = method.k, method.s
+    k = method.k
     if len(history) != k or len(history_rhs) != k:
         raise ValueError(f"history must hold exactly k={k} states with rhs values")
-
-    stages = [history[-1]]
-    stage_rhs = [history_rhs[-1]]
-    for i in range(1, s):
-        y = method.D[i, 0] * history[0] if method.D[i, 0] else np.zeros_like(history[0])
-        for l in range(1, k):
-            if method.D[i, l]:
-                y = y + method.D[i, l] * history[l]
-        for l in range(k - 1):
-            if method.Ahat[i, l]:
-                y = y + dt * method.Ahat[i, l] * history_rhs[l]
-        for j in range(i):
-            if method.A[i, j]:
-                y = y + dt * method.A[i, j] * stage_rhs[j]
-        stages.append(y)
-        stage_rhs.append(rhs(y))
-
-    u_next = method.theta[0] * history[0]
-    for l in range(1, k):
-        u_next = u_next + method.theta[l] * history[l]
-    for l in range(k - 1):
-        if method.bhat[l]:
-            u_next = u_next + dt * method.bhat[l] * history_rhs[l]
-    for j in range(s):
-        if method.b[j]:
-            u_next = u_next + dt * method.b[j] * stage_rhs[j]
-    return u_next, stage_rhs
-
-
-def _ssprk33_step(u: NDArray, rhs, dt: float) -> NDArray:
-    y1 = u + dt * rhs(u)
-    y2 = 0.75 * u + 0.25 * (y1 + dt * rhs(y1))
-    return u / 3.0 + 2.0 / 3.0 * (y2 + dt * rhs(y2))
+    return _spijker_step(to_spijker(method), np.asarray(history), np.asarray(history_rhs),
+                         rhs, lambda v: dt * v)
 
 
 def startup(
@@ -178,10 +148,11 @@ def startup(
     h_sub = min(dt ** (p / 3.0), 0.9 * problem.dt_fe)
     nsub = max(1, math.ceil(dt / h_sub))
     h = dt / nsub
+    rk3 = ssprk33()
     u = problem.u0.copy()
     for _ in range(k - 1):
         for _ in range(nsub):
-            u = _ssprk33_step(u, problem.rhs, h)
+            u, _ = msrk_step(rk3, [u], [problem.rhs(u)], problem.rhs, h)
         states.append(u)
     return states
 
@@ -289,8 +260,9 @@ def run(
     if tf <= (k - 1) * dt:
         raise ValueError("tf must exceed the startup interval (k-1)*dt")
 
-    states = startup(problem, dt, k, method.claimed_order, startup_mode)
-    rhs_vals = [problem.rhs(u) for u in states]
+    # (k, dim) histories, shifted in place after each step
+    states = np.array(startup(problem, dt, k, method.claimed_order, startup_mode))
+    rhs_vals = np.array([problem.rhs(u) for u in states])
     times = [j * dt for j in range(k)]
     monitors = {name: [fn(u) for u in states] for name, fn in problem.monitors.items()}
 
@@ -307,16 +279,21 @@ def run(
         if not np.all(np.isfinite(u_next)):
             raise RunAbortedError(step_index)
         t += h
-        states = states[1:] + [u_next]
-        rhs_vals = rhs_vals[1:] + [problem.rhs(u_next)]
+        if abs(t - tf) <= 1e-12:
+            t = tf
+        states[:-1] = states[1:]
+        states[-1] = u_next
+        rhs_vals[:-1] = rhs_vals[1:]
+        rhs_vals[-1] = problem.rhs(u_next)
         times.append(t)
         for name, fn in problem.monitors.items():
             monitors[name].append(fn(u_next))
 
+    final_state = states[-1].copy()
     final_error = None
     if problem.exact is not None:
-        final_error = float(np.linalg.norm(states[-1] - problem.exact(t)))
-    return RunRecord(times=times, monitors=monitors, final_state=states[-1],
+        final_error = float(np.linalg.norm(final_state - problem.exact(t)))
+    return RunRecord(times=times, monitors=monitors, final_state=final_state,
                      final_error=final_error, k=k)
 
 
@@ -439,11 +416,12 @@ def reference_solution(problem: SemiDiscretization, tf: float, level: int = 20) 
         fine = np.array(_integrate_vdp(eps, u0, tf, 2 ** (level + 1)))
     else:
         results = []
+        rk3 = ssprk33()
         for nsteps in (2**level, 2 ** (level + 1)):
             u = problem.u0.copy()
             h = tf / nsteps
             for _ in range(nsteps):
-                u = _ssprk33_step(u, problem.rhs, h)
+                u, _ = msrk_step(rk3, [u], [problem.rhs(u)], problem.rhs, h)
             results.append(u)
         coarse, fine = results
     err = float(np.max(np.abs(coarse - fine)))

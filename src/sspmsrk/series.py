@@ -18,10 +18,6 @@ from numpy.typing import NDArray
 
 __all__ = ["TaylorSeries", "PolynomialODE", "flow_series"]
 
-# flow_series results keyed by (id(problem), N); the problem object is
-# stored alongside so a recycled id cannot alias a stale entry.
-_FLOW_CACHE: dict = {}
-
 
 def _truncated_product(a: NDArray, b: NDArray) -> NDArray:
     """Cauchy product of two scalar coefficient arrays, truncated to len(a)."""
@@ -52,15 +48,6 @@ class TaylorSeries:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[1]
-
-    def __add__(self, other: "TaylorSeries") -> "TaylorSeries":
-        return TaylorSeries(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "TaylorSeries") -> "TaylorSeries":
-        return TaylorSeries(self.coeffs - other.coeffs)
-
-    def scale(self, a: float) -> "TaylorSeries":
-        return TaylorSeries(a * self.coeffs)
 
     def __mul__(self, other: "TaylorSeries") -> "TaylorSeries":
         """Componentwise series product, truncated at this series' order."""
@@ -110,6 +97,8 @@ class PolynomialODE:
     seed: int
     u0: NDArray
     exponents: NDArray = field(init=False, repr=False)
+    # series derived from this problem (flow, back values), keyed by their use
+    cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         exps = _monomial_exponents(self.dim, self.degree)
@@ -164,9 +153,9 @@ def flow_series(problem: PolynomialODE, N: int) -> TaylorSeries:
     """
     if N > 40:
         raise ValueError("truncation order is unreasonably large")
-    cached = _FLOW_CACHE.get((id(problem), N))
-    if cached is not None and cached[0] is problem:
-        return cached[1]
+    cached = problem.cache.get(("flow", N))
+    if cached is not None:
+        return cached
     U = np.zeros((N + 1, problem.dim))
     U[0] = problem.u0
     for _ in range(N):
@@ -177,7 +166,5 @@ def flow_series(problem: PolynomialODE, N: int) -> TaylorSeries:
             nxt[n] = G[n - 1] / n
         U = nxt
     result = TaylorSeries(U)
-    if len(_FLOW_CACHE) > 4096:
-        _FLOW_CACHE.clear()
-    _FLOW_CACHE[(id(problem), N)] = (problem, result)
+    problem.cache[("flow", N)] = result
     return result

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
 
-from .methods import MSRKMethod, SpijkerForm
+from .methods import MSRKMethod, SpijkerForm, _degree_shift, _spijker_step
 
 __all__ = [
     "StabilityPolynomials",
@@ -54,23 +54,15 @@ class ShiftedBasisExpansion:
 def stability_polynomials(sp: SpijkerForm) -> StabilityPolynomials:
     """Polynomials in z produced by one step on u' = lambda*u.
 
-    Forward substitution through w = S x + z T w, carrying for each row
-    a polynomial coefficient table per input step.  The last row of w is
-    u^{n+1}; its dependence on x_{k+1-i} is psi_i.
+    Forward substitution through w = S x + z T w on tables of degree
+    by input step, where input x_j is the constant 1 at column j.  The
+    last row of w is u^{n+1}; its dependence on x_{k+1-i} is psi_i.
     """
     k, s = sp.k, sp.s
-    n = k + s
-    # W[i, j, d]: coefficient of z^d multiplying x_j in row i
-    W = np.zeros((n, k, s + 1))
-    W[:, :, 0] = sp.S
-    for i in range(n):
-        for jj in range(i):
-            t = sp.T[i, jj]
-            if t:
-                W[i, :, 1:] += t * W[jj, :, :-1]
-    last = W[n - 1]
-    psi = [last[k - i].copy() for i in range(1, k + 1)]
-    return StabilityPolynomials(psi=psi)
+    x = np.zeros((k, s + 1, k))
+    x[:, 0, :] = np.eye(k)
+    last, _ = _spijker_step(sp, x, x, lambda w: w, _degree_shift(k))
+    return StabilityPolynomials(psi=[last[:, k - i].copy() for i in range(1, k + 1)])
 
 
 def shifted_basis(psi: NDArray, r: float) -> NDArray:

@@ -51,6 +51,17 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
         assert "valid: no" in capsys.readouterr().out
 
+    def test_non_finite_coefficient_exits_3(self, tmp_path, capsys):
+        text = dumps_method(ssprk33())
+        start = text.index("\nb = [") + 1
+        end = text.index("\n", start)
+        path = tmp_path / "nan.msrk"
+        path.write_text(text[:start] + "b = [NaN, 0.3, 0.3]" + text[end:])
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "valid: no" in out
+        assert "violation: coefficients must be finite" in out
+
     def test_missing_file_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze", str(tmp_path / "nope.msrk")])

@@ -52,6 +52,14 @@ class TestValidate:
         )
         assert any("strictly lower triangular" in v for v in validate(m).violations)
 
+    def test_non_finite_coefficient_reported(self):
+        m = MSRKMethod(
+            s=3, k=1,
+            D=[[1.0], [1.0], [1.0]], Ahat=np.zeros((3, 0)), A=ssprk33().A,
+            theta=[1.0], bhat=[], b=[np.nan, 0.3, 0.3],
+        )
+        assert validate(m).violations[0] == "coefficients must be finite"
+
 
 class TestSpijker:
     def test_forward_euler_blocks(self):

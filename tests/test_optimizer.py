@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sspmsrk import methods
 from sspmsrk.methods import forward_euler, ssprk33, validate
 from sspmsrk.optimizer import (
     SearchFailure,
@@ -59,6 +60,19 @@ class TestConstraintResiduals:
     def test_violation_past_the_coefficient(self, problems):
         _, ineq = constraint_residuals(ssprk33(), 1.5, 3, problems)
         assert ineq.max() > 1e-3
+
+    def test_validates_each_iterate_once(self, problems, rng, monkeypatch):
+        calls = []
+        original = methods.validate
+
+        def counting(method):
+            calls.append(method)
+            return original(method)
+
+        monkeypatch.setattr(methods, "validate", counting)
+        m = unpack(rng.uniform(0.0, 0.5, free_parameter_count(2, 2)), 2, 2)
+        constraint_residuals(m, 0.5, 3, problems)
+        assert len(calls) == 1
 
     def test_negative_r_rejected(self, problems):
         with pytest.raises(ValueError):

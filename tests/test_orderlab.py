@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sspmsrk.orderlab import (
     default_problems,
     oracle_order,
     order_residual_vector,
+    series_step_error,
     stage_order,
     stage_residuals,
 )
@@ -110,6 +113,14 @@ class TestConvergenceOrder:
     def test_nondecreasing_dt_rejected(self):
         with pytest.raises(ValueError):
             convergence_order([(0.1, 1.0), (0.1, 0.5), (0.05, 0.2), (0.025, 0.1)])
+
+
+def test_series_caches_do_not_outlive_the_problem():
+    p = default_problems(5, 1)[0]
+    series_step_error(gen_second_order(2, 2), p, 4)
+    ref = weakref.ref(p)
+    del p
+    assert ref() is None
 
 
 def test_stage_order_necessity_for_ssp_methods():

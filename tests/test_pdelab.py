@@ -137,6 +137,11 @@ class TestRun:
         record = run(problem, ssprk33(), 0.003, 0.1)
         assert record.times[-1] == pytest.approx(0.1, abs=1e-12)
 
+    def test_accumulated_time_lands_on_tf(self):
+        # 42 steps of 4/42 sum to 4.000000000000003 in floating point
+        record = run(vdp_problem(), ssprk33(), 4.0 / 42, 4.0)
+        assert record.times[-1] == 4.0
+
     def test_truncate_final_false_stops_at_full_step(self):
         problem = advection_upwind()
         record = run(problem, ssprk33(), 0.003, 0.1, truncate_final=False)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspmsrk.methods import forward_euler, ssp_coefficient, ssprk33, to_spijker
+from sspmsrk.pdelab import msrk_step
 from sspmsrk.theory import (
     gen_second_order,
     linear_order,
@@ -43,6 +45,18 @@ class TestStabilityPolynomials:
         sp = stability_polynomials(to_spijker(m))
         # psi_1 + psi_2 evaluated at z = 0 must be 1 (consistency)
         assert sp.psi[0][0] + sp.psi[1][0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("method", [gen_second_order(3, 2), ssprk33()], ids=lambda m: m.name)
+def test_msrk_step_on_linear_problem_matches_stability_polynomials(method):
+    # the ndarray and the polynomial-table uses of the step kernel agree
+    lam, dt = -1.3, 0.4
+    history = [np.array([1.0 + 0.5 * j]) for j in range(method.k)]
+    u_next, _ = msrk_step(method, history, [lam * u for u in history], lambda u: lam * u, dt)
+    psi = stability_polynomials(to_spijker(method)).psi
+    z = lam * dt
+    expected = sum(npoly.polyval(z, p) * history[-i][0] for i, p in enumerate(psi, start=1))
+    assert u_next[0] == pytest.approx(expected, abs=1e-13)
 
 
 class TestShiftedBasis:
