@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import msrkio, pdelab
-from .methods import ssp_coefficient, ssprk33, to_spijker, validate
+from .methods import MethodStructureError, ssp_coefficient, to_spijker, validate
 from .optimizer import SearchFailure, SearchSpec, maximize_ssp, warm_start_ladder, write_search_log
 from .orderlab import convergence_order, oracle_order, stage_order
 from .theory import (
@@ -149,38 +149,37 @@ def cmd_run(args) -> int:
 
 def cmd_stepsearch(args) -> int:
     problem = _get_problem(args.problem)
-    method = _load_method(args.method)
+    methods = [_load_method(path) for path in args.method]
     props = ["tvd", "positivity"] if args.property == "both" else [args.property]
-    results = {}
-    for prop in props:
-        results[prop] = pdelab.max_stable_step(
-            problem, method, prop, resolution=args.resolution,
-            tf=args.tf, startup_mode=args.startup,
-        )
-    s = method.s
-    C = ssp_coefficient(to_spijker(method))
     dx = problem.dx if problem.dx is not None else problem.dt_fe
-    row = {
-        "method": f"({method.s},{method.k},{method.claimed_order})",
-        "dt_tvd/dx": "",
-        "dt_tvd/(s*dx)": "",
-        "C*dt_fe/dx": f"{C * problem.dt_fe / dx:.6f}",
-        "Ceff*dt_fe/dx": f"{C / s * problem.dt_fe / dx:.6f}",
-        "dt_pos/dx": "",
-        "dt_pos/(s*dx)": "",
-    }
-    if "tvd" in results:
-        row["dt_tvd/dx"] = f"{results['tvd'].normalized:.6f}"
-        row["dt_tvd/(s*dx)"] = f"{results['tvd'].normalized / s:.6f}"
-    if "positivity" in results:
-        row["dt_pos/dx"] = f"{results['positivity'].normalized:.6f}"
-        row["dt_pos/(s*dx)"] = f"{results['positivity'].normalized / s:.6f}"
+    rows = []
+    for method in methods:
+        s = method.s
+        results = {
+            prop: pdelab.max_stable_step(problem, method, prop, resolution=args.resolution,
+                                         tf=args.tf, startup_mode=args.startup)
+            for prop in props
+        }
+        theoretical = results[props[0]].theoretical / dx
+        row = {
+            "method": f"({s},{method.k},{method.claimed_order})",
+            "dt_tvd/dx": "",
+            "dt_tvd/(s*dx)": "",
+            "C*dt_fe/dx": f"{theoretical:.6f}",
+            "Ceff*dt_fe/dx": f"{theoretical / s:.6f}",
+            "dt_pos/dx": "",
+            "dt_pos/(s*dx)": "",
+        }
+        for prop, res in results.items():
+            key = "tvd" if prop == "tvd" else "pos"
+            row[f"dt_{key}/dx"] = f"{res.normalized:.6f}"
+            row[f"dt_{key}/(s*dx)"] = f"{res.normalized / s:.6f}"
+            print(f"{method.name} {prop}: dt_max/dx = {res.normalized:.6f}")
+        rows.append(row)
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        writer.writerow(row)
-    for prop in props:
-        print(f"{prop}: dt_max/dx = {results[prop].normalized:.6f}")
+        writer.writerows(rows)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -189,15 +188,15 @@ def cmd_convergence(args) -> int:
     if args.problem != "vdp":
         print("error: convergence studies are supported for the vdp problem", file=sys.stderr)
         return EXIT_USAGE
-    method = _load_method(args.method)
-    pairs = pdelab.vdp_convergence_study(method, tf=args.tf)
-    slope = convergence_order(pairs)
+    methods = [_load_method(path) for path in args.method]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["dt", "error"])
-        for dt, err in pairs:
-            writer.writerow([f"{dt:.12g}", f"{err:.12e}"])
-    print(f"slope: {slope:.4f}")
+        writer.writerow(["method", "dt", "error"])
+        for method in methods:
+            pairs = pdelab.vdp_convergence_study(method, tf=args.tf)
+            for dt, err in pairs:
+                writer.writerow([method.name, f"{dt:.12g}", f"{err:.12e}"])
+            print(f"{method.name} slope: {convergence_order(pairs):.4f}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -258,23 +257,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--tf", type=float, required=True)
-    p.add_argument("--startup", default="exact", choices=["exact", "rk3_substeps"])
+    p.add_argument("--startup", default=None, choices=["exact", "rk3_substeps"],
+                   help="default: exact if the problem has an exact solution")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("stepsearch", help="find the largest step preserving a property")
     p.add_argument("--problem", required=True, choices=sorted(_PROBLEMS))
-    p.add_argument("--method", required=True)
+    p.add_argument("--method", required=True, nargs="+", metavar="FILE")
     p.add_argument("--property", default="both", choices=["tvd", "positivity", "both"])
     p.add_argument("--resolution", type=float, default=None)
-    p.add_argument("--tf", type=float, default=0.125)
-    p.add_argument("--startup", default="exact", choices=["exact", "rk3_substeps"])
+    p.add_argument("--tf", type=float, default=None,
+                   help="default: a horizon scaled by k and the SSP coefficient")
+    p.add_argument("--startup", default=None, choices=["exact", "rk3_substeps"],
+                   help="default: exact if the problem has an exact solution")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_stepsearch)
 
     p = sub.add_parser("convergence", help="step-refinement study with fitted slope")
     p.add_argument("--problem", default="vdp")
-    p.add_argument("--method", required=True)
+    p.add_argument("--method", required=True, nargs="+", metavar="FILE")
     p.add_argument("--tf", type=float, default=4.0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_convergence)
@@ -298,6 +300,12 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MethodStructureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

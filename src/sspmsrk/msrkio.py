@@ -70,8 +70,11 @@ def loads_method(text: str) -> MSRKMethod:
         if "=" not in line:
             raise MethodFileError("expected 'key = value'", line=n)
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-        lineno[key.strip()] = n
+        key = key.strip()
+        if key in fields:
+            raise MethodFileError(f"repeated key (first on line {lineno[key]})", line=n, field=key)
+        fields[key] = value.strip()
+        lineno[key] = n
 
     if fields.get("format") != FORMAT_TAG:
         raise MethodFileError(
@@ -98,15 +101,11 @@ def loads_method(text: str) -> MSRKMethod:
         except (json.JSONDecodeError, ValueError):
             raise MethodFileError("not a numeric array", line=lineno.get(key), field=key) from None
 
-    s, k = ints["s"], ints["k"]
-    # empty nested arrays lose their row count; restore expected shapes
-    if arrays["Ahat"].size == 0:
-        arrays["Ahat"] = np.zeros((s, k - 1))
-    if arrays["bhat"].size == 0:
-        arrays["bhat"] = np.zeros(k - 1)
+    # a one-step method's empty Ahat and bhat reshape to (s, 0) and (0,)
+    # in MSRKMethod, however many rows the empty JSON array kept
     try:
         return MSRKMethod(
-            s=s, k=k,
+            s=ints["s"], k=ints["k"],
             D=arrays["D"], Ahat=arrays["Ahat"], A=arrays["A"],
             theta=arrays["theta"], bhat=arrays["bhat"], b=arrays["b"],
             name=fields.get("name", "unnamed"),

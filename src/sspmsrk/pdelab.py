@@ -32,7 +32,6 @@ __all__ = [
     "positivity_min",
     "run",
     "max_stable_step",
-    "reference_solution",
     "vdp_convergence_study",
 ]
 
@@ -127,15 +126,18 @@ def startup(
     dt: float,
     k: int,
     p: int,
-    mode: str = "exact",
+    mode: Optional[str] = None,
 ) -> list[NDArray]:
     """The k initial states u(t_0)..u(t_{k-1}) a k-step method needs.
 
     exact: sample the problem's exact solution.  rk3_substeps: advance
     each interval with SSPRK(3,3) substeps of size at most dt**(p/3),
     additionally capped at 0.9*dt_fe so the startup states inherit the
-    forward-Euler monotonicity properties.
+    forward-Euler monotonicity properties.  None: exact when the problem
+    has an exact solution, rk3_substeps otherwise.
     """
+    if mode is None:
+        mode = "exact" if problem.exact is not None else "rk3_substeps"
     if mode == "exact":
         if problem.exact is None:
             raise ValueError(f"problem {problem.name!r} has no exact solution for startup")
@@ -245,7 +247,7 @@ def run(
     method: MSRKMethod,
     dt: float,
     tf: float,
-    startup_mode: str = "exact",
+    startup_mode: Optional[str] = None,
     truncate_final: bool = True,
 ) -> RunRecord:
     """Integrate to tf, sampling every monitor at every accepted state.
@@ -315,16 +317,21 @@ def max_stable_step(
     method: MSRKMethod,
     prop: str = "tvd",
     resolution: Optional[float] = None,
-    tf: float = 0.125,
-    startup_mode: str = "exact",
+    tf: Optional[float] = None,
+    startup_mode: Optional[str] = None,
 ) -> StepSearchResult:
     """Largest dt for which the property holds at every step of a full run.
 
     Bisection over [0, 20*dt_fe]; runs use only full steps so the
-    comparison against C*dt_fe is clean.
+    comparison against C*dt_fe is clean.  The default horizon
+    max(0.125, 12*k*max(C, 1)*dt_fe) makes a run at the theoretical step
+    C*dt_fe last at least 12*k steps.
     """
     if resolution is None:
         resolution = 0.001 * problem.dt_fe
+    C = ssp_coefficient(to_spijker(method))
+    if tf is None:
+        tf = max(0.125, 12.0 * method.k * max(C, 1.0) * problem.dt_fe)
 
     def passes(dt: float) -> bool:
         if method.k * dt > tf:  # horizon too short for startup plus one full step
@@ -348,7 +355,6 @@ def max_stable_step(
             else:
                 hi = mid
 
-    C = ssp_coefficient(to_spijker(method))
     dx = problem.dx if problem.dx is not None else problem.dt_fe
     return StepSearchResult(
         property=prop,
@@ -397,37 +403,6 @@ def _make_vdp_exact(eps: float, u0: tuple[float, float]):
         return cache[t].copy()
 
     return exact
-
-
-def reference_solution(problem: SemiDiscretization, tf: float, level: int = 20) -> NDArray:
-    """Reference state at tf with a Richardson agreement certificate.
-
-    Integrates with SSPRK(3,3) at steps tf/2**level and tf/2**(level+1)
-    and requires the two results to agree within 1e-10.
-    """
-    if tf < 0:
-        raise ValueError("tf must be nonnegative")
-    if tf == 0.0:
-        return problem.u0.copy()
-    if problem.name == "vdp":
-        eps = problem.dt_fe * 10.0
-        u0 = (float(problem.u0[0]), float(problem.u0[1]))
-        coarse = np.array(_integrate_vdp(eps, u0, tf, 2**level))
-        fine = np.array(_integrate_vdp(eps, u0, tf, 2 ** (level + 1)))
-    else:
-        results = []
-        rk3 = ssprk33()
-        for nsteps in (2**level, 2 ** (level + 1)):
-            u = problem.u0.copy()
-            h = tf / nsteps
-            for _ in range(nsteps):
-                u, _ = msrk_step(rk3, [u], [problem.rhs(u)], problem.rhs, h)
-            results.append(u)
-        coarse, fine = results
-    err = float(np.max(np.abs(coarse - fine)))
-    if err > 1e-10:
-        raise RuntimeError(f"reference accuracy certificate failed: disagreement {err:.3e}")
-    return fine
 
 
 def vdp_convergence_study(

@@ -45,31 +45,10 @@ class TaylorSeries:
     def order(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1]
-
-    def __mul__(self, other: "TaylorSeries") -> "TaylorSeries":
-        """Componentwise series product, truncated at this series' order."""
-        out = np.zeros_like(self.coeffs)
-        for i in range(self.dim):
-            out[:, i] = _truncated_product(self.coeffs[:, i], other.coeffs[:, i])
-        return TaylorSeries(out)
-
     def scale_argument(self, a: float) -> "TaylorSeries":
         """The series of h -> u(a*h): coefficient n picks up a factor a^n."""
         powers = a ** np.arange(self.order + 1)
         return TaylorSeries(self.coeffs * powers[:, None])
-
-    def shift(self) -> "TaylorSeries":
-        """Multiply by the monomial h, dropping the top coefficient."""
-        out = np.zeros_like(self.coeffs)
-        out[1:] = self.coeffs[:-1]
-        return TaylorSeries(out)
-
-    def __call__(self, h: float) -> NDArray:
-        powers = h ** np.arange(self.order + 1)
-        return powers @ self.coeffs
 
 
 def _monomial_exponents(m: int, degree: int) -> NDArray:

@@ -12,13 +12,20 @@ from sspmsrk.cli import (
 )
 from sspmsrk.methods import ssprk33
 from sspmsrk.msrkio import dumps_method, read_method, write_method
-from sspmsrk.theory import r_sk2
+from sspmsrk.theory import gen_second_order, r_sk2
 
 
 @pytest.fixture()
 def ssprk33_file(tmp_path):
     path = tmp_path / "ssprk33.msrk"
     write_method(ssprk33(), path)
+    return str(path)
+
+
+@pytest.fixture()
+def so2_file(tmp_path):
+    path = tmp_path / "so2_32.msrk"
+    write_method(gen_second_order(3, 2), path)
     return str(path)
 
 
@@ -105,6 +112,27 @@ class TestRun:
         assert len(rows) > 2
         assert "final_error" in capsys.readouterr().out
 
+    def test_buckley_default_startup(self, tmp_path, so2_file):
+        code = main(["run", "--problem", "buckley", "--method", so2_file,
+                     "--dt", "0.002", "--tf", "0.02", "--out", str(tmp_path / "run.csv")])
+        assert code == EXIT_OK
+
+    def test_negative_dt_exits_2(self, tmp_path, ssprk33_file, capsys):
+        code = main(["run", "--problem", "advection", "--method", ssprk33_file,
+                     "--dt", "-1", "--tf", "0.05", "--out", str(tmp_path / "run.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt must be positive")
+        assert "Traceback" not in err
+
+    def test_invalid_method_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.msrk"
+        path.write_text(dumps_method(ssprk33()).replace("theta = [1]", "theta = [0.5]"))
+        code = main(["run", "--problem", "advection", "--method", str(path),
+                     "--dt", "0.005", "--tf", "0.05", "--out", str(tmp_path / "run.csv")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_problem_exits_2(self, ssprk33_file):
         with pytest.raises(SystemExit):
             main(["run", "--problem", "heat", "--method", ssprk33_file,
@@ -126,6 +154,25 @@ class TestStepsearch:
         assert float(rows[0]["dt_tvd/dx"]) == pytest.approx(1.0, abs=0.02)
         assert rows[0]["dt_pos/dx"] == ""
 
+    def test_buckley_positivity_default_startup(self, tmp_path, so2_file):
+        out = tmp_path / "search.csv"
+        code = main(["stepsearch", "--problem", "buckley", "--method", so2_file,
+                     "--property", "positivity", "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[0]["dt_pos/dx"]) > 0.0
+
+    def test_one_row_per_method(self, tmp_path, ssprk33_file, so2_file):
+        out = tmp_path / "search.csv"
+        code = main(["stepsearch", "--problem", "advection", "--method", ssprk33_file, so2_file,
+                     "--property", "tvd", "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["method"] for row in rows] == ["(3,1,3)", "(3,2,2)"]
+        assert float(rows[1]["C*dt_fe/dx"]) == pytest.approx(r_sk2(3, 2), abs=1e-6)
+
 
 class TestConvergence:
     def test_non_vdp_rejected(self, ssprk33_file, capsys):
@@ -141,6 +188,17 @@ class TestConvergence:
         printed = capsys.readouterr().out
         slope = float(printed.split("slope:")[1].split()[0])
         assert slope == pytest.approx(3.0, abs=0.3)
+
+    def test_rows_for_each_method(self, tmp_path, ssprk33_file, so2_file, capsys):
+        out = tmp_path / "conv.csv"
+        code = main(["convergence", "--method", ssprk33_file, so2_file,
+                     "--tf", "2.0", "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["method", "dt", "error"]
+        assert {row[0] for row in rows[1:]} == {"SSPRK(3,3)", "SO2(3,2)"}
+        assert capsys.readouterr().out.count("slope:") == 2
 
 
 class TestTable1:

@@ -87,3 +87,15 @@ class TestErrors:
             loads_method(text)
         assert excinfo.value.field == "s"
         assert excinfo.value.line is not None
+
+    def test_repeated_key_rejected(self):
+        text = dumps_method(forward_euler()) + "b = [2]\n"
+        with pytest.raises(MethodFileError, match="repeated key") as excinfo:
+            loads_method(text)
+        assert excinfo.value.field == "b"
+        assert excinfo.value.line == len(text.splitlines())
+
+    def test_huge_step_count_rejected(self):
+        text = dumps_method(forward_euler()).replace("k = 1", "k = 1000000000000")
+        with pytest.raises(MethodFileError):
+            loads_method(text)

@@ -5,12 +5,12 @@ from sspmsrk.methods import forward_euler, ssp_coefficient, ssprk33, to_spijker
 from sspmsrk.orderlab import convergence_order
 from sspmsrk.pdelab import (
     RunRecord,
+    _integrate_vdp,
     advection_upwind,
     buckley_leverett,
     max_stable_step,
     msrk_step,
     positivity_min,
-    reference_solution,
     run,
     startup,
     tv_seminorm,
@@ -117,6 +117,11 @@ class TestProblems:
         problem = vdp_problem(eps=10.0)
         np.testing.assert_allclose(problem.rhs(np.array([0.5, 0.0])), [0.0, -0.05])
 
+    def test_vdp_exact_agrees_with_finer_reference(self):
+        exact = vdp_problem().exact(1.0)
+        ref = _integrate_vdp(10.0, (0.5, 0.0), 1.0, 2**17)
+        np.testing.assert_allclose(exact, ref, rtol=0, atol=1e-10)
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             vdp_problem(eps=0.0)
@@ -184,17 +189,12 @@ class TestMaxStableStep:
         with pytest.raises(ValueError):
             max_stable_step(advection_upwind(), forward_euler(), prop="entropy")
 
-
-class TestReferenceSolution:
-    def test_advection_reference_matches_exact(self):
-        problem = advection_upwind(N=16)
-        ref = reference_solution(problem, 0.0)
-        np.testing.assert_allclose(ref, problem.u0)
-
-    def test_vdp_reference_agrees_with_exact_callback(self):
-        problem = vdp_problem()
-        ref = reference_solution(problem, 1.0, level=16)
-        np.testing.assert_allclose(ref, problem.exact(1.0), atol=1e-8)
+    def test_default_horizon_and_startup(self):
+        problem, method = buckley_leverett(), gen_second_order(3, 2)
+        C = ssp_coefficient(to_spijker(method))
+        tf = max(0.125, 12.0 * method.k * max(C, 1.0) * problem.dt_fe)
+        explicit = max_stable_step(problem, method, "tvd", tf=tf, startup_mode="rk3_substeps")
+        assert max_stable_step(problem, method, "tvd") == explicit
 
 
 class TestConvergence:
