@@ -115,6 +115,9 @@ def cmd_optimize(args) -> int:
     print(f"C: {result.C:.9f}")
     print(f"C_eff: {result.Ceff:.9f}")
     print(f"certified: {'yes' if result.certified else 'no'}")
+    nfev = sum(h[3] for h in result.history)
+    njev = sum(h[4] for h in result.history)
+    print(f"inner solves: {len(result.history)}, nfev: {nfev}, njev: {njev}")
     print(f"wrote {result.method.name} to {args.out}")
     return EXIT_OK if result.certified else EXIT_UNCERTIFIED
 
@@ -162,6 +165,7 @@ def cmd_stepsearch(args) -> int:
         }
         theoretical = results[props[0]].theoretical / dx
         row = {
+            "name": method.name,
             "method": f"({s},{method.k},{method.claimed_order})",
             "dt_tvd/dx": "",
             "dt_tvd/(s*dx)": "",
@@ -175,6 +179,9 @@ def cmd_stepsearch(args) -> int:
             row[f"dt_{key}/dx"] = f"{res.normalized:.6f}"
             row[f"dt_{key}/(s*dx)"] = f"{res.normalized / s:.6f}"
             print(f"{method.name} {prop}: dt_max/dx = {res.normalized:.6f}")
+            if res.horizon_limited:
+                print(f"note: {method.name} {prop}: dt_max is the horizon's limit tf/k, "
+                      "not the property's; a longer --tf finds it", file=sys.stderr)
         rows.append(row)
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "MSRKMethod",
@@ -43,9 +42,10 @@ class MethodStructureError(ValueError):
     """Raised when a structurally invalid method is used where validity is required."""
 
 
-def _as_matrix(a, rows, cols):
-    arr = np.asarray(a, dtype=float).reshape(rows, cols)
-    return arr
+def _coefficient_shapes(s: int, k: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each coefficient array of one s-stage, k-step method."""
+    return {"D": (s, k), "Ahat": (s, k - 1), "A": (s, s),
+            "theta": (k,), "bhat": (k - 1,), "b": (s,)}
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,10 @@ class MSRKMethod:
     derivatives through ``Ahat``, and earlier stage derivatives through
     the strictly lower triangular ``A``.  The new step combines previous
     steps through ``theta`` and derivatives through ``bhat`` and ``b``.
+
+    A ``D`` with more than two axes makes a stack of methods of one
+    shape: its leading axes lead every coefficient array, and each
+    function of this package that takes a method treats every member.
     """
 
     s: int
@@ -74,19 +78,19 @@ class MSRKMethod:
     def __post_init__(self):
         if self.s < 1 or self.k < 1:
             raise MethodStructureError("s and k must be at least 1")
-        object.__setattr__(self, "D", _as_matrix(self.D, self.s, self.k))
-        object.__setattr__(self, "Ahat", _as_matrix(self.Ahat, self.s, self.k - 1))
-        object.__setattr__(self, "A", _as_matrix(self.A, self.s, self.s))
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float).reshape(self.k))
-        object.__setattr__(self, "bhat", np.asarray(self.bhat, dtype=float).reshape(self.k - 1))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).reshape(self.s))
-        for arr in (self.D, self.Ahat, self.A, self.theta, self.bhat, self.b):
+        lead = np.shape(self.D)[:-2]
+        for key, shape in _coefficient_shapes(self.s, self.k).items():
+            arr = np.asarray(getattr(self, key), dtype=float).reshape(lead + shape)
             arr.setflags(write=False)
+            object.__setattr__(self, key, arr)
 
 
 @dataclass(frozen=True)
 class SpijkerForm:
-    """The (S, T) pair of the representation w = S x + dt * T f."""
+    """The (S, T) pair of the representation w = S x + dt * T f.
+
+    For a stack of methods S and T carry the stack's leading axes.
+    """
 
     S: NDArray
     T: NDArray
@@ -124,6 +128,8 @@ def validate(method: MSRKMethod) -> ValidationReport:
     """Check the structural invariants of an explicit MSRK method.
 
     Diagnostic only: all violations are collected, nothing is raised.
+    On a stack every member is checked, and a message quotes the first
+    member that breaks the invariant.
     """
     v: list[str] = []
     s, k = method.s, method.k
@@ -134,23 +140,28 @@ def validate(method: MSRKMethod) -> ValidationReport:
 
     first_row = np.zeros(k)
     first_row[-1] = 1.0
-    if not np.array_equal(method.D[0], first_row):
-        v.append(f"row 1 of D must be {first_row.tolist()}, got {method.D[0].tolist()}")
-    if np.any(method.A[0] != 0.0):
+    bad = (method.D[..., 0, :] != first_row).any(axis=-1)
+    if bad.any():
+        got = method.D[..., 0, :][bad][0]
+        v.append(f"row 1 of D must be {first_row.tolist()}, got {got.tolist()}")
+    if np.any(method.A[..., 0, :] != 0.0):
         v.append("row 1 of A must be identically zero")
-    if k > 1 and np.any(method.Ahat[0] != 0.0):
+    if k > 1 and np.any(method.Ahat[..., 0, :] != 0.0):
         v.append("row 1 of Ahat must be identically zero")
 
     if np.any(np.triu(method.A) != 0.0):
         v.append("A must be strictly lower triangular (explicit method)")
 
-    row_sums = method.D.sum(axis=1)
-    for i, rs in enumerate(row_sums):
-        if abs(rs - 1.0) > _CONSISTENCY_TOL:
+    row_sums = method.D.sum(axis=-1)
+    off = np.abs(row_sums - 1.0) > _CONSISTENCY_TOL
+    for i in range(s):
+        if off[..., i].any():
+            rs = np.extract(off[..., i], row_sums[..., i])[0]
             v.append(f"row {i + 1} of D sums to {rs:.17g} != 1")
-    theta_sum = method.theta.sum()
-    if abs(theta_sum - 1.0) > _CONSISTENCY_TOL:
-        v.append(f"theta sums to {theta_sum:.17g} != 1")
+    theta_sum = method.theta.sum(axis=-1)
+    off = np.abs(theta_sum - 1.0) > _CONSISTENCY_TOL
+    if off.any():
+        v.append(f"theta sums to {np.extract(off, theta_sum)[0]:.17g} != 1")
 
     return ValidationReport(v)
 
@@ -170,17 +181,18 @@ def to_spijker(method: MSRKMethod) -> SpijkerForm:
 
     s, k = method.s, method.k
     n = k + s
+    lead = method.b.shape[:-1]
 
-    S = np.zeros((n, k))
-    S[: k - 1, : k - 1] = np.eye(k - 1)
-    S[k - 1 : k - 1 + s, :] = method.D
-    S[n - 1, :] = method.theta
+    S = np.zeros(lead + (n, k))
+    S[..., : k - 1, : k - 1] = np.eye(k - 1)
+    S[..., k - 1 : k - 1 + s, :] = method.D
+    S[..., n - 1, :] = method.theta
 
-    T = np.zeros((n, n))
-    T[k - 1 : k - 1 + s, : k - 1] = method.Ahat
-    T[k - 1 : k - 1 + s, k - 1 : k - 1 + s] = method.A
-    T[n - 1, : k - 1] = method.bhat
-    T[n - 1, k - 1 : k - 1 + s] = method.b
+    T = np.zeros(lead + (n, n))
+    T[..., k - 1 : k - 1 + s, : k - 1] = method.Ahat
+    T[..., k - 1 : k - 1 + s, k - 1 : k - 1 + s] = method.A
+    T[..., n - 1, : k - 1] = method.bhat
+    T[..., n - 1, k - 1 : k - 1 + s] = method.b
 
     S.setflags(write=False)
     T.setflags(write=False)
@@ -198,17 +210,20 @@ def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h):
     its product with the step: dt times it for states, the shift by one
     degree for series and polynomial tables.  Returns the last row,
     shaped like one input, and the f values of the s stages as rows.
+    A stack of forms steps every member from the same inputs; ``f``, ``h``
+    and the results then carry the stack's leading axes.
     """
     k, n = sp.k, sp.k + sp.s
-    shape = x.shape[1:]
+    lead = sp.S.shape[:-2]
+    shape = lead + x.shape[1:]
     X = x.reshape(k, -1)
-    F = np.empty((n - 1, X.shape[1]))
-    F[:k] = fx.reshape(k, -1)
+    F = np.empty(lead + (n - 1, X.shape[1]))
+    F[..., :k, :] = fx.reshape(k, -1)
     for i in range(k, n):
-        w = sp.S[i] @ X + h(sp.T[i, :i] @ F[:i])
+        w = sp.S[..., i, :] @ X + h((sp.T[..., i, None, :i] @ F[..., :i, :])[..., 0, :])
         if i < n - 1:
-            F[i] = f(w.reshape(shape)).reshape(-1)
-    return w.reshape(shape), F[k - 1 :]
+            F[..., i, :] = f(w.reshape(shape)).reshape(lead + (-1,))
+    return w.reshape(shape), F[..., k - 1 :, :]
 
 
 def _degree_shift(width: int):
@@ -217,7 +232,7 @@ def _degree_shift(width: int):
 
     def h(v: NDArray) -> NDArray:
         out = np.zeros_like(v)
-        out[width:] = v[:-width]
+        out[..., width:] = v[..., :-width]
         return out
 
     return h
@@ -227,16 +242,14 @@ def canonical(sp: SpijkerForm, r: float) -> CanonicalForm:
     """Compute P = r (I + rT)^{-1} T and R = (I + rT)^{-1} S.
 
     Since T is strictly lower triangular, I + rT is unit lower
-    triangular and both solves are exact forward substitutions.
+    triangular and never singular.  One solve covers S and T together,
+    for every member of a stack.
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    if r == 0.0:
-        return CanonicalForm(r=0.0, P=np.zeros_like(sp.T), R=sp.S.copy())
-    M = np.eye(sp.T.shape[0]) + r * sp.T
-    R = solve_triangular(M, sp.S, lower=True, unit_diagonal=True)
-    P = r * solve_triangular(M, sp.T, lower=True, unit_diagonal=True)
-    return CanonicalForm(r=r, P=P, R=R)
+    n, k = sp.S.shape[-2:]
+    X = np.linalg.solve(np.eye(n) + r * sp.T, np.concatenate([sp.S, sp.T], axis=-1))
+    return CanonicalForm(r=r, P=r * X[..., k:], R=X[..., :k])
 
 
 def _feasible(sp: SpijkerForm, r: float, tol: float) -> bool:
@@ -286,7 +299,7 @@ def abscissae(method: MSRKMethod):
     """
     sp = to_spijker(method)
     l = np.arange(method.k - 1, -1, -1, dtype=float)
-    c = sp.T[:-1, :-1].sum(axis=1) - sp.S[:-1] @ l
+    c = sp.T[..., :-1, :-1].sum(axis=-1) - sp.S[..., :-1, :] @ l
     return c, l
 
 

@@ -9,11 +9,12 @@ the bit.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .methods import MSRKMethod
+from .methods import MSRKMethod, _coefficient_shapes
 
 __all__ = ["MethodFileError", "read_method", "write_method", "dumps_method", "loads_method"]
 
@@ -101,11 +102,20 @@ def loads_method(text: str) -> MSRKMethod:
         except (json.JSONDecodeError, ValueError):
             raise MethodFileError("not a numeric array", line=lineno.get(key), field=key) from None
 
-    # a one-step method's empty Ahat and bhat reshape to (s, 0) and (0,)
-    # in MSRKMethod, however many rows the empty JSON array kept
+    # exact shapes here, so that a file never makes a stack of methods; a
+    # one-step method's empty Ahat and bhat take the shapes (s, 0) and (0,)
+    s, k = ints["s"], ints["k"]
+    if s >= 1 and k >= 1:
+        for key, shape in _coefficient_shapes(s, k).items():
+            if arrays[key].size != math.prod(shape):
+                raise MethodFileError(
+                    f"{arrays[key].size} entries, but s = {s} and k = {k} need shape {shape}",
+                    line=lineno[key], field=key,
+                )
+            arrays[key] = arrays[key].reshape(shape)
     try:
         return MSRKMethod(
-            s=ints["s"], k=ints["k"],
+            s=s, k=k,
             D=arrays["D"], Ahat=arrays["Ahat"], A=arrays["A"],
             theta=arrays["theta"], bhat=arrays["bhat"], b=arrays["b"],
             name=fields.get("name", "unnamed"),

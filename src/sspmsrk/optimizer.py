@@ -10,6 +10,7 @@ avoids the joint maximization, which tends to stall in local minima.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,7 +68,7 @@ class SearchResult:
     Ceff: float
     residual_norm: float
     certified: bool
-    history: list[tuple[float, int, float, int]]  # (r, start index, merit, nfev)
+    history: list[tuple[float, int, float, int, int]]  # (r, start index, merit, nfev, njev)
 
 
 def free_parameter_count(s: int, k: int) -> int:
@@ -84,8 +85,7 @@ def pack(method: MSRKMethod) -> NDArray:
         method.D[1:, : k - 1].ravel(),
         method.Ahat[1:].ravel(),
     ]
-    tri = [method.A[i, j] for i in range(1, s) for j in range(i)]
-    parts.append(np.array(tri))
+    parts.append(method.A[np.tril_indices(s, -1)])
     parts.append(method.theta[: k - 1])
     parts.append(method.bhat)
     parts.append(method.b)
@@ -95,38 +95,37 @@ def pack(method: MSRKMethod) -> NDArray:
 def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int = 1) -> MSRKMethod:
     """Inverse of :func:`pack`; D rows and theta regain sum 1 via their
     last entry, so any vector of the right length yields a consistent
-    method."""
+    method.  A stack of vectors (..., n) yields a stack of methods."""
     x = np.asarray(x, dtype=float)
-    if len(x) != free_parameter_count(s, k):
+    if x.shape[-1:] != (free_parameter_count(s, k),):
         raise ValueError(
-            f"expected {free_parameter_count(s, k)} free parameters for (s={s}, k={k}), got {len(x)}"
+            f"expected {free_parameter_count(s, k)} free parameters for (s={s}, k={k}), "
+            f"got shape {x.shape}"
         )
+    lead = x.shape[:-1]
     pos = 0
 
-    def take(n):
+    def take(*shape):
         nonlocal pos
-        out = x[pos : pos + n]
+        n = math.prod(shape)
+        out = x[..., pos : pos + n].reshape(lead + shape)
         pos += n
         return out
 
-    D = np.zeros((s, k))
-    D[0, -1] = 1.0
-    D[1:, : k - 1] = take((s - 1) * (k - 1)).reshape(s - 1, k - 1)
-    D[1:, -1] = 1.0 - D[1:, : k - 1].sum(axis=1)
+    D = np.zeros(lead + (s, k))
+    D[..., 0, -1] = 1.0
+    D[..., 1:, : k - 1] = take(s - 1, k - 1)
+    D[..., 1:, -1] = 1.0 - D[..., 1:, : k - 1].sum(axis=-1)
 
-    Ahat = np.zeros((s, k - 1))
-    Ahat[1:] = take((s - 1) * (k - 1)).reshape(s - 1, k - 1)
+    Ahat = np.zeros(lead + (s, k - 1))
+    Ahat[..., 1:, :] = take(s - 1, k - 1)
 
-    A = np.zeros((s, s))
-    tri = take(s * (s - 1) // 2)
-    idx = 0
-    for i in range(1, s):
-        A[i, :i] = tri[idx : idx + i]
-        idx += i
+    A = np.zeros(lead + (s, s))
+    A[(...,) + np.tril_indices(s, -1)] = take(s * (s - 1) // 2)
 
-    theta = np.zeros(k)
-    theta[: k - 1] = take(k - 1)
-    theta[-1] = 1.0 - theta[: k - 1].sum()
+    theta = np.zeros(lead + (k,))
+    theta[..., : k - 1] = take(k - 1)
+    theta[..., -1] = 1.0 - theta[..., : k - 1].sum(axis=-1)
     bhat = take(k - 1)
     b = take(s)
     return MSRKMethod(s=s, k=k, D=D, Ahat=Ahat, A=A, theta=theta, bhat=bhat, b=b,
@@ -141,30 +140,33 @@ def constraint_residuals(
     Inequality entries are positive exactly when violated: negated
     entries of P and R at radius r, plus the coefficient bounds
     0 <= D <= 1, 0 <= theta <= 1, and nonnegativity of A, Ahat, b, bhat.
+    A stack of methods gives one row of each per member.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     eq = order_residual_vector(method, p, problems)
     cf = canonical(to_spijker(method), r)
-    ineq = np.concatenate([
-        -cf.P.ravel(),
-        -cf.R.ravel(),
-        -method.D.ravel(),
-        method.D.ravel() - 1.0,
-        -method.theta,
-        method.theta - 1.0,
-        -method.A.ravel(),
-        -method.Ahat.ravel(),
-        -method.b,
-        -method.bhat,
-    ])
+    lead = method.b.shape[:-1]
+    ineq = np.concatenate([a.reshape(lead + (-1,)) for a in (
+        -cf.P, -cf.R, -method.D, method.D - 1.0, -method.theta, method.theta - 1.0,
+        -method.A, -method.Ahat, -method.b, -method.bhat,
+    )], axis=-1)
     return eq, ineq
 
 
 def _merit_residuals(x, s, k, r, p, problems):
-    method = unpack(x, s, k)
-    eq, ineq = constraint_residuals(method, r, p, problems)
-    return np.concatenate([eq, np.maximum(0.0, ineq)])
+    """Merit residuals at x, or one row per point of a stack x of shape (B, n)."""
+    eq, ineq = constraint_residuals(unpack(x, s, k), r, p, problems)
+    return np.concatenate([eq, np.maximum(0.0, ineq)], axis=-1)
+
+
+def _merit_jacobian(x, s, k, r, p, problems):
+    """Forward differences with scipy's '2-point' steps, h = sqrt(eps) sign(x)
+    max(1, |x|) with sign(0) = 1, divided by (x + h) - x; x and its n
+    perturbed copies are evaluated as one stack."""
+    h = np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    F = _merit_residuals(np.vstack([x, x + np.diag(h)]), s, k, r, p, problems)
+    return (F[1:] - F[0]).T / ((x + h) - x)
 
 
 def _random_start(rng, s, k):
@@ -187,13 +189,13 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, problems, starts, his
     best_x = None
     for idx, x0 in enumerate(starts):
         sol = least_squares(
-            _merit_residuals, x0,
+            _merit_residuals, x0, jac=_merit_jacobian,
             args=(spec.s, spec.k, r, p, problems),
             method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
             max_nfev=spec.max_inner_iters,
         )
         merit = float(2.0 * sol.cost)  # cost is half the squared norm
-        history.append((r, idx, merit, sol.nfev))
+        history.append((r, idx, merit, sol.nfev, sol.njev))
         if merit < best_merit:
             best_merit = merit
             best_x = sol.x
@@ -269,7 +271,7 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
     if p >= 2 and k >= 2:
         upper = min(upper, r_sk2(s, k))
 
-    history: list[tuple[float, int, float, int]] = []
+    history: list[tuple[float, int, float, int, int]] = []
 
     def starts_at(best_x, n_random):
         out = []
@@ -321,9 +323,9 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
 
 
 def write_search_log(history, path):
-    """CSV search log: one row per inner solve."""
+    """CSV search log: one row per inner solve, its iterations being nfev."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["start", "r", "merit", "iterations"])
-        for r, idx, merit, nfev in history:
+        for r, idx, merit, nfev, _ in history:
             writer.writerow([idx, f"{r:.12g}", f"{merit:.6e}", nfev])

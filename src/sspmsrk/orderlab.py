@@ -47,20 +47,21 @@ def stage_residuals(method: MSRKMethod, jmax: int) -> ResidualSet:
     tau_j (vector) = (1/j!)(c^j - Dt (-l)^j) - (1/(j-1)!) At c^{j-1},
     and the scalar residual replaces (Dt, At, c-rows) by (theta, bt, 1),
     with exponents taken elementwise.  Dt, At, theta and bt are slices
-    of the Spijker matrices S and T.
+    of the Spijker matrices S and T.  On a stack of methods every
+    residual gains the stack's leading axes.
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
     c, l = abscissae(method)
     sp = to_spijker(method)
-    Dt, At, theta, bt = sp.S[:-1], sp.T[:-1, :-1], sp.S[-1], sp.T[-1, :-1]
+    Dt, At, theta, bt = sp.S[..., :-1, :], sp.T[..., :-1, :-1], sp.S[..., -1, :], sp.T[..., -1, :-1]
     stage = {}
     final = {}
     for j in range(1, jmax + 1):
         fj = math.factorial(j)
         fj1 = math.factorial(j - 1)
-        stage[j] = (c**j - Dt @ (-l) ** j) / fj - (At @ c ** (j - 1)) / fj1
-        final[j] = (1.0 - theta @ (-l) ** j) / fj - (bt @ c ** (j - 1)) / fj1
+        stage[j] = (c**j - Dt @ (-l) ** j) / fj - (At @ c[..., None] ** (j - 1))[..., 0] / fj1
+        final[j] = (1.0 - theta @ (-l) ** j) / fj - (bt * c ** (j - 1)).sum(axis=-1) / fj1
     return ResidualSet(stage=stage, final=final)
 
 
@@ -93,7 +94,8 @@ def series_step_error(method: MSRKMethod, problem: PolynomialODE, N: int) -> NDA
     scaling; the step is executed entirely in series arithmetic and the
     result compared with the exact flow at +h.  Row n of the returned
     array is the coefficient of h^n, divided entrywise by
-    max(1, |exact flow coefficient|) so tolerances are scale-free.
+    max(1, |exact flow coefficient|) so tolerances are scale-free.  A
+    stack of methods steps as one stack of series.
     """
     k = method.k
     flow = flow_series(problem, N)
@@ -152,19 +154,21 @@ def order_residual_vector(
     Concatenates the final residuals tau_j (j <= p), the stage residual
     vectors tau_j (j <= floor((p-1)/2), the stage order forced on SSP
     methods of order p), and the normalized local error coefficients of
-    orders 1..p on each problem.
+    orders 1..p on each problem.  A stack of methods gives one row per
+    member.
     """
     if p > MAX_ORACLE_ORDER:
         raise ValueError(f"p must be at most {MAX_ORACLE_ORDER}")
     res = stage_residuals(method, p)
-    parts = [np.array([res.final[j] for j in range(1, p + 1)])]
+    lead = method.b.shape[:-1]
+    parts = [np.stack([res.final[j] for j in range(1, p + 1)], axis=-1)]
     q = (p - 1) // 2
     for j in range(1, q + 1):
         parts.append(res.stage[j])
     for problem in problems:
         err = series_step_error(method, problem, p)
-        parts.append(err[1 : p + 1].ravel())
-    return np.concatenate(parts)
+        parts.append(err[..., 1 : p + 1, :].reshape(lead + (-1,)))
+    return np.concatenate(parts, axis=-1)
 
 
 def convergence_order(errors: list[tuple[float, float]]) -> float:

@@ -85,11 +85,16 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class StepSearchResult:
+    """``horizon_limited``: the smallest failing step failed because the
+    horizon left no full step after start-up, not because of the
+    property, so ``dt_max`` is about tf/k and not the property's limit."""
+
     property: str
     dt_max: float
     normalized: float
     theoretical: float
     resolution: float
+    horizon_limited: bool
 
 
 class RunAbortedError(RuntimeError):
@@ -362,6 +367,7 @@ def max_stable_step(
         normalized=lo / dx,
         theoretical=C * problem.dt_fe,
         resolution=resolution,
+        horizon_limited=lo < hi and method.k * hi > tf,
     )
 
 

@@ -20,16 +20,19 @@ __all__ = ["TaylorSeries", "PolynomialODE", "flow_series"]
 
 
 def _truncated_product(a: NDArray, b: NDArray) -> NDArray:
-    """Cauchy product of two scalar coefficient arrays, truncated to len(a)."""
-    n = len(a)
-    return np.convolve(a, b)[:n]
+    """Cauchy products c[..., n] = sum_{j<=n} a[..., j] b[..., n-j] of
+    stacked scalar coefficient rows, truncated to their common length."""
+    lag = np.subtract.outer(np.arange(a.shape[-1]), np.arange(a.shape[-1]))
+    toeplitz = np.where(lag >= 0, b[..., np.maximum(lag, 0)], 0.0)
+    return (toeplitz @ a[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
 class TaylorSeries:
     """Vector-valued power series in h, truncated at a fixed order.
 
-    ``coeffs`` has shape (N+1, m): row n is the coefficient of h^n.
+    ``coeffs`` has shape (N+1, m): row n is the coefficient of h^n.  A
+    stack of series puts its leading axes before these two.
     """
 
     coeffs: NDArray
@@ -43,7 +46,7 @@ class TaylorSeries:
 
     @property
     def order(self) -> int:
-        return self.coeffs.shape[0] - 1
+        return self.coeffs.shape[-2] - 1
 
     def scale_argument(self, a: float) -> "TaylorSeries":
         """The series of h -> u(a*h): coefficient n picks up a factor a^n."""
@@ -76,6 +79,9 @@ class PolynomialODE:
     seed: int
     u0: NDArray
     exponents: NDArray = field(init=False, repr=False)
+    # per degree d: (monomials of degree d, each one's parent of degree d-1,
+    # the variable that multiplies the parent)
+    levels: tuple = field(init=False, repr=False)
     # series derived from this problem (flow, back values), keyed by their use
     cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -84,6 +90,12 @@ class PolynomialODE:
         if self.coefficients.shape != (len(exps), self.dim):
             raise ValueError("coefficient tensor shape does not match monomial count")
         object.__setattr__(self, "exponents", exps)
+        index = {tuple(e): t for t, e in enumerate(exps)}
+        var = np.array([0] + [np.nonzero(e)[0][-1] for e in exps[1:]])
+        parent = np.array([0] + [index[tuple(e - (np.arange(self.dim) == i))]
+                                 for e, i in zip(exps[1:], var[1:])])
+        levels = [np.nonzero(exps.sum(axis=1) == d)[0] for d in range(1, self.degree + 1)]
+        object.__setattr__(self, "levels", tuple((t, parent[t], var[t]) for t in levels))
 
     @classmethod
     def random(cls, seed: int, dim: int = 3, degree: int = 2) -> "PolynomialODE":
@@ -100,26 +112,18 @@ class PolynomialODE:
         return mono @ self.coefficients
 
     def eval_on_series(self, series: TaylorSeries) -> TaylorSeries:
-        """F applied to a series argument, truncated at the argument's order."""
-        U = series.coeffs
-        n1, m = U.shape
-        # power tables per variable: powers[i][e] = series of u_i ** e
-        powers = []
-        one = np.zeros(n1)
-        one[0] = 1.0
-        for i in range(m):
-            table = [one]
-            for _ in range(self.degree):
-                table.append(_truncated_product(table[-1], U[:, i]))
-            powers.append(table)
-        out = np.zeros((n1, m))
-        for t, exps in enumerate(self.exponents):
-            term = one
-            for i, e in enumerate(exps):
-                if e:
-                    term = _truncated_product(term, powers[i][e])
-            out += np.outer(term, self.coefficients[t])
-        return TaylorSeries(out)
+        """F applied to a series argument, truncated at the argument's order.
+
+        The monomials are built degree by degree, each the truncated
+        product of its parent monomial and one variable, over every
+        series of a stack at once.
+        """
+        U = np.swapaxes(series.coeffs, -1, -2)
+        mono = np.zeros(U.shape[:-2] + (len(self.exponents), U.shape[-1]))
+        mono[..., 0, 0] = 1.0
+        for terms, parents, variables in self.levels:
+            mono[..., terms, :] = _truncated_product(mono[..., parents, :], U[..., variables, :])
+        return TaylorSeries(np.swapaxes(mono, -1, -2) @ self.coefficients)
 
 
 def flow_series(problem: PolynomialODE, N: int) -> TaylorSeries:

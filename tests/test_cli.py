@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import pytest
 
@@ -172,6 +173,28 @@ class TestStepsearch:
             rows = list(csv.DictReader(fh))
         assert [row["method"] for row in rows] == ["(3,1,3)", "(3,2,2)"]
         assert float(rows[1]["C*dt_fe/dx"]) == pytest.approx(r_sk2(3, 2), abs=1e-6)
+
+    def test_rows_named_after_their_method(self, tmp_path, so2_file):
+        twin = tmp_path / "twin.msrk"
+        write_method(dataclasses.replace(gen_second_order(3, 2), name="twin"), twin)
+        out = tmp_path / "search.csv"
+        code = main(["stepsearch", "--problem", "advection", "--method", so2_file, str(twin),
+                     "--property", "tvd", "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["name"] for row in rows] == ["SO2(3,2)", "twin"]
+
+    def test_horizon_limited_rows_get_a_note(self, tmp_path, ssprk33_file, capsys):
+        out = str(tmp_path / "search.csv")
+        code = main(["stepsearch", "--problem", "advection", "--method", ssprk33_file,
+                     "--tf", "0.001", "--out", out])
+        assert code == EXIT_OK
+        notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+        assert len(notes) == 2 and "SSPRK(3,3) tvd" in notes[0]
+        assert main(["stepsearch", "--problem", "advection", "--method", ssprk33_file,
+                     "--out", out]) == EXIT_OK
+        assert "note:" not in capsys.readouterr().err
 
 
 class TestConvergence:

@@ -99,3 +99,5 @@ class TestErrors:
         text = dumps_method(forward_euler()).replace("k = 1", "k = 1000000000000")
         with pytest.raises(MethodFileError):
             loads_method(text)
+        with pytest.raises(MethodFileError, match=r"\(line 6, field 'D'\)"):
+            loads_method(text)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from sspmsrk import methods
-from sspmsrk.methods import forward_euler, ssprk33, validate
+from sspmsrk.methods import MethodStructureError, forward_euler, ssprk33, validate
 from sspmsrk.optimizer import (
     SearchFailure,
+    _merit_jacobian,
+    _merit_residuals,
     SearchSpec,
     constraint_residuals,
     free_parameter_count,
@@ -77,6 +79,45 @@ class TestConstraintResiduals:
     def test_negative_r_rejected(self, problems):
         with pytest.raises(ValueError):
             constraint_residuals(forward_euler(), -1.0, 1, problems)
+
+
+class TestStackedMerit:
+    @pytest.mark.parametrize("s, k, p", [(2, 2, 3), (2, 3, 4), (3, 2, 3)])
+    def test_rows_match_points_one_at_a_time(self, problems, rng, s, k, p):
+        X = rng.uniform(-0.5, 1.0, size=(6, free_parameter_count(s, k)))
+        F = _merit_residuals(X, s, k, 0.4, p, problems)
+        for x, row in zip(X, F):
+            np.testing.assert_allclose(row, _merit_residuals(x, s, k, 0.4, p, problems),
+                                       rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("s, k, p", [(2, 2, 3), (2, 3, 4)])
+    def test_jacobian_matches_columns_one_at_a_time(self, problems, rng, s, k, p):
+        x = rng.uniform(-0.5, 1.0, free_parameter_count(s, k))
+        x[0], x[1] = 0.0, -3.0  # sign(0) counts as +1; |x| > 1 scales the step
+        f0 = _merit_residuals(x, s, k, 0.4, p, problems)
+        rel = np.sqrt(np.finfo(float).eps)
+        columns = []
+        for j in range(len(x)):
+            xj = x.copy()
+            xj[j] += rel * (1.0 if x[j] >= 0 else -1.0) * max(1.0, abs(x[j]))
+            columns.append((_merit_residuals(xj, s, k, 0.4, p, problems) - f0) / (xj[j] - x[j]))
+        expected = np.array(columns).T
+        J = _merit_jacobian(x, s, k, 0.4, p, problems)
+        assert np.abs(J - expected).max() <= 1e-6 * np.abs(expected).max()
+
+    def test_non_finite_member_raises(self, problems, rng):
+        X = rng.uniform(0.0, 0.5, size=(4, free_parameter_count(2, 2)))
+        X[2, 3] = np.nan
+        with pytest.raises(MethodStructureError, match="coefficients must be finite"):
+            _merit_residuals(X, 2, 2, 0.4, 3, problems)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_third_order_search_across_seeds(self, seed):
+        spec = SearchSpec(s=2, k=2, p=3, starts=20, seed=seed, r_tol=1e-3,
+                          warm_starts=warm_start_ladder(2, 2, 3))
+        res = maximize_ssp(spec)
+        assert res.certified
+        assert res.Ceff >= 0.36603 - 1e-3
 
 
 class TestPadding:

@@ -60,6 +60,31 @@ class TestPolynomialODE:
                           seed=0, u0=np.zeros(2))
 
 
+def _eval_by_terms(problem, U):
+    """F on one series, one monomial at a time with full convolutions."""
+    out = np.zeros_like(U)
+    for exps, coeffs in zip(problem.exponents, problem.coefficients):
+        term = np.eye(len(U))[0]
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = np.convolve(term, U[:, i])[: len(U)]
+        out += np.outer(term, coeffs)
+    return out
+
+
+@pytest.mark.parametrize("N", range(1, 14))
+def test_stacked_eval_matches_members(N):
+    problem = PolynomialODE.random(seed=N, dim=3, degree=2)
+    stack = np.random.default_rng(N).uniform(-1.0, 1.0, size=(2, 3, N + 1, 3))
+    out = problem.eval_on_series(TaylorSeries(stack)).coeffs
+    assert out.shape == stack.shape
+    for index in np.ndindex(2, 3):
+        member = problem.eval_on_series(TaylorSeries(stack[index])).coeffs
+        np.testing.assert_allclose(out[index], member, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(member, _eval_by_terms(problem, stack[index]),
+                                   rtol=0, atol=1e-12)
+
+
 def _random_series(rng, N=6, m=2):
     return TaylorSeries(rng.uniform(-1.0, 1.0, size=(N + 1, m)))
 
