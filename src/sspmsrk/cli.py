@@ -83,7 +83,8 @@ def cmd_analyze(args) -> int:
         print(f"linear_order: {lin}")
         print(f"oracle_order: {orc}")
         print("threshold_factor: " + ("inf" if math.isinf(thr) else f"{thr:.9f}"))
-        print(f"bound_C_le_s: {'ok' if C <= method.s + 1e-8 else 'VIOLATED'}")
+        if orc >= 1:
+            print(f"bound_C_le_s: {'ok' if C <= method.s + 1e-8 else 'VIOLATED'}")
         if orc >= 2 and method.k >= 2:
             ok = C <= r_sk2(method.s, method.k) + 1e-8
             print(f"bound_C_le_rsk2: {'ok' if ok else 'VIOLATED'}")

@@ -11,6 +11,7 @@ dt <= r * dt_FE.  The largest such r is the coefficient computed by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -208,8 +209,9 @@ def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h):
     Rows 0..k-1 of w are the inputs themselves; rows k..n-1 are computed,
     each on inputs flattened to one row.  ``h`` maps a flattened row to
     its product with the step: dt times it for states, the shift by one
-    degree for series and polynomial tables.  Returns the last row,
-    shaped like one input, and the f values of the s stages as rows.
+    degree for polynomial tables, the identity for elementary weights.
+    Returns the last row, shaped like one input, and the f values of the
+    s stages as rows.
     A stack of forms steps every member from the same inputs; ``f``, ``h``
     and the results then carry the stack's leading axes.
     """
@@ -227,7 +229,7 @@ def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h):
 
 
 def _degree_shift(width: int):
-    """h for series and polynomial tables stored degree-first: multiply by
+    """h for polynomial tables stored degree-first: multiply by
     the step variable, dropping the top degree of a flattened row."""
 
     def h(v: NDArray) -> NDArray:
@@ -263,12 +265,14 @@ def ssp_coefficient(
     bisect_tol: float = BISECT_TOL,
     max_iters: int = 200,
 ) -> float:
-    """Largest r with P, R componentwise >= -tol, by bisection on [0, s+1].
+    """Largest r with P, R componentwise >= -tol, by bisection.
 
-    The bracket s+1 is safe: the first-order threshold bound caps the
-    coefficient at s.  Returns 0.0 when S itself has a negative entry.
-    Reported as a lower bound on the true SSP coefficient; equality
-    holds for row-irreducible methods.
+    The bracket starts at s+1, above the first-order threshold bound s,
+    and doubles while the canonical form is still feasible there; a
+    method still feasible past 1e12 (one that never uses f, say) gets
+    inf.  Returns 0.0 when S itself has a negative entry.  Reported as
+    a lower bound on the true SSP coefficient; equality holds for
+    row-irreducible methods.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -276,8 +280,10 @@ def ssp_coefficient(
         return 0.0
 
     lo, hi = 0.0, float(sp.s + 1)
-    if _feasible(sp, hi, tol):
-        return hi
+    while _feasible(sp, hi, tol):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e12:
+            return math.inf
     for _ in range(max_iters):
         if hi - lo < bisect_tol:
             break

@@ -49,6 +49,12 @@ def _fmt_nested(a: np.ndarray) -> str:
 
 
 def dumps_method(method: MSRKMethod) -> str:
+    """The file text of a method; a name with a line break or surrounding
+    whitespace would not read back, and raises ValueError."""
+    name = method.name
+    if name != name.strip() or "".join(name.splitlines()) != name:
+        raise MethodFileError(f"{name!r} has a line break or surrounding whitespace",
+                              field="name")
     lines = [
         f"format = {FORMAT_TAG}",
         f"name = {method.name}",

@@ -19,8 +19,7 @@ from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
 from .methods import MSRKMethod, canonical, ssp_coefficient, to_spijker, validate
-from .orderlab import default_problems, oracle_order, order_residual_vector
-from .series import PolynomialODE
+from .orderlab import oracle_order, order_residual_vector
 from .theory import gen_second_order, r_sk2
 
 __all__ = [
@@ -132,9 +131,7 @@ def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int 
                       name=name, claimed_order=claimed_order)
 
 
-def constraint_residuals(
-    method: MSRKMethod, r: float, p: int, problems: list[PolynomialODE]
-):
+def constraint_residuals(method: MSRKMethod, r: float, p: int):
     """Equality residuals (order conditions) and inequality violations.
 
     Inequality entries are positive exactly when violated: negated
@@ -144,7 +141,7 @@ def constraint_residuals(
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    eq = order_residual_vector(method, p, problems)
+    eq = order_residual_vector(method, p)
     cf = canonical(to_spijker(method), r)
     lead = method.b.shape[:-1]
     ineq = np.concatenate([a.reshape(lead + (-1,)) for a in (
@@ -154,18 +151,18 @@ def constraint_residuals(
     return eq, ineq
 
 
-def _merit_residuals(x, s, k, r, p, problems):
+def _merit_residuals(x, s, k, r, p):
     """Merit residuals at x, or one row per point of a stack x of shape (B, n)."""
-    eq, ineq = constraint_residuals(unpack(x, s, k), r, p, problems)
+    eq, ineq = constraint_residuals(unpack(x, s, k), r, p)
     return np.concatenate([eq, np.maximum(0.0, ineq)], axis=-1)
 
 
-def _merit_jacobian(x, s, k, r, p, problems):
+def _merit_jacobian(x, s, k, r, p):
     """Forward differences with scipy's '2-point' steps, h = sqrt(eps) sign(x)
     max(1, |x|) with sign(0) = 1, divided by (x + h) - x; x and its n
     perturbed copies are evaluated as one stack."""
     h = np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    F = _merit_residuals(np.vstack([x, x + np.diag(h)]), s, k, r, p, problems)
+    F = _merit_residuals(np.vstack([x, x + np.diag(h)]), s, k, r, p)
     return (F[1:] - F[0]).T / ((x + h) - x)
 
 
@@ -183,14 +180,14 @@ def _random_start(rng, s, k):
     ])
 
 
-def _solve_feasibility(spec: SearchSpec, r: float, p: int, problems, starts, history):
+def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     """Best merit over the given start vectors; early exit on success."""
     best_merit = np.inf
     best_x = None
     for idx, x0 in enumerate(starts):
         sol = least_squares(
             _merit_residuals, x0, jac=_merit_jacobian,
-            args=(spec.s, spec.k, r, p, problems),
+            args=(spec.s, spec.k, r, p),
             method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
             max_nfev=spec.max_inner_iters,
         )
@@ -264,7 +261,6 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
     meaningfully positive radius.
     """
     s, k, p = spec.s, spec.k, spec.p
-    problems = default_problems(spec.seed, 2)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, s, k, p]))
 
     upper = float(s)
@@ -282,7 +278,7 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
         return out
 
     # establish feasibility at r = 0 with the full multistart budget
-    merit0, x0 = _solve_feasibility(spec, 0.0, p, problems, starts_at(None, spec.starts), history)
+    merit0, x0 = _solve_feasibility(spec, 0.0, p, starts_at(None, spec.starts), history)
     if merit0 > spec.feas_tol**2:
         raise SearchFailure(
             f"no order-{p} method found at r=0 for (s={s}, k={k}); best merit {merit0:.3e}"
@@ -294,7 +290,7 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
     while hi - lo > spec.r_tol:
         mid = 0.5 * (lo + hi)
         merit, x = _solve_feasibility(
-            spec, mid, p, problems, starts_at(best_x, n_random_later), history
+            spec, mid, p, starts_at(best_x, n_random_later), history
         )
         if merit <= spec.feas_tol**2:
             lo, best_x = mid, x
@@ -309,11 +305,11 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
 
     method = unpack(best_x, s, k, name=f"OPT({s},{k},{p})", claimed_order=p)
     C = ssp_coefficient(to_spijker(method))
-    eq, _ = constraint_residuals(method, lo, p, problems)
+    eq, _ = constraint_residuals(method, lo, p)
     residual_norm = float(np.linalg.norm(eq))
     certified = (
         validate(method).ok
-        and oracle_order(method, pmax=p, seed=spec.seed + 7919) >= p
+        and oracle_order(method, pmax=p) >= p
         and abs(C - lo) <= max(1e-6, 2.0 * spec.r_tol)
     )
     return SearchResult(

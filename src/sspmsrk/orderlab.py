@@ -1,11 +1,9 @@
-"""Order analysis: quadrature residuals, stage order, and a series oracle.
+"""Order analysis: quadrature residuals, stage order, and tree conditions.
 
 The quadrature (stage) residuals come directly from the method
-coefficients.  The full nonlinear order is established by executing one
-method step in truncated Taylor series arithmetic on random polynomial
-ODEs and comparing against the exact local flow: the error coefficients
-are polynomials in the method coefficients, so vanishing on a couple of
-random problems is a polynomial identity test.
+coefficients.  The full nonlinear order is certified by the rooted-tree
+conditions Phi(t) = 1/gamma(t), whose elementary weights Phi(t) are
+computed exactly from the coefficients by :mod:`sspmsrk.series`.
 """
 
 from __future__ import annotations
@@ -16,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .methods import MSRKMethod, _degree_shift, _spijker_step, abscissae, to_spijker
-from .series import PolynomialODE, TaylorSeries, flow_series
+from .methods import MSRKMethod, abscissae, to_spijker
+from .series import elementary_weights, rooted_trees
 
 __all__ = [
     "ResidualSet",
@@ -26,8 +24,6 @@ __all__ = [
     "oracle_order",
     "order_residual_vector",
     "convergence_order",
-    "default_problems",
-    "series_step_error",
 ]
 
 MAX_ORACLE_ORDER = 12
@@ -78,96 +74,38 @@ def stage_order(method: MSRKMethod, tol: float = 1e-10) -> int:
     return q
 
 
-def default_problems(seed: int, nproblems: int, dim: int = 3, degree: int = 2):
-    """Deterministic family of oracle problems derived from one seed."""
-    children = np.random.SeedSequence(seed).spawn(nproblems)
-    return [
-        PolynomialODE.random(int(child.generate_state(1)[0]), dim=dim, degree=degree)
-        for child in children
-    ]
+def oracle_order(method: MSRKMethod, pmax: int = 8, seed: int = 2718, tol: float = 1e-9) -> int:
+    """Order of the method as certified by its rooted-tree conditions.
 
-
-def series_step_error(method: MSRKMethod, problem: PolynomialODE, N: int) -> NDArray:
-    """Normalized local error coefficients of one method step on a problem.
-
-    Back values are the exact flow sampled at -(k-l)h via argument
-    scaling; the step is executed entirely in series arithmetic and the
-    result compared with the exact flow at +h.  Row n of the returned
-    array is the coefficient of h^n, divided entrywise by
-    max(1, |exact flow coefficient|) so tolerances are scale-free.  A
-    stack of methods steps as one stack of series.
-    """
-    k = method.k
-    flow = flow_series(problem, N)
-
-    def f(coeffs):
-        return problem.eval_on_series(TaylorSeries(coeffs)).coeffs
-
-    key = ("back", N, k)
-    if key not in problem.cache:
-        back = np.array([flow.scale_argument(float(l - k)).coeffs for l in range(1, k + 1)])
-        problem.cache[key] = (back, np.array([f(u) for u in back]))
-    back, f_back = problem.cache[key]
-    u_next, _ = _spijker_step(to_spijker(method), back, f_back, f, _degree_shift(problem.dim))
-    err = u_next - flow.coeffs
-    scale = np.maximum(1.0, np.abs(flow.coeffs))
-    return err / scale
-
-
-def oracle_order(
-    method: MSRKMethod,
-    pmax: int = 8,
-    nproblems: int = 4,
-    seed: int = 2718,
-    tol: float = 1e-9,
-) -> int:
-    """Order of the method as certified by the series oracle.
-
-    The order is the largest p such that the local error coefficients of
-    h^0..h^p vanish (within tol, normalized) on every test problem.
-    With exact back values and a convex theta (zero-stability) the
-    local result transfers to global order p.
+    The order is the largest p <= pmax with |Phi(t) - 1/gamma(t)| <= tol
+    for every tree with at most p vertices.  With exact back values and
+    a convex theta (zero-stability) the local result transfers to
+    global order p.  ``seed`` is accepted for callers written against
+    the earlier randomized oracle and has no effect.
     """
     if pmax > MAX_ORACLE_ORDER:
         raise ValueError(f"pmax must be at most {MAX_ORACLE_ORDER}")
-    if nproblems < 2:
-        raise ValueError("at least two problems are required to guard against cancellation")
-    problems = default_problems(seed, nproblems)
-    p_best = pmax
-    for problem in problems:
-        errs = np.abs(series_step_error(method, problem, pmax + 1))
-        p = 0
-        for n in range(pmax + 1):
-            if errs[n].max() > tol:
-                p = n - 1
-                break
-            p = n
-        p_best = min(p_best, p)
-    return max(p_best, 0)
+    trees = rooted_trees(pmax)
+    err = np.abs(elementary_weights(method, pmax) - 1.0 / trees.gamma)
+    failed = trees.order[err > tol]
+    return int(failed.min()) - 1 if failed.size else pmax
 
 
-def order_residual_vector(
-    method: MSRKMethod, p: int, problems: list[PolynomialODE]
-) -> NDArray:
+def order_residual_vector(method: MSRKMethod, p: int) -> NDArray:
     """Equality constraints for order p, as one flat residual vector.
 
-    Concatenates the final residuals tau_j (j <= p), the stage residual
-    vectors tau_j (j <= floor((p-1)/2), the stage order forced on SSP
-    methods of order p), and the normalized local error coefficients of
-    orders 1..p on each problem.  A stack of methods gives one row per
-    member.
+    Concatenates the tree residuals Phi(t) - 1/gamma(t) for |t| <= p and
+    the stage residual vectors tau_j (j <= floor((p-1)/2), the stage
+    order forced on SSP methods of order p).  A stack of methods gives
+    one row per member.
     """
     if p > MAX_ORACLE_ORDER:
         raise ValueError(f"p must be at most {MAX_ORACLE_ORDER}")
-    res = stage_residuals(method, p)
-    lead = method.b.shape[:-1]
-    parts = [np.stack([res.final[j] for j in range(1, p + 1)], axis=-1)]
+    parts = [elementary_weights(method, p) - 1.0 / rooted_trees(p).gamma]
     q = (p - 1) // 2
-    for j in range(1, q + 1):
-        parts.append(res.stage[j])
-    for problem in problems:
-        err = series_step_error(method, problem, p)
-        parts.append(err[..., 1 : p + 1, :].reshape(lead + (-1,)))
+    if q >= 1:
+        res = stage_residuals(method, q)
+        parts.extend(res.stage[j] for j in range(1, q + 1))
     return np.concatenate(parts, axis=-1)
 
 

@@ -70,6 +70,18 @@ class TestAnalyze:
         assert "valid: no" in out
         assert "violation: coefficients must be finite" in out
 
+    def test_method_without_f_has_no_stage_bound(self, tmp_path, capsys):
+        m = dataclasses.replace(ssprk33(), s=2, D=[[1.0], [1.0]], Ahat=[[], []],
+                                A=[[0.0, 0.0], [0.0, 0.0]], b=[0.0, 0.0])
+        path = tmp_path / "still.msrk"
+        write_method(m, path)
+        assert main(["analyze", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "C: inf" in out
+        assert "oracle_order: 0" in out
+        assert "threshold_factor: inf" in out
+        assert "bound_C_le_s" not in out
+
     def test_missing_file_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze", str(tmp_path / "nope.msrk")])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,10 +39,17 @@ class TestRoundTrip:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
-           st.integers(min_value=0, max_value=2**32 - 1))
-    def test_random_methods_bit_exact(self, s, k, seed):
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.text().filter(lambda n: n == n.strip() and "".join(n.splitlines()) == n))
+    def test_random_methods_bit_exact(self, s, k, seed, name):
         m = random_valid_method(np.random.default_rng(seed), s, k)
+        m = dataclasses.replace(m, name=name)
         assert_methods_equal(loads_method(dumps_method(m)), m)
+
+    @pytest.mark.parametrize("name", ["  padded  ", "a\nb", "carriage\r", "tab\t", "\u2028"])
+    def test_name_that_would_not_read_back_rejected(self, name):
+        with pytest.raises(ValueError, match="field 'name'"):
+            dumps_method(dataclasses.replace(forward_euler(), name=name))
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\n" + dumps_method(forward_euler())

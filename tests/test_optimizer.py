@@ -18,7 +18,7 @@ from sspmsrk.optimizer import (
     warm_start_ladder,
     write_search_log,
 )
-from sspmsrk.orderlab import default_problems, oracle_order
+from sspmsrk.orderlab import oracle_order
 from sspmsrk.theory import gen_second_order, r_sk2
 
 
@@ -48,22 +48,17 @@ class TestPackUnpack:
             unpack(np.zeros(3), 2, 2)
 
 
-@pytest.fixture(scope="module")
-def problems():
-    return default_problems(17, 2)
-
-
 class TestConstraintResiduals:
-    def test_ssprk33_feasible_at_its_coefficient(self, problems):
-        eq, ineq = constraint_residuals(ssprk33(), 1.0, 3, problems)
+    def test_ssprk33_feasible_at_its_coefficient(self):
+        eq, ineq = constraint_residuals(ssprk33(), 1.0, 3)
         assert np.abs(eq).max() < 1e-12
         assert ineq.max() < 1e-9
 
-    def test_violation_past_the_coefficient(self, problems):
-        _, ineq = constraint_residuals(ssprk33(), 1.5, 3, problems)
+    def test_violation_past_the_coefficient(self):
+        _, ineq = constraint_residuals(ssprk33(), 1.5, 3)
         assert ineq.max() > 1e-3
 
-    def test_validates_each_iterate_once(self, problems, rng, monkeypatch):
+    def test_validates_each_iterate_once(self, rng, monkeypatch):
         calls = []
         original = methods.validate
 
@@ -73,43 +68,43 @@ class TestConstraintResiduals:
 
         monkeypatch.setattr(methods, "validate", counting)
         m = unpack(rng.uniform(0.0, 0.5, free_parameter_count(2, 2)), 2, 2)
-        constraint_residuals(m, 0.5, 3, problems)
+        constraint_residuals(m, 0.5, 3)
         assert len(calls) == 1
 
-    def test_negative_r_rejected(self, problems):
+    def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
-            constraint_residuals(forward_euler(), -1.0, 1, problems)
+            constraint_residuals(forward_euler(), -1.0, 1)
 
 
 class TestStackedMerit:
     @pytest.mark.parametrize("s, k, p", [(2, 2, 3), (2, 3, 4), (3, 2, 3)])
-    def test_rows_match_points_one_at_a_time(self, problems, rng, s, k, p):
+    def test_rows_match_points_one_at_a_time(self, rng, s, k, p):
         X = rng.uniform(-0.5, 1.0, size=(6, free_parameter_count(s, k)))
-        F = _merit_residuals(X, s, k, 0.4, p, problems)
+        F = _merit_residuals(X, s, k, 0.4, p)
         for x, row in zip(X, F):
-            np.testing.assert_allclose(row, _merit_residuals(x, s, k, 0.4, p, problems),
+            np.testing.assert_allclose(row, _merit_residuals(x, s, k, 0.4, p),
                                        rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("s, k, p", [(2, 2, 3), (2, 3, 4)])
-    def test_jacobian_matches_columns_one_at_a_time(self, problems, rng, s, k, p):
+    def test_jacobian_matches_columns_one_at_a_time(self, rng, s, k, p):
         x = rng.uniform(-0.5, 1.0, free_parameter_count(s, k))
         x[0], x[1] = 0.0, -3.0  # sign(0) counts as +1; |x| > 1 scales the step
-        f0 = _merit_residuals(x, s, k, 0.4, p, problems)
+        f0 = _merit_residuals(x, s, k, 0.4, p)
         rel = np.sqrt(np.finfo(float).eps)
         columns = []
         for j in range(len(x)):
             xj = x.copy()
             xj[j] += rel * (1.0 if x[j] >= 0 else -1.0) * max(1.0, abs(x[j]))
-            columns.append((_merit_residuals(xj, s, k, 0.4, p, problems) - f0) / (xj[j] - x[j]))
+            columns.append((_merit_residuals(xj, s, k, 0.4, p) - f0) / (xj[j] - x[j]))
         expected = np.array(columns).T
-        J = _merit_jacobian(x, s, k, 0.4, p, problems)
+        J = _merit_jacobian(x, s, k, 0.4, p)
         assert np.abs(J - expected).max() <= 1e-6 * np.abs(expected).max()
 
-    def test_non_finite_member_raises(self, problems, rng):
+    def test_non_finite_member_raises(self, rng):
         X = rng.uniform(0.0, 0.5, size=(4, free_parameter_count(2, 2)))
         X[2, 3] = np.nan
         with pytest.raises(MethodStructureError, match="coefficients must be finite"):
-            _merit_residuals(X, 2, 2, 0.4, 3, problems)
+            _merit_residuals(X, 2, 2, 0.4, 3)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_third_order_search_across_seeds(self, seed):

@@ -1,15 +1,12 @@
-import weakref
-
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
-from sspmsrk.methods import forward_euler, ssprk33
+from sspmsrk.methods import MSRKMethod, forward_euler, ssprk33
 from sspmsrk.orderlab import (
     convergence_order,
-    default_problems,
     oracle_order,
     order_residual_vector,
-    series_step_error,
     stage_order,
     stage_residuals,
 )
@@ -66,27 +63,49 @@ class TestOracleOrder:
         m = gen_second_order(3, 2)
         assert oracle_order(m, seed=1) == oracle_order(m, seed=987654321)
 
-    def test_single_problem_rejected(self):
-        with pytest.raises(ValueError):
-            oracle_order(forward_euler(), nproblems=1)
+    def test_bushy_tree_condition_is_seen(self):
+        # a vertex with three children has F''' in its elementary
+        # differential, which vanishes on quadratic test problems
+        m = _rk4_with_bc3(0.3)
+        assert oracle_order(m, pmax=6) == 3
+        assert oracle_order(_rk4_with_bc3(0.25), pmax=6) == 4
 
 
-@pytest.fixture(scope="module")
-def problems():
-    return default_problems(321, 2)
+def _rk4_with_bc3(bc3):
+    """A 4-stage explicit Runge-Kutta method meeting the seven order-4
+    conditions other than b.c^3 = 1/4, with b.c^3 = bc3 instead."""
+
+    def unpack(x):
+        A = np.zeros((4, 4))
+        A[np.tril_indices(4, -1)] = x[:6]
+        return A, x[6:]
+
+    def conditions(x):
+        A, b = unpack(x)
+        c = A.sum(axis=1)
+        return [b.sum() - 1, b @ c - 1 / 2, b @ c**2 - 1 / 3, b @ c**3 - bc3,
+                b @ A @ c - 1 / 6, b @ (c * (A @ c)) - 1 / 8, b @ A @ c**2 - 1 / 12,
+                b @ A @ A @ c - 1 / 24]
+
+    x0 = np.array([0.5, 0.0, 0.5, 0.0, 0.0, 1.0, 1 / 6, 1 / 3, 1 / 3, 1 / 6])  # classical RK4
+    sol = least_squares(conditions, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    assert np.abs(conditions(sol.x)).max() < 1e-12
+    A, b = unpack(sol.x)
+    return MSRKMethod(s=4, k=1, D=np.ones((4, 1)), Ahat=np.zeros((4, 0)), A=A,
+                      theta=[1.0], bhat=[], b=b, claimed_order=4)
 
 
 class TestOrderResidualVector:
-    def test_ssprk33_satisfies_order_three(self, problems):
-        r = order_residual_vector(ssprk33(), 3, problems)
+    def test_ssprk33_satisfies_order_three(self):
+        r = order_residual_vector(ssprk33(), 3)
         assert np.abs(r).max() <= 1e-12
 
-    def test_ssprk33_fails_order_four(self, problems):
-        r = order_residual_vector(ssprk33(), 4, problems)
+    def test_ssprk33_fails_order_four(self):
+        r = order_residual_vector(ssprk33(), 4)
         assert np.abs(r).max() > 1e-3
 
-    def test_gen_so2_family_is_second_order(self, problems):
-        r = order_residual_vector(gen_second_order(5, 4), 2, problems)
+    def test_gen_so2_family_is_second_order(self):
+        r = order_residual_vector(gen_second_order(5, 4), 2)
         assert np.abs(r).max() <= 1e-10
 
 
@@ -113,14 +132,6 @@ class TestConvergenceOrder:
     def test_nondecreasing_dt_rejected(self):
         with pytest.raises(ValueError):
             convergence_order([(0.1, 1.0), (0.1, 0.5), (0.05, 0.2), (0.025, 0.1)])
-
-
-def test_series_caches_do_not_outlive_the_problem():
-    p = default_problems(5, 1)[0]
-    series_step_error(gen_second_order(2, 2), p, 4)
-    ref = weakref.ref(p)
-    del p
-    assert ref() is None
 
 
 def test_stage_order_necessity_for_ssp_methods():

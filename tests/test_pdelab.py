@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sspmsrk.methods import forward_euler, ssp_coefficient, ssprk33, to_spijker
+from sspmsrk.methods import MSRKMethod, forward_euler, ssp_coefficient, ssprk33, to_spijker
 from sspmsrk.orderlab import convergence_order
 from sspmsrk.pdelab import (
     RunRecord,
@@ -195,6 +195,16 @@ class TestMaxStableStep:
         tf = max(0.125, 12.0 * method.k * max(C, 1.0) * problem.dt_fe)
         explicit = max_stable_step(problem, method, "tvd", tf=tf, startup_mode="rk3_substeps")
         assert max_stable_step(problem, method, "tvd") == explicit
+
+    def test_infinite_coefficient_gets_a_finite_horizon(self):
+        # C = inf for a method that never uses f; the horizon stops at
+        # 12 steps of the largest probe, 20*dt_fe
+        problem = advection_upwind(N=11)
+        still = MSRKMethod(s=1, k=1, D=[[1.0]], Ahat=np.zeros((1, 0)), A=[[0.0]],
+                           theta=[1.0], bhat=[], b=[0.0])
+        res = max_stable_step(problem, still, "tvd")
+        assert res.theoretical == np.inf
+        assert res.dt_max == 20.0 * problem.dt_fe
 
 
 class TestConvergence:

@@ -1,101 +1,117 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sspmsrk.series import PolynomialODE, TaylorSeries, flow_series
-
-
-def _linear_problem():
-    # F(u) = u in one dimension: exponential flow
-    ode = PolynomialODE.random(seed=0, dim=1, degree=1)
-    coeffs = np.zeros_like(ode.coefficients)
-    coeffs[1, 0] = 1.0  # the degree-1 monomial u_1
-    return PolynomialODE(dim=1, degree=1, coefficients=coeffs, seed=0, u0=np.array([1.0]))
+from conftest import random_valid_method
+from sspmsrk.methods import MSRKMethod, forward_euler, ssprk33, to_spijker
+from sspmsrk.series import elementary_weights, rooted_trees
+from sspmsrk.theory import gen_second_order, stability_polynomials
 
 
-def _constant_problem():
-    ode = PolynomialODE.random(seed=0, dim=1, degree=1)
-    coeffs = np.zeros_like(ode.coefficients)
-    coeffs[0, 0] = 1.0  # the constant monomial
-    return PolynomialODE(dim=1, degree=1, coefficients=coeffs, seed=0, u0=np.array([0.0]))
+def _children(trees):
+    """Each tree's children as a sorted tuple of tree indices."""
+    children = [()]
+    for t, u, v in trees.products:
+        for iu, iv in zip(u, v):
+            children.append(tuple(sorted(children[iu] + (iv,))))
+    return children
+
+
+def _tall(children, n):
+    """Index of the tree that is a path of n vertices."""
+    t = 0
+    for _ in range(n - 1):
+        t = children.index((t,))
+    return t
+
+
+class TestRootedTrees:
+    def test_counts_per_order(self):
+        trees = rooted_trees(12)
+        np.testing.assert_array_equal(
+            np.bincount(trees.order)[1:],
+            [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766],
+        )
+        children = _children(trees)
+        assert len(set(children)) == len(children)  # each shape once
+        for t, kids in enumerate(children):
+            assert trees.order[t] == 1 + sum(trees.order[c] for c in kids)
+            assert all(trees.order[c] < trees.order[t] for c in kids)
+
+    def test_gamma_of_order_four_trees(self):
+        trees = rooted_trees(4)
+        children = _children(trees)
+        assert trees.gamma[children.index((0, 0, 0))] == 4.0
+        assert trees.gamma[_tall(children, 4)] == 24.0
+
+    def test_bad_order_rejected(self):
+        with pytest.raises(ValueError):
+            rooted_trees(0)
 
 
 class TestFlowSeries:
+    """The exact flow has the B-series coefficient 1/gamma(t) on tree t."""
+
     def test_exponential(self):
-        series = flow_series(_linear_problem(), 3)
-        np.testing.assert_allclose(series.coeffs[:, 0], [1.0, 1.0, 0.5, 1.0 / 6.0])
+        # on u' = u only the tall trees have nonzero elementary
+        # differentials, so the flow exp(h) needs gamma = n! on them, and
+        # the weights of a step are the Taylor coefficients of its
+        # stability polynomials applied to exact back values
+        trees = rooted_trees(8)
+        children = _children(trees)
+        tall = [_tall(children, n) for n in range(1, 9)]
+        np.testing.assert_array_equal(trees.gamma[tall], [math.factorial(n) for n in range(1, 9)])
+        for m in [ssprk33(), gen_second_order(3, 2), gen_second_order(2, 4)]:
+            psi = stability_polynomials(to_spijker(m)).psi
+            taylor = [
+                sum(p[d] * (1 - i) ** (n - d) / math.factorial(n - d)
+                    for i, p in enumerate(psi, start=1) for d in range(min(n, len(p) - 1) + 1))
+                for n in range(1, 9)
+            ]
+            np.testing.assert_allclose(elementary_weights(m, 8)[tall], taylor, rtol=0, atol=1e-13)
 
     def test_constant_rhs(self):
-        series = flow_series(_constant_problem(), 4)
-        np.testing.assert_allclose(series.coeffs[:, 0], [0.0, 1.0, 0.0, 0.0, 0.0])
+        # on u' = 1 only the single vertex contributes, and every
+        # consistent method follows the flow u0 + h
+        for m in [forward_euler(), ssprk33(), gen_second_order(4, 3)]:
+            assert elementary_weights(m, 1)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_self_consistency(self):
-        # U' - F(U) vanishes through order N-1 for a random quadratic problem
-        problem = PolynomialODE.random(seed=99, dim=3, degree=2)
-        N = 6
-        U = flow_series(problem, N)
-        F = problem.eval_on_series(U)
-        deriv = np.array([n * U.coeffs[n] for n in range(1, N + 1)])
-        np.testing.assert_allclose(deriv, F.coeffs[:N], atol=1e-12)
+        # U' = F(U) on the flow's series: gamma(t) = |t| * prod gamma(children)
+        trees = rooted_trees(12)
+        for t, kids in enumerate(_children(trees)):
+            expected = trees.order[t] * math.prod(trees.gamma[c] for c in kids)
+            assert trees.gamma[t] == expected
 
 
-class TestPolynomialODE:
-    def test_coefficients_are_bounded_half_integers(self):
-        problem = PolynomialODE.random(seed=5)
-        doubled = 2.0 * problem.coefficients
-        np.testing.assert_allclose(doubled, np.round(doubled))
-        assert np.abs(doubled).max() <= 3.0
-
-    def test_pointwise_matches_series_constant_term(self):
-        problem = PolynomialODE.random(seed=11)
-        series = TaylorSeries(np.vstack([problem.u0, np.zeros((2, 3))]))
-        np.testing.assert_allclose(
-            problem.eval_on_series(series).coeffs[0], problem(problem.u0)
-        )
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            PolynomialODE(dim=2, degree=2, coefficients=np.zeros((3, 2)),
-                          seed=0, u0=np.zeros(2))
-
-
-def _eval_by_terms(problem, U):
-    """F on one series, one monomial at a time with full convolutions."""
-    out = np.zeros_like(U)
-    for exps, coeffs in zip(problem.exponents, problem.coefficients):
-        term = np.eye(len(U))[0]
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                term = np.convolve(term, U[:, i])[: len(U)]
-        out += np.outer(term, coeffs)
-    return out
+def _weights_by_trees(method, N):
+    """Elementary weights one tree at a time: the stage weights of a tree
+    need only those of its children, on every row at once."""
+    trees = rooted_trees(N)
+    sp = to_spijker(method)
+    k = method.k
+    back = np.arange(1 - k, 1, dtype=float)[:, None] ** trees.order / trees.gamma
+    W = np.zeros(method.b.shape[:-1] + (k + method.s, len(trees.order)))
+    for t, kids in enumerate(_children(trees)):
+        F = np.ones(W.shape[:-1])
+        for c in kids:
+            F = F * W[..., c]
+        W[..., t] = sp.S @ back[:, t] + (sp.T @ F[..., None])[..., 0]
+    return W[..., -1, :]
 
 
 @pytest.mark.parametrize("N", range(1, 14))
 def test_stacked_eval_matches_members(N):
-    problem = PolynomialODE.random(seed=N, dim=3, degree=2)
-    stack = np.random.default_rng(N).uniform(-1.0, 1.0, size=(2, 3, N + 1, 3))
-    out = problem.eval_on_series(TaylorSeries(stack)).coeffs
-    assert out.shape == stack.shape
+    rng = np.random.default_rng(N)
+    members = [[random_valid_method(rng, 3, 2) for _ in range(3)] for _ in range(2)]
+    stack = MSRKMethod(
+        s=3, k=2, **{key: np.array([[getattr(m, key) for m in row] for row in members])
+                     for key in ("D", "Ahat", "A", "theta", "bhat", "b")},
+    )
+    phi = elementary_weights(stack, N)
+    assert phi.shape == (2, 3, len(rooted_trees(N).order))
+    np.testing.assert_allclose(phi, _weights_by_trees(stack, N), rtol=0, atol=1e-12)
     for index in np.ndindex(2, 3):
-        member = problem.eval_on_series(TaylorSeries(stack[index])).coeffs
-        np.testing.assert_allclose(out[index], member, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(member, _eval_by_terms(problem, stack[index]),
-                                   rtol=0, atol=1e-12)
-
-
-def _random_series(rng, N=6, m=2):
-    return TaylorSeries(rng.uniform(-1.0, 1.0, size=(N + 1, m)))
-
-
-class TestArithmetic:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1),
-           st.floats(min_value=-2.0, max_value=2.0),
-           st.floats(min_value=-2.0, max_value=2.0))
-    def test_argument_scaling_composes_multiplicatively(self, seed, a, b):
-        series = _random_series(np.random.default_rng(seed))
-        lhs = series.scale_argument(a).scale_argument(b)
-        rhs = series.scale_argument(a * b)
-        np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-13)
+        member = members[index[0]][index[1]]
+        np.testing.assert_allclose(phi[index], elementary_weights(member, N), rtol=0, atol=1e-13)
