@@ -123,16 +123,8 @@ def cmd_optimize(args) -> int:
     return EXIT_OK if result.certified else EXIT_UNCERTIFIED
 
 
-def _get_problem(name):
-    try:
-        return _PROBLEMS[name]()
-    except KeyError:
-        print(f"error: unknown problem {name!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
-
-
 def cmd_run(args) -> int:
-    problem = _get_problem(args.problem)
+    problem = _PROBLEMS[args.problem]()
     method = _load_method(args.method)
     try:
         record = pdelab.run(problem, method, args.dt, args.tf, startup_mode=args.startup)
@@ -152,7 +144,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_stepsearch(args) -> int:
-    problem = _get_problem(args.problem)
+    problem = _PROBLEMS[args.problem]()
     methods = [_load_method(path) for path in args.method]
     props = ["tvd", "positivity"] if args.property == "both" else [args.property]
     dx = problem.dx if problem.dx is not None else problem.dt_fe
@@ -210,6 +202,9 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    if not (2 <= args.smax <= 16 and 2 <= args.kmax <= 8):
+        print("error: table1 grid needs 2 <= smax <= 16 and 2 <= kmax <= 8", file=sys.stderr)
+        return EXIT_USAGE
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s"] + [f"k={k}" for k in range(2, args.kmax + 1)])
@@ -300,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "smax", 0) > 16 or getattr(args, "kmax", 0) > 8:
-        print("error: table1 grid is limited to smax <= 16, kmax <= 8", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

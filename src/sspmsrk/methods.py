@@ -35,7 +35,7 @@ __all__ = [
 
 #: slack allowed on entries of P and R when testing nonnegativity
 ENTRY_TOL = 1e-12
-#: bisection width for the SSP coefficient
+#: bisection width for the SSP coefficient and absolute-monotonicity radii
 BISECT_TOL = 1e-10
 
 
@@ -259,12 +259,32 @@ def _feasible(sp: SpijkerForm, r: float, tol: float) -> bool:
     return min(cf.P.min(), cf.R.min()) >= -tol
 
 
-def ssp_coefficient(
-    sp: SpijkerForm,
-    tol: float = ENTRY_TOL,
-    bisect_tol: float = BISECT_TOL,
-    max_iters: int = 200,
-) -> float:
+def _largest_feasible(feasible, hi: float) -> float:
+    """Largest r with ``feasible(r)`` for a feasible set [0, r*].
+
+    The bracket [0, hi] doubles while ``feasible(hi)`` holds; past 1e12
+    the radius counts as unbounded and inf is returned.  Otherwise the
+    bracket is bisected while it is at least BISECT_TOL wide and its
+    ends are not neighbouring floats (near 5e5 and above the spacing of
+    doubles reaches BISECT_TOL).
+    """
+    lo = 0.0
+    while feasible(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e12:
+            return math.inf
+    while hi - lo >= BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def ssp_coefficient(sp: SpijkerForm, tol: float = ENTRY_TOL) -> float:
     """Largest r with P, R componentwise >= -tol, by bisection.
 
     The bracket starts at s+1, above the first-order threshold bound s,
@@ -278,22 +298,9 @@ def ssp_coefficient(
         raise ValueError("tol must be positive")
     if sp.S.min() < -tol:
         return 0.0
-
-    lo, hi = 0.0, float(sp.s + 1)
-    while _feasible(sp, hi, tol):
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e12:
-            return math.inf
-    for _ in range(max_iters):
-        if hi - lo < bisect_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if _feasible(sp, mid, tol):
-            lo = mid
-        else:
-            hi = mid
+    lo = _largest_feasible(lambda r: _feasible(sp, r, tol), float(sp.s + 1))
     # guard against a false positive exactly at the boundary
-    if lo > 0.0 and not _feasible(sp, lo * (1.0 - 1e-9), tol):
+    if 0.0 < lo < math.inf and not _feasible(sp, lo * (1.0 - 1e-9), tol):
         return 0.0
     return lo
 

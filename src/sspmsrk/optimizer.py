@@ -10,7 +10,7 @@ avoids the joint maximization, which tends to stall in local minima.
 from __future__ import annotations
 
 import csv
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,7 +18,9 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
-from .methods import MSRKMethod, canonical, ssp_coefficient, to_spijker, validate
+from .methods import (
+    MSRKMethod, _coefficient_shapes, canonical, ssp_coefficient, to_spijker, validate,
+)
 from .orderlab import oracle_order, order_residual_vector
 from .theory import gen_second_order, r_sk2
 
@@ -65,30 +67,35 @@ class SearchResult:
     method: MSRKMethod
     C: float
     Ceff: float
-    residual_norm: float
     certified: bool
     history: list[tuple[float, int, float, int, int]]  # (r, start index, merit, nfev, njev)
 
 
+@functools.lru_cache(maxsize=None)
+def _free_entries(s: int, k: int) -> dict[str, NDArray]:
+    """The entries the search moves, as one read-only boolean mask per
+    coefficient array in ``_coefficient_shapes`` order.  The first rows
+    of D and Ahat are fixed (stage 1 is u^n), A is strictly lower
+    triangular, and the last entries of D's rows and of theta follow
+    from their sums of 1."""
+    masks = {key: np.ones(shape, dtype=bool) for key, shape in _coefficient_shapes(s, k).items()}
+    masks["D"][0] = masks["D"][:, -1] = masks["Ahat"][0] = masks["theta"][-1] = False
+    masks["A"] = np.tri(s, k=-1, dtype=bool)
+    for mask in masks.values():
+        mask.setflags(write=False)
+    return masks
+
+
 def free_parameter_count(s: int, k: int) -> int:
-    return 2 * (s - 1) * (k - 1) + s * (s - 1) // 2 + 2 * (k - 1) + s
+    return sum(np.count_nonzero(mask) for mask in _free_entries(s, k).values())
 
 
 def pack(method: MSRKMethod) -> NDArray:
-    """Free coordinates of a method: rows 2..s of D (first k-1 entries),
-    Ahat, the strict lower triangle of A, theta (first k-1 entries),
-    bhat, and b.  Entries dropped here are restored by normalization in
-    :func:`unpack`."""
-    s, k = method.s, method.k
-    parts = [
-        method.D[1:, : k - 1].ravel(),
-        method.Ahat[1:].ravel(),
-    ]
-    parts.append(method.A[np.tril_indices(s, -1)])
-    parts.append(method.theta[: k - 1])
-    parts.append(method.bhat)
-    parts.append(method.b)
-    return np.concatenate(parts)
+    """Free coordinates of a method, the entries of :func:`_free_entries`
+    array by array.  Entries dropped here are restored by normalization
+    in :func:`unpack`."""
+    masks = _free_entries(method.s, method.k)
+    return np.concatenate([getattr(method, key)[..., mask] for key, mask in masks.items()], -1)
 
 
 def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int = 1) -> MSRKMethod:
@@ -96,39 +103,18 @@ def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int 
     last entry, so any vector of the right length yields a consistent
     method.  A stack of vectors (..., n) yields a stack of methods."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (free_parameter_count(s, k),):
-        raise ValueError(
-            f"expected {free_parameter_count(s, k)} free parameters for (s={s}, k={k}), "
-            f"got shape {x.shape}"
-        )
-    lead = x.shape[:-1]
-    pos = 0
-
-    def take(*shape):
-        nonlocal pos
-        n = math.prod(shape)
-        out = x[..., pos : pos + n].reshape(lead + shape)
-        pos += n
-        return out
-
-    D = np.zeros(lead + (s, k))
-    D[..., 0, -1] = 1.0
-    D[..., 1:, : k - 1] = take(s - 1, k - 1)
-    D[..., 1:, -1] = 1.0 - D[..., 1:, : k - 1].sum(axis=-1)
-
-    Ahat = np.zeros(lead + (s, k - 1))
-    Ahat[..., 1:, :] = take(s - 1, k - 1)
-
-    A = np.zeros(lead + (s, s))
-    A[(...,) + np.tril_indices(s, -1)] = take(s * (s - 1) // 2)
-
-    theta = np.zeros(lead + (k,))
-    theta[..., : k - 1] = take(k - 1)
-    theta[..., -1] = 1.0 - theta[..., : k - 1].sum(axis=-1)
-    bhat = take(k - 1)
-    b = take(s)
-    return MSRKMethod(s=s, k=k, D=D, Ahat=Ahat, A=A, theta=theta, bhat=bhat, b=b,
-                      name=name, claimed_order=claimed_order)
+    n = free_parameter_count(s, k)
+    if x.shape[-1:] != (n,):
+        raise ValueError(f"expected {n} free parameters for (s={s}, k={k}), got shape {x.shape}")
+    arrays, pos = {}, 0
+    for key, mask in _free_entries(s, k).items():
+        size = np.count_nonzero(mask)
+        arrays[key] = np.zeros(x.shape[:-1] + mask.shape)
+        arrays[key][..., mask] = x[..., pos : pos + size]
+        pos += size
+    for key in ("D", "theta"):
+        arrays[key][..., -1] = 1.0 - arrays[key][..., :-1].sum(axis=-1)
+    return MSRKMethod(s=s, k=k, **arrays, name=name, claimed_order=claimed_order)
 
 
 def constraint_residuals(method: MSRKMethod, r: float, p: int):
@@ -167,16 +153,9 @@ def _merit_jacobian(x, s, k, r, p):
 
 
 def _random_start(rng, s, k):
-    nD = (s - 1) * (k - 1)
-    nAh = (s - 1) * (k - 1)
-    nA = s * (s - 1) // 2
     return np.concatenate([
-        rng.uniform(0.0, 1.0, nD),
-        rng.uniform(0.0, 2.0 / s, nAh),
-        rng.uniform(0.0, 2.0 / s, nA),
-        rng.uniform(0.0, 1.0, k - 1),
-        rng.uniform(0.0, 2.0 / s, k - 1),
-        rng.uniform(0.0, 2.0 / s, s),
+        rng.uniform(0.0, 1.0 if key in ("D", "theta") else 2.0 / s, np.count_nonzero(mask))
+        for key, mask in _free_entries(s, k).items()
     ])
 
 
@@ -305,17 +284,12 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
 
     method = unpack(best_x, s, k, name=f"OPT({s},{k},{p})", claimed_order=p)
     C = ssp_coefficient(to_spijker(method))
-    eq, _ = constraint_residuals(method, lo, p)
-    residual_norm = float(np.linalg.norm(eq))
     certified = (
         validate(method).ok
         and oracle_order(method, pmax=p) >= p
         and abs(C - lo) <= max(1e-6, 2.0 * spec.r_tol)
     )
-    return SearchResult(
-        method=method, C=C, Ceff=C / s, residual_norm=residual_norm,
-        certified=certified, history=history,
-    )
+    return SearchResult(method=method, C=C, Ceff=C / s, certified=certified, history=history)
 
 
 def write_search_log(history, path):

@@ -10,6 +10,7 @@ a whole run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -397,18 +398,30 @@ def _integrate_vdp(eps: float, u0: tuple[float, float], tf: float, nsteps: int):
     return u1, u2
 
 
+@functools.lru_cache(maxsize=8)
 def _make_vdp_exact(eps: float, u0: tuple[float, float]):
-    """u(t) with steps of at most 1/65536, each new time continued from
-    the latest cached time before it."""
-    cache: dict[float, NDArray] = {0.0: np.array(u0)}
+    """u(t) with steps of at most 1/65536.
+
+    The reference is integrated once through checkpoints at multiples of
+    1/64, and each t continues from the checkpoint at or below it, so a
+    value depends on t alone, not on which times were asked for before.
+    Problems with the same eps and u0 share one reference.
+    """
+    checkpoints = [np.array(u0)]
+
+    def advance(u: NDArray, dt: float) -> NDArray:
+        return np.array(_integrate_vdp(eps, tuple(u.tolist()), dt, math.ceil(dt * 65536.0)))
+
+    @functools.lru_cache(maxsize=4096)
+    def value(t: float) -> NDArray:
+        m = math.floor(t * 64.0)
+        while len(checkpoints) <= m:
+            checkpoints.append(advance(checkpoints[-1], 1.0 / 64.0))
+        t0 = m / 64.0
+        return checkpoints[m] if t == t0 else advance(checkpoints[m], t - t0)
 
     def exact(t: float) -> NDArray:
-        t = float(t)
-        if t not in cache:
-            t0 = max(c for c in cache if c <= t)
-            nsteps = math.ceil((t - t0) * 65536.0)
-            cache[t] = np.array(_integrate_vdp(eps, tuple(cache[t0].tolist()), t - t0, nsteps))
-        return cache[t].copy()
+        return value(float(t)).copy()
 
     return exact
 

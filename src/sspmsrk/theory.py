@@ -17,19 +17,16 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
 
-from .methods import MSRKMethod, SpijkerForm, _degree_shift, _spijker_step
+from .methods import MSRKMethod, SpijkerForm, _degree_shift, _largest_feasible, _spijker_step
 
 __all__ = [
     "StabilityPolynomials",
-    "ShiftedBasisExpansion",
     "stability_polynomials",
     "shifted_basis",
     "radius_abs_monotonicity",
     "threshold_factor",
     "linear_order",
     "r_sk2",
-    "optimal_gamma_sk2",
-    "second_order_gamma_residuals",
     "gen_second_order",
 ]
 
@@ -41,14 +38,6 @@ class StabilityPolynomials:
     """psi[i-1] holds the monomial coefficients of psi_i (multiplier of u^{n+1-i})."""
 
     psi: list[NDArray]
-
-
-@dataclass(frozen=True)
-class ShiftedBasisExpansion:
-    """Coefficients gamma[i, j] of (1 + z/r)^j in psi_{i+1}."""
-
-    r: float
-    gamma: NDArray
 
 
 def stability_polynomials(sp: SpijkerForm) -> StabilityPolynomials:
@@ -88,7 +77,7 @@ def _poly_degree(psi: NDArray) -> int:
     return int(nz[-1]) if len(nz) else -1
 
 
-def radius_abs_monotonicity(psi: NDArray, tol: float = 1e-10) -> float:
+def radius_abs_monotonicity(psi: NDArray) -> float:
     """Largest r with all derivatives of psi nonnegative on [-r, 0].
 
     For polynomials this is equivalent to nonnegativity of all
@@ -104,23 +93,9 @@ def radius_abs_monotonicity(psi: NDArray, tol: float = 1e-10) -> float:
     if deg == 0:
         return math.inf  # nonnegative constant: absolutely monotonic everywhere
 
-    def feasible(r: float) -> bool:
-        return shifted_basis(psi, r).min() >= -COEFF_TOL
-
-    lo, hi = 0.0, 2.0 * deg + 2.0
     # the positive leading coefficient makes the radius finite, but it can
-    # exceed the default bracket; grow until infeasible
-    while feasible(hi):
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e12:
-            return math.inf
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # exceed the starting bracket 2 deg + 2
+    return _largest_feasible(lambda r: shifted_basis(psi, r).min() >= -COEFF_TOL, 2.0 * deg + 2.0)
 
 
 def threshold_factor(sp: StabilityPolynomials) -> float:
@@ -167,38 +142,6 @@ def r_sk2(s: int, k: int) -> float:
     a = (k - 2.0) * s
     disc = a * a + 4.0 * s * (s - 1.0) * (k - 1.0)
     return (a + math.sqrt(disc)) / (2.0 * (k - 1.0))
-
-
-def optimal_gamma_sk2(s: int, k: int) -> ShiftedBasisExpansion:
-    """Shifted-basis coefficients attaining the second-order optimum.
-
-    Only gamma_{1,s} and gamma_{k,0} are nonzero; their values are the
-    convex weights k*R2 / (s - R2 + k*R2) and (s - R2) / (s - R2 + k*R2).
-    """
-    R2 = r_sk2(s, k)
-    denom = s - R2 + k * R2
-    gamma = np.zeros((k, s + 1))
-    gamma[0, s] = k * R2 / denom
-    gamma[k - 1, 0] = (s - R2) / denom
-    return ShiftedBasisExpansion(r=R2, gamma=gamma)
-
-
-def second_order_gamma_residuals(exp: ShiftedBasisExpansion) -> NDArray:
-    """Residuals of the three order conditions on a shifted-basis expansion.
-
-    With i indexing steps (1..k) and j powers (0..s), the conditions are
-    sum gamma_{ij} = 1, sum gamma_{ij}(j + (k-i)r) = kr, and
-    sum gamma_{ij}((k-i)^2 r^2 + 2(k-i) j r + j(j-1)) = k^2 r^2.
-    """
-    k, s1 = exp.gamma.shape
-    r = exp.r
-    i = np.arange(1, k + 1)[:, None]
-    j = np.arange(s1)[None, :]
-    g = exp.gamma
-    c0 = g.sum() - 1.0
-    c1 = (g * (j + (k - i) * r)).sum() - k * r
-    c2 = (g * ((k - i) ** 2 * r**2 + 2 * (k - i) * j * r + j * (j - 1))).sum() - k**2 * r**2
-    return np.array([c0, c1, c2])
 
 
 def gen_second_order(s: int, k: int) -> MSRKMethod:

@@ -249,3 +249,11 @@ class TestTable1:
     def test_oversized_grid_rejected(self, tmp_path, capsys):
         code = main(["table1", "--smax", "40", "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("grid", [["--smax", "1", "--kmax", "1"], ["--smax", "-3"],
+                                      ["--kmax", "1"]])
+    def test_empty_grid_rejected(self, tmp_path, capsys, grid):
+        out = tmp_path / "t.csv"
+        assert main(["table1", *grid, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "smax" in capsys.readouterr().err

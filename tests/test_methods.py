@@ -168,12 +168,15 @@ class TestSSPCoefficient:
         for m in methods:
             assert ssp_coefficient(to_spijker(m)) <= m.s + 1e-8
 
-    @pytest.mark.parametrize("b, expected", [([0.0, 0.0], np.inf), ([0.1, 0.0], 10.0)])
+    @pytest.mark.parametrize(
+        "b, expected", [([0.0, 0.0], np.inf), ([0.1, 0.0], 10.0), ([1e-6, 0.0], 1e6)]
+    )
     def test_bracket_grows_past_s_plus_one(self, b, expected):
-        # u^{n+1} = u^n + 0.1 dt f is forward Euler at a tenth of the step
+        # u^{n+1} = u^n + 0.1 dt f is forward Euler at a tenth of the step;
+        # at 1e6 the bisection ends on neighbouring floats, wider than BISECT_TOL
         m = MSRKMethod(s=2, k=1, D=[[1.0], [1.0]], Ahat=np.zeros((2, 0)),
                        A=np.zeros((2, 2)), theta=[1.0], bhat=[], b=b)
-        assert ssp_coefficient(to_spijker(m)) == pytest.approx(expected, abs=1e-8)
+        assert ssp_coefficient(to_spijker(m)) == pytest.approx(expected, rel=1e-9, abs=1e-8)
 
 
 class TestAbscissae:

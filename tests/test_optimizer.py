@@ -47,6 +47,12 @@ class TestPackUnpack:
         with pytest.raises(ValueError):
             unpack(np.zeros(3), 2, 2)
 
+    def test_count_matches_closed_form(self):
+        for s in range(1, 9):
+            for k in range(1, 6):
+                expected = 2 * (s - 1) * (k - 1) + s * (s - 1) // 2 + 2 * (k - 1) + s
+                assert free_parameter_count(s, k) == expected, (s, k)
+
 
 class TestConstraintResiduals:
     def test_ssprk33_feasible_at_its_coefficient(self):

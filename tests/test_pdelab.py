@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sspmsrk import pdelab
 from sspmsrk.methods import MSRKMethod, forward_euler, ssp_coefficient, ssprk33, to_spijker
 from sspmsrk.orderlab import convergence_order
 from sspmsrk.pdelab import (
@@ -208,6 +209,29 @@ class TestMaxStableStep:
 
 
 class TestConvergence:
+    def test_studies_share_the_reference(self, monkeypatch):
+        # an eps no other test uses, so the first study integrates the reference
+        kwargs = dict(eps=7.25, tf=0.5, Ns=(5, 9))
+        first = vdp_convergence_study(ssprk33(), **kwargs)
+        steps = []
+
+        def counting(eps, u0, tf, nsteps):
+            steps.append(nsteps)
+            return _integrate_vdp(eps, u0, tf, nsteps)
+
+        monkeypatch.setattr(pdelab, "_integrate_vdp", counting)
+        assert vdp_convergence_study(ssprk33(), **kwargs) == first
+        assert sum(steps) == 0
+
+    def test_reference_value_ignores_earlier_times(self):
+        # checkpoints at multiples of 1/64 make u(t) a function of t alone
+        fresh = pdelab._make_vdp_exact.__wrapped__
+        visited, direct = fresh(10.0, (0.5, 0.0)), fresh(10.0, (0.5, 0.0))
+        for t in (0.3, 0.05, 0.7):
+            visited(t)
+        assert np.array_equal(visited(0.71), direct(0.71))
+        assert np.array_equal(visited(0.75), direct(0.75))
+
     def test_ssprk33_order_three_on_vdp(self):
         errors = vdp_convergence_study(ssprk33(), tf=2.0, Ns=(15, 19, 23, 27, 31))
         assert convergence_order(errors) == pytest.approx(3.0, abs=0.3)
