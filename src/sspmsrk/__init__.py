@@ -9,7 +9,6 @@ from .methods import (
     CanonicalForm,
     MSRKMethod,
     SpijkerForm,
-    abscissae,
     canonical,
     forward_euler,
     ssp_coefficient,
@@ -17,14 +16,13 @@ from .methods import (
     to_spijker,
     validate,
 )
-from .orderlab import convergence_order, oracle_order, stage_order, stage_residuals
+from .orderlab import convergence_order, oracle_order, stage_order
 from .theory import gen_second_order, r_sk2, radius_abs_monotonicity, threshold_factor
 
 __all__ = [
     "CanonicalForm",
     "MSRKMethod",
     "SpijkerForm",
-    "abscissae",
     "canonical",
     "convergence_order",
     "forward_euler",
@@ -35,7 +33,6 @@ __all__ = [
     "ssp_coefficient",
     "ssprk33",
     "stage_order",
-    "stage_residuals",
     "threshold_factor",
     "to_spijker",
     "validate",

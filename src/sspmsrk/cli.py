@@ -46,8 +46,8 @@ _PROBLEMS = {
 def _load_method(path):
     try:
         return msrkio.read_method(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
     except msrkio.MethodFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -185,9 +185,6 @@ def cmd_stepsearch(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    if args.problem != "vdp":
-        print("error: convergence studies are supported for the vdp problem", file=sys.stderr)
-        return EXIT_USAGE
     methods = [_load_method(path) for path in args.method]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -277,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_stepsearch)
 
-    p = sub.add_parser("convergence", help="step-refinement study with fitted slope")
-    p.add_argument("--problem", default="vdp")
+    p = sub.add_parser("convergence", help="step-refinement study with fitted slope on van der Pol")
     p.add_argument("--method", required=True, nargs="+", metavar="FILE")
     p.add_argument("--tf", type=float, default=4.0)
     p.add_argument("--out", required=True)
@@ -303,7 +299,7 @@ def main(argv=None) -> int:
     except MethodStructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

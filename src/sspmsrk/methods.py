@@ -28,7 +28,6 @@ __all__ = [
     "to_spijker",
     "canonical",
     "ssp_coefficient",
-    "abscissae",
     "forward_euler",
     "ssprk33",
 ]
@@ -103,7 +102,6 @@ class SpijkerForm:
 class CanonicalForm:
     """Matrices of the convex-combination rewrite at parameter r."""
 
-    r: float
     P: NDArray
     R: NDArray
 
@@ -117,9 +115,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 _CONSISTENCY_TOL = 1e-12
@@ -251,12 +246,12 @@ def canonical(sp: SpijkerForm, r: float) -> CanonicalForm:
         raise ValueError(f"r must be nonnegative, got {r}")
     n, k = sp.S.shape[-2:]
     X = np.linalg.solve(np.eye(n) + r * sp.T, np.concatenate([sp.S, sp.T], axis=-1))
-    return CanonicalForm(r=r, P=r * X[..., k:], R=X[..., :k])
+    return CanonicalForm(P=r * X[..., k:], R=X[..., :k])
 
 
-def _feasible(sp: SpijkerForm, r: float, tol: float) -> bool:
+def _feasible(sp: SpijkerForm, r: float) -> bool:
     cf = canonical(sp, r)
-    return min(cf.P.min(), cf.R.min()) >= -tol
+    return min(cf.P.min(), cf.R.min()) >= -ENTRY_TOL
 
 
 def _largest_feasible(feasible, hi: float) -> float:
@@ -284,8 +279,8 @@ def _largest_feasible(feasible, hi: float) -> float:
     return lo
 
 
-def ssp_coefficient(sp: SpijkerForm, tol: float = ENTRY_TOL) -> float:
-    """Largest r with P, R componentwise >= -tol, by bisection.
+def ssp_coefficient(sp: SpijkerForm) -> float:
+    """Largest r with P, R componentwise >= -ENTRY_TOL, by bisection.
 
     The bracket starts at s+1, above the first-order threshold bound s,
     and doubles while the canonical form is still feasible there; a
@@ -294,26 +289,13 @@ def ssp_coefficient(sp: SpijkerForm, tol: float = ENTRY_TOL) -> float:
     a lower bound on the true SSP coefficient; equality holds for
     row-irreducible methods.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if sp.S.min() < -tol:
+    if sp.S.min() < -ENTRY_TOL:
         return 0.0
-    lo = _largest_feasible(lambda r: _feasible(sp, r, tol), float(sp.s + 1))
+    lo = _largest_feasible(lambda r: _feasible(sp, r), float(sp.s + 1))
     # guard against a false positive exactly at the boundary
-    if 0.0 < lo < math.inf and not _feasible(sp, lo * (1.0 - 1e-9), tol):
+    if 0.0 < lo < math.inf and not _feasible(sp, lo * (1.0 - 1e-9)):
         return 0.0
     return lo
-
-
-def abscissae(method: MSRKMethod):
-    """Stage abscissae c = At e - Dt l, with l = (k-1, k-2, ..., 1, 0).
-
-    Dt and At are S and T without their last row (and column).
-    """
-    sp = to_spijker(method)
-    l = np.arange(method.k - 1, -1, -1, dtype=float)
-    c = sp.T[..., :-1, :-1].sum(axis=-1) - sp.S[..., :-1, :] @ l
-    return c, l
 
 
 def forward_euler() -> MSRKMethod:

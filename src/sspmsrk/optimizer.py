@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,6 +39,8 @@ __all__ = [
 
 #: below this radius a "feasible" search is reported as infeasible
 MIN_POSITIVE_C = 1e-3
+#: evaluation budget (max_nfev) of one inner least-squares solve
+MAX_INNER_ITERS = 500
 
 
 class SearchFailure(RuntimeError):
@@ -53,8 +55,8 @@ class SearchSpec:
     starts: int = 10
     seed: int = 0
     r_tol: float = 1e-6
-    feas_tol: float = 1e-10
-    max_inner_iters: int = 500
+    #: a solve is feasible when its merit (squared residual norm) is at most feas_tol**2
+    feas_tol: ClassVar[float] = 1e-10
     warm_starts: list[MSRKMethod] = field(default_factory=list)
 
     def __post_init__(self):
@@ -168,7 +170,7 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
             _merit_residuals, x0, jac=_merit_jacobian,
             args=(spec.s, spec.k, r, p),
             method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            max_nfev=spec.max_inner_iters,
+            max_nfev=MAX_INNER_ITERS,
         )
         merit = float(2.0 * sol.cost)  # cost is half the squared norm
         history.append((r, idx, merit, sol.nfev, sol.njev))

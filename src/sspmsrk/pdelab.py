@@ -79,7 +79,6 @@ class RunRecord:
 
     times: list[float]
     monitors: dict[str, list[float]]
-    final_state: NDArray
     final_error: Optional[float] = None
     k: int = 1
 
@@ -90,7 +89,6 @@ class StepSearchResult:
     horizon left no full step after start-up, not because of the
     property, so ``dt_max`` is about tf/k and not the property's limit."""
 
-    property: str
     dt_max: float
     normalized: float
     theoretical: float
@@ -297,12 +295,10 @@ def run(
         for name, fn in problem.monitors.items():
             monitors[name].append(fn(u_next))
 
-    final_state = states[-1].copy()
     final_error = None
     if problem.exact is not None:
-        final_error = float(np.linalg.norm(final_state - problem.exact(t)))
-    return RunRecord(times=times, monitors=monitors, final_state=final_state,
-                     final_error=final_error, k=k)
+        final_error = float(np.linalg.norm(states[-1] - problem.exact(t)))
+    return RunRecord(times=times, monitors=monitors, final_error=final_error, k=k)
 
 
 def _property_holds(record: RunRecord, prop: str) -> bool:
@@ -365,7 +361,6 @@ def max_stable_step(
 
     dx = problem.dx if problem.dx is not None else problem.dt_fe
     return StepSearchResult(
-        property=prop,
         dt_max=lo,
         normalized=lo / dx,
         theoretical=C * problem.dt_fe,

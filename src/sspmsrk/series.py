@@ -7,7 +7,9 @@ by its symmetry.  The exact flow has coefficient 1/gamma(t), so a
 method has order p exactly when Phi(t) = 1/gamma(t) for every tree with
 at most p vertices (Butcher, *Numerical Methods for ODEs*, ch. 3).
 The weights are found by running the step itself on the tree system
-y_t' = prod of y over t's children, with the step size absorbed.
+y_t' = prod of y over t's children, with the step size absorbed.  A
+stage's f value at the stem [t] (t grafted onto a single vertex) is that
+stage's own weight Phi_i(t), so the stages' weights come out too.
 """
 
 from __future__ import annotations
@@ -20,17 +22,18 @@ from numpy.typing import NDArray
 
 from .methods import MSRKMethod, _spijker_step, to_spijker
 
-__all__ = ["RootedTrees", "rooted_trees", "elementary_weights"]
+__all__ = ["RootedTrees", "rooted_trees", "bushy_trees", "elementary_weights"]
 
 
 @dataclass(frozen=True)
 class RootedTrees:
-    """Every rooted tree up to some order, in order of size.
+    """A table of rooted trees with their orders and densities gamma.
 
-    Tree 0 is the single vertex tau.  Each larger tree t is the Butcher
-    product u o v (v grafted onto the root of u), where v is t's last
-    child in index order; ``products[n - 2]`` holds the index arrays
-    (t, u, v) of the trees with n vertices.
+    Tree 0 is the single vertex tau.  Each later tree t is the Butcher
+    product u o v (v grafted onto the root of u).  ``products`` holds
+    index arrays (t, u, v), applied in sequence: a group may use the
+    trees of earlier groups only.  A table need not hold every tree of
+    an order.
     """
 
     order: NDArray
@@ -40,7 +43,11 @@ class RootedTrees:
 
 @lru_cache(maxsize=None)
 def rooted_trees(N: int) -> RootedTrees:
-    """The rooted trees with 1..N vertices, built by Butcher products."""
+    """Every rooted tree with 1..N vertices, in order of size.
+
+    Each tree's v is its last child in index order, and ``products[n - 2]``
+    builds the trees with n vertices.
+    """
     if N < 1:
         raise ValueError("N must be at least 1")
     order, gamma, last_child = [1], [1.0], [0]
@@ -63,14 +70,29 @@ def rooted_trees(N: int) -> RootedTrees:
     return RootedTrees(order=np.array(order), gamma=np.array(gamma), products=tuple(products))
 
 
-def elementary_weights(method: MSRKMethod, N: int) -> NDArray:
-    """Phi(t) of the new step value for every tree with at most N vertices.
+@lru_cache(maxsize=None)
+def bushy_trees(N: int) -> RootedTrees:
+    """The bushy trees b_j = b_(j-1) o tau (tau^(j-1) on one root; order j,
+    gamma j) for j = 1..N, then their stems [b_j] = tau o b_j (order j+1,
+    gamma (j+1) j).  Tree j-1 is b_j and tree N+j-1 is [b_j]."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    j = np.arange(1, N + 1)
+    products = [(np.array([i]), np.array([i - 1]), np.array([0])) for i in range(1, N)]
+    products.append((j + N - 1, np.zeros(N, dtype=int), j - 1))
+    gamma = np.concatenate([j, (j + 1) * j]).astype(float)
+    return RootedTrees(order=np.concatenate([j, j + 1]), gamma=gamma, products=tuple(products))
+
+
+def elementary_weights(method: MSRKMethod, trees: RootedTrees) -> tuple[NDArray, NDArray]:
+    """Phi(t) of the new step value for every tree of the table, and the
+    f values of the s stages as rows.
 
     The back value j (1-based) is the exact flow at (j - k) h, with
-    weights (j - k)^|t| / gamma(t).  On a stack of methods the result
-    gains the stack's leading axes.
+    weights (j - k)^|t| / gamma(t).  Stage i's f value at a stem [t] is
+    its weight Phi_i(t).  On a stack of methods the results gain the
+    stack's leading axes.
     """
-    trees = rooted_trees(N)
 
     def f(w: NDArray) -> NDArray:
         out = np.empty_like(w)
@@ -81,5 +103,4 @@ def elementary_weights(method: MSRKMethod, N: int) -> NDArray:
 
     offsets = np.arange(1 - method.k, 1, dtype=float)
     back = offsets[:, None] ** trees.order / trees.gamma
-    phi, _ = _spijker_step(to_spijker(method), back, f(back), f, lambda v: v)
-    return phi
+    return _spijker_step(to_spijker(method), back, f(back), f, lambda v: v)

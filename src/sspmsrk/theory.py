@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 COEFF_TOL = 1e-12
+#: largest coefficient error of a power of z that ``linear_order`` counts as met
+LINEAR_ORDER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,24 +110,17 @@ def threshold_factor(sp: StabilityPolynomials) -> float:
     return min(radii) if radii else math.inf
 
 
-def linear_order(sp: StabilityPolynomials, tol: float = 1e-9) -> int:
+def linear_order(sp: StabilityPolynomials) -> int:
     """Largest p with sum_i psi_i(z) e^{-(i-1)z} = e^z through order z^p."""
-    k = len(sp.psi)
-    deg = max(_poly_degree(psi) for psi in sp.psi)
-    N = deg + k + 4
+    N = max(_poly_degree(psi) for psi in sp.psi) + len(sp.psi) + 4
     total = np.zeros(N + 1)
     for i, psi in enumerate(sp.psi, start=1):
         shift = np.array([(-(i - 1.0)) ** n / math.factorial(n) for n in range(N + 1)])
         prod = npoly.polymul(psi, shift)[: N + 1]
         total[: len(prod)] += prod
     expz = np.array([1.0 / math.factorial(n) for n in range(N + 1)])
-    err = np.abs(total - expz)
-    p = -1
-    for n in range(N + 1):
-        if err[n] > tol:
-            break
-        p = n
-    return max(p, 0)
+    failed = np.flatnonzero(np.abs(total - expz) > LINEAR_ORDER_TOL)
+    return max(int(failed[0]) - 1, 0) if failed.size else N
 
 
 def r_sk2(s: int, k: int) -> float:

@@ -1,0 +1,30 @@
+"""The library API that the benchmark in ``perfbench/`` calls.
+
+``perfbench/`` has its own tests, which the default test run does not
+collect; this module builds one round of each workload and runs two
+cheap operations, so a renamed or removed name fails here.
+"""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
+from sspmsrk.optimizer import SearchSpec  # noqa: E402
+
+
+def _run(op):
+    return op.check(op.call())
+
+
+def test_round_zero_builds_and_runs():
+    ops = {name: {op.name: op for op in build(1, 0)} for name, build in workloads.WORKLOADS.items()}
+    assert {name: len(o) for name, o in ops.items()} == {"search": 3, "stepsearch": 32, "certify": 32}
+    assert _run(ops["certify"]["certify SSPRK(3,3)"]) == []
+    assert _run(ops["stepsearch"]["stepsearch advection SSPRK(3,3) tvd"]) == []
+
+
+def test_feasibility_tolerance_is_a_class_attribute():
+    assert SearchSpec.feas_tol == 1e-10

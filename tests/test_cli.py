@@ -87,6 +87,12 @@ class TestAnalyze:
             main(["analyze", str(tmp_path / "nope.msrk")])
         assert excinfo.value.code == EXIT_USAGE
 
+    def test_directory_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(tmp_path)])
+        assert excinfo.value.code == EXIT_USAGE
+        assert str(tmp_path) in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_small_search_succeeds(self, tmp_path, capsys):
@@ -137,6 +143,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: dt must be positive")
         assert "Traceback" not in err
+
+    def test_directory_as_output_exits_2(self, tmp_path, ssprk33_file, capsys):
+        code = main(["run", "--problem", "advection", "--method", ssprk33_file,
+                     "--dt", "0.005", "--tf", "0.05", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_invalid_method_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.msrk"
@@ -211,9 +224,10 @@ class TestStepsearch:
 
 class TestConvergence:
     def test_non_vdp_rejected(self, ssprk33_file, capsys):
-        code = main(["convergence", "--problem", "advection",
-                     "--method", ssprk33_file, "--out", "x.csv"])
-        assert code == EXIT_USAGE
+        with pytest.raises(SystemExit) as excinfo:
+            main(["convergence", "--problem", "advection",
+                  "--method", ssprk33_file, "--out", "x.csv"])
+        assert excinfo.value.code == EXIT_USAGE
 
     def test_vdp_slope(self, tmp_path, ssprk33_file, capsys):
         out = tmp_path / "conv.csv"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sspmsrk.methods import (
     MethodStructureError,
     MSRKMethod,
-    abscissae,
     canonical,
     forward_euler,
     ssp_coefficient,
@@ -14,6 +13,7 @@ from sspmsrk.methods import (
     to_spijker,
     validate,
 )
+from sspmsrk.series import bushy_trees, elementary_weights
 from sspmsrk.theory import gen_second_order, r_sk2
 
 from conftest import random_valid_method
@@ -180,23 +180,17 @@ class TestSSPCoefficient:
 
 
 class TestAbscissae:
+    """The abscissae c are the stage weights of the one-node tree tau."""
+
+    @staticmethod
+    def _abscissae(method):
+        return elementary_weights(method, bushy_trees(1))[1][:, 1]
+
     def test_forward_euler(self):
-        c, l = abscissae(forward_euler())
-        np.testing.assert_array_equal(l, [0.0])
-        np.testing.assert_array_equal(c, [0.0])
+        np.testing.assert_array_equal(self._abscissae(forward_euler()), [0.0])
 
     def test_ssprk33(self):
-        c, _ = abscissae(ssprk33())
-        np.testing.assert_allclose(c, [0.0, 1.0, 0.5])
-
-    def test_l_vector_descends(self):
-        _, l = abscissae(gen_second_order(2, 4))
-        np.testing.assert_array_equal(l, [3.0, 2.0, 1.0, 0.0])
-
-    def test_gen_so2_entries_finite(self):
-        c, _ = abscissae(gen_second_order(2, 2))
-        assert np.all(np.isfinite(c))
-        assert np.all(c >= -(2 - 1))
+        np.testing.assert_allclose(self._abscissae(ssprk33()), [0.0, 1.0, 0.5], rtol=0, atol=1e-15)
 
 
 def _stack(members):

@@ -1,36 +1,82 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+from conftest import random_valid_method
 from sspmsrk.methods import MSRKMethod, forward_euler, ssprk33
+from sspmsrk.msrkio import read_method
 from sspmsrk.orderlab import (
+    _bushy_defects,
     convergence_order,
     oracle_order,
     order_residual_vector,
     stage_order,
-    stage_residuals,
 )
+from sspmsrk.series import bushy_trees, elementary_weights, rooted_trees
 from sspmsrk.theory import gen_second_order
 
+BENCH_METHODS = Path(__file__).resolve().parents[1] / "perfbench" / "methods"
 
-class TestStageResiduals:
-    def test_first_residual_vanishes_by_construction(self):
+
+def _quadrature_defects(m, j):
+    """Stage and final quadrature defects of degree j from the coefficients,
+    divided by (j-1)!: the back values sit at x = 1-k, ..., 0 and stage i
+    at c_i = D_i x + sum(Ahat_i) + sum(A_i)."""
+    x = np.arange(1 - m.k, 1, dtype=float)
+    c = m.D @ x + m.Ahat.sum(axis=1) + m.A.sum(axis=1)
+    stage = (m.D @ x**j - c**j) / j + m.Ahat @ x[:-1] ** (j - 1) + m.A @ c ** (j - 1)
+    final = (m.theta @ x**j - 1.0) / j + m.bhat @ x[:-1] ** (j - 1) + m.b @ c ** (j - 1)
+    return stage / math.factorial(j - 1), final / math.factorial(j - 1)
+
+
+def _quadrature_stage_order(m):
+    q = 0
+    for j in range(1, 14):
+        stage, final = _quadrature_defects(m, j)
+        if np.abs(stage).max() > 1e-10 or abs(final) > 1e-10:
+            break
+        q = j
+    return q
+
+
+def _reference_methods():
+    rng = np.random.default_rng(31)
+    ms = [forward_euler(), ssprk33(), gen_second_order(3, 2), gen_second_order(2, 4)]
+    ms += [random_valid_method(rng, s, k) for s in (1, 2, 4, 6) for k in (1, 3, 5)]
+    return ms + [read_method(BENCH_METHODS / name) for name in ("opt_2_2_3.msrk", "opt_2_3_4.msrk")]
+
+
+class TestBushyTrees:
+    def test_first_stage_defect_vanishes_by_construction(self):
         for m in [forward_euler(), ssprk33(), gen_second_order(3, 4)]:
-            res = stage_residuals(m, 1)
-            np.testing.assert_allclose(res.stage[1], 0.0, atol=1e-14)
+            np.testing.assert_array_equal(_bushy_defects(m, 1)[1], 0.0)
 
-    def test_forward_euler_final_tau2(self):
-        res = stage_residuals(forward_euler(), 2)
-        assert res.final[2] == pytest.approx(0.5)
+    def test_forward_euler_step_defect(self):
+        step, _ = _bushy_defects(forward_euler(), 2)
+        assert step[1] == pytest.approx(-0.5)
 
-    def test_ssprk33_final_residuals(self):
-        res = stage_residuals(ssprk33(), 4)
-        for j in (1, 2, 3):
-            assert res.final[j] == pytest.approx(0.0, abs=1e-14)
-        assert np.abs(res.stage[2]).max() > 1e-3  # stage order is only 1
-        # the j=4 quadrature residual also vanishes (b.c^3 = 1/4), yet
-        # the nonlinear order is 3: quadrature conditions are necessary only
-        assert res.final[4] == pytest.approx(0.0, abs=1e-14)
+    def test_ssprk33_defects(self):
+        step, stage = _bushy_defects(ssprk33(), 4)
+        # b.c^3 = 1/4 holds too, yet the nonlinear order is 3:
+        # the bushy conditions are necessary only
+        np.testing.assert_allclose(step, 0.0, rtol=0, atol=1e-14)
+        assert np.abs(stage[:, 1]).max() > 1e-3  # stage order is only 1
+
+    def test_stage_order_matches_quadrature(self):
+        methods = _reference_methods()
+        orders = [stage_order(m) for m in methods]
+        assert orders == [_quadrature_stage_order(m) for m in methods]
+        assert orders[-2:] == [2, 3]
+
+    @pytest.mark.parametrize("p", [5, 6, 7, 8])
+    def test_stage_rows_are_negated_quadrature_residuals(self, p):
+        for m in _reference_methods():
+            rows = order_residual_vector(m, p)[len(rooted_trees(p).order):]
+            ref = np.concatenate([_quadrature_defects(m, j)[0] for j in range(2, (p - 1) // 2 + 1)])
+            np.testing.assert_allclose(rows, ref, rtol=1e-13, atol=1e-13)
 
 
 class TestStageOrder:
@@ -42,10 +88,6 @@ class TestStageOrder:
 
     def test_gen_so2(self):
         assert stage_order(gen_second_order(4, 3)) >= 1
-
-    def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            stage_order(forward_euler(), tol=0.0)
 
 
 class TestOracleOrder:

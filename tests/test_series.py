@@ -69,13 +69,14 @@ class TestFlowSeries:
                     for i, p in enumerate(psi, start=1) for d in range(min(n, len(p) - 1) + 1))
                 for n in range(1, 9)
             ]
-            np.testing.assert_allclose(elementary_weights(m, 8)[tall], taylor, rtol=0, atol=1e-13)
+            phi = elementary_weights(m, rooted_trees(8))[0]
+            np.testing.assert_allclose(phi[tall], taylor, rtol=0, atol=1e-13)
 
     def test_constant_rhs(self):
         # on u' = 1 only the single vertex contributes, and every
         # consistent method follows the flow u0 + h
         for m in [forward_euler(), ssprk33(), gen_second_order(4, 3)]:
-            assert elementary_weights(m, 1)[0] == pytest.approx(1.0, abs=1e-14)
+            assert elementary_weights(m, rooted_trees(1))[0][0] == pytest.approx(1.0, abs=1e-14)
 
     def test_self_consistency(self):
         # U' = F(U) on the flow's series: gamma(t) = |t| * prod gamma(children)
@@ -109,9 +110,10 @@ def test_stacked_eval_matches_members(N):
         s=3, k=2, **{key: np.array([[getattr(m, key) for m in row] for row in members])
                      for key in ("D", "Ahat", "A", "theta", "bhat", "b")},
     )
-    phi = elementary_weights(stack, N)
+    phi = elementary_weights(stack, rooted_trees(N))[0]
     assert phi.shape == (2, 3, len(rooted_trees(N).order))
     np.testing.assert_allclose(phi, _weights_by_trees(stack, N), rtol=0, atol=1e-12)
     for index in np.ndindex(2, 3):
         member = members[index[0]][index[1]]
-        np.testing.assert_allclose(phi[index], elementary_weights(member, N), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(phi[index], elementary_weights(member, rooted_trees(N))[0],
+                                   rtol=0, atol=1e-13)
