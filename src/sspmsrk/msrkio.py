@@ -89,24 +89,23 @@ def loads_method(text: str) -> MSRKMethod:
             line=lineno.get("format"), field="format",
         )
 
-    def require(key):
+    for key in _SCALAR_INT + _ARRAYS:
         if key not in fields:
             raise MethodFileError("missing field", field=key)
-        return fields[key]
 
     ints = {}
     for key in _SCALAR_INT:
         try:
-            ints[key] = int(require(key))
+            ints[key] = int(fields[key])
         except ValueError:
-            raise MethodFileError("not an integer", line=lineno.get(key), field=key) from None
+            raise MethodFileError("not an integer", line=lineno[key], field=key) from None
 
     arrays = {}
     for key in _ARRAYS:
         try:
-            arrays[key] = np.array(json.loads(require(key)), dtype=float)
-        except (json.JSONDecodeError, ValueError):
-            raise MethodFileError("not a numeric array", line=lineno.get(key), field=key) from None
+            arrays[key] = np.array(json.loads(fields[key]), dtype=float)
+        except (ValueError, TypeError, RecursionError, OverflowError):
+            raise MethodFileError("not a numeric array", line=lineno[key], field=key) from None
 
     # exact shapes here, so that a file never makes a stack of methods; a
     # one-step method's empty Ahat and bhat take the shapes (s, 0) and (0,)

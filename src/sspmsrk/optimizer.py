@@ -62,6 +62,8 @@ class SearchSpec:
     def __post_init__(self):
         if self.p < 1 or self.starts < 1:
             raise ValueError("p and starts must be at least 1")
+        if not 0.0 < self.r_tol < np.inf:
+            raise ValueError("r_tol must be positive and finite")
 
 
 @dataclass
@@ -268,7 +270,8 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
     lo, hi = 0.0, upper
     best_x = x0
     n_random_later = min(spec.starts, 3)
-    while hi - lo > spec.r_tol:
+    # a bracket whose ends are neighbouring floats cannot shrink any more
+    while hi - lo > spec.r_tol and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         merit, x = _solve_feasibility(
             spec, mid, p, starts_at(best_x, n_random_later), history

@@ -1,7 +1,7 @@
 """The library API that the benchmark in ``perfbench/`` calls.
 
 ``perfbench/`` has its own tests, which the default test run does not
-collect; this module builds one round of each workload and runs two
+collect; this module builds one round of each workload and runs three
 cheap operations, so a renamed or removed name fails here.
 """
 
@@ -23,6 +23,9 @@ def test_round_zero_builds_and_runs():
     ops = {name: {op.name: op for op in build(1, 0)} for name, build in workloads.WORKLOADS.items()}
     assert {name: len(o) for name, o in ops.items()} == {"search": 3, "stepsearch": 32, "certify": 32}
     assert _run(ops["certify"]["certify SSPRK(3,3)"]) == []
+    # in the convergence subset: the benchmark's own slope fit checks the van der Pol study
+    assert "SO2(3,3)" in workloads.CONVERGENCE_SUBSET
+    assert _run(ops["certify"]["certify SO2(3,3)"]) == []
     assert _run(ops["stepsearch"]["stepsearch advection SSPRK(3,3) tvd"]) == []
 
 

@@ -3,6 +3,7 @@ import dataclasses
 
 import pytest
 
+from sspmsrk import cli, pdelab
 from sspmsrk.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -14,6 +15,10 @@ from sspmsrk.cli import (
 from sspmsrk.methods import ssprk33
 from sspmsrk.msrkio import dumps_method, read_method, write_method
 from sspmsrk.theory import gen_second_order, r_sk2
+
+
+def _unreachable(*args, **kwargs):
+    pytest.fail("an invalid argument reached a loop")
 
 
 @pytest.fixture()
@@ -58,6 +63,17 @@ class TestAnalyze:
         path.write_text(text)
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
         assert "valid: no" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["{}", "[{}]", "[" * 100_000, "1" + "0" * 400],
+                             ids=["dict", "list-of-dict", "deep-nesting", "huge-integer"])
+    def test_malformed_array_exits_3(self, tmp_path, capsys, value):
+        lines = dumps_method(ssprk33()).splitlines()
+        path = tmp_path / "bad.msrk"
+        path.write_text("\n".join(lines[:-1] + [f"b = {value}"]) + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(path)])
+        assert excinfo.value.code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: not a numeric array (line 11, field 'b')\n"
 
     def test_non_finite_coefficient_exits_3(self, tmp_path, capsys):
         text = dumps_method(ssprk33())
@@ -108,6 +124,14 @@ class TestOptimize:
         assert "certified: yes" in capsys.readouterr().out
         assert (tmp_path / "log.csv").read_text().startswith("start,r,merit")
 
+    @pytest.mark.parametrize("r_tol", ["0", "nan"])
+    def test_bad_r_tol_exits_2(self, tmp_path, capsys, monkeypatch, r_tol):
+        monkeypatch.setattr(cli, "maximize_ssp", _unreachable)
+        code = main(["optimize", "--stages", "2", "--steps", "2", "--order", "3",
+                     "--r-tol", r_tol, "--out", str(tmp_path / "x.msrk")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: r_tol must be positive and finite\n"
+
     def test_infeasible_exits_4(self, tmp_path, capsys):
         code = main([
             "optimize", "--stages", "1", "--steps", "1", "--order", "2",
@@ -144,6 +168,21 @@ class TestRun:
         assert err.startswith("error: dt must be positive")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("tf", ["inf", "nan"])
+    def test_non_finite_horizon_exits_2(self, tmp_path, ssprk33_file, capsys, monkeypatch, tf):
+        monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
+        code = main(["run", "--problem", "advection", "--method", ssprk33_file,
+                     "--dt", "0.005", "--tf", tf, "--out", str(tmp_path / "run.csv")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: tf must be finite\n"
+
+    def test_vdp_past_the_first_reference_horizon(self, tmp_path, ssprk33_file, capsys):
+        code = main(["run", "--problem", "vdp", "--method", ssprk33_file,
+                     "--dt", "0.05", "--tf", "6", "--out", str(tmp_path / "run.csv")])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert float(out.split("final_error: ")[1].split()[0]) < 1e-6
+
     def test_directory_as_output_exits_2(self, tmp_path, ssprk33_file, capsys):
         code = main(["run", "--problem", "advection", "--method", ssprk33_file,
                      "--dt", "0.005", "--tf", "0.05", "--out", str(tmp_path)])
@@ -179,6 +218,16 @@ class TestStepsearch:
         assert len(rows) == 1
         assert float(rows[0]["dt_tvd/dx"]) == pytest.approx(1.0, abs=0.02)
         assert rows[0]["dt_pos/dx"] == ""
+
+    @pytest.mark.parametrize("flag, value", [("--resolution", "0"), ("--resolution", "nan"),
+                                             ("--tf", "nan")])
+    def test_bad_resolution_or_horizon_exits_2(self, tmp_path, ssprk33_file, capsys,
+                                               monkeypatch, flag, value):
+        monkeypatch.setattr(pdelab, "run", _unreachable)
+        code = main(["stepsearch", "--problem", "advection", "--method", ssprk33_file,
+                     flag, value, "--out", str(tmp_path / "search.csv")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {flag[2:]} must be positive and finite\n"
 
     def test_buckley_positivity_default_startup(self, tmp_path, so2_file):
         out = tmp_path / "search.csv"

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sspmsrk.cli import main
 from sspmsrk.methods import forward_euler, ssprk33
 from sspmsrk.msrkio import (
     MethodFileError,
@@ -110,3 +112,40 @@ class TestErrors:
             loads_method(text)
         with pytest.raises(MethodFileError, match=r"\(line 6, field 'D'\)"):
             loads_method(text)
+
+    @pytest.mark.parametrize("field", ["claimed_order", "theta"])
+    def test_missing_field_named_as_missing(self, field):
+        text = "".join(line for line in dumps_method(forward_euler()).splitlines(True)
+                       if not line.startswith(field))
+        with pytest.raises(MethodFileError, match=rf"^missing field \(field '{field}'\)$"):
+            loads_method(text)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestArbitraryFieldValue:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([ssprk33(), gen_second_order(2, 2)]), st.integers(0, 10),
+           st.text() | _JSON_VALUES.map(json.dumps))
+    def test_loads_or_names_the_error_and_analyze_exits_cleanly(self, tmp_path_factory,
+                                                               method, index, value):
+        lines = dumps_method(method).splitlines()
+        key = lines[index].partition(" =")[0]
+        lines[index] = f"{key} = {value}"
+        text = "\n".join(lines) + "\n"
+        try:
+            loads_method(text)
+        except MethodFileError:
+            pass
+        path = tmp_path_factory.mktemp("arbitrary") / "method.msrk"
+        path.write_text(text, encoding="utf-8")
+        try:
+            code = main(["analyze", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {0, 2, 3, 5}

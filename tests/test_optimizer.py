@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sspmsrk import methods
+from sspmsrk import methods, optimizer
 from sspmsrk.methods import MethodStructureError, forward_euler, ssprk33, validate
 from sspmsrk.optimizer import (
     SearchFailure,
@@ -168,6 +168,22 @@ class TestMaximizeSSP:
         with pytest.raises(SearchFailure):
             maximize_ssp(spec)
 
+    def test_tiny_r_tol_ends_on_neighbouring_floats(self, monkeypatch):
+        # near r = 0.3 the bracket stops shrinking at about 5e-17, far above r_tol
+        x = pack(gen_second_order(2, 2))
+        radii = []
+
+        def solve(spec, r, p, starts, history):
+            radii.append(r)
+            if len(radii) > 200:
+                pytest.fail("the bisection did not end")
+            return (0.0 if r <= 0.3 else 1.0), x
+
+        monkeypatch.setattr(optimizer, "_solve_feasibility", solve)
+        maximize_ssp(SearchSpec(s=2, k=2, p=2, starts=1, r_tol=1e-300))
+        assert max(r for r in radii if r <= 0.3) == 0.3
+        assert len(radii) < 70
+
     def test_history_is_logged(self, tmp_path):
         spec = SearchSpec(s=2, k=1, p=1, starts=4, seed=4, r_tol=1e-2)
         res = maximize_ssp(spec)
@@ -187,3 +203,9 @@ class TestSearchSpec:
     def test_bad_starts_rejected(self):
         with pytest.raises(ValueError):
             SearchSpec(s=2, k=2, p=1, starts=0)
+
+    @pytest.mark.parametrize("r_tol", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_r_tol_not_finite_and_positive_rejected(self, r_tol):
+        # r_tol = 0 bisected forever: the bracket stops shrinking at neighbouring floats
+        with pytest.raises(ValueError, match="r_tol must be positive and finite"):
+            SearchSpec(s=2, k=2, p=3, r_tol=r_tol)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.integrate
+from scipy.integrate import solve_ivp
 
 from sspmsrk import pdelab
 from sspmsrk.methods import MSRKMethod, forward_euler, ssp_coefficient, ssprk33, to_spijker
 from sspmsrk.orderlab import convergence_order
 from sspmsrk.pdelab import (
     RunRecord,
-    _integrate_vdp,
     advection_upwind,
     buckley_leverett,
     max_stable_step,
@@ -19,6 +20,10 @@ from sspmsrk.pdelab import (
     vdp_problem,
 )
 from sspmsrk.theory import gen_second_order
+
+
+def _unreachable(*args, **kwargs):
+    pytest.fail("an invalid argument reached the stepping loop")
 
 
 class TestMonitors:
@@ -119,9 +124,11 @@ class TestProblems:
         np.testing.assert_allclose(problem.rhs(np.array([0.5, 0.0])), [0.0, -0.05])
 
     def test_vdp_exact_agrees_with_finer_reference(self):
-        exact = vdp_problem().exact(1.0)
-        ref = _integrate_vdp(10.0, (0.5, 0.0), 1.0, 2**17)
-        np.testing.assert_allclose(exact, ref, rtol=0, atol=1e-10)
+        problem = vdp_problem()
+        ref = solve_ivp(lambda t, u: problem.rhs(u), (0.0, 4.0), problem.u0, method="Radau",
+                        t_eval=[1.0, 4.0], rtol=1e-12, atol=1e-12)
+        for t, u in zip(ref.t, ref.y.T):
+            np.testing.assert_allclose(problem.exact(t), u, rtol=0, atol=1e-10)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -166,6 +173,14 @@ class TestRun:
         with pytest.raises(ValueError):
             run(advection_upwind(), gen_second_order(2, 3), 0.05, 0.08)
 
+    @pytest.mark.parametrize("dt, tf", [(np.inf, 0.1), (np.nan, 0.1), (0.003, np.inf),
+                                        (0.003, np.nan)])
+    def test_non_finite_or_zero_step_and_horizon_rejected(self, monkeypatch, dt, tf):
+        # a missing check fails at the first step instead of looping
+        monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
+        with pytest.raises(ValueError, match="must be"):
+            run(advection_upwind(), ssprk33(), dt, tf)
+
 
 class TestMaxStableStep:
     def test_ssprk33_advection_tvd(self):
@@ -185,6 +200,34 @@ class TestMaxStableStep:
         for m in [forward_euler(), ssprk33(), gen_second_order(2, 2)]:
             res = max_stable_step(problem, m, prop="tvd")
             assert res.dt_max >= res.theoretical - res.resolution
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(resolution=0.0), dict(resolution=np.nan), dict(resolution=np.inf),
+        dict(resolution=-1e-3), dict(tf=np.nan), dict(tf=0.0), dict(tf=np.inf), dict(tf=-1.0),
+    ])
+    def test_non_finite_or_zero_resolution_and_horizon_rejected(self, monkeypatch, kwargs):
+        # a missing check fails at the first run instead of bisecting forever
+        monkeypatch.setattr(pdelab, "run", _unreachable)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            max_stable_step(advection_upwind(), ssprk33(), "tvd", **kwargs)
+
+    def test_tiny_resolution_ends_on_neighbouring_floats(self, monkeypatch):
+        # the property holds up to 0.3*dt_fe; a bracket there stops
+        # shrinking at about 1e-18, far above the resolution
+        problem = advection_upwind()
+        steps = []
+
+        def fake_run(problem, method, dt, tf, startup_mode, truncate_final):
+            steps.append(dt)
+            if len(steps) > 200:
+                pytest.fail("the bisection did not end")
+            tv = [1.0, 1.0 if dt <= 0.3 * problem.dt_fe else 2.0]
+            return RunRecord(times=[0.0, dt], monitors={"tv": tv, "min": [0.0, 0.0]})
+
+        monkeypatch.setattr(pdelab, "run", fake_run)
+        res = max_stable_step(problem, ssprk33(), "tvd", resolution=1e-300)
+        assert res.dt_max == 0.3 * problem.dt_fe
+        assert len(steps) < 70
 
     def test_unknown_property_rejected(self):
         with pytest.raises(ValueError):
@@ -213,24 +256,25 @@ class TestConvergence:
         # an eps no other test uses, so the first study integrates the reference
         kwargs = dict(eps=7.25, tf=0.5, Ns=(5, 9))
         first = vdp_convergence_study(ssprk33(), **kwargs)
-        steps = []
+        calls = []
 
-        def counting(eps, u0, tf, nsteps):
-            steps.append(nsteps)
-            return _integrate_vdp(eps, u0, tf, nsteps)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_ivp(*args, **kwargs)
 
-        monkeypatch.setattr(pdelab, "_integrate_vdp", counting)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
         assert vdp_convergence_study(ssprk33(), **kwargs) == first
-        assert sum(steps) == 0
+        assert calls == []
 
     def test_reference_value_ignores_earlier_times(self):
-        # checkpoints at multiples of 1/64 make u(t) a function of t alone
-        fresh = pdelab._make_vdp_exact.__wrapped__
-        visited, direct = fresh(10.0, (0.5, 0.0)), fresh(10.0, (0.5, 0.0))
-        for t in (0.3, 0.05, 0.7):
-            visited(t)
-        assert np.array_equal(visited(0.71), direct(0.71))
-        assert np.array_equal(visited(0.75), direct(0.75))
+        # t = 9 reads a reference with the longer horizon 16; u(0.71)
+        # reads the horizon-4 one whether or not t = 9 came first
+        exact = vdp_problem().exact
+        pdelab._vdp_reference.cache_clear()
+        alone = exact(0.71)
+        pdelab._vdp_reference.cache_clear()
+        exact(9.0)
+        assert np.array_equal(exact(0.71), alone)
 
     def test_ssprk33_order_three_on_vdp(self):
         errors = vdp_convergence_study(ssprk33(), tf=2.0, Ns=(15, 19, 23, 27, 31))
