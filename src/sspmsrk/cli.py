@@ -22,7 +22,10 @@ from .methods import MethodStructureError, ssp_coefficient, to_spijker, validate
 from .optimizer import SearchFailure, SearchSpec, maximize_ssp, warm_start_ladder, write_search_log
 from .orderlab import convergence_order, oracle_order, stage_order
 from .theory import (
+    LINEAR_BOUND_TOL,
+    MIN_POSITIVE_C,
     gen_second_order,
+    linear_bound,
     linear_order,
     r_sk2,
     stability_polynomials,
@@ -43,19 +46,8 @@ _PROBLEMS = {
 }
 
 
-def _load_method(path):
-    try:
-        return msrkio.read_method(path)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
-    except msrkio.MethodFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION) from None
-
-
 def cmd_analyze(args) -> int:
-    method = _load_method(args.method_file)
+    method = msrkio.read_method(args.method_file)
     report = validate(method)
     print(f"name: {method.name}")
     print(f"s: {method.s}")
@@ -88,6 +80,12 @@ def cmd_analyze(args) -> int:
         if orc >= 2 and method.k >= 2:
             ok = C <= r_sk2(method.s, method.k) + 1e-8
             print(f"bound_C_le_rsk2: {'ok' if ok else 'VIOLATED'}")
+        if orc >= 1:
+            R = linear_bound(method.s, method.k, orc)
+            print(f"linear_bound: {R:.9f}")
+            # R = 0 only says that the bound is below MIN_POSITIVE_C
+            ok = C <= max(R, MIN_POSITIVE_C) + LINEAR_BOUND_TOL
+            print(f"bound_C_le_R: {'ok' if ok else 'VIOLATED'}")
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
@@ -115,6 +113,8 @@ def cmd_optimize(args) -> int:
         write_search_log(result.history, args.log)
     print(f"C: {result.C:.9f}")
     print(f"C_eff: {result.Ceff:.9f}")
+    print(f"linear_bound: {result.R:.9f}")
+    print(f"gap: {result.R / args.stages - result.Ceff:.9f}")
     print(f"certified: {'yes' if result.certified else 'no'}")
     nfev = sum(h[3] for h in result.history)
     njev = sum(h[4] for h in result.history)
@@ -125,7 +125,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_run(args) -> int:
     problem = _PROBLEMS[args.problem]()
-    method = _load_method(args.method)
+    method = msrkio.read_method(args.method)
     try:
         record = pdelab.run(problem, method, args.dt, args.tf, startup_mode=args.startup)
     except pdelab.RunAbortedError as exc:
@@ -145,7 +145,7 @@ def cmd_run(args) -> int:
 
 def cmd_stepsearch(args) -> int:
     problem = _PROBLEMS[args.problem]()
-    methods = [_load_method(path) for path in args.method]
+    methods = [msrkio.read_method(path) for path in args.method]
     props = ["tvd", "positivity"] if args.property == "both" else [args.property]
     dx = problem.dx if problem.dx is not None else problem.dt_fe
     rows = []
@@ -185,7 +185,7 @@ def cmd_stepsearch(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    methods = [_load_method(path) for path in args.method]
+    methods = [msrkio.read_method(path) for path in args.method]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "dt", "error"])
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except MethodStructureError as exc:
+    except (MethodStructureError, msrkio.MethodFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ValueError, OSError) as exc:

@@ -21,8 +21,8 @@ from scipy.optimize import least_squares
 from .methods import (
     MSRKMethod, _coefficient_shapes, canonical, ssp_coefficient, to_spijker, validate,
 )
-from .orderlab import oracle_order, order_residual_vector
-from .theory import gen_second_order, r_sk2
+from .orderlab import MAX_ORACLE_ORDER, oracle_order, order_residual_vector
+from .theory import LINEAR_BOUND_TOL, MIN_POSITIVE_C, gen_second_order, linear_bound
 
 __all__ = [
     "SearchSpec",
@@ -37,8 +37,6 @@ __all__ = [
     "write_search_log",
 ]
 
-#: below this radius a "feasible" search is reported as infeasible
-MIN_POSITIVE_C = 1e-3
 #: evaluation budget (max_nfev) of one inner least-squares solve
 MAX_INNER_ITERS = 500
 
@@ -60,8 +58,12 @@ class SearchSpec:
     warm_starts: list[MSRKMethod] = field(default_factory=list)
 
     def __post_init__(self):
+        if self.s < 1 or self.k < 1:
+            raise ValueError("s and k must be at least 1")
         if self.p < 1 or self.starts < 1:
             raise ValueError("p and starts must be at least 1")
+        if self.p > MAX_ORACLE_ORDER:
+            raise ValueError(f"p must be at most {MAX_ORACLE_ORDER}")
         if not 0.0 < self.r_tol < np.inf:
             raise ValueError("r_tol must be positive and finite")
 
@@ -72,6 +74,8 @@ class SearchResult:
     C: float
     Ceff: float
     certified: bool
+    #: the linear bound R(s, k, p), a ceiling on C
+    R: float
     history: list[tuple[float, int, float, int, int]]  # (r, start index, merit, nfev, njev)
 
 
@@ -240,15 +244,20 @@ def pad_stages(method: MSRKMethod) -> MSRKMethod:
 def maximize_ssp(spec: SearchSpec) -> SearchResult:
     """Outer bisection on the radius with inner feasibility solves.
 
-    Raises :class:`SearchFailure` when no method is found with a
-    meaningfully positive radius.
+    The bisection runs on [0, R + LINEAR_BOUND_TOL] with R the linear
+    bound R(s, k, p), which no radius above can beat.  Raises
+    :class:`SearchFailure` when R, or the radius found, is not
+    meaningfully positive; below MIN_POSITIVE_C, R fails the search
+    before any inner solve.
     """
     s, k, p = spec.s, spec.k, spec.p
+    R = linear_bound(s, k, p)
+    if R < MIN_POSITIVE_C:
+        raise SearchFailure(
+            f"the linear bound R({s},{k},{p}) is below {MIN_POSITIVE_C:g}, so no order-{p} "
+            f"method for (s={s}, k={k}) has a positive SSP coefficient"
+        )
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, s, k, p]))
-
-    upper = float(s)
-    if p >= 2 and k >= 2:
-        upper = min(upper, r_sk2(s, k))
 
     history: list[tuple[float, int, float, int, int]] = []
 
@@ -267,7 +276,7 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
             f"no order-{p} method found at r=0 for (s={s}, k={k}); best merit {merit0:.3e}"
         )
 
-    lo, hi = 0.0, upper
+    lo, hi = 0.0, R + LINEAR_BOUND_TOL
     best_x = x0
     n_random_later = min(spec.starts, 3)
     # a bracket whose ends are neighbouring floats cannot shrink any more
@@ -293,8 +302,10 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
         validate(method).ok
         and oracle_order(method, pmax=p) >= p
         and abs(C - lo) <= max(1e-6, 2.0 * spec.r_tol)
+        and C <= R + LINEAR_BOUND_TOL
     )
-    return SearchResult(method=method, C=C, Ceff=C / s, certified=certified, history=history)
+    return SearchResult(method=method, C=C, Ceff=C / s, certified=certified, R=R,
+                        history=history)
 
 
 def write_search_log(history, path):

@@ -1,11 +1,12 @@
-"""Linear-stability theory: threshold factors and the second-order optimum.
+"""Linear-stability theory: threshold factors and their optimum.
 
 Applying a method to u' = lambda*u yields
 u^{n+1} = psi_1(z) u^n + ... + psi_k(z) u^{n-k+1} with z = dt*lambda.
 The radius of absolute monotonicity of each psi_i, and its minimum over
 i (the threshold factor), bound the SSP coefficient on linear problems.
-For second order the optimal threshold factor has a closed form, and a
-family of methods attains it; both are implemented here.
+The largest threshold factor of any s-stage, k-step method of linear
+order p is found by linear programming; for second order it has a
+closed form, and a family of methods attains it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
+from scipy.optimize import linprog
 
 from .methods import MSRKMethod, SpijkerForm, _degree_shift, _largest_feasible, _spijker_step
 
@@ -26,6 +28,7 @@ __all__ = [
     "radius_abs_monotonicity",
     "threshold_factor",
     "linear_order",
+    "linear_bound",
     "r_sk2",
     "gen_second_order",
 ]
@@ -33,6 +36,12 @@ __all__ = [
 COEFF_TOL = 1e-12
 #: largest coefficient error of a power of z that ``linear_order`` counts as met
 LINEAR_ORDER_TOL = 1e-9
+#: radii below this are not resolved: a search that finds no larger one
+#: fails, and ``linear_bound`` reports 0 below it
+MIN_POSITIVE_C = 1e-3
+#: ``linear_bound`` is within this of the exact bound: it bisects to a
+#: tenth of it, and HiGHS accepts rows met to its feasibility tolerance
+LINEAR_BOUND_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,54 @@ def linear_order(sp: StabilityPolynomials) -> int:
     expz = np.array([1.0 / math.factorial(n) for n in range(N + 1)])
     failed = np.flatnonzero(np.abs(total - expz) > LINEAR_ORDER_TOL)
     return max(int(failed[0]) - 1, 0) if failed.size else N
+
+
+def _linear_order_feasible(s: int, k: int, p: int, r: float) -> bool:
+    """Whether some gamma >= 0 makes psi_i(z) = sum_j gamma_ij (1 + z/r)^j,
+    i <= k and j <= s, meet sum_i psi_i(z) e^{-(i-1)z} = e^z through z^p.
+
+    Row m holds the z^m coefficients of (1 + z/r)^j e^{-(i-1)z}, one
+    column per (i, j); each column is divided by its largest entry, as
+    the columns scale like r^-j.
+    """
+    m = np.arange(p + 1)
+    factorial = np.array([math.factorial(n) for n in m], dtype=float)
+    power = np.array([[math.comb(j, l) for l in m] for j in range(s + 1)]) / r**m
+    shift = (-np.arange(k, dtype=float)[:, None]) ** m / factorial
+    lag = m[:, None] - m
+    toeplitz = np.where(lag >= 0, shift[:, np.maximum(lag, 0)], 0.0)
+    rows = np.swapaxes(toeplitz @ power.T, 0, 1).reshape(p + 1, k * (s + 1))
+    rows /= np.abs(rows).max(axis=0)
+    res = linprog(np.zeros(rows.shape[1]), A_eq=rows, b_eq=1.0 / factorial, bounds=(0, None),
+                  method="highs")
+    return res.status == 0
+
+
+def linear_bound(s: int, k: int, p: int) -> float:
+    """R(s, k, p): the largest threshold factor of an s-stage, k-step
+    method of linear order p, so C <= R(s, k, p) for every such method.
+
+    R is the largest r at which the stability polynomials can be
+    nonnegative combinations of (1 + z/r)^j, j <= s, with linear order p
+    (Kraaijevanger 1986); for fixed r that is an LP feasibility problem,
+    and feasibility is monotone in r, so R is found by bisection on
+    [MIN_POSITIVE_C, s] (Ketcheson 2009), to LINEAR_BOUND_TOL; order 1
+    alone already gives R <= s.  Returns 0.0 when the LP is infeasible
+    at MIN_POSITIVE_C: nearer 0 the columns span too many magnitudes for
+    HiGHS to decide (it accepts (2, 2, 4) at r = 1e-4).
+    """
+    if s < 1 or k < 1 or p < 1:
+        raise ValueError("s, k and p must be at least 1")
+    if not _linear_order_feasible(s, k, p, MIN_POSITIVE_C):
+        return 0.0
+    lo, hi = MIN_POSITIVE_C, float(s)
+    while hi - lo > 0.1 * LINEAR_BOUND_TOL:
+        mid = 0.5 * (lo + hi)
+        if _linear_order_feasible(s, k, p, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def r_sk2(s: int, k: int) -> float:

@@ -2,8 +2,10 @@ import csv
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sspmsrk import cli, pdelab
+from sspmsrk import cli, optimizer, pdelab
 from sspmsrk.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -54,6 +56,8 @@ class TestAnalyze:
         assert "oracle_order: 3" in out
         assert "stage_order: 1" in out
         assert "bound_C_le_s: ok" in out
+        assert float(out.split("linear_bound: ")[1].split()[0]) == pytest.approx(1.0, abs=1e-6)
+        assert "bound_C_le_R: ok" in out
 
     def test_invalid_method_exits_3(self, tmp_path, capsys):
         text = dumps_method(ssprk33()).replace(
@@ -70,9 +74,7 @@ class TestAnalyze:
         lines = dumps_method(ssprk33()).splitlines()
         path = tmp_path / "bad.msrk"
         path.write_text("\n".join(lines[:-1] + [f"b = {value}"]) + "\n")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", str(path)])
-        assert excinfo.value.code == EXIT_VALIDATION
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == "error: not a numeric array (line 11, field 'b')\n"
 
     def test_non_finite_coefficient_exits_3(self, tmp_path, capsys):
@@ -99,14 +101,10 @@ class TestAnalyze:
         assert "bound_C_le_s" not in out
 
     def test_missing_file_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", str(tmp_path / "nope.msrk")])
-        assert excinfo.value.code == EXIT_USAGE
+        assert main(["analyze", str(tmp_path / "nope.msrk")]) == EXIT_USAGE
 
     def test_directory_exits_2(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", str(tmp_path)])
-        assert excinfo.value.code == EXIT_USAGE
+        assert main(["analyze", str(tmp_path)]) == EXIT_USAGE
         assert str(tmp_path) in capsys.readouterr().err
 
 
@@ -121,7 +119,12 @@ class TestOptimize:
         assert code == EXIT_OK
         method = read_method(out)
         assert (method.s, method.k, method.claimed_order) == (2, 2, 2)
-        assert "certified: yes" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "certified: yes" in out
+        R = float(out.split("linear_bound: ")[1].split()[0])
+        assert R == pytest.approx(r_sk2(2, 2), abs=1e-6)
+        Ceff = float(out.split("C_eff: ")[1].split()[0])
+        assert float(out.split("gap: ")[1].split()[0]) == pytest.approx(R / 2 - Ceff, abs=1e-8)
         assert (tmp_path / "log.csv").read_text().startswith("start,r,merit")
 
     @pytest.mark.parametrize("r_tol", ["0", "nan"])
@@ -131,6 +134,43 @@ class TestOptimize:
                      "--r-tol", r_tol, "--out", str(tmp_path / "x.msrk")])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: r_tol must be positive and finite\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--stages", "0", "s and k must be at least 1"),
+        ("--steps", "0", "s and k must be at least 1"),
+        ("--order", "13", "p must be at most 12"),
+    ])
+    def test_bad_shape_or_order_exits_2(self, tmp_path, capsys, monkeypatch, flag, value,
+                                        message):
+        monkeypatch.setattr(cli, "maximize_ssp", _unreachable)
+        args = {"--stages": "2", "--steps": "2", "--order": "3", flag: value}
+        code = main(["optimize", *(x for item in args.items() for x in item),
+                     "--out", str(tmp_path / "x.msrk")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_no_positive_linear_bound_exits_4_without_a_solve(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(optimizer, "_solve_feasibility", _unreachable)
+        code = main(["optimize", "--stages", "2", "--steps", "2", "--order", "4",
+                     "--out", str(tmp_path / "x.msrk")])
+        assert code == EXIT_INFEASIBLE
+        assert "linear bound R(2,2,4)" in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-1, 4), st.integers(-1, 4), st.integers(-1, 14),
+           st.sampled_from([0.0, -1e-3, float("nan"), float("inf")]) | st.floats())
+    def test_any_shape_order_and_r_tol_exits_cleanly(self, tmp_path_factory, s, k, p, r_tol):
+        # the solver reports every radius infeasible, so no real search runs
+        def infeasible(spec, r, p, starts, history):
+            return float("inf"), None
+
+        out = tmp_path_factory.mktemp("optimize") / "x.msrk"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_solve_feasibility", infeasible)
+            code = main(["optimize", f"--stages={s}", f"--steps={k}", f"--order={p}",
+                         f"--r-tol={r_tol}", f"--out={out}"])
+        assert code in {0, 1, 2, 3, 4, 5}
 
     def test_infeasible_exits_4(self, tmp_path, capsys):
         code = main([

@@ -19,7 +19,7 @@ from sspmsrk.optimizer import (
     write_search_log,
 )
 from sspmsrk.orderlab import oracle_order
-from sspmsrk.theory import gen_second_order, r_sk2
+from sspmsrk.theory import LINEAR_BOUND_TOL, gen_second_order, linear_bound, r_sk2
 
 
 class TestPackUnpack:
@@ -160,6 +160,7 @@ class TestMaximizeSSP:
         res = maximize_ssp(spec)
         assert res.certified
         assert res.C == pytest.approx(r_sk2(2, 2), abs=5e-3)
+        assert res.R == pytest.approx(r_sk2(2, 2), abs=1e-6)
         assert validate(res.method).ok
 
     def test_impossible_order_raises(self):
@@ -167,6 +168,26 @@ class TestMaximizeSSP:
         spec = SearchSpec(s=1, k=1, p=2, starts=4, seed=0, r_tol=1e-2)
         with pytest.raises(SearchFailure):
             maximize_ssp(spec)
+
+    def test_no_positive_linear_bound_fails_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_solve_feasibility",
+                            lambda *args: pytest.fail("an inner solve ran"))
+        with pytest.raises(SearchFailure, match=r"linear bound R\(2,2,4\)"):
+            maximize_ssp(SearchSpec(s=2, k=2, p=4, starts=20, seed=123, r_tol=1e-4))
+
+    def test_bisection_stays_under_the_linear_bound(self, monkeypatch):
+        x = pack(gen_second_order(2, 2))
+        radii = []
+
+        def solve(spec, r, p, starts, history):
+            radii.append(r)
+            return 0.0, x
+
+        monkeypatch.setattr(optimizer, "_solve_feasibility", solve)
+        maximize_ssp(SearchSpec(s=2, k=2, p=3, starts=1, r_tol=1e-3))
+        R = linear_bound(2, 2, 3)
+        assert max(radii) <= R + LINEAR_BOUND_TOL
+        assert max(radii) >= R - 1e-3
 
     def test_tiny_r_tol_ends_on_neighbouring_floats(self, monkeypatch):
         # near r = 0.3 the bracket stops shrinking at about 5e-17, far above r_tol
@@ -199,6 +220,15 @@ class TestSearchSpec:
     def test_bad_p_rejected(self):
         with pytest.raises(ValueError):
             SearchSpec(s=2, k=2, p=0)
+
+    @pytest.mark.parametrize("s, k, p, message", [
+        (0, 2, 2, "s and k must be at least 1"),
+        (2, 0, 2, "s and k must be at least 1"),
+        (2, 2, 13, "p must be at most 12"),
+    ])
+    def test_bad_shape_or_order_rejected(self, s, k, p, message):
+        with pytest.raises(ValueError, match=message):
+            SearchSpec(s=s, k=k, p=p)
 
     def test_bad_starts_rejected(self):
         with pytest.raises(ValueError):

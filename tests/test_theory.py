@@ -5,9 +5,13 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from sspmsrk.methods import forward_euler, ssp_coefficient, ssprk33, to_spijker
+from sspmsrk.orderlab import oracle_order
 from sspmsrk.pdelab import msrk_step
 from sspmsrk.theory import (
+    LINEAR_BOUND_TOL,
+    MIN_POSITIVE_C,
     gen_second_order,
+    linear_bound,
     linear_order,
     r_sk2,
     radius_abs_monotonicity,
@@ -135,6 +139,31 @@ class TestLinearOrder:
 
     def test_gen_so2(self):
         assert linear_order(stability_polynomials(to_spijker(gen_second_order(3, 3)))) == 2
+
+
+class TestLinearBound:
+    def test_second_order_is_r_sk2(self):
+        for s in range(2, 9):
+            for k in range(2, 6):
+                assert linear_bound(s, k, 2) == pytest.approx(r_sk2(s, k), abs=1e-6), (s, k)
+
+    @pytest.mark.parametrize("s, k, p, ceff", [(2, 2, 3, 0.36603), (3, 2, 3, 0.55019)])
+    def test_third_order_published_values(self, s, k, p, ceff):
+        assert round(linear_bound(s, k, p) / s, 5) == ceff
+
+    def test_no_positive_bound_for_two_two_four(self):
+        # HiGHS accepts this target at r = 1e-4, below the radii the bound resolves
+        assert linear_bound(2, 2, 4) < MIN_POSITIVE_C
+
+    def test_bounds_the_ssp_coefficient(self):
+        for m in [ssprk33()] + [gen_second_order(s, k) for s in range(2, 9) for k in range(2, 6)]:
+            R = linear_bound(m.s, m.k, oracle_order(m, pmax=4))
+            assert ssp_coefficient(to_spijker(m)) <= R + LINEAR_BOUND_TOL, m.name
+
+    @pytest.mark.parametrize("s, k, p", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_bad_arguments(self, s, k, p):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            linear_bound(s, k, p)
 
 
 class TestRsk2:
