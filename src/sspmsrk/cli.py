@@ -103,11 +103,7 @@ def cmd_optimize(args) -> int:
         starts=args.starts, seed=args.seed, r_tol=args.r_tol,
         warm_starts=warm,
     )
-    try:
-        result = maximize_ssp(spec)
-    except SearchFailure as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    result = maximize_ssp(spec)
     msrkio.write_method(result.method, args.out)
     if args.log:
         write_search_log(result.history, args.log)
@@ -126,11 +122,7 @@ def cmd_optimize(args) -> int:
 def cmd_run(args) -> int:
     problem = _PROBLEMS[args.problem]()
     method = msrkio.read_method(args.method)
-    try:
-        record = pdelab.run(problem, method, args.dt, args.tf, startup_mode=args.startup)
-    except pdelab.RunAbortedError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    record = pdelab.run(problem, method, args.dt, args.tf, startup_mode=args.startup)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         names = sorted(record.monitors)
@@ -200,8 +192,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_table1(args) -> int:
     if not (2 <= args.smax <= 16 and 2 <= args.kmax <= 8):
-        print("error: table1 grid needs 2 <= smax <= 16 and 2 <= kmax <= 8", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("table1 grid needs 2 <= smax <= 16 and 2 <= kmax <= 8")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s"] + [f"k={k}" for k in range(2, args.kmax + 1)])
@@ -293,13 +284,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except SearchFailure as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (np.linalg.LinAlgError, FloatingPointError, pdelab.RunAbortedError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (MethodStructureError, msrkio.MethodFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -254,29 +254,32 @@ def _feasible(sp: SpijkerForm, r: float) -> bool:
     return min(cf.P.min(), cf.R.min()) >= -ENTRY_TOL
 
 
+def _bisect(passes, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve a bracket with ``passes(lo)`` and not ``passes(hi)``, calling
+    ``passes`` only strictly inside it, until it is at most ``tol`` wide
+    or its ends are neighbouring floats, which no midpoint can split."""
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _largest_feasible(feasible, hi: float) -> float:
     """Largest r with ``feasible(r)`` for a feasible set [0, r*].
 
     The bracket [0, hi] doubles while ``feasible(hi)`` holds; past 1e12
     the radius counts as unbounded and inf is returned.  Otherwise the
-    bracket is bisected while it is at least BISECT_TOL wide and its
-    ends are not neighbouring floats (near 5e5 and above the spacing of
-    doubles reaches BISECT_TOL).
+    bracket is bisected to BISECT_TOL, or to neighbouring floats from
+    about 5e5 up, where the spacing of doubles reaches BISECT_TOL.
     """
     lo = 0.0
     while feasible(hi):
         lo, hi = hi, 2.0 * hi
         if hi > 1e12:
             return math.inf
-    while hi - lo >= BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(feasible, lo, hi, BISECT_TOL)[0]
 
 
 def ssp_coefficient(sp: SpijkerForm) -> float:

@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
 from .methods import (
-    MSRKMethod, _coefficient_shapes, canonical, ssp_coefficient, to_spijker, validate,
+    MSRKMethod, _bisect, _coefficient_shapes, canonical, ssp_coefficient, to_spijker, validate,
 )
 from .orderlab import MAX_ORACLE_ORDER, oracle_order, order_residual_vector
 from .theory import LINEAR_BOUND_TOL, MIN_POSITIVE_C, gen_second_order, linear_bound
@@ -276,19 +276,17 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
             f"no order-{p} method found at r=0 for (s={s}, k={k}); best merit {merit0:.3e}"
         )
 
-    lo, hi = 0.0, R + LINEAR_BOUND_TOL
     best_x = x0
     n_random_later = min(spec.starts, 3)
-    # a bracket whose ends are neighbouring floats cannot shrink any more
-    while hi - lo > spec.r_tol and lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        merit, x = _solve_feasibility(
-            spec, mid, p, starts_at(best_x, n_random_later), history
-        )
+
+    def feasible(r):
+        nonlocal best_x
+        merit, x = _solve_feasibility(spec, r, p, starts_at(best_x, n_random_later), history)
         if merit <= spec.feas_tol**2:
-            lo, best_x = mid, x
-        else:
-            hi = mid
+            best_x = x
+        return merit <= spec.feas_tol**2
+
+    lo, _ = _bisect(feasible, 0.0, R + LINEAR_BOUND_TOL, spec.r_tol)
 
     if lo <= MIN_POSITIVE_C:
         raise SearchFailure(

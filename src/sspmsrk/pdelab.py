@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .methods import MSRKMethod, _spijker_step, ssp_coefficient, ssprk33, to_spijker
+from .methods import MSRKMethod, _bisect, _spijker_step, ssp_coefficient, ssprk33, to_spijker
 
 __all__ = [
     "SemiDiscretization",
@@ -320,17 +320,17 @@ def run(
     return RunRecord(times=times, monitors=monitors, final_error=final_error, k=k)
 
 
+#: the monitor each property of ``max_stable_step`` reads
+_PROPERTY_MONITORS = {"tvd": "tv", "positivity": "min"}
+
+
 def _property_holds(record: RunRecord, prop: str) -> bool:
-    if prop == "tvd":
-        tv = record.monitors["tv"]
-        k = record.k
-        for n in range(k, len(tv)):
-            if tv[n] > max(tv[max(0, n - k) : n]) + MONOTONICITY_SLACK:
-                return False
-        return True
+    values = record.monitors[_PROPERTY_MONITORS[prop]]
     if prop == "positivity":
-        return all(v >= -MONOTONICITY_SLACK for v in record.monitors["min"])
-    raise ValueError(f"unknown property {prop!r}")
+        return all(v >= -MONOTONICITY_SLACK for v in values)
+    k = record.k
+    return not any(values[n] > max(values[max(0, n - k) : n]) + MONOTONICITY_SLACK
+                   for n in range(k, len(values)))
 
 
 def max_stable_step(
@@ -347,8 +347,11 @@ def max_stable_step(
     comparison against C*dt_fe is clean.  The default horizon
     max(0.125, 12*k*max(C, 1)*dt_fe) makes a run at the theoretical step
     C*dt_fe last at least 12*k steps; C*dt_fe is capped at 20*dt_fe, so
-    a method with C = inf gets a finite horizon.
+    a method with C = inf gets a finite horizon.  Raises ValueError,
+    before any run, when the problem has no monitor for ``prop``.
     """
+    if _PROPERTY_MONITORS.get(prop) not in problem.monitors:
+        raise ValueError(f"problem {problem.name!r} has no monitor for property {prop!r}")
     if resolution is None:
         resolution = 0.001 * problem.dt_fe
     if not 0.0 < resolution < math.inf:
@@ -371,17 +374,7 @@ def max_stable_step(
             return False
         return _property_holds(record, prop)
 
-    lo = 0.0
-    if passes(hi):
-        lo = hi
-    else:
-        # a bracket whose ends are neighbouring floats cannot shrink any more
-        while hi - lo > resolution and lo < 0.5 * (lo + hi) < hi:
-            mid = 0.5 * (lo + hi)
-            if passes(mid):
-                lo = mid
-            else:
-                hi = mid
+    lo, hi = (hi, hi) if passes(hi) else _bisect(passes, 0.0, hi, resolution)
 
     dx = problem.dx if problem.dx is not None else problem.dt_fe
     return StepSearchResult(

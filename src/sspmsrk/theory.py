@@ -19,7 +19,9 @@ from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
 from scipy.optimize import linprog
 
-from .methods import MSRKMethod, SpijkerForm, _degree_shift, _largest_feasible, _spijker_step
+from .methods import (
+    MSRKMethod, SpijkerForm, _bisect, _degree_shift, _largest_feasible, _spijker_step,
+)
 
 __all__ = [
     "StabilityPolynomials",
@@ -170,14 +172,8 @@ def linear_bound(s: int, k: int, p: int) -> float:
         raise ValueError("s, k and p must be at least 1")
     if not _linear_order_feasible(s, k, p, MIN_POSITIVE_C):
         return 0.0
-    lo, hi = MIN_POSITIVE_C, float(s)
-    while hi - lo > 0.1 * LINEAR_BOUND_TOL:
-        mid = 0.5 * (lo + hi)
-        if _linear_order_feasible(s, k, p, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(lambda r: _linear_order_feasible(s, k, p, r), MIN_POSITIVE_C, float(s),
+                   0.1 * LINEAR_BOUND_TOL)[0]
 
 
 def r_sk2(s: int, k: int) -> float:

@@ -1,5 +1,8 @@
+import contextlib
 import csv
 import dataclasses
+import io
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from sspmsrk import cli, optimizer, pdelab
 from sspmsrk.cli import (
     EXIT_INFEASIBLE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNCERTIFIED,
     EXIT_USAGE,
@@ -45,6 +49,15 @@ class TestGenSo2:
         method = read_method(out)
         assert (method.s, method.k) == (3, 2)
         assert "SO2(3,2)" in capsys.readouterr().out
+
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys):
+        # 1.4 EiB exceeds every address space, so the allocation fails at
+        # once even where the kernel overcommits memory without limit
+        code = main(["gen-so2", "--stages", str(10**17), "--steps", "2",
+                     "--out", str(tmp_path / "big.msrk")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
 
 
 class TestAnalyze:
@@ -269,6 +282,14 @@ class TestStepsearch:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {flag[2:]} must be positive and finite\n"
 
+    def test_problem_without_monitors_exits_2(self, tmp_path, ssprk33_file, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(pdelab, "run", _unreachable)
+        code = main(["stepsearch", "--problem", "vdp", "--method", ssprk33_file,
+                     "--out", str(tmp_path / "search.csv")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: problem 'vdp' has no monitor for property 'tvd'\n"
+
     def test_buckley_positivity_default_startup(self, tmp_path, so2_file):
         out = tmp_path / "search.csv"
         code = main(["stepsearch", "--problem", "buckley", "--method", so2_file,
@@ -327,6 +348,17 @@ class TestConvergence:
         slope = float(printed.split("slope:")[1].split()[0])
         assert slope == pytest.approx(3.0, abs=0.3)
 
+    def test_blow_up_exits_5(self, tmp_path, capsys):
+        # dt = 1000/14 is far past van der Pol's stable steps
+        path = tmp_path / "so2_22.msrk"
+        write_method(gen_second_order(2, 2), path)
+        code = main(["convergence", "--method", str(path), "--tf", "1000",
+                     "--out", str(tmp_path / "conv.csv")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite state at step ")
+        assert "Traceback" not in err
+
     def test_rows_for_each_method(self, tmp_path, ssprk33_file, so2_file, capsys):
         out = tmp_path / "conv.csv"
         code = main(["convergence", "--method", ssprk33_file, so2_file,
@@ -360,3 +392,69 @@ class TestTable1:
         assert main(["table1", *grid, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         assert "smax" in capsys.readouterr().err
+
+
+def _flag(lo, hi):
+    """A float flag: a bounded range plus 0, -1, nan and inf."""
+    return st.floats(lo, hi) | st.sampled_from([0.0, -1.0, math.nan, math.inf])
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Method files with one and two steps, and a path for outputs."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = [str(root / "ssprk33.msrk"), str(root / "so2_22.msrk")]
+    write_method(ssprk33(), paths[0])
+    write_method(gen_second_order(2, 2), paths[1])
+    return paths, str(root / "out")
+
+
+def _exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 1, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()
+
+
+class TestFuzzExitCodes:
+    """Any flag values end in an exit code of 0-5 with no traceback.  The
+    ranges keep each example's work small; a `run` takes at most 400 steps."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["advection", "buckley", "vdp"]), st.integers(0, 1),
+           _flag(1e-2, 1.0), _flag(0.0, 4.0), st.sampled_from([None, "exact", "rk3_substeps"]))
+    def test_run(self, fuzz_files, problem, method, dt, tf, startup):
+        paths, out = fuzz_files
+        _exits_cleanly(["run", f"--problem={problem}", f"--method={paths[method]}",
+                        f"--dt={dt}", f"--tf={tf}", f"--out={out}"]
+                       + ([f"--startup={startup}"] if startup else []))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["advection", "buckley", "vdp"]), st.integers(0, 1),
+           st.sampled_from(["tvd", "positivity", "both"]), st.none() | _flag(1e-6, 1e-3),
+           st.none() | _flag(1e-3, 0.25))
+    def test_stepsearch(self, fuzz_files, problem, method, prop, resolution, tf):
+        paths, out = fuzz_files
+        _exits_cleanly(["stepsearch", f"--problem={problem}", f"--method={paths[method]}",
+                        f"--property={prop}", f"--out={out}"]
+                       + ([f"--resolution={resolution}"] if resolution is not None else [])
+                       + ([f"--tf={tf}"] if tf is not None else []))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 1), _flag(1e-3, 64.0))
+    def test_convergence(self, fuzz_files, method, tf):
+        paths, out = fuzz_files
+        _exits_cleanly(["convergence", f"--method={paths[method]}", f"--tf={tf}",
+                        f"--out={out}"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-2, 20), st.integers(-2, 10))
+    def test_table1(self, fuzz_files, smax, kmax):
+        _exits_cleanly(["table1", f"--smax={smax}", f"--kmax={kmax}", f"--out={fuzz_files[1]}"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-2, 16), st.integers(-2, 16))
+    def test_gen_so2(self, fuzz_files, stages, steps):
+        _exits_cleanly(["gen-so2", f"--stages={stages}", f"--steps={steps}",
+                        f"--out={fuzz_files[1]}"])

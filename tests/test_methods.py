@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sspmsrk.methods import (
     MethodStructureError,
     MSRKMethod,
+    _bisect,
     canonical,
     forward_euler,
     ssp_coefficient,
@@ -177,6 +178,28 @@ class TestSSPCoefficient:
         m = MSRKMethod(s=2, k=1, D=[[1.0], [1.0]], Ahat=np.zeros((2, 0)),
                        A=np.zeros((2, 2)), theta=[1.0], bhat=[], b=b)
         assert ssp_coefficient(to_spijker(m)) == pytest.approx(expected, rel=1e-9, abs=1e-8)
+
+
+class TestBisect:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(0.0, 1e6, exclude_min=True), st.floats(0.0, 1.0),
+           st.just(0.0) | st.floats(0.0, 1e3))
+    def test_bracket_keeps_its_ends_and_ends_tight(self, lo, width, frac, tol):
+        # passes(x) is x <= t with lo <= t < hi
+        hi = lo + width
+        t = lo + frac * (hi - lo)
+        assume(lo <= t < hi)
+        bracket = [lo, hi]
+
+        def passes(x):
+            assert bracket[0] < x < bracket[1]
+            bracket[0 if x <= t else 1] = x
+            return x <= t
+
+        a, b = _bisect(passes, lo, hi, tol)
+        assert [a, b] == bracket
+        assert a <= t < b
+        assert b - a <= tol or b == np.nextafter(a, np.inf)
 
 
 class TestAbscissae:

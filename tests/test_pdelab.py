@@ -229,6 +229,18 @@ class TestMaxStableStep:
         assert res.dt_max == 0.3 * problem.dt_fe
         assert len(steps) < 70
 
+    @pytest.mark.parametrize("problem, prop", [
+        (vdp_problem, "tvd"), (vdp_problem, "positivity"), (advection_upwind, "entropy"),
+    ])
+    def test_property_without_monitor_rejected_before_any_run(self, monkeypatch, problem,
+                                                              prop):
+        # van der Pol has no monitors; an unknown property has none on any problem
+        monkeypatch.setattr(pdelab, "run", _unreachable)
+        problem = problem()
+        with pytest.raises(ValueError, match=f"problem '{problem.name}' has no monitor for "
+                                             f"property '{prop}'"):
+            max_stable_step(problem, ssprk33(), prop)
+
     def test_unknown_property_rejected(self):
         with pytest.raises(ValueError):
             max_stable_step(advection_upwind(), forward_euler(), prop="entropy")
