@@ -3,10 +3,12 @@
 The problems are the van der Pol oscillator, first-order upwind
 advection of a step function, and a flux-limited Buckley-Leverett
 scheme.  Van der Pol errors are measured against DOP853 dense output
-at rtol = atol = 1e-13 (scipy's ``solve_ivp``).  Runs record convex
-monitor values (total variation, minimum entry) at every accepted step;
-a bisection search over the step size locates the largest step for
-which a monotonicity property holds over a whole run.
+at rtol = atol = 1e-13 (scipy's ``solve_ivp``) up to t = VDP_MAX_HORIZON.
+Runs record convex monitor values (total variation, minimum entry) at
+every accepted step.  A bisection search over the step size locates the
+largest step for which a monotonicity property holds over a whole run;
+each probe reads only its property's monitor and stops at the first
+violating step.
 """
 
 from __future__ import annotations
@@ -38,6 +40,21 @@ __all__ = [
 ]
 
 MONOTONICITY_SLACK = 1e-12
+#: the van der Pol reference ends here; DOP853 takes about 0.7 s to reach it
+VDP_MAX_HORIZON = 1024.0
+
+
+def _forward_diff(u: NDArray) -> NDArray:
+    """u_{j+1} - u_j on a periodic grid."""
+    d = np.empty_like(u)
+    np.subtract(u[1:], u[:-1], out=d[:-1])
+    np.subtract(u[:1], u[-1:], out=d[-1:])
+    return d
+
+
+def _shift_right(d: NDArray) -> NDArray:
+    """d_{j-1} on a periodic grid; of a forward difference, the backward one."""
+    return np.concatenate((d[-1:], d[:-1]))
 
 
 def tv_seminorm(u: NDArray) -> float:
@@ -45,7 +62,7 @@ def tv_seminorm(u: NDArray) -> float:
     u = np.asarray(u, dtype=float)
     if u.size == 0:
         raise ValueError("u must be nonempty")
-    return float(np.abs(np.diff(u, append=u[0])).sum())
+    return float(np.abs(_forward_diff(u)).sum())
 
 
 def positivity_min(u: NDArray) -> float:
@@ -186,6 +203,9 @@ def vdp_problem(eps: float = 10.0, u0=(0.5, 0.0)) -> SemiDiscretization:
     u0 = tuple(float(x) for x in u0)
 
     def exact(t: float) -> NDArray:
+        if not t <= VDP_MAX_HORIZON:
+            raise ValueError(f"the van der Pol reference ends at t = {VDP_MAX_HORIZON:g}; "
+                             f"t = {t:g} is past it")
         # the horizon, the smallest 4*2^m >= t, depends on t alone, and so does u(t)
         return _vdp_reference(eps, u0, 4.0 * 2.0 ** math.ceil(math.log2(max(t / 4.0, 1.0))))(t)
 
@@ -211,7 +231,7 @@ def advection_upwind(N: int = 101) -> SemiDiscretization:
         return np.where((y >= 0.0) & (y <= 0.5), 1.0, 0.0)
 
     def rhs(u):
-        return -(u - np.roll(u, 1)) / dx
+        return _shift_right(_forward_diff(u)) / -dx  # -(u_j - u_{j-1})/dx
 
     def exact(t):
         return ic(x - t)
@@ -231,8 +251,9 @@ def buckley_leverett(N: int = 100, a: float = 1.0 / 3.0) -> SemiDiscretization:
     """Buckley-Leverett flux with a Koren-limited conservative upwind scheme.
 
     f(u) = u^2 / (u^2 + a(1-u)^2) is nondecreasing on [0, 1], so the
-    interface flux uses the limited left value.  Forward Euler is TVD up
-    to dt_fe = dx/4.
+    interface flux uses the limited left value.  ``dt_fe = dx/4`` is
+    nominal: max f' exceeds 2, so forward Euler is TVD only up to
+    (2/max f')*dx/4, about 0.9067*dx/4 at a = 1/3.
     """
     if N < 3:
         raise ValueError("N must be at least 3")
@@ -248,13 +269,11 @@ def buckley_leverett(N: int = 100, a: float = 1.0 / 3.0) -> SemiDiscretization:
     eps_den = 1e-14
 
     def rhs(u):
-        du = np.roll(u, -1) - u  # u_{j+1} - u_j
-        du_prev = u - np.roll(u, 1)  # u_j - u_{j-1}
-        theta = np.where(np.abs(du) > eps_den, du_prev / np.where(du == 0.0, 1.0, du), 0.0)
-        phi = np.where(np.abs(du) > eps_den, _koren_phi(theta), 0.0)
-        u_face = u + 0.5 * phi * du  # left value at interface j+1/2
-        F = flux(u_face)
-        return -(F - np.roll(F, 1)) / dx
+        du = _forward_diff(u)  # u_{j+1} - u_j
+        # smoothness ratio, 0 where |du| is tiny; _koren_phi(0) = 0 limits those faces
+        theta = np.divide(_shift_right(du), du, out=np.zeros_like(du), where=np.abs(du) > eps_den)
+        u_face = u + 0.5 * _koren_phi(theta) * du  # left value at interface j+1/2
+        return _shift_right(_forward_diff(flux(u_face))) / -dx  # -(F_{j+1/2} - F_{j-1/2})/dx
 
     return SemiDiscretization(
         name="buckley", dim=N, rhs=rhs, dt_fe=dx / 4.0, u0=u0,
@@ -284,14 +303,28 @@ def run(
     k = method.k
     if tf <= (k - 1) * dt:
         raise ValueError("tf must exceed the startup interval (k-1)*dt")
+    times = []
+    monitors = {name: [] for name in problem.monitors}
+    for t, u in _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
+        times.append(t)
+        for name, fn in problem.monitors.items():
+            monitors[name].append(fn(u))
+    final_error = None
+    if problem.exact is not None:
+        final_error = float(np.linalg.norm(u - problem.exact(t)))
+    return RunRecord(times=times, monitors=monitors, final_error=final_error, k=k)
 
+
+def _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
+    """(t, u) for each startup state, then for each accepted step of ``run``."""
+    k = method.k
+    start = startup(problem, dt, k, method.claimed_order, startup_mode)
+    for j, u in enumerate(start):
+        yield j * dt, u
     # (k, dim) histories, shifted in place after each step
-    states = np.array(startup(problem, dt, k, method.claimed_order, startup_mode))
+    states = np.array(start)
     rhs_vals = np.array([problem.rhs(u) for u in states])
-    times = [j * dt for j in range(k)]
-    monitors = {name: [fn(u) for u in states] for name, fn in problem.monitors.items()}
-
-    t = times[-1]
+    t = (k - 1) * dt
     step_index = 0
     while t < tf - 1e-12:
         h = dt
@@ -310,27 +343,24 @@ def run(
         states[-1] = u_next
         rhs_vals[:-1] = rhs_vals[1:]
         rhs_vals[-1] = problem.rhs(u_next)
-        times.append(t)
-        for name, fn in problem.monitors.items():
-            monitors[name].append(fn(u_next))
-
-    final_error = None
-    if problem.exact is not None:
-        final_error = float(np.linalg.norm(states[-1] - problem.exact(t)))
-    return RunRecord(times=times, monitors=monitors, final_error=final_error, k=k)
+        yield t, u_next
 
 
 #: the monitor each property of ``max_stable_step`` reads
 _PROPERTY_MONITORS = {"tvd": "tv", "positivity": "min"}
 
 
+def _violates(values: list[float], n: int, prop: str, k: int) -> bool:
+    """Whether state n breaks the property: positivity at every state; TVD
+    from the first full step on, against the max over the k states before."""
+    if prop == "positivity":
+        return not values[n] >= -MONOTONICITY_SLACK
+    return n >= k and values[n] > max(values[n - k : n]) + MONOTONICITY_SLACK
+
+
 def _property_holds(record: RunRecord, prop: str) -> bool:
     values = record.monitors[_PROPERTY_MONITORS[prop]]
-    if prop == "positivity":
-        return all(v >= -MONOTONICITY_SLACK for v in values)
-    k = record.k
-    return not any(values[n] > max(values[max(0, n - k) : n]) + MONOTONICITY_SLACK
-                   for n in range(k, len(values)))
+    return not any(_violates(values, n, prop, record.k) for n in range(len(values)))
 
 
 def max_stable_step(
@@ -344,11 +374,13 @@ def max_stable_step(
     """Largest dt for which the property holds at every step of a full run.
 
     Bisection over [0, 20*dt_fe]; runs use only full steps so the
-    comparison against C*dt_fe is clean.  The default horizon
-    max(0.125, 12*k*max(C, 1)*dt_fe) makes a run at the theoretical step
-    C*dt_fe last at least 12*k steps; C*dt_fe is capped at 20*dt_fe, so
-    a method with C = inf gets a finite horizon.  Raises ValueError,
-    before any run, when the problem has no monitor for ``prop``.
+    comparison against C*dt_fe is clean.  A probe reads only the
+    monitor of ``prop`` and stops at the first step that violates it.
+    The default horizon max(0.125, 12*k*max(C, 1)*dt_fe) makes a run at
+    the theoretical step C*dt_fe last at least 12*k steps; C*dt_fe is
+    capped at 20*dt_fe, so a method with C = inf gets a finite horizon.
+    Raises ValueError, before any run, when the problem has no monitor
+    for ``prop``.
     """
     if _PROPERTY_MONITORS.get(prop) not in problem.monitors:
         raise ValueError(f"problem {problem.name!r} has no monitor for property {prop!r}")
@@ -363,16 +395,20 @@ def max_stable_step(
     if tf is None:
         tf = max(0.125, 12.0 * method.k * min(max(C, 1.0) * problem.dt_fe, hi))
 
+    monitor = problem.monitors[_PROPERTY_MONITORS[prop]]
+
     def passes(dt: float) -> bool:
         if method.k * dt > tf:  # horizon too short for startup plus one full step
             return False
+        values = []
         try:
-            record = run(problem, method, dt, tf, startup_mode, truncate_final=False)
+            for _, u in _trajectory(problem, method, dt, tf, startup_mode, truncate_final=False):
+                values.append(monitor(u))
+                if _violates(values, len(values) - 1, prop, method.k):
+                    return False
         except RunAbortedError:
             return False
-        if len(record.times) <= method.k:
-            return False
-        return _property_holds(record, prop)
+        return len(values) > method.k
 
     lo, hi = (hi, hi) if passes(hi) else _bisect(passes, 0.0, hi, resolution)
 

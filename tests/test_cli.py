@@ -5,6 +5,7 @@ import io
 import math
 
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,7 +277,7 @@ class TestStepsearch:
                                              ("--tf", "nan")])
     def test_bad_resolution_or_horizon_exits_2(self, tmp_path, ssprk33_file, capsys,
                                                monkeypatch, flag, value):
-        monkeypatch.setattr(pdelab, "run", _unreachable)
+        monkeypatch.setattr(pdelab, "startup", _unreachable)
         code = main(["stepsearch", "--problem", "advection", "--method", ssprk33_file,
                      flag, value, "--out", str(tmp_path / "search.csv")])
         assert code == EXIT_USAGE
@@ -284,7 +285,7 @@ class TestStepsearch:
 
     def test_problem_without_monitors_exits_2(self, tmp_path, ssprk33_file, capsys,
                                               monkeypatch):
-        monkeypatch.setattr(pdelab, "run", _unreachable)
+        monkeypatch.setattr(pdelab, "startup", _unreachable)
         code = main(["stepsearch", "--problem", "vdp", "--method", ssprk33_file,
                      "--out", str(tmp_path / "search.csv")])
         assert code == EXIT_USAGE
@@ -357,6 +358,20 @@ class TestConvergence:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: non-finite state at step ")
+        assert "Traceback" not in err
+
+    def test_horizon_past_the_reference_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the startup sample u(1e300/14) is past the reference's cap, so
+        # DOP853 never starts on it
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
+        path = tmp_path / "so2_22.msrk"
+        write_method(gen_second_order(2, 2), path)
+        code = main(["convergence", "--method", str(path), "--tf", "1e300",
+                     "--out", str(tmp_path / "conv.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the van der Pol reference ends at t = "
+                              f"{pdelab.VDP_MAX_HORIZON:g}")
         assert "Traceback" not in err
 
     def test_rows_for_each_method(self, tmp_path, ssprk33_file, so2_file, capsys):
@@ -442,7 +457,7 @@ class TestFuzzExitCodes:
                        + ([f"--tf={tf}"] if tf is not None else []))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 1), _flag(1e-3, 64.0))
+    @given(st.integers(0, 1), _flag(1e-3, 1e300))
     def test_convergence(self, fuzz_files, method, tf):
         paths, out = fuzz_files
         _exits_cleanly(["convergence", f"--method={paths[method]}", f"--tf={tf}",

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from sspmsrk import pdelab
 from sspmsrk.methods import MSRKMethod, forward_euler, ssp_coefficient, ssprk33, to_spijker
 from sspmsrk.orderlab import convergence_order
 from sspmsrk.pdelab import (
-    RunRecord,
+    MONOTONICITY_SLACK,
+    VDP_MAX_HORIZON,
     advection_upwind,
     buckley_leverett,
     max_stable_step,
@@ -24,6 +29,61 @@ from sspmsrk.theory import gen_second_order
 
 def _unreachable(*args, **kwargs):
     pytest.fail("an invalid argument reached the stepping loop")
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# the np.roll formulas the right-hand sides and the TV monitor were first written with
+def _roll_tv(u):
+    return float(np.abs(np.diff(u, append=u[0])).sum())
+
+
+def _roll_advection_rhs(u, dx):
+    return -(u - np.roll(u, 1)) / dx
+
+
+def _roll_buckley_rhs(u, dx, a=1.0 / 3.0):
+    du = np.roll(u, -1) - u
+    du_prev = u - np.roll(u, 1)
+    theta = np.where(np.abs(du) > 1e-14, du_prev / np.where(du == 0.0, 1.0, du), 0.0)
+    phi = np.where(np.abs(du) > 1e-14, pdelab._koren_phi(theta), 0.0)
+    u_face = u + 0.5 * phi * du
+    F = u_face**2 / (u_face**2 + a * (1.0 - u_face) ** 2)
+    return -(F - np.roll(F, 1)) / dx
+
+
+# the property rule as it was first written, one branch per property
+def _two_branch_holds(values, prop, k):
+    if prop == "positivity":
+        return all(v >= -MONOTONICITY_SLACK for v in values)
+    return not any(values[n] > max(values[max(0, n - k) : n]) + MONOTONICITY_SLACK
+                   for n in range(k, len(values)))
+
+
+# entries whose neighbours are equal, differ by 1e-14 or by a float either
+# side of it, or differ by a rounded amount; zeros of both signs; negatives
+_near_tol = [1e-14, np.nextafter(1e-14, 0.0), np.nextafter(1e-14, 1.0), 2e-14]
+_entries = (st.builds(lambda base, off: base + off,
+                      st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -0.5]),
+                      st.sampled_from([0.0, -0.0] + _near_tol + [-d for d in _near_tol]))
+            | st.floats(-2.0, 2.0))
+_states = st.lists(_entries, min_size=3, max_size=40).map(np.array)
+
+
+class TestRollFreeRewrite:
+    """The right-hand sides and the TV monitor give the bits of the np.roll formulas."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_states)
+    def test_same_bits_as_roll_formulas(self, u):
+        dx = 1.0 / u.size
+        with np.errstate(all="ignore"):
+            assert _same_bits(tv_seminorm(u), _roll_tv(u))
+            assert _same_bits(advection_upwind(u.size).rhs(u), _roll_advection_rhs(u, dx))
+            assert _same_bits(buckley_leverett(u.size).rhs(u), _roll_buckley_rhs(u, dx))
 
 
 class TestMonitors:
@@ -206,8 +266,8 @@ class TestMaxStableStep:
         dict(resolution=-1e-3), dict(tf=np.nan), dict(tf=0.0), dict(tf=np.inf), dict(tf=-1.0),
     ])
     def test_non_finite_or_zero_resolution_and_horizon_rejected(self, monkeypatch, kwargs):
-        # a missing check fails at the first run instead of bisecting forever
-        monkeypatch.setattr(pdelab, "run", _unreachable)
+        # a missing check fails at the first probe's startup instead of bisecting forever
+        monkeypatch.setattr(pdelab, "startup", _unreachable)
         with pytest.raises(ValueError, match="must be positive and finite"):
             max_stable_step(advection_upwind(), ssprk33(), "tvd", **kwargs)
 
@@ -217,14 +277,15 @@ class TestMaxStableStep:
         problem = advection_upwind()
         steps = []
 
-        def fake_run(problem, method, dt, tf, startup_mode, truncate_final):
+        def fake_trajectory(problem, method, dt, tf, startup_mode, truncate_final):
             steps.append(dt)
             if len(steps) > 200:
                 pytest.fail("the bisection did not end")
-            tv = [1.0, 1.0 if dt <= 0.3 * problem.dt_fe else 2.0]
-            return RunRecord(times=[0.0, dt], monitors={"tv": tv, "min": [0.0, 0.0]})
+            # total variation 1, then 1 or 2
+            yield 0.0, np.array([0.0, 0.5])
+            yield dt, np.array([0.0, 0.5 if dt <= 0.3 * problem.dt_fe else 1.0])
 
-        monkeypatch.setattr(pdelab, "run", fake_run)
+        monkeypatch.setattr(pdelab, "_trajectory", fake_trajectory)
         res = max_stable_step(problem, ssprk33(), "tvd", resolution=1e-300)
         assert res.dt_max == 0.3 * problem.dt_fe
         assert len(steps) < 70
@@ -235,7 +296,7 @@ class TestMaxStableStep:
     def test_property_without_monitor_rejected_before_any_run(self, monkeypatch, problem,
                                                               prop):
         # van der Pol has no monitors; an unknown property has none on any problem
-        monkeypatch.setattr(pdelab, "run", _unreachable)
+        monkeypatch.setattr(pdelab, "startup", _unreachable)
         problem = problem()
         with pytest.raises(ValueError, match=f"problem '{problem.name}' has no monitor for "
                                              f"property '{prop}'"):
@@ -262,6 +323,42 @@ class TestMaxStableStep:
         assert res.theoretical == np.inf
         assert res.dt_max == 20.0 * problem.dt_fe
 
+    def test_failing_probe_stops_at_first_violation(self, monkeypatch):
+        # at 20*dt_fe SSPRK(3,3) breaks TVD on the first step; a full run
+        # at that dt takes every step of the horizon
+        problem, method, tf = advection_upwind(), ssprk33(), 2.0
+        dt = 20.0 * problem.dt_fe
+        record = run(problem, method, dt, tf, truncate_final=False)
+        tv = record.monitors["tv"]
+        first = next(n for n in range(len(tv)) if not _two_branch_holds(tv[: n + 1], "tvd", 1))
+        probe_steps = []
+
+        def counting(method, history, history_rhs, rhs, h):
+            probe_steps.append(h)
+            return msrk_step(method, history, history_rhs, rhs, h)
+
+        monkeypatch.setattr(pdelab, "msrk_step", counting)
+        max_stable_step(problem, method, "tvd", tf=tf)
+        assert probe_steps.count(dt) == first - method.k + 1
+        assert probe_steps.count(dt) < len(record.times) - method.k
+
+    @pytest.mark.parametrize("prop, other", [("tvd", "min"), ("positivity", "tv")])
+    def test_probe_reads_only_its_own_monitor(self, prop, other):
+        problem = advection_upwind()
+        expected = max_stable_step(problem, ssprk33(), prop)
+        blind = dataclasses.replace(problem, monitors={**problem.monitors, other: _unreachable})
+        assert max_stable_step(blind, ssprk33(), prop) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.sampled_from(["tvd", "positivity"]),
+       st.lists(st.sampled_from([-1.0, -2e-12, -1e-12, 0.0, 1e-12, 2e-12, 0.5, 1.0])
+                | st.floats(-1.0, 2.0), max_size=30))
+def test_property_rule_matches_two_branch_formula(k, prop, values):
+    record = pdelab.RunRecord(times=[0.0] * len(values),
+                              monitors={"tv": values, "min": values}, k=k)
+    assert pdelab._property_holds(record, prop) == _two_branch_holds(values, prop, k)
+
 
 class TestConvergence:
     def test_studies_share_the_reference(self, monkeypatch):
@@ -287,6 +384,13 @@ class TestConvergence:
         pdelab._vdp_reference.cache_clear()
         exact(9.0)
         assert np.array_equal(exact(0.71), alone)
+
+    @pytest.mark.parametrize("t", [2.0 * VDP_MAX_HORIZON, 1e299, np.inf, np.nan])
+    def test_reference_past_its_horizon_rejected(self, monkeypatch, t):
+        # a time past the cap fails before DOP853 integrates anything
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
+        with pytest.raises(ValueError, match=f"ends at t = {VDP_MAX_HORIZON:g}"):
+            vdp_problem(eps=6.5).exact(t)
 
     def test_ssprk33_order_three_on_vdp(self):
         errors = vdp_convergence_study(ssprk33(), tf=2.0, Ns=(15, 19, 23, 27, 31))
