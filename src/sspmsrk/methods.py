@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -162,6 +163,38 @@ def validate(method: MSRKMethod) -> ValidationReport:
     return ValidationReport(v)
 
 
+@lru_cache(maxsize=None)
+def _spijker_layout(s: int, k: int) -> tuple[dict[str, NDArray], NDArray]:
+    """Where the Spijker form of an (s, k) method keeps its coefficients.
+
+    Positions are flat indices into [S | T], S's n*k entries row by row
+    and then T's n*n, n = k + s: one index array per coefficient array,
+    shaped like it, in ``_coefficient_shapes`` order.  Also returns the
+    flat [S | T] of the fixed part, the identity block S[:k-1, :k-1],
+    with zeros elsewhere.  Every array is read-only.
+    """
+    n = k + s
+    S = np.arange(n * k).reshape(n, k)
+    T = np.arange(n * k, n * (k + n)).reshape(n, n)
+    stages = slice(k - 1, k - 1 + s)
+    where = {"D": S[stages], "Ahat": T[stages, : k - 1], "A": T[stages, stages],
+             "theta": S[n - 1], "bhat": T[n - 1, : k - 1], "b": T[n - 1, stages]}
+    fixed = np.zeros(n * (k + n))
+    fixed[np.diagonal(S)[: k - 1]] = 1.0
+    for arr in (*where.values(), fixed):
+        arr.setflags(write=False)
+    return where, fixed
+
+
+def _spijker_from_flat(ST: NDArray, s: int, k: int) -> SpijkerForm:
+    """The form whose S and T are views of a flat [S | T] array (see
+    :func:`_spijker_layout`); leading axes make a stack."""
+    n = k + s
+    lead = ST.shape[:-1]
+    return SpijkerForm(S=ST[..., : n * k].reshape(lead + (n, k)),
+                       T=ST[..., n * k :].reshape(lead + (n, n)), k=k, s=s)
+
+
 def to_spijker(method: MSRKMethod) -> SpijkerForm:
     """Assemble the block matrices S ((k+s) x k) and T ((k+s) x (k+s)).
 
@@ -176,23 +209,12 @@ def to_spijker(method: MSRKMethod) -> SpijkerForm:
         raise MethodStructureError(report.violations[0])
 
     s, k = method.s, method.k
-    n = k + s
-    lead = method.b.shape[:-1]
-
-    S = np.zeros(lead + (n, k))
-    S[..., : k - 1, : k - 1] = np.eye(k - 1)
-    S[..., k - 1 : k - 1 + s, :] = method.D
-    S[..., n - 1, :] = method.theta
-
-    T = np.zeros(lead + (n, n))
-    T[..., k - 1 : k - 1 + s, : k - 1] = method.Ahat
-    T[..., k - 1 : k - 1 + s, k - 1 : k - 1 + s] = method.A
-    T[..., n - 1, : k - 1] = method.bhat
-    T[..., n - 1, k - 1 : k - 1 + s] = method.b
-
-    S.setflags(write=False)
-    T.setflags(write=False)
-    sp = SpijkerForm(S=S, T=T, k=k, s=s)
+    where, fixed = _spijker_layout(s, k)
+    ST = np.tile(fixed, method.b.shape[:-1] + (1,))
+    for key, pos in where.items():
+        ST[..., pos] = getattr(method, key)
+    ST.setflags(write=False)
+    sp = _spijker_from_flat(ST, s, k)
     object.__setattr__(method, "_spijker", sp)
     return sp
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
 from .methods import (
-    MSRKMethod, _bisect, _coefficient_shapes, canonical, ssp_coefficient, to_spijker, validate,
+    MethodStructureError, MSRKMethod, SpijkerForm, _bisect, _coefficient_shapes, _feasible,
+    _spijker_from_flat, _spijker_layout, canonical, ssp_coefficient, to_spijker, validate,
 )
 from .orderlab import MAX_ORACLE_ORDER, oracle_order, order_residual_vector
 from .theory import LINEAR_BOUND_TOL, MIN_POSITIVE_C, gen_second_order, linear_bound
@@ -95,7 +96,7 @@ def _free_entries(s: int, k: int) -> dict[str, NDArray]:
 
 
 def free_parameter_count(s: int, k: int) -> int:
-    return sum(np.count_nonzero(mask) for mask in _free_entries(s, k).values())
+    return int(sum(np.count_nonzero(mask) for mask in _free_entries(s, k).values()))
 
 
 def pack(method: MSRKMethod) -> NDArray:
@@ -106,6 +107,53 @@ def pack(method: MSRKMethod) -> NDArray:
     return np.concatenate([getattr(method, key)[..., mask] for key, mask in masks.items()], -1)
 
 
+class _Plan(NamedTuple):
+    """How a vector x of free coordinates fills the flat Spijker form
+    [S | T] of an (s, k) method (see ``methods._spijker_layout``)."""
+
+    #: [S | T] of the fixed identity block, zeros elsewhere
+    fixed: NDArray
+    #: position of each free coordinate, in :func:`pack` order
+    free: NDArray
+    #: positions of D's last column and theta's last entry ...
+    last: NDArray
+    #: ... and, one row each, of the entries each is one minus the sum of
+    rest: NDArray
+    #: gather order of the coefficient-bound rows -D, D-1, -theta, theta-1, -A, -Ahat, -b, -bhat
+    bounds: NDArray
+    #: True on the rows x - 1 of an upper bound, False on the rows -x
+    upper: NDArray
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(s: int, k: int) -> _Plan:
+    where, fixed = _spijker_layout(s, k)
+    D, theta = where["D"], where["theta"]
+    rows = [(D, False), (D, True), (theta, False), (theta, True)]
+    rows += [(where[key], False) for key in ("A", "Ahat", "b", "bhat")]
+    plan = _Plan(
+        fixed=fixed,
+        free=np.concatenate([where[key][mask] for key, mask in _free_entries(s, k).items()]),
+        last=np.append(D[:, -1], theta[-1]),
+        rest=np.vstack([D[:, :-1], theta[:-1]]),
+        bounds=np.concatenate([pos.ravel() for pos, _ in rows]),
+        upper=np.concatenate([np.full(pos.size, up) for pos, up in rows]),
+    )
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _scatter(x: NDArray, s: int, k: int) -> NDArray:
+    """The flat [S | T] of x, one row per point of a stack; D's rows and
+    theta regain sum 1 through their last entry."""
+    plan = _plan(s, k)
+    ST = np.tile(plan.fixed, x.shape[:-1] + (1,))
+    ST[..., plan.free] = x
+    ST[..., plan.last] = 1.0 - ST[..., plan.rest].sum(axis=-1)
+    return ST
+
+
 def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int = 1) -> MSRKMethod:
     """Inverse of :func:`pack`; D rows and theta regain sum 1 via their
     last entry, so any vector of the right length yields a consistent
@@ -114,15 +162,24 @@ def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int 
     n = free_parameter_count(s, k)
     if x.shape[-1:] != (n,):
         raise ValueError(f"expected {n} free parameters for (s={s}, k={k}), got shape {x.shape}")
-    arrays, pos = {}, 0
-    for key, mask in _free_entries(s, k).items():
-        size = np.count_nonzero(mask)
-        arrays[key] = np.zeros(x.shape[:-1] + mask.shape)
-        arrays[key][..., mask] = x[..., pos : pos + size]
-        pos += size
-    for key in ("D", "theta"):
-        arrays[key][..., -1] = 1.0 - arrays[key][..., :-1].sum(axis=-1)
+    ST = _scatter(x, s, k)
+    arrays = {key: ST[..., pos] for key, pos in _spijker_layout(s, k)[0].items()}
     return MSRKMethod(s=s, k=k, **arrays, name=name, claimed_order=claimed_order)
+
+
+def _residuals(sp: SpijkerForm, r: float, p: int):
+    """:func:`constraint_residuals` of a method's Spijker form."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    eq = order_residual_vector(sp, p)
+    cf = canonical(sp, r)
+    lead = sp.S.shape[:-2]
+    plan = _plan(sp.s, sp.k)
+    coef = np.concatenate([sp.S.reshape(lead + (-1,)), sp.T.reshape(lead + (-1,))],
+                          axis=-1)[..., plan.bounds]
+    ineq = np.concatenate([-cf.P.reshape(lead + (-1,)), -cf.R.reshape(lead + (-1,)),
+                           np.where(plan.upper, coef - 1.0, -coef)], axis=-1)
+    return eq, ineq
 
 
 def constraint_residuals(method: MSRKMethod, r: float, p: int):
@@ -133,21 +190,18 @@ def constraint_residuals(method: MSRKMethod, r: float, p: int):
     0 <= D <= 1, 0 <= theta <= 1, and nonnegativity of A, Ahat, b, bhat.
     A stack of methods gives one row of each per member.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    eq = order_residual_vector(method, p)
-    cf = canonical(to_spijker(method), r)
-    lead = method.b.shape[:-1]
-    ineq = np.concatenate([a.reshape(lead + (-1,)) for a in (
-        -cf.P, -cf.R, -method.D, method.D - 1.0, -method.theta, method.theta - 1.0,
-        -method.A, -method.Ahat, -method.b, -method.bhat,
-    )], axis=-1)
-    return eq, ineq
+    return _residuals(to_spijker(method), r, p)
 
 
 def _merit_residuals(x, s, k, r, p):
-    """Merit residuals at x, or one row per point of a stack x of shape (B, n)."""
-    eq, ineq = constraint_residuals(unpack(x, s, k), r, p)
+    """Merit residuals at x, or one row per point of a stack x of shape (B, n).
+
+    x goes straight into the Spijker form, whose structure holds by
+    construction, so no method is built or validated.
+    """
+    if not np.isfinite(x).all():
+        raise MethodStructureError("coefficients must be finite")
+    eq, ineq = _residuals(_spijker_from_flat(_scatter(x, s, k), s, k), r, p)
     return np.concatenate([eq, np.maximum(0.0, ineq)], axis=-1)
 
 
@@ -280,11 +334,15 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
     n_random_later = min(spec.starts, 3)
 
     def feasible(r):
+        # a merit within feas_tol**2 can hide violations that leave the method short of r;
+        # accept r only when the method reaches it, with the slack that `certified` allows
         nonlocal best_x
         merit, x = _solve_feasibility(spec, r, p, starts_at(best_x, n_random_later), history)
-        if merit <= spec.feas_tol**2:
+        ok = (merit <= spec.feas_tol**2
+              and _feasible(to_spijker(unpack(x, s, k)), max(0.0, r - 1e-6)))
+        if ok:
             best_x = x
-        return merit <= spec.feas_tol**2
+        return ok
 
     lo, _ = _bisect(feasible, 0.0, R + LINEAR_BOUND_TOL, spec.r_tol)
 

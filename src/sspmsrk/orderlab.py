@@ -15,7 +15,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .methods import MSRKMethod
+from .methods import MSRKMethod, SpijkerForm
 from .series import bushy_trees, elementary_weights, rooted_trees
 
 __all__ = ["stage_order", "oracle_order", "order_residual_vector", "convergence_order"]
@@ -27,8 +27,9 @@ ORDER_TOL = 1e-9
 STAGE_TOL = 1e-10
 
 
-def _bushy_defects(method: MSRKMethod, N: int) -> tuple[NDArray, NDArray]:
-    """Defects of the bushy trees b_1..b_N, each divided by (j-1)!.
+def _bushy_defects(method: MSRKMethod | SpijkerForm, N: int) -> tuple[NDArray, NDArray]:
+    """Defects of the bushy trees b_1..b_N, each divided by (j-1)!, of a
+    method or of its Spijker form.
 
     Returns the step value's Phi(b_j) - 1/j, shaped (..., N), and the
     stages' Phi_i(b_j) - c_i^j / j, shaped (..., s, N): the negated
@@ -68,8 +69,9 @@ def oracle_order(method: MSRKMethod, pmax: int = 8, seed: int = 2718) -> int:
     return int(failed.min()) - 1 if failed.size else pmax
 
 
-def order_residual_vector(method: MSRKMethod, p: int) -> NDArray:
-    """Equality constraints for order p, as one flat residual vector.
+def order_residual_vector(method: MSRKMethod | SpijkerForm, p: int) -> NDArray:
+    """Equality constraints for order p, as one flat residual vector, of a
+    method or of its Spijker form.
 
     Concatenates the tree residuals Phi(t) - 1/gamma(t) for |t| <= p and
     the stage defects of the bushy trees b_j for 2 <= j <= floor((p-1)/2),

@@ -303,6 +303,8 @@ def run(
     k = method.k
     if tf <= (k - 1) * dt:
         raise ValueError("tf must exceed the startup interval (k-1)*dt")
+    # a truncated run ends at tf: an exact solution that cannot reach it fails before any step
+    exact_tf = problem.exact(tf) if problem.exact is not None and truncate_final else None
     times = []
     monitors = {name: [] for name in problem.monitors}
     for t, u in _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
@@ -311,7 +313,8 @@ def run(
             monitors[name].append(fn(u))
     final_error = None
     if problem.exact is not None:
-        final_error = float(np.linalg.norm(u - problem.exact(t)))
+        u_exact = exact_tf if truncate_final and t == tf else problem.exact(t)
+        final_error = float(np.linalg.norm(u - u_exact))
     return RunRecord(times=times, monitors=monitors, final_error=final_error, k=k)
 
 

@@ -15,17 +15,17 @@ stage's own weight Phi_i(t), so the stages' weights come out too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .methods import MSRKMethod, _spijker_step, to_spijker
+from .methods import MSRKMethod, SpijkerForm, _spijker_step, to_spijker
 
 __all__ = ["RootedTrees", "rooted_trees", "bushy_trees", "elementary_weights"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootedTrees:
     """A table of rooted trees with their orders and densities gamma.
 
@@ -33,7 +33,7 @@ class RootedTrees:
     product u o v (v grafted onto the root of u).  ``products`` holds
     index arrays (t, u, v), applied in sequence: a group may use the
     trees of earlier groups only.  A table need not hold every tree of
-    an order.
+    an order.  Tables compare and hash by identity.
     """
 
     order: NDArray
@@ -84,23 +84,38 @@ def bushy_trees(N: int) -> RootedTrees:
     return RootedTrees(order=np.concatenate([j, j + 1]), gamma=gamma, products=tuple(products))
 
 
-def elementary_weights(method: MSRKMethod, trees: RootedTrees) -> tuple[NDArray, NDArray]:
+def _tree_system(trees: RootedTrees, w: NDArray) -> NDArray:
+    """Right-hand side of the tree system: y_t' = prod of y over t's children."""
+    out = np.empty_like(w)
+    out[..., 0] = 1.0
+    for t, u, v in trees.products:
+        out[..., t] = out[..., u] * w[..., v]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _exact_back_values(k: int, trees: RootedTrees) -> tuple[NDArray, NDArray]:
+    """The k exact back values of the tree system and their f values, read-only."""
+    offsets = np.arange(1 - k, 1, dtype=float)
+    back = offsets[:, None] ** trees.order / trees.gamma
+    fback = _tree_system(trees, back)
+    back.setflags(write=False)
+    fback.setflags(write=False)
+    return back, fback
+
+
+def elementary_weights(
+    method: MSRKMethod | SpijkerForm, trees: RootedTrees
+) -> tuple[NDArray, NDArray]:
     """Phi(t) of the new step value for every tree of the table, and the
     f values of the s stages as rows.
 
     The back value j (1-based) is the exact flow at (j - k) h, with
     weights (j - k)^|t| / gamma(t).  Stage i's f value at a stem [t] is
-    its weight Phi_i(t).  On a stack of methods the results gain the
+    its weight Phi_i(t).  ``method`` may also be a Spijker form, which
+    is used as it is.  On a stack of methods the results gain the
     stack's leading axes.
     """
-
-    def f(w: NDArray) -> NDArray:
-        out = np.empty_like(w)
-        out[..., 0] = 1.0
-        for t, u, v in trees.products:
-            out[..., t] = out[..., u] * w[..., v]
-        return out
-
-    offsets = np.arange(1 - method.k, 1, dtype=float)
-    back = offsets[:, None] ** trees.order / trees.gamma
-    return _spijker_step(to_spijker(method), back, f(back), f, lambda v: v)
+    sp = method if isinstance(method, SpijkerForm) else to_spijker(method)
+    back, fback = _exact_back_values(sp.k, trees)
+    return _spijker_step(sp, back, fback, partial(_tree_system, trees), lambda v: v)

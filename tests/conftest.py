@@ -10,6 +10,12 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def same_bits(a, b) -> bool:
+    """Equal as IEEE bit patterns: -0.0 differs from 0.0 and NaNs compare."""
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def random_valid_method(rng, s, k):
     """A structurally valid method with nonnegative random coefficients."""
     D = np.zeros((s, k))

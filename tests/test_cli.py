@@ -186,6 +186,16 @@ class TestOptimize:
                          f"--r-tol={r_tol}", f"--out={out}"])
         assert code in {0, 1, 2, 3, 4, 5}
 
+    def test_tiny_r_tol_ends_certified(self, tmp_path, capsys):
+        # the bisection runs to neighbouring floats; a merit under feas_tol**2
+        # that leaves the method short of its radius must not move it up
+        code = main(["optimize", "--stages", "2", "--steps", "2", "--order", "3",
+                     "--starts", "2", "--r-tol", "1e-300", "--out", str(tmp_path / "x.msrk")])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "certified: yes" in out
+        assert float(out.split("C: ")[1].split()[0]) == pytest.approx(0.7320508, abs=1e-6)
+
     def test_infeasible_exits_4(self, tmp_path, capsys):
         code = main([
             "optimize", "--stages", "1", "--steps", "1", "--order", "2",
@@ -236,6 +246,17 @@ class TestRun:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert float(out.split("final_error: ")[1].split()[0]) < 1e-6
+
+    def test_vdp_past_the_reference_exits_2_before_stepping(self, tmp_path, ssprk33_file,
+                                                           capsys, monkeypatch):
+        monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
+        code = main(["run", "--problem", "vdp", "--method", ssprk33_file,
+                     "--dt", "0.01", "--tf", "2000", "--out", str(tmp_path / "run.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the van der Pol reference ends at t = "
+                              f"{pdelab.VDP_MAX_HORIZON:g}")
+        assert "Traceback" not in err
 
     def test_directory_as_output_exits_2(self, tmp_path, ssprk33_file, capsys):
         code = main(["run", "--problem", "advection", "--method", ssprk33_file,

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import same_bits
 from sspmsrk import methods, optimizer
-from sspmsrk.methods import MethodStructureError, forward_euler, ssprk33, validate
+from sspmsrk.methods import (
+    MethodStructureError, MSRKMethod, _spijker_from_flat, canonical, forward_euler,
+    ssp_coefficient, ssprk33, to_spijker, validate,
+)
 from sspmsrk.optimizer import (
     SearchFailure,
+    _free_entries,
     _merit_jacobian,
     _merit_residuals,
+    _scatter,
     SearchSpec,
     constraint_residuals,
     free_parameter_count,
@@ -18,7 +26,7 @@ from sspmsrk.optimizer import (
     warm_start_ladder,
     write_search_log,
 )
-from sspmsrk.orderlab import oracle_order
+from sspmsrk.orderlab import oracle_order, order_residual_vector
 from sspmsrk.theory import LINEAR_BOUND_TOL, gen_second_order, linear_bound, r_sk2
 
 
@@ -121,6 +129,87 @@ class TestStackedMerit:
         assert res.Ceff >= 0.36603 - 1e-3
 
 
+@st.composite
+def _stacks(draw):
+    """(s, k, X): a stack of 1-3 points with coordinates from -64 to 64,
+    subnormals and zeros of both signs included."""
+    s, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    n = free_parameter_count(s, k)
+    rows = draw(st.lists(st.lists(st.floats(-64.0, 64.0), min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    return s, k, np.array(rows)
+
+
+def _unpack_as_first_written(X, s, k):
+    """unpack with zero arrays per coefficient, the free entries of x put
+    in place, and D's rows and theta completed to sum 1 by their last entry."""
+    arrays, pos = {}, 0
+    for key, mask in _free_entries(s, k).items():
+        size = np.count_nonzero(mask)
+        arrays[key] = np.zeros(X.shape[:-1] + mask.shape)
+        arrays[key][..., mask] = X[..., pos : pos + size]
+        pos += size
+    for key in ("D", "theta"):
+        arrays[key][..., -1] = 1.0 - arrays[key][..., :-1].sum(axis=-1)
+    return MSRKMethod(s=s, k=k, **arrays)
+
+
+def _residuals_as_first_written(method, r, p):
+    """constraint_residuals with the coefficient bounds read from the method's arrays."""
+    eq = order_residual_vector(method, p)
+    cf = canonical(to_spijker(method), r)
+    lead = method.b.shape[:-1]
+    ineq = np.concatenate([a.reshape(lead + (-1,)) for a in (
+        -cf.P, -cf.R, -method.D, method.D - 1.0, -method.theta, method.theta - 1.0,
+        -method.A, -method.Ahat, -method.b, -method.bhat,
+    )], axis=-1)
+    return eq, ineq
+
+
+class TestMeritPlan:
+    """The merit scatters x straight into the Spijker form; its bits are those
+    of unpack, to_spijker and constraint_residuals as first written."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stacks())
+    def test_form_is_to_spijker_of_unpack(self, stack):
+        s, k, X = stack
+        method, reference = unpack(X, s, k), _unpack_as_first_written(X, s, k)
+        for key in ("D", "Ahat", "A", "theta", "bhat", "b"):
+            assert same_bits(getattr(method, key), getattr(reference, key)), key
+        sp = _spijker_from_flat(_scatter(X, s, k), s, k)
+        expected = to_spijker(method)
+        assert same_bits(sp.S, expected.S)
+        assert same_bits(sp.T, expected.T)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stacks(), st.integers(1, 7), st.floats(0.0, 8.0))
+    def test_rows_are_hinged_constraint_residuals(self, stack, p, r):
+        s, k, X = stack
+        eq, ineq = constraint_residuals(unpack(X, s, k), r, p)
+        ref_eq, ref_ineq = _residuals_as_first_written(_unpack_as_first_written(X, s, k), r, p)
+        assert same_bits(eq, ref_eq) and same_bits(ineq, ref_ineq)
+        expected = np.concatenate([eq, np.maximum(0.0, ineq)], axis=-1)
+        assert same_bits(_merit_residuals(X, s, k, r, p), expected)
+
+    def test_merit_and_jacobian_never_validate(self, rng, monkeypatch):
+        calls = []
+
+        def counting(method):
+            calls.append(method)
+            return validate(method)
+
+        monkeypatch.setattr(methods, "validate", counting)
+        monkeypatch.setattr(optimizer, "validate", counting)
+        x = rng.uniform(0.0, 0.5, free_parameter_count(3, 3))
+        _merit_residuals(np.vstack([x, 2.0 * x]), 3, 3, 0.4, 5)
+        _merit_jacobian(x, 3, 3, 0.4, 5)
+        assert calls == []
+        res = maximize_ssp(SearchSpec(s=2, k=2, p=3, starts=20, seed=1, r_tol=1e-3,
+                                      warm_starts=warm_start_ladder(2, 2, 3)))
+        assert any(m is res.method for m in calls)
+
+
 class TestPadding:
     def test_pad_steps_preserves_step_sequence(self):
         m = gen_second_order(2, 2)
@@ -204,6 +293,18 @@ class TestMaximizeSSP:
         maximize_ssp(SearchSpec(s=2, k=2, p=2, starts=1, r_tol=1e-300))
         assert max(r for r in radii if r <= 0.3) == 0.3
         assert len(radii) < 70
+
+    def test_radius_accepted_only_when_the_method_reaches_it(self, monkeypatch):
+        # every solve claims feasibility with the same order-2 method, whose C = 1
+        # is below R(2,2,2) = sqrt(2): no radius past 1 + 1e-6 may be accepted
+        heun = MSRKMethod(s=2, k=1, D=[[1.0], [1.0]], Ahat=np.zeros((2, 0)),
+                          A=[[0.0, 0.0], [1.0, 0.0]], theta=[1.0], bhat=[], b=[0.5, 0.5])
+        x = pack(pad_steps(heun))
+        assert ssp_coefficient(to_spijker(unpack(x, 2, 2))) == pytest.approx(1.0, abs=1e-9)
+        monkeypatch.setattr(optimizer, "_solve_feasibility", lambda *args: (0.0, x))
+        res = maximize_ssp(SearchSpec(s=2, k=2, p=2, starts=1, r_tol=1e-4))
+        assert res.certified
+        assert res.C == pytest.approx(1.0, abs=1e-9)
 
     def test_history_is_logged(self, tmp_path):
         spec = SearchSpec(s=2, k=1, p=1, starts=4, seed=4, r_tol=1e-2)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from conftest import same_bits as _same_bits
 from sspmsrk import pdelab
 from sspmsrk.methods import MSRKMethod, forward_euler, ssp_coefficient, ssprk33, to_spijker
 from sspmsrk.orderlab import convergence_order
@@ -29,11 +30,6 @@ from sspmsrk.theory import gen_second_order
 
 def _unreachable(*args, **kwargs):
     pytest.fail("an invalid argument reached the stepping loop")
-
-
-def _same_bits(a, b) -> bool:
-    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 # the np.roll formulas the right-hand sides and the TV monitor were first written with
@@ -240,6 +236,25 @@ class TestRun:
         monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
         with pytest.raises(ValueError, match="must be"):
             run(advection_upwind(), ssprk33(), dt, tf)
+
+    def test_horizon_past_the_exact_solution_fails_before_stepping(self, monkeypatch):
+        monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
+        with pytest.raises(ValueError, match=f"ends at t = {VDP_MAX_HORIZON:g}"):
+            run(vdp_problem(), ssprk33(), 0.01, 2000.0)
+
+    def test_final_error_reads_the_exact_solution_at_tf_once(self):
+        problem = vdp_problem()
+        calls = []
+
+        def exact(t):
+            calls.append(t)
+            return problem.exact(t)
+
+        record = run(dataclasses.replace(problem, exact=exact), ssprk33(), 4.0 / 42, 4.0)
+        assert sorted(calls) == [0.0, 4.0]  # startup sample and tf, each once
+        *_, (t, u) = pdelab._trajectory(problem, ssprk33(), 4.0 / 42, 4.0, None, True)
+        assert t == 4.0
+        assert record.final_error == float(np.linalg.norm(u - problem.exact(4.0)))
 
 
 class TestMaxStableStep:
