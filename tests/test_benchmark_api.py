@@ -1,8 +1,9 @@
 """The library API that the benchmark in ``perfbench/`` calls.
 
 ``perfbench/`` has its own tests, which the default test run does not
-collect; this module builds one round of each workload and runs three
-cheap operations, so a renamed or removed name fails here.
+collect; this module builds one round of each workload and runs four
+cheap operations, so a renamed or removed name fails here, and so does a
+broken start-up on either step-search problem.
 """
 
 import sys
@@ -27,6 +28,8 @@ def test_round_zero_builds_and_runs():
     assert "SO2(3,3)" in workloads.CONVERGENCE_SUBSET
     assert _run(ops["certify"]["certify SO2(3,3)"]) == []
     assert _run(ops["stepsearch"]["stepsearch advection SSPRK(3,3) tvd"]) == []
+    # k = 3, p = 4: Buckley-Leverett starts with several SSPRK(3,3) substeps per interval
+    assert _run(ops["stepsearch"]["stepsearch buckley OPT(2,3,4) tvd"]) == []
 
 
 def test_feasibility_tolerance_is_a_class_attribute():

@@ -279,6 +279,23 @@ class TestRun:
                   "--dt", "0.01", "--tf", "0.1", "--out", "x.csv"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "advection", "--dt", "1e-12", "--tf", "1"],
+    ["run", "--problem", "buckley", "--dt", "1e-10", "--tf", "0.01"],
+    ["stepsearch", "--problem", "advection", "--tf", "1e9"],
+])
+def test_too_many_steps_exits_2_before_stepping(tmp_path, ssprk33_file, capsys, monkeypatch,
+                                                 argv):
+    # a missing guard fails at the first step instead of running for hours
+    monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
+    code = main(argv + ["--method", ssprk33_file, "--out", str(tmp_path / "out.csv")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: the run needs ")
+    assert f"steps, more than MAX_STEPS = {pdelab.MAX_STEPS:g}" in err
+    assert "Traceback" not in err
+
+
 class TestStepsearch:
     def test_tvd_only(self, tmp_path, ssprk33_file, capsys):
         out = tmp_path / "search.csv"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import same_bits
+from conftest import random_valid_method, same_bits
 from sspmsrk import methods, optimizer
 from sspmsrk.methods import (
     MethodStructureError, MSRKMethod, _spijker_from_flat, canonical, forward_euler,
@@ -11,9 +11,9 @@ from sspmsrk.methods import (
 )
 from sspmsrk.optimizer import (
     SearchFailure,
-    _free_entries,
     _merit_jacobian,
     _merit_residuals,
+    _random_start,
     _scatter,
     SearchSpec,
     constraint_residuals,
@@ -60,6 +60,43 @@ class TestPackUnpack:
             for k in range(1, 6):
                 expected = 2 * (s - 1) * (k - 1) + s * (s - 1) // 2 + 2 * (k - 1) + s
                 assert free_parameter_count(s, k) == expected, (s, k)
+
+    def test_pack_reads_the_free_entries_array_by_array(self, rng):
+        for s in range(1, 6):
+            for k in range(1, 5):
+                method = random_valid_method(rng, s, k)
+                expected = np.concatenate([getattr(method, key)[mask]
+                                           for key, mask in _free_masks(s, k).items()])
+                assert same_bits(pack(method), expected), (s, k)
+
+    def test_random_start_draws_array_by_array(self):
+        for s in range(1, 6):
+            for k in range(1, 5):
+                rng, reference = np.random.default_rng([s, k]), np.random.default_rng([s, k])
+                expected = np.concatenate([
+                    reference.uniform(0.0, 1.0 if key in ("D", "theta") else 2.0 / s,
+                                      np.count_nonzero(mask))
+                    for key, mask in _free_masks(s, k).items()
+                ])
+                assert same_bits(_random_start(rng, s, k), expected), (s, k)
+
+    def test_pack_of_an_invalid_method_raises(self):
+        method = ssprk33()
+        bad = MSRKMethod(s=3, k=1, D=method.D, Ahat=method.Ahat, A=method.A, theta=[0.5],
+                         bhat=[], b=method.b)
+        with pytest.raises(MethodStructureError, match="theta sums to"):
+            pack(bad)
+
+
+def _free_masks(s, k):
+    """The entries the search moves, one boolean mask per coefficient array:
+    all of them but the first rows of D and Ahat, D's last column, theta's
+    last entry and A's upper triangle with its diagonal."""
+    masks = {"D": np.ones((s, k), bool), "Ahat": np.ones((s, k - 1), bool),
+             "A": np.tri(s, k=-1, dtype=bool), "theta": np.ones(k, bool),
+             "bhat": np.ones(k - 1, bool), "b": np.ones(s, bool)}
+    masks["D"][0] = masks["D"][:, -1] = masks["Ahat"][0] = masks["theta"][-1] = False
+    return masks
 
 
 class TestConstraintResiduals:
@@ -144,7 +181,7 @@ def _unpack_as_first_written(X, s, k):
     """unpack with zero arrays per coefficient, the free entries of x put
     in place, and D's rows and theta completed to sum 1 by their last entry."""
     arrays, pos = {}, 0
-    for key, mask in _free_entries(s, k).items():
+    for key, mask in _free_masks(s, k).items():
         size = np.count_nonzero(mask)
         arrays[key] = np.zeros(X.shape[:-1] + mask.shape)
         arrays[key][..., mask] = X[..., pos : pos + size]

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from sspmsrk import pdelab
 from sspmsrk.methods import MSRKMethod, forward_euler, ssp_coefficient, ssprk33, to_spijker
 from sspmsrk.orderlab import convergence_order
 from sspmsrk.pdelab import (
+    MAX_STEPS,
     MONOTONICITY_SLACK,
     VDP_MAX_HORIZON,
+    RunAbortedError,
     advection_upwind,
     buckley_leverett,
     max_stable_step,
@@ -153,6 +157,44 @@ class TestStartup:
         with pytest.raises(ValueError):
             startup(vdp_problem(), 0.01, 2, 2, mode="magic")
 
+    @pytest.mark.parametrize("problem, dt", [(buckley_leverett, 0.006), (vdp_problem, 0.05)])
+    def test_rk3_substeps_match_the_loop_as_first_written(self, problem, dt):
+        problem = problem()
+        for k in range(1, 6):
+            for p in range(1, 6):
+                states = startup(problem, dt, k, p, mode="rk3_substeps")
+                assert len(states) == k
+                expected = _startup_as_first_written(problem, dt, k, p)
+                assert all(_same_bits(u, v) for u, v in zip(states, expected)), (k, p)
+
+    @pytest.mark.parametrize("dt, k, p", [
+        (0.006, 5, 6),  # 167 substeps per interval
+        (1e-9, 2, 4),  # substeps of about 1e-12
+    ])
+    def test_many_or_tiny_substeps(self, dt, k, p):
+        problem = buckley_leverett()
+        states = startup(problem, dt, k, p, mode="rk3_substeps")
+        assert len(states) == k
+        expected = _startup_as_first_written(problem, dt, k, p)
+        assert all(_same_bits(u, v) for u, v in zip(states, expected))
+
+    def test_non_finite_substep_aborts(self):
+        problem = dataclasses.replace(buckley_leverett(), rhs=lambda u: np.full_like(u, np.inf))
+        with pytest.raises(RunAbortedError):
+            startup(problem, 0.006, 2, 3, mode="rk3_substeps")
+
+
+def _startup_as_first_written(problem, dt, k, p):
+    """The rk3_substeps start-up as a loop of its own over SSPRK(3,3) substeps."""
+    states = [problem.u0.copy()]
+    nsub = max(1, math.ceil(dt / min(dt ** (p / 3.0), 0.9 * problem.dt_fe)))
+    u = problem.u0.copy()
+    for _ in range(k - 1):
+        for _ in range(nsub):
+            u, _ = msrk_step(ssprk33(), [u], [problem.rhs(u)], problem.rhs, dt / nsub)
+        states.append(u)
+    return states
+
 
 class TestProblems:
     def test_advection_exact_translation(self):
@@ -236,6 +278,15 @@ class TestRun:
         monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
         with pytest.raises(ValueError, match="must be"):
             run(advection_upwind(), ssprk33(), dt, tf)
+
+    @pytest.mark.parametrize("problem, dt, tf, steps", [(advection_upwind, 1e-12, 1.0, "1e+12"),
+                                                        (buckley_leverett, 1e-10, 0.01, "1e+08")])
+    def test_too_many_steps_rejected_before_startup(self, monkeypatch, problem, dt, tf, steps):
+        # a missing guard fails at the first step instead of running for hours
+        monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
+        message = f"the run needs {steps} steps, more than MAX_STEPS = {MAX_STEPS:g}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(problem(), gen_second_order(2, 2), dt, tf)
 
     def test_horizon_past_the_exact_solution_fails_before_stepping(self, monkeypatch):
         monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
