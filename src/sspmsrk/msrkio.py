@@ -21,7 +21,7 @@ __all__ = ["MethodFileError", "read_method", "write_method", "dumps_method", "lo
 FORMAT_TAG = "msrk/1"
 
 _SCALAR_INT = ("s", "k", "claimed_order")
-_ARRAYS = ("D", "Ahat", "A", "theta", "bhat", "b")
+_ARRAYS = tuple(_coefficient_shapes(1, 1))  # in the order a file lists them
 
 
 class MethodFileError(ValueError):
@@ -119,13 +119,8 @@ def loads_method(text: str) -> MSRKMethod:
                 )
             arrays[key] = arrays[key].reshape(shape)
     try:
-        return MSRKMethod(
-            s=s, k=k,
-            D=arrays["D"], Ahat=arrays["Ahat"], A=arrays["A"],
-            theta=arrays["theta"], bhat=arrays["bhat"], b=arrays["b"],
-            name=fields.get("name", "unnamed"),
-            claimed_order=ints["claimed_order"],
-        )
+        return MSRKMethod(s=s, k=k, **arrays, name=fields.get("name", "unnamed"),
+                          claimed_order=ints["claimed_order"])
     except ValueError as exc:
         raise MethodFileError(str(exc)) from None
 

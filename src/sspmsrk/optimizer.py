@@ -18,9 +18,9 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
-from .methods import (  # validate is unused here, but tests count calls made through it
+from .methods import (
     MethodStructureError, MSRKMethod, SpijkerForm, _bisect, _feasible, _spijker_from_flat,
-    _spijker_layout, canonical, ssp_coefficient, to_spijker, validate,
+    _spijker_layout, canonical, ssp_coefficient, to_spijker,
 )
 from .orderlab import MAX_ORACLE_ORDER, oracle_order, order_residual_vector
 from .theory import LINEAR_BOUND_TOL, MIN_POSITIVE_C, gen_second_order, linear_bound

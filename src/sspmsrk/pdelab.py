@@ -14,7 +14,6 @@ violating step.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -101,7 +100,6 @@ class RunRecord:
     times: list[float]
     monitors: dict[str, list[float]]
     final_error: Optional[float] = None
-    k: int = 1
 
 
 @dataclass(frozen=True)
@@ -120,9 +118,10 @@ class StepSearchResult:
 class RunAbortedError(RuntimeError):
     """A run produced a non-finite state."""
 
-    def __init__(self, step_index: int):
-        super().__init__(f"non-finite state at step {step_index}")
-        self.step_index = step_index
+
+def _check_step_count(steps: float) -> None:
+    if steps > MAX_STEPS:
+        raise ValueError(f"the run needs {steps:.4g} steps, more than MAX_STEPS = {MAX_STEPS:g}")
 
 
 def msrk_step(
@@ -158,8 +157,10 @@ def startup(
     exact: sample the problem's exact solution.  rk3_substeps: one SSPRK(3,3)
     run of ``_trajectory`` over the k-1 intervals, substeps at most dt**(p/3)
     and 0.9*dt_fe so the startup states inherit the forward-Euler monotonicity
-    properties; a non-finite substep raises RunAbortedError.  None: exact when
-    the problem has an exact solution, rk3_substeps otherwise.
+    properties; a non-finite substep raises RunAbortedError naming its interval,
+    and more than MAX_STEPS substeps (or a substep that underflows to 0) raise
+    ValueError.  None: exact when the problem has an exact solution,
+    rk3_substeps otherwise.
     """
     if mode is None:
         mode = "exact" if problem.exact is not None else "rk3_substeps"
@@ -171,10 +172,20 @@ def startup(
         raise ValueError(f"unknown startup mode {mode!r}")
     if k == 1:  # also ends the one-step run below, whose own start-up is u0
         return [problem.u0.copy()]
-    nsub = max(1, math.ceil(dt / min(dt ** (p / 3.0), 0.9 * problem.dt_fe)))
-    substeps = _trajectory(problem, ssprk33(), dt / nsub, (k - 1) * dt, "rk3_substeps",
-                           truncate_final=False)
-    return [u for _, u in itertools.islice(substeps, 0, None, nsub)]
+    substep = min(dt ** (p / 3.0), 0.9 * problem.dt_fe)
+    _check_step_count((k - 1) * dt / substep if substep > 0.0 else math.inf)
+    nsub = max(1, math.ceil(dt / substep))
+    states = []
+    try:
+        for j, (_, u) in enumerate(_trajectory(problem, ssprk33(), dt / nsub, (k - 1) * dt,
+                                               "rk3_substeps", truncate_final=False)):
+            if j % nsub == 0:
+                states.append(u)
+    except RunAbortedError as exc:
+        # states holds u0 and the end of every interval before the failing one
+        raise RunAbortedError(f"non-finite state during start-up, in interval {len(states)} "
+                              f"of 1..{k - 1}") from exc
+    return states
 
 
 def _vdp_rhs(u: NDArray, eps: float) -> NDArray:
@@ -284,41 +295,37 @@ def run(
     dt: float,
     tf: float,
     startup_mode: Optional[str] = None,
-    truncate_final: bool = True,
 ) -> RunRecord:
     """Integrate to tf, sampling every monitor at every accepted state.
 
-    The final partial step is truncated to land on tf exactly unless
-    ``truncate_final`` is false, in which case stepping stops at the
-    last full step not exceeding tf.
+    The final partial step is truncated to land on tf exactly.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not math.isfinite(tf):
         raise ValueError("tf must be finite")
-    k = method.k
-    if tf <= (k - 1) * dt:
+    if tf <= (method.k - 1) * dt:
         raise ValueError("tf must exceed the startup interval (k-1)*dt")
-    # a truncated run ends at tf: an exact solution that cannot reach it fails before any step
-    exact_tf = problem.exact(tf) if problem.exact is not None and truncate_final else None
+    # the run ends at tf: an exact solution that cannot reach it fails before any step
+    exact_tf = problem.exact(tf) if problem.exact is not None else None
     times = []
     monitors = {name: [] for name in problem.monitors}
-    for t, u in _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
+    for t, u in _trajectory(problem, method, dt, tf, startup_mode, truncate_final=True):
         times.append(t)
         for name, fn in problem.monitors.items():
             monitors[name].append(fn(u))
     final_error = None
     if problem.exact is not None:
-        u_exact = exact_tf if truncate_final and t == tf else problem.exact(t)
+        u_exact = exact_tf if t == tf else problem.exact(t)
         final_error = float(np.linalg.norm(u - u_exact))
-    return RunRecord(times=times, monitors=monitors, final_error=final_error, k=k)
+    return RunRecord(times=times, monitors=monitors, final_error=final_error)
 
 
 def _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
-    """(t, u) for each startup state, then for each accepted step of ``run``."""
+    """(t, u) for each startup state, then for each accepted step to tf; the final
+    partial step is truncated to land on tf, or dropped if ``truncate_final`` is false."""
     k = method.k
-    if (steps := (tf - (k - 1) * dt) / dt) > MAX_STEPS:
-        raise ValueError(f"the run needs {steps:.4g} steps, more than MAX_STEPS = {MAX_STEPS:g}")
+    _check_step_count((tf - (k - 1) * dt) / dt)
     tol = min(1e-12, 1e-3 * dt)  # times this close are equal; below dt = 1e-9, relative to dt
     start = startup(problem, dt, k, method.claimed_order, startup_mode)
     for j, u in enumerate(start):
@@ -337,7 +344,7 @@ def _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
         u_next, _ = msrk_step(method, states, rhs_vals, problem.rhs, h)
         step_index += 1
         if not np.all(np.isfinite(u_next)):
-            raise RunAbortedError(step_index)
+            raise RunAbortedError(f"non-finite state at step {step_index}")
         t += h
         if abs(t - tf) <= tol:
             t = tf
@@ -352,17 +359,27 @@ def _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
 _PROPERTY_MONITORS = {"tvd": "tv", "positivity": "min"}
 
 
-def _violates(values: list[float], n: int, prop: str, k: int) -> bool:
-    """Whether state n breaks the property: positivity at every state; TVD
-    from the first full step on, against the max over the k states before."""
-    if prop == "positivity":
-        return not values[n] >= -MONOTONICITY_SLACK
-    return n >= k and values[n] > max(values[n - k : n]) + MONOTONICITY_SLACK
-
-
-def _property_holds(record: RunRecord, prop: str) -> bool:
-    values = record.monitors[_PROPERTY_MONITORS[prop]]
-    return not any(_violates(values, n, prop, record.k) for n in range(len(values)))
+def _holds(problem, method, prop, dt, tf, startup_mode) -> bool:
+    """Whether ``prop`` holds in a run of full steps to tf: positivity at every
+    state, TVD from the first full step on against the max over the k states
+    before.  Reads only the property's monitor and stops at the first violating
+    state; a run with no full step after start-up, or a non-finite state, fails.
+    """
+    k = method.k
+    if k * dt > tf:  # horizon too short for startup plus one full step
+        return False
+    monitor = problem.monitors[_PROPERTY_MONITORS[prop]]
+    values = []
+    try:
+        for _, u in _trajectory(problem, method, dt, tf, startup_mode, truncate_final=False):
+            v = monitor(u)
+            if (not v >= -MONOTONICITY_SLACK if prop == "positivity"
+                    else len(values) >= k and v > max(values[-k:]) + MONOTONICITY_SLACK):
+                return False
+            values.append(v)
+    except RunAbortedError:
+        return False
+    return len(values) > k
 
 
 def max_stable_step(
@@ -376,8 +393,7 @@ def max_stable_step(
     """Largest dt for which the property holds at every step of a full run.
 
     Bisection over [0, 20*dt_fe]; runs use only full steps so the
-    comparison against C*dt_fe is clean.  A probe reads only the
-    monitor of ``prop`` and stops at the first step that violates it.
+    comparison against C*dt_fe is clean.  Each probe asks ``_holds``.
     The default horizon max(0.125, 12*k*max(C, 1)*dt_fe) makes a run at
     the theoretical step C*dt_fe last at least 12*k steps; C*dt_fe is
     capped at 20*dt_fe, so a method with C = inf gets a finite horizon.
@@ -397,21 +413,7 @@ def max_stable_step(
     if tf is None:
         tf = max(0.125, 12.0 * method.k * min(max(C, 1.0) * problem.dt_fe, hi))
 
-    monitor = problem.monitors[_PROPERTY_MONITORS[prop]]
-
-    def passes(dt: float) -> bool:
-        if method.k * dt > tf:  # horizon too short for startup plus one full step
-            return False
-        values = []
-        try:
-            for _, u in _trajectory(problem, method, dt, tf, startup_mode, truncate_final=False):
-                values.append(monitor(u))
-                if _violates(values, len(values) - 1, prop, method.k):
-                    return False
-        except RunAbortedError:
-            return False
-        return len(values) > method.k
-
+    passes = functools.partial(_holds, problem, method, prop, tf=tf, startup_mode=startup_mode)
     lo, hi = (hi, hi) if passes(hi) else _bisect(passes, 0.0, hi, resolution)
 
     dx = problem.dx if problem.dx is not None else problem.dt_fe

@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import io
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings
@@ -294,6 +296,44 @@ def test_too_many_steps_exits_2_before_stepping(tmp_path, ssprk33_file, capsys, 
     assert err.startswith("error: the run needs ")
     assert f"steps, more than MAX_STEPS = {pdelab.MAX_STEPS:g}" in err
     assert "Traceback" not in err
+
+
+BENCH_OPT_234 = str(Path(__file__).resolve().parents[1] / "perfbench" / "methods"
+                    / "opt_2_3_4.msrk")
+
+
+@pytest.mark.parametrize("order, argv", [
+    # dt**(p/3) underflows to 0
+    (400, ["run", "--problem", "buckley", "--dt", "0.001", "--tf", "0.01"]),
+    (None, ["run", "--problem", "buckley", "--dt", "1e-300", "--tf", "2.5e-300"]),
+    # 1e37 substeps per start-up interval
+    (40, ["run", "--problem", "buckley", "--dt", "0.001", "--tf", "0.01"]),
+    (400, ["stepsearch", "--problem", "buckley"]),
+])
+def test_too_many_or_vanishing_start_up_substeps_exit_2(tmp_path, capsys, monkeypatch, order,
+                                                        argv):
+    monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
+    path = BENCH_OPT_234
+    if order is not None:  # an SO2(2,2) file that claims a high order
+        path = str(tmp_path / "so2_22.msrk")
+        write_method(dataclasses.replace(gen_second_order(2, 2), claimed_order=order), path)
+    code = main(argv + ["--method", path, "--out", str(tmp_path / "out.csv")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: the run needs ")
+    assert err.endswith(f"steps, more than MAX_STEPS = {pdelab.MAX_STEPS:g}\n")
+    assert "Traceback" not in err
+
+
+def test_non_finite_start_up_exits_5(tmp_path, so2_file, capsys, monkeypatch):
+    problem = pdelab.buckley_leverett()
+    monkeypatch.setitem(cli._PROBLEMS, "buckley", lambda: dataclasses.replace(
+        problem, rhs=lambda u: np.full_like(u, np.inf)))
+    code = main(["run", "--problem", "buckley", "--method", so2_file,
+                 "--dt", "0.002", "--tf", "0.02", "--out", str(tmp_path / "run.csv")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "numerical failure: non-finite state during start-up, in interval 1 of 1..1\n"
 
 
 class TestStepsearch:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from sspmsrk.theory import gen_second_order
 
 from conftest import random_valid_method
 
+BENCH_METHODS = Path(__file__).resolve().parents[1] / "perfbench" / "methods"
+
 
 def assert_methods_equal(a, b):
     assert (a.s, a.k, a.name, a.claimed_order) == (b.s, b.k, b.name, b.claimed_order)
@@ -32,6 +35,11 @@ class TestRoundTrip:
     ])
     def test_named_methods(self, method):
         assert_methods_equal(loads_method(dumps_method(method)), method)
+
+    @pytest.mark.parametrize("path", sorted(BENCH_METHODS.glob("*.msrk")), ids=lambda p: p.name)
+    def test_written_files_read_back_to_the_same_text(self, path):
+        text = path.read_text()
+        assert dumps_method(loads_method(text)) == text
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "method.msrk"

@@ -237,7 +237,6 @@ class TestMeritPlan:
             return validate(method)
 
         monkeypatch.setattr(methods, "validate", counting)
-        monkeypatch.setattr(optimizer, "validate", counting)
         x = rng.uniform(0.0, 0.5, free_parameter_count(3, 3))
         _merit_residuals(np.vstack([x, 2.0 * x]), 3, 3, 0.4, 5)
         _merit_jacobian(x, 3, 3, 0.4, 5)

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,6 +185,40 @@ class TestStartup:
         with pytest.raises(RunAbortedError):
             startup(problem, 0.006, 2, 3, mode="rk3_substeps")
 
+    @pytest.mark.parametrize("k, interval", [(2, 1), (4, 1), (4, 2), (4, 3)])
+    def test_non_finite_substep_names_its_start_up_interval(self, k, interval):
+        # one rhs call at u0, then 3 per SSPRK(3,3) substep; the rhs turns
+        # infinite at the first substep of the given interval
+        dt, problem = 0.006, buckley_leverett()
+        nsub = math.ceil(dt / (0.9 * problem.dt_fe))
+        calls = []
+
+        def rhs(u):
+            calls.append(u)
+            finite = len(calls) <= 1 + 3 * nsub * (interval - 1)
+            return problem.rhs(u) if finite else np.full_like(u, np.inf)
+
+        message = f"non-finite state during start-up, in interval {interval} of 1..{k - 1}"
+        with pytest.raises(RunAbortedError, match=re.escape(message)):
+            startup(dataclasses.replace(problem, rhs=rhs), dt, k, 3, mode="rk3_substeps")
+        assert len(calls) == 1 + 3 * nsub * (interval - 1) + 2  # no substep after the failing one
+
+    def test_probe_with_non_finite_start_up_fails(self):
+        problem = dataclasses.replace(buckley_leverett(), rhs=lambda u: np.full_like(u, np.inf))
+        method = gen_second_order(2, 2)
+        assert not pdelab._holds(problem, method, "positivity", 0.001, 0.125, "rk3_substeps")
+
+    @pytest.mark.parametrize("dt, p", [
+        (0.001, 400),  # dt**(p/3) underflows to 0
+        (1e-300, 4),  # so does dt**(4/3)
+        (0.001, 40),  # 1e37 substeps per interval
+    ])
+    def test_too_many_or_vanishing_substeps_rejected_before_stepping(self, monkeypatch, dt, p):
+        monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
+        with pytest.raises(ValueError, match=re.escape(
+                f"steps, more than MAX_STEPS = {MAX_STEPS:g}")):
+            startup(buckley_leverett(), dt, 3, p, mode="rk3_substeps")
+
 
 def _startup_as_first_written(problem, dt, k, p):
     """The rk3_substeps start-up as a loop of its own over SSPRK(3,3) substeps."""
@@ -255,16 +291,16 @@ class TestRun:
 
     def test_truncate_final_false_stops_at_full_step(self):
         problem = advection_upwind()
-        record = run(problem, ssprk33(), 0.003, 0.1, truncate_final=False)
-        assert record.times[-1] <= 0.1
-        steps = np.diff(record.times)
+        times = [t for t, _ in pdelab._trajectory(problem, ssprk33(), 0.003, 0.1, None,
+                                                  truncate_final=False)]
+        assert times[-1] <= 0.1
+        steps = np.diff(times)
         np.testing.assert_allclose(steps, 0.003, atol=1e-12)
 
     def test_two_step_method_runs(self):
         problem = advection_upwind()
         m = gen_second_order(2, 2)
         record = run(problem, m, 0.5 * problem.dt_fe, 0.1)
-        assert record.k == 2
         assert len(record.times) == len(record.monitors["tv"])
 
     def test_horizon_shorter_than_startup_rejected(self):
@@ -394,8 +430,8 @@ class TestMaxStableStep:
         # at that dt takes every step of the horizon
         problem, method, tf = advection_upwind(), ssprk33(), 2.0
         dt = 20.0 * problem.dt_fe
-        record = run(problem, method, dt, tf, truncate_final=False)
-        tv = record.monitors["tv"]
+        tv = [tv_seminorm(u) for _, u in pdelab._trajectory(problem, method, dt, tf, None,
+                                                            truncate_final=False)]
         first = next(n for n in range(len(tv)) if not _two_branch_holds(tv[: n + 1], "tvd", 1))
         probe_steps = []
 
@@ -406,7 +442,7 @@ class TestMaxStableStep:
         monkeypatch.setattr(pdelab, "msrk_step", counting)
         max_stable_step(problem, method, "tvd", tf=tf)
         assert probe_steps.count(dt) == first - method.k + 1
-        assert probe_steps.count(dt) < len(record.times) - method.k
+        assert probe_steps.count(dt) < len(tv) - method.k
 
     @pytest.mark.parametrize("prop, other", [("tvd", "min"), ("positivity", "tv")])
     def test_probe_reads_only_its_own_monitor(self, prop, other):
@@ -421,9 +457,13 @@ class TestMaxStableStep:
        st.lists(st.sampled_from([-1.0, -2e-12, -1e-12, 0.0, 1e-12, 2e-12, 0.5, 1.0])
                 | st.floats(-1.0, 2.0), max_size=30))
 def test_property_rule_matches_two_branch_formula(k, prop, values):
-    record = pdelab.RunRecord(times=[0.0] * len(values),
-                              monitors={"tv": values, "min": values}, k=k)
-    assert pdelab._property_holds(record, prop) == _two_branch_holds(values, prop, k)
+    # the stubbed run yields the monitor values themselves as states
+    problem = dataclasses.replace(advection_upwind(N=3), monitors={"tv": float, "min": float})
+    states = lambda *args, **kwargs: ((0.0, v) for v in values)
+    with mock.patch.object(pdelab, "_trajectory", states):
+        holds = pdelab._holds(problem, types.SimpleNamespace(k=k), prop, 1.0, float(k), None)
+    # a run without a full step after start-up fails
+    assert holds == (len(values) > k and _two_branch_holds(values, prop, k))
 
 
 class TestConvergence:
