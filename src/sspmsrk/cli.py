@@ -77,10 +77,6 @@ def cmd_analyze(args) -> int:
         print("threshold_factor: " + ("inf" if math.isinf(thr) else f"{thr:.9f}"))
         if orc >= 1:
             print(f"bound_C_le_s: {'ok' if C <= method.s + 1e-8 else 'VIOLATED'}")
-        if orc >= 2 and method.k >= 2:
-            ok = C <= r_sk2(method.s, method.k) + 1e-8
-            print(f"bound_C_le_rsk2: {'ok' if ok else 'VIOLATED'}")
-        if orc >= 1:
             R = linear_bound(method.s, method.k, orc)
             print(f"linear_bound: {R:.9f}")
             # R = 0 only says that the bound is below MIN_POSITIVE_C

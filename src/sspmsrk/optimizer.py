@@ -41,6 +41,9 @@ __all__ = [
 #: evaluation budget (max_nfev) of one inner least-squares solve
 MAX_INNER_ITERS = 500
 
+#: norm of the pad column of a solve's Jacobian (see :func:`_solve_feasibility`)
+_PAD_NORM = 1e-100
+
 
 class SearchFailure(RuntimeError):
     """No feasible method was found (typically p is too high for (s, k))."""
@@ -212,24 +215,64 @@ def _random_start(rng, s, k):
     return rng.uniform(0.0, _plan(s, k).high)
 
 
+def _accepted(spec: SearchSpec, r: float, merit: float, x: NDArray) -> bool:
+    """Whether a solve shows radius r feasible: its merit is within feas_tol**2
+    and, for r > 0, its method reaches r less 1e-6, since such a merit can
+    hide violations that leave it short of r."""
+    s, k = spec.s, spec.k
+    return merit <= spec.feas_tol**2 and (
+        r == 0.0 or _feasible(_spijker_from_flat(_scatter(x, s, k), s, k), max(0.0, r - 1e-6)))
+
+
+def _padded_residuals(z, s, k, r, p):
+    """:func:`_merit_residuals` of z less its last coordinate, a pad, and a zero row."""
+    return np.append(_merit_residuals(z[:-1], s, k, r, p), 0.0)
+
+
+def _padded_jacobian(z, s, k, r, p):
+    """:func:`_merit_jacobian` of z less its pad, bordered by the pad's row and
+    column, which are zero but for _PAD_NORM where they meet."""
+    J = _merit_jacobian(z[:-1], s, k, r, p)
+    out = np.zeros((J.shape[0] + 1, J.shape[1] + 1))
+    out[:-1, :-1] = J
+    out[-1, -1] = _PAD_NORM
+    return out
+
+
 def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
-    """Best merit over the given start vectors; early exit on success."""
-    best_merit, best_x = np.inf, None
+    """(x, best merit): x of the first start whose solve is :func:`_accepted`
+    at r, or None, and the least merit over the solves made.
+
+    Each start is solved by MINPACK's compiled Levenberg-Marquardt, as the
+    merit has no bounds (they are hinged into the residual).  Unit scaling
+    of the coordinates, as 'trf' had, kept the (3,2,3) search at its optimum
+    where scipy's 'lm' default, column-norm scaling, often did not.
+
+    The solve carries a pad: a last coordinate that no residual reads and a
+    zero last residual.  MINPACK's QR (scipy 1.17.1), when it recomputes the
+    norm of the last column, reads one entry past the Jacobian's end, so
+    without the pad a solve hung on leftover heap memory and could end an
+    ulp apart from one process to the next.  The pad's column is zero but
+    for _PAD_NORM in its own row: no Householder step changes it, so its
+    norm is never recomputed, and its step is zero.  Pivoting takes it
+    after every column with a norm left and before those whose norm fell
+    to zero, which are never recomputed either.
+    """
+    best_merit = np.inf
     for idx, x0 in enumerate(starts):
         sol = least_squares(
-            _merit_residuals, x0, jac=_merit_jacobian,
+            _padded_residuals, np.append(x0, 0.0), jac=_padded_jacobian,
             args=(spec.s, spec.k, r, p),
-            method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+            method="lm", x_scale=1.0, xtol=1e-15, ftol=1e-15, gtol=1e-15,
             max_nfev=MAX_INNER_ITERS,
         )
         merit = float(2.0 * sol.cost)  # cost is half the squared norm
         history.append((r, idx, merit, sol.nfev, sol.njev))
-        if merit < best_merit:
-            best_merit = merit
-            best_x = sol.x
-        if merit <= spec.feas_tol**2:
-            break
-    return best_merit, best_x
+        x = sol.x[:-1]
+        if _accepted(spec, r, merit, x):
+            return x, merit
+        best_merit = min(best_merit, merit)
+    return None, best_merit
 
 
 def warm_start_ladder(
@@ -314,8 +357,8 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
         return out
 
     # establish feasibility at r = 0 with the full multistart budget
-    merit0, x0 = _solve_feasibility(spec, 0.0, p, starts_at(None, spec.starts), history)
-    if merit0 > spec.feas_tol**2:
+    x0, merit0 = _solve_feasibility(spec, 0.0, p, starts_at(None, spec.starts), history)
+    if x0 is None:
         raise SearchFailure(
             f"no order-{p} method found at r=0 for (s={s}, k={k}); best merit {merit0:.3e}"
         )
@@ -324,15 +367,11 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
     n_random_later = min(spec.starts, 3)
 
     def feasible(r):
-        # a merit within feas_tol**2 can hide violations that leave the method short of r;
-        # accept r only when the method reaches it, with the slack that `certified` allows
         nonlocal best_x
-        merit, x = _solve_feasibility(spec, r, p, starts_at(best_x, n_random_later), history)
-        ok = (merit <= spec.feas_tol**2
-              and _feasible(_spijker_from_flat(_scatter(x, s, k), s, k), max(0.0, r - 1e-6)))
-        if ok:
+        x, _ = _solve_feasibility(spec, r, p, starts_at(best_x, n_random_later), history)
+        if x is not None:
             best_x = x
-        return ok
+        return x is not None
 
     lo, _ = _bisect(feasible, 0.0, R + LINEAR_BOUND_TOL, spec.r_tol)
 
@@ -344,11 +383,7 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
 
     method = unpack(best_x, s, k, name=f"OPT({s},{k},{p})", claimed_order=p)
     C = ssp_coefficient(to_spijker(method))
-    certified = (
-        oracle_order(method, pmax=p) >= p
-        and abs(C - lo) <= max(1e-6, 2.0 * spec.r_tol)
-        and C <= R + LINEAR_BOUND_TOL
-    )
+    certified = oracle_order(method, pmax=p) >= p and C <= R + LINEAR_BOUND_TOL
     return SearchResult(method=method, C=C, Ceff=C / s, certified=certified, R=R,
                         history=history)
 

@@ -16,7 +16,6 @@ from sspmsrk.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
-    EXIT_UNCERTIFIED,
     EXIT_USAGE,
     EXIT_VALIDATION,
     main,
@@ -179,7 +178,7 @@ class TestOptimize:
     def test_any_shape_order_and_r_tol_exits_cleanly(self, tmp_path_factory, s, k, p, r_tol):
         # the solver reports every radius infeasible, so no real search runs
         def infeasible(spec, r, p, starts, history):
-            return float("inf"), None
+            return None, float("inf")
 
         out = tmp_path_factory.mktemp("optimize") / "x.msrk"
         with pytest.MonkeyPatch.context() as mp:

@@ -1,11 +1,12 @@
-"""No module of the package imports a name that it never uses."""
+"""No module of the package or of its tests imports a name that it never uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sspmsrk"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "sspmsrk"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -36,6 +37,7 @@ def test_checker_flags_only_unread_names():
     assert unused_imports(source) == [(2, "os"), (2, "osp"), (3, "c")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []

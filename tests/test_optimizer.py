@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from sspmsrk.methods import (
     ssp_coefficient, ssprk33, to_spijker, validate,
 )
 from sspmsrk.optimizer import (
+    MAX_INNER_ITERS,
     SearchFailure,
     _merit_jacobian,
     _merit_residuals,
@@ -26,7 +29,7 @@ from sspmsrk.optimizer import (
     warm_start_ladder,
     write_search_log,
 )
-from sspmsrk.orderlab import oracle_order, order_residual_vector
+from sspmsrk.orderlab import MAX_ORACLE_ORDER, oracle_order, order_residual_vector
 from sspmsrk.theory import LINEAR_BOUND_TOL, gen_second_order, linear_bound, r_sk2
 
 
@@ -151,6 +154,26 @@ class TestStackedMerit:
         J = _merit_jacobian(x, s, k, 0.4, p)
         assert np.abs(J - expected).max() <= 1e-6 * np.abs(expected).max()
 
+    def test_at_least_as_many_residuals_as_free_coordinates(self, rng):
+        # Levenberg-Marquardt needs m >= n (the solve's pad adds one to each);
+        # the coefficient-bound rows alone cover every free coordinate, so
+        # this holds at any (s, k, p)
+        for s in range(1, 9):
+            for k in range(1, 6):
+                x = rng.uniform(0.0, 0.5, free_parameter_count(s, k))
+                for p in range(1, MAX_ORACLE_ORDER + 1):
+                    assert _merit_residuals(x, s, k, 0.4, p).size >= x.size, (s, k, p)
+
+    def test_pad_is_not_read_and_is_bordered_off(self, rng):
+        x = rng.uniform(0.0, 0.5, free_parameter_count(3, 2))
+        z = np.append(x, 7.0)
+        F = optimizer._padded_residuals(z, 3, 2, 0.4, 3)
+        J = optimizer._padded_jacobian(z, 3, 2, 0.4, 3)
+        assert same_bits(F, np.append(_merit_residuals(x, 3, 2, 0.4, 3), 0.0))
+        assert same_bits(J[:-1, :-1], _merit_jacobian(x, 3, 2, 0.4, 3))
+        assert not J[-1, :-1].any() and not J[:-1, -1].any()
+        assert J[-1, -1] == optimizer._PAD_NORM
+
     def test_non_finite_member_raises(self, rng):
         X = rng.uniform(0.0, 0.5, size=(4, free_parameter_count(2, 2)))
         X[2, 3] = np.nan
@@ -271,6 +294,12 @@ class TestPadding:
         assert any(m.k == 3 and m.name.endswith("+step") for m in warm)
 
 
+def _heun():
+    """Heun's method, of order 2 and C = 1."""
+    return MSRKMethod(s=2, k=1, D=[[1.0], [1.0]], Ahat=np.zeros((2, 0)),
+                      A=[[0.0, 0.0], [1.0, 0.0]], theta=[1.0], bhat=[], b=[0.5, 0.5])
+
+
 class TestMaximizeSSP:
     def test_first_order_two_stages(self):
         # (s=2, p=1) should reach C close to s = 2
@@ -306,7 +335,7 @@ class TestMaximizeSSP:
 
         def solve(spec, r, p, starts, history):
             radii.append(r)
-            return 0.0, x
+            return x, 0.0
 
         monkeypatch.setattr(optimizer, "_solve_feasibility", solve)
         maximize_ssp(SearchSpec(s=2, k=2, p=3, starts=1, r_tol=1e-3))
@@ -323,7 +352,7 @@ class TestMaximizeSSP:
             radii.append(r)
             if len(radii) > 200:
                 pytest.fail("the bisection did not end")
-            return (0.0 if r <= 0.3 else 1.0), x
+            return (x, 0.0) if r <= 0.3 else (None, 1.0)
 
         monkeypatch.setattr(optimizer, "_solve_feasibility", solve)
         maximize_ssp(SearchSpec(s=2, k=2, p=2, starts=1, r_tol=1e-300))
@@ -333,14 +362,50 @@ class TestMaximizeSSP:
     def test_radius_accepted_only_when_the_method_reaches_it(self, monkeypatch):
         # every solve claims feasibility with the same order-2 method, whose C = 1
         # is below R(2,2,2) = sqrt(2): no radius past 1 + 1e-6 may be accepted
-        heun = MSRKMethod(s=2, k=1, D=[[1.0], [1.0]], Ahat=np.zeros((2, 0)),
-                          A=[[0.0, 0.0], [1.0, 0.0]], theta=[1.0], bhat=[], b=[0.5, 0.5])
-        x = pack(pad_steps(heun))
+        x = pack(pad_steps(_heun()))
         assert ssp_coefficient(to_spijker(unpack(x, 2, 2))) == pytest.approx(1.0, abs=1e-9)
-        monkeypatch.setattr(optimizer, "_solve_feasibility", lambda *args: (0.0, x))
+        monkeypatch.setattr(optimizer, "least_squares", lambda *args, **kwargs: SimpleNamespace(
+            x=np.append(x, 0.0), cost=0.0, nfev=1, njev=1))
         res = maximize_ssp(SearchSpec(s=2, k=2, p=2, starts=1, r_tol=1e-4))
         assert res.certified
         assert res.C == pytest.approx(1.0, abs=1e-9)
+
+    def test_a_start_short_of_the_radius_does_not_end_the_multistart(self, monkeypatch):
+        # both solves end with merit 0; only the second method (C = sqrt(2)) reaches r = 1.2
+        short, good = pack(pad_steps(_heun())), pack(gen_second_order(2, 2))
+        solutions = iter([short, good])
+        monkeypatch.setattr(optimizer, "least_squares", lambda *args, **kwargs: SimpleNamespace(
+            x=np.append(next(solutions), 0.0), cost=0.0, nfev=1, njev=1))
+        history = []
+        x, _ = optimizer._solve_feasibility(SearchSpec(s=2, k=2, p=2), 1.2, 2, [short, short],
+                                            history)
+        assert np.array_equal(x, good)
+        assert len(history) == 2
+
+    def test_certified_when_the_method_beats_the_bracket(self, monkeypatch):
+        # a probe that fails the reach check can end the bracket below the
+        # accepted method's C, which does not make the method uncertified
+        x = pack(gen_second_order(2, 2))
+        monkeypatch.setattr(optimizer, "_solve_feasibility", lambda *args: (x, 0.0))
+        bisect = optimizer._bisect
+
+        def low(passes, lo, hi, tol):
+            lo, hi = bisect(passes, lo, hi, tol)
+            return lo - 0.1, hi
+
+        monkeypatch.setattr(optimizer, "_bisect", low)
+        res = maximize_ssp(SearchSpec(s=2, k=2, p=2, starts=1, r_tol=1e-4))
+        assert res.C == pytest.approx(r_sk2(2, 2), abs=1e-9)
+        assert res.certified
+
+    def test_history_counts_are_integers_within_the_budget(self):
+        spec = SearchSpec(s=2, k=2, p=3, starts=4, seed=1, r_tol=1e-3,
+                          warm_starts=warm_start_ladder(2, 2, 3))
+        res = maximize_ssp(spec)
+        assert res.history
+        for _, _, _, nfev, njev in res.history:
+            assert isinstance(nfev, (int, np.integer)) and 0 < nfev <= MAX_INNER_ITERS
+            assert isinstance(njev, (int, np.integer))
 
     def test_history_is_logged(self, tmp_path):
         spec = SearchSpec(s=2, k=1, p=1, starts=4, seed=4, r_tol=1e-2)

@@ -15,7 +15,7 @@ from sspmsrk.orderlab import (
     order_residual_vector,
     stage_order,
 )
-from sspmsrk.series import bushy_trees, elementary_weights, rooted_trees
+from sspmsrk.series import rooted_trees
 from sspmsrk.theory import gen_second_order
 
 BENCH_METHODS = Path(__file__).resolve().parents[1] / "perfbench" / "methods"
