@@ -57,10 +57,6 @@ class MSRKMethod:
     derivatives through ``Ahat``, and earlier stage derivatives through
     the strictly lower triangular ``A``.  The new step combines previous
     steps through ``theta`` and derivatives through ``bhat`` and ``b``.
-
-    A ``D`` with more than two axes makes a stack of methods of one
-    shape: its leading axes lead every coefficient array, and each
-    function of this package that takes a method treats every member.
     """
 
     s: int
@@ -79,9 +75,8 @@ class MSRKMethod:
     def __post_init__(self):
         if self.s < 1 or self.k < 1:
             raise MethodStructureError("s and k must be at least 1")
-        lead = np.shape(self.D)[:-2]
         for key, shape in _coefficient_shapes(self.s, self.k).items():
-            arr = np.asarray(getattr(self, key), dtype=float).reshape(lead + shape)
+            arr = np.asarray(getattr(self, key), dtype=float).reshape(shape)
             arr.setflags(write=False)
             object.__setattr__(self, key, arr)
 
@@ -90,7 +85,7 @@ class MSRKMethod:
 class SpijkerForm:
     """The (S, T) pair of the representation w = S x + dt * T f.
 
-    For a stack of methods S and T carry the stack's leading axes.
+    A stack of forms carries its leading axes on S and T.
     """
 
     S: NDArray
@@ -125,11 +120,9 @@ def validate(method: MSRKMethod) -> ValidationReport:
     """Check the structural invariants of an explicit MSRK method.
 
     Diagnostic only: all violations are collected, nothing is raised.
-    On a stack every member is checked, and a message quotes the first
-    member that breaks the invariant.
     """
     v: list[str] = []
-    s, k = method.s, method.k
+    k = method.k
 
     arrays = (method.D, method.Ahat, method.A, method.theta, method.bhat, method.b)
     if not all(np.isfinite(a).all() for a in arrays):
@@ -137,28 +130,22 @@ def validate(method: MSRKMethod) -> ValidationReport:
 
     first_row = np.zeros(k)
     first_row[-1] = 1.0
-    bad = (method.D[..., 0, :] != first_row).any(axis=-1)
-    if bad.any():
-        got = method.D[..., 0, :][bad][0]
-        v.append(f"row 1 of D must be {first_row.tolist()}, got {got.tolist()}")
-    if np.any(method.A[..., 0, :] != 0.0):
+    if np.any(method.D[0] != first_row):
+        v.append(f"row 1 of D must be {first_row.tolist()}, got {method.D[0].tolist()}")
+    if np.any(method.A[0] != 0.0):
         v.append("row 1 of A must be identically zero")
-    if k > 1 and np.any(method.Ahat[..., 0, :] != 0.0):
+    if k > 1 and np.any(method.Ahat[0] != 0.0):
         v.append("row 1 of Ahat must be identically zero")
 
     if np.any(np.triu(method.A) != 0.0):
         v.append("A must be strictly lower triangular (explicit method)")
 
-    row_sums = method.D.sum(axis=-1)
-    off = np.abs(row_sums - 1.0) > _CONSISTENCY_TOL
-    for i in range(s):
-        if off[..., i].any():
-            rs = np.extract(off[..., i], row_sums[..., i])[0]
+    for i, rs in enumerate(method.D.sum(axis=1)):
+        if abs(rs - 1.0) > _CONSISTENCY_TOL:
             v.append(f"row {i + 1} of D sums to {rs:.17g} != 1")
-    theta_sum = method.theta.sum(axis=-1)
-    off = np.abs(theta_sum - 1.0) > _CONSISTENCY_TOL
-    if off.any():
-        v.append(f"theta sums to {np.extract(off, theta_sum)[0]:.17g} != 1")
+    theta_sum = method.theta.sum()
+    if abs(theta_sum - 1.0) > _CONSISTENCY_TOL:
+        v.append(f"theta sums to {theta_sum:.17g} != 1")
 
     return ValidationReport(v)
 
@@ -210,9 +197,9 @@ def to_spijker(method: MSRKMethod) -> SpijkerForm:
 
     s, k = method.s, method.k
     where, fixed = _spijker_layout(s, k)
-    ST = np.tile(fixed, method.b.shape[:-1] + (1,))
+    ST = fixed.copy()
     for key, pos in where.items():
-        ST[..., pos] = getattr(method, key)
+        ST[pos] = getattr(method, key)
     ST.setflags(write=False)
     sp = _spijker_from_flat(ST, s, k)
     object.__setattr__(method, "_spijker", sp)
@@ -261,8 +248,10 @@ def canonical(sp: SpijkerForm, r: float) -> CanonicalForm:
     """Compute P = r (I + rT)^{-1} T and R = (I + rT)^{-1} S.
 
     Since T is strictly lower triangular, I + rT is unit lower
-    triangular and never singular.  One solve covers S and T together,
-    for every member of a stack.
+    triangular and nonsingular in exact arithmetic; the pivoted LU of
+    ``np.linalg.solve`` can still report it singular when rT has huge
+    entries (1e200, say), and raises LinAlgError.  One solve covers S
+    and T together, for every member of a stack.
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")

@@ -107,8 +107,8 @@ def loads_method(text: str) -> MSRKMethod:
         except (ValueError, TypeError, RecursionError, OverflowError):
             raise MethodFileError("not a numeric array", line=lineno[key], field=key) from None
 
-    # exact shapes here, so that a file never makes a stack of methods; a
-    # one-step method's empty Ahat and bhat take the shapes (s, 0) and (0,)
+    # sizes here, so that a wrong one names its line; MSRKMethod takes any
+    # layout of the right size, a one-step method's empty Ahat and bhat too
     s, k = ints["s"], ints["k"]
     if s >= 1 and k >= 1:
         for key, shape in _coefficient_shapes(s, k).items():
@@ -117,7 +117,6 @@ def loads_method(text: str) -> MSRKMethod:
                     f"{arrays[key].size} entries, but s = {s} and k = {k} need shape {shape}",
                     line=lineno[key], field=key,
                 )
-            arrays[key] = arrays[key].reshape(shape)
     try:
         return MSRKMethod(s=s, k=k, **arrays, name=fields.get("name", "unnamed"),
                           claimed_order=ints["claimed_order"])

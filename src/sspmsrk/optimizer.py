@@ -70,6 +70,8 @@ class SearchSpec:
             raise ValueError(f"p must be at most {MAX_ORACLE_ORDER}")
         if not 0.0 < self.r_tol < np.inf:
             raise ValueError("r_tol must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -97,7 +99,7 @@ def pack(method: MSRKMethod) -> NDArray:
     """Free coordinates of a valid method, read from its Spijker form; the
     entries dropped here are restored by normalization in :func:`unpack`."""
     sp = to_spijker(method)
-    return _flat(sp.S, sp.T)[..., _plan(method.s, method.k).free]
+    return _flat(sp.S, sp.T)[_plan(method.s, method.k).free]
 
 
 class _Plan(NamedTuple):
@@ -157,13 +159,13 @@ def _scatter(x: NDArray, s: int, k: int) -> NDArray:
 def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int = 1) -> MSRKMethod:
     """Inverse of :func:`pack`; D rows and theta regain sum 1 via their
     last entry, so any vector of the right length yields a consistent
-    method.  A stack of vectors (..., n) yields a stack of methods."""
+    method."""
     x = np.asarray(x, dtype=float)
     n = free_parameter_count(s, k)
-    if x.shape[-1:] != (n,):
+    if x.shape != (n,):
         raise ValueError(f"expected {n} free parameters for (s={s}, k={k}), got shape {x.shape}")
     ST = _scatter(x, s, k)
-    arrays = {key: ST[..., pos] for key, pos in _spijker_layout(s, k)[0].items()}
+    arrays = {key: ST[pos] for key, pos in _spijker_layout(s, k)[0].items()}
     return MSRKMethod(s=s, k=k, **arrays, name=name, claimed_order=claimed_order)
 
 
@@ -185,7 +187,6 @@ def constraint_residuals(method: MSRKMethod, r: float, p: int):
     Inequality entries are positive exactly when violated: negated
     entries of P and R at radius r, plus the coefficient bounds
     0 <= D <= 1, 0 <= theta <= 1, and nonnegativity of A, Ahat, b, bhat.
-    A stack of methods gives one row of each per member.
     """
     return _residuals(to_spijker(method), r, p)
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .methods import MSRKMethod, SpijkerForm
+from .methods import MSRKMethod, SpijkerForm, to_spijker
 from .series import bushy_trees, elementary_weights, rooted_trees
 
 __all__ = ["stage_order", "oracle_order", "order_residual_vector", "convergence_order"]
@@ -27,16 +27,16 @@ ORDER_TOL = 1e-9
 STAGE_TOL = 1e-10
 
 
-def _bushy_defects(method: MSRKMethod | SpijkerForm, N: int) -> tuple[NDArray, NDArray]:
+def _bushy_defects(sp: SpijkerForm, N: int) -> tuple[NDArray, NDArray]:
     """Defects of the bushy trees b_1..b_N, each divided by (j-1)!, of a
-    method or of its Spijker form.
+    method's Spijker form.
 
     Returns the step value's Phi(b_j) - 1/j, shaped (..., N), and the
     stages' Phi_i(b_j) - c_i^j / j, shaped (..., s, N): the negated
     quadrature residuals tau_j of the final update and of the stages.
     """
     trees = bushy_trees(N)
-    phi, stage = elementary_weights(method, trees)
+    phi, stage = elementary_weights(sp, trees)
     j = np.arange(1, N + 1)
     scale = np.array([math.factorial(i - 1) for i in j], dtype=float)
     c = stage[..., N, None]
@@ -47,7 +47,7 @@ def stage_order(method: MSRKMethod) -> int:
     """Largest q <= MAX_ORACLE_ORDER + 1 with every bushy defect of the
     step value and of the stages at most STAGE_TOL for j <= q."""
     N = MAX_ORACLE_ORDER + 1
-    step, stage = _bushy_defects(method, N)
+    step, stage = _bushy_defects(to_spijker(method), N)
     bad = (np.abs(step) > STAGE_TOL) | (np.abs(stage) > STAGE_TOL).any(axis=-2)
     return int(np.argmax(bad)) if bad.any() else N
 
@@ -64,27 +64,27 @@ def oracle_order(method: MSRKMethod, pmax: int = 8, seed: int = 2718) -> int:
     if pmax > MAX_ORACLE_ORDER:
         raise ValueError(f"pmax must be at most {MAX_ORACLE_ORDER}")
     trees = rooted_trees(pmax)
-    err = np.abs(elementary_weights(method, trees)[0] - 1.0 / trees.gamma)
+    err = np.abs(elementary_weights(to_spijker(method), trees)[0] - 1.0 / trees.gamma)
     failed = trees.order[err > ORDER_TOL]
     return int(failed.min()) - 1 if failed.size else pmax
 
 
-def order_residual_vector(method: MSRKMethod | SpijkerForm, p: int) -> NDArray:
+def order_residual_vector(sp: SpijkerForm, p: int) -> NDArray:
     """Equality constraints for order p, as one flat residual vector, of a
-    method or of its Spijker form.
+    method's Spijker form.
 
     Concatenates the tree residuals Phi(t) - 1/gamma(t) for |t| <= p and
     the stage defects of the bushy trees b_j for 2 <= j <= floor((p-1)/2),
     the stage order forced on SSP methods of order p (j = 1 holds by the
-    definition of c).  A stack of methods gives one row per member.
+    definition of c).  A stack of forms gives one row per member.
     """
     if p > MAX_ORACLE_ORDER:
         raise ValueError(f"p must be at most {MAX_ORACLE_ORDER}")
     trees = rooted_trees(p)
-    parts = [elementary_weights(method, trees)[0] - 1.0 / trees.gamma]
+    parts = [elementary_weights(sp, trees)[0] - 1.0 / trees.gamma]
     q = (p - 1) // 2
     if q >= 2:
-        stage = _bushy_defects(method, q)[1][..., 1:]
+        stage = _bushy_defects(sp, q)[1][..., 1:]
         parts.append(np.swapaxes(stage, -1, -2).reshape(stage.shape[:-2] + (-1,)))
     return np.concatenate(parts, axis=-1)
 

@@ -398,7 +398,8 @@ def max_stable_step(
     the theoretical step C*dt_fe last at least 12*k steps; C*dt_fe is
     capped at 20*dt_fe, so a method with C = inf gets a finite horizon.
     Raises ValueError, before any run, when the problem has no monitor
-    for ``prop``.
+    for ``prop`` or when ``resolution`` is not below the bracket, which
+    would leave the bisection no probe.
     """
     if _PROPERTY_MONITORS.get(prop) not in problem.monitors:
         raise ValueError(f"problem {problem.name!r} has no monitor for property {prop!r}")
@@ -406,10 +407,12 @@ def max_stable_step(
         resolution = 0.001 * problem.dt_fe
     if not 0.0 < resolution < math.inf:
         raise ValueError("resolution must be positive and finite")
+    hi = 20.0 * problem.dt_fe
+    if resolution >= hi:
+        raise ValueError(f"resolution must be below the bracket 20*dt_fe = {hi:g}")
     if tf is not None and not 0.0 < tf < math.inf:
         raise ValueError("tf must be positive and finite")
     C = ssp_coefficient(to_spijker(method))
-    hi = 20.0 * problem.dt_fe
     if tf is None:
         tf = max(0.125, 12.0 * method.k * min(max(C, 1.0) * problem.dt_fe, hi))
 

@@ -20,7 +20,7 @@ from functools import lru_cache, partial
 import numpy as np
 from numpy.typing import NDArray
 
-from .methods import MSRKMethod, SpijkerForm, _spijker_step, to_spijker
+from .methods import SpijkerForm, _spijker_step
 
 __all__ = ["RootedTrees", "rooted_trees", "bushy_trees", "elementary_weights"]
 
@@ -104,18 +104,14 @@ def _exact_back_values(k: int, trees: RootedTrees) -> tuple[NDArray, NDArray]:
     return back, fback
 
 
-def elementary_weights(
-    method: MSRKMethod | SpijkerForm, trees: RootedTrees
-) -> tuple[NDArray, NDArray]:
-    """Phi(t) of the new step value for every tree of the table, and the
-    f values of the s stages as rows.
+def elementary_weights(sp: SpijkerForm, trees: RootedTrees) -> tuple[NDArray, NDArray]:
+    """Phi(t) of the new step value of a method's Spijker form for every
+    tree of the table, and the f values of the s stages as rows.
 
     The back value j (1-based) is the exact flow at (j - k) h, with
     weights (j - k)^|t| / gamma(t).  Stage i's f value at a stem [t] is
-    its weight Phi_i(t).  ``method`` may also be a Spijker form, which
-    is used as it is.  On a stack of methods the results gain the
+    its weight Phi_i(t).  On a stack of forms the results gain the
     stack's leading axes.
     """
-    sp = method if isinstance(method, SpijkerForm) else to_spijker(method)
     back, fback = _exact_back_values(sp.k, trees)
     return _spijker_step(sp, back, fback, partial(_tree_system, trees), lambda v: v)

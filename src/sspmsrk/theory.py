@@ -12,7 +12,6 @@ closed form, and a family of methods attains it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -24,7 +23,6 @@ from .methods import (
 )
 
 __all__ = [
-    "StabilityPolynomials",
     "stability_polynomials",
     "shifted_basis",
     "radius_abs_monotonicity",
@@ -46,15 +44,10 @@ MIN_POSITIVE_C = 1e-3
 LINEAR_BOUND_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class StabilityPolynomials:
-    """psi[i-1] holds the monomial coefficients of psi_i (multiplier of u^{n+1-i})."""
-
-    psi: list[NDArray]
-
-
-def stability_polynomials(sp: SpijkerForm) -> StabilityPolynomials:
-    """Polynomials in z produced by one step on u' = lambda*u.
+def stability_polynomials(sp: SpijkerForm) -> NDArray:
+    """Polynomials in z produced by one step on u' = lambda*u, as a
+    (k, s+1) array whose row i-1 holds the monomial coefficients of
+    psi_i, the multiplier of u^{n+1-i}.
 
     Forward substitution through w = S x + z T w on tables of degree
     by input step, where input x_j is the constant 1 at column j.  The
@@ -64,7 +57,7 @@ def stability_polynomials(sp: SpijkerForm) -> StabilityPolynomials:
     x = np.zeros((k, s + 1, k))
     x[:, 0, :] = np.eye(k)
     last, _ = _spijker_step(sp, x, x, lambda w: w, _degree_shift(k))
-    return StabilityPolynomials(psi=[last[:, k - i].copy() for i in range(1, k + 1)])
+    return last[:, ::-1].T.copy()
 
 
 def shifted_basis(psi: NDArray, r: float) -> NDArray:
@@ -111,21 +104,23 @@ def radius_abs_monotonicity(psi: NDArray) -> float:
     return _largest_feasible(lambda r: shifted_basis(psi, r).min() >= -COEFF_TOL, 2.0 * deg + 2.0)
 
 
-def threshold_factor(sp: StabilityPolynomials) -> float:
-    """min_i R(psi_i); identically-zero polynomials count as +inf."""
+def threshold_factor(psis: NDArray) -> float:
+    """min_i R(psi_i) over the rows of :func:`stability_polynomials`;
+    identically-zero polynomials count as +inf."""
     radii = [
         radius_abs_monotonicity(psi)
-        for psi in sp.psi
+        for psi in psis
         if _poly_degree(psi) >= 0
     ]
     return min(radii) if radii else math.inf
 
 
-def linear_order(sp: StabilityPolynomials) -> int:
-    """Largest p with sum_i psi_i(z) e^{-(i-1)z} = e^z through order z^p."""
-    N = max(_poly_degree(psi) for psi in sp.psi) + len(sp.psi) + 4
+def linear_order(psis: NDArray) -> int:
+    """Largest p with sum_i psi_i(z) e^{-(i-1)z} = e^z through order z^p,
+    psi_i being row i-1 of :func:`stability_polynomials`."""
+    N = max(_poly_degree(psi) for psi in psis) + len(psis) + 4
     total = np.zeros(N + 1)
-    for i, psi in enumerate(sp.psi, start=1):
+    for i, psi in enumerate(psis, start=1):
         shift = np.array([(-(i - 1.0)) ** n / math.factorial(n) for n in range(N + 1)])
         prod = npoly.polymul(psi, shift)[: N + 1]
         total[: len(prod)] += prod

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sspmsrk.methods import MSRKMethod
+from sspmsrk.methods import MSRKMethod, SpijkerForm, to_spijker
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,13 @@ def random_valid_method(rng, s, k):
     bhat = rng.uniform(0.0, 0.5, size=k - 1)
     b = rng.uniform(0.0, 0.5, size=s)
     return MSRKMethod(s=s, k=k, D=D, Ahat=Ahat, A=A, theta=theta, bhat=bhat, b=b)
+
+
+def stack_forms(methods):
+    """The Spijker forms of methods of one shape, stacked along a new first axis."""
+    forms = [to_spijker(m) for m in methods]
+    return SpijkerForm(S=np.array([f.S for f in forms]), T=np.array([f.T for f in forms]),
+                       k=forms[0].k, s=forms[0].s)
 
 
 @st.composite

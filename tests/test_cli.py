@@ -164,6 +164,13 @@ class TestOptimize:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_negative_seed_exits_2_before_the_linear_bound(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(optimizer, "linear_bound", _unreachable)
+        code = main(["optimize", "--stages", "2", "--steps", "2", "--order", "3",
+                     "--seed", "-1", "--out", str(tmp_path / "x.msrk")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+
     def test_no_positive_linear_bound_exits_4_without_a_solve(self, tmp_path, capsys,
                                                               monkeypatch):
         monkeypatch.setattr(optimizer, "_solve_feasibility", _unreachable)
@@ -174,8 +181,10 @@ class TestOptimize:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-1, 4), st.integers(-1, 4), st.integers(-1, 14),
-           st.sampled_from([0.0, -1e-3, float("nan"), float("inf")]) | st.floats())
-    def test_any_shape_order_and_r_tol_exits_cleanly(self, tmp_path_factory, s, k, p, r_tol):
+           st.sampled_from([0.0, -1e-3, float("nan"), float("inf")]) | st.floats(),
+           st.sampled_from([-1, 2**64, 2**70]) | st.integers(-2**70, 2**70))
+    def test_any_shape_order_and_r_tol_exits_cleanly(self, tmp_path_factory, s, k, p, r_tol,
+                                                     seed):
         # the solver reports every radius infeasible, so no real search runs
         def infeasible(spec, r, p, starts, history):
             return None, float("inf")
@@ -184,7 +193,7 @@ class TestOptimize:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer, "_solve_feasibility", infeasible)
             code = main(["optimize", f"--stages={s}", f"--steps={k}", f"--order={p}",
-                         f"--r-tol={r_tol}", f"--out={out}"])
+                         f"--r-tol={r_tol}", f"--seed={seed}", f"--out={out}"])
         assert code in {0, 1, 2, 3, 4, 5}
 
     def test_tiny_r_tol_ends_certified(self, tmp_path, capsys):
@@ -359,6 +368,16 @@ class TestStepsearch:
                      flag, value, "--out", str(tmp_path / "search.csv")])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {flag[2:]} must be positive and finite\n"
+
+    def test_resolution_not_below_the_bracket_exits_2(self, tmp_path, ssprk33_file, capsys,
+                                                       monkeypatch):
+        # the bisection would make no probe and report a step of 0
+        monkeypatch.setattr(pdelab, "startup", _unreachable)
+        code = main(["stepsearch", "--problem", "advection", "--method", ssprk33_file,
+                     "--resolution", "1e9", "--out", str(tmp_path / "search.csv")])
+        assert code == EXIT_USAGE
+        assert (capsys.readouterr().err
+                == "error: resolution must be below the bracket 20*dt_fe = 0.19802\n")
 
     def test_problem_without_monitors_exits_2(self, tmp_path, ssprk33_file, capsys,
                                               monkeypatch):

@@ -17,7 +17,7 @@ from sspmsrk.methods import (
 from sspmsrk.series import bushy_trees, elementary_weights
 from sspmsrk.theory import gen_second_order, r_sk2
 
-from conftest import random_valid_method
+from conftest import random_valid_method, stack_forms
 
 
 class TestValidate:
@@ -207,7 +207,7 @@ class TestAbscissae:
 
     @staticmethod
     def _abscissae(method):
-        return elementary_weights(method, bushy_trees(1))[1][:, 1]
+        return elementary_weights(to_spijker(method), bushy_trees(1))[1][:, 1]
 
     def test_forward_euler(self):
         np.testing.assert_array_equal(self._abscissae(forward_euler()), [0.0])
@@ -216,38 +216,26 @@ class TestAbscissae:
         np.testing.assert_allclose(self._abscissae(ssprk33()), [0.0, 1.0, 0.5], rtol=0, atol=1e-15)
 
 
-def _stack(members):
-    fields = ("D", "Ahat", "A", "theta", "bhat", "b")
-    arrays = {f: np.array([getattr(m, f) for m in members]) for f in fields}
-    return MSRKMethod(s=members[0].s, k=members[0].k, **arrays)
-
-
 class TestStacks:
+    """Only Spijker forms stack; a method is always one method."""
+
     @pytest.mark.parametrize("s, k", [(1, 1), (2, 2), (3, 4), (8, 5)])
     def test_spijker_and_canonical_match_members(self, rng, s, k):
         members = [random_valid_method(rng, s, k) for _ in range(5)]
-        sp = to_spijker(_stack(members))
+        sp = stack_forms(members)
         for r in [0.0, 0.4, 1.7]:
             cf = canonical(sp, r)
             for i, m in enumerate(members):
                 one = to_spijker(m)
-                np.testing.assert_array_equal(sp.S[i], one.S)
-                np.testing.assert_array_equal(sp.T[i], one.T)
                 np.testing.assert_allclose(cf.P[i], canonical(one, r).P, rtol=0, atol=1e-14)
                 np.testing.assert_allclose(cf.R[i], canonical(one, r).R, rtol=0, atol=1e-14)
 
-    def test_non_finite_member_raises(self, rng):
-        members = [random_valid_method(rng, 3, 2) for _ in range(3)]
-        members[1] = MSRKMethod(3, 2, members[1].D, members[1].Ahat, members[1].A,
-                                members[1].theta, members[1].bhat, [0.1, np.inf, 0.2])
-        with pytest.raises(MethodStructureError, match="coefficients must be finite"):
-            to_spijker(_stack(members))
-
-    def test_messages_quote_the_first_bad_member(self, rng):
+    def test_method_with_stacked_coefficients_rejected(self, rng):
         members = [random_valid_method(rng, 2, 2) for _ in range(3)]
-        bad = members[1]
-        members[1] = MSRKMethod(2, 2, bad.D, bad.Ahat, bad.A, [0.5, 0.4], bad.bhat, bad.b)
-        assert validate(_stack(members)).violations == validate(members[1]).violations
+        fields = ("D", "Ahat", "A", "theta", "bhat", "b")
+        arrays = {f: np.array([getattr(m, f) for m in members]) for f in fields}
+        with pytest.raises(ValueError):
+            MSRKMethod(s=2, k=2, **arrays)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_valid_method, same_bits
+from conftest import random_valid_method, same_bits, stack_forms
 from sspmsrk import methods, optimizer
 from sspmsrk.methods import (
     MethodStructureError, MSRKMethod, _spijker_from_flat, canonical, forward_euler,
@@ -57,6 +57,8 @@ class TestPackUnpack:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             unpack(np.zeros(3), 2, 2)
+        with pytest.raises(ValueError):  # one point only, not a stack
+            unpack(np.zeros((2, free_parameter_count(2, 2))), 2, 2)
 
     def test_count_matches_closed_form(self):
         for s in range(1, 9):
@@ -200,57 +202,62 @@ def _stacks(draw):
     return s, k, np.array(rows)
 
 
-def _unpack_as_first_written(X, s, k):
+def _unpack_as_first_written(x, s, k):
     """unpack with zero arrays per coefficient, the free entries of x put
     in place, and D's rows and theta completed to sum 1 by their last entry."""
     arrays, pos = {}, 0
     for key, mask in _free_masks(s, k).items():
         size = np.count_nonzero(mask)
-        arrays[key] = np.zeros(X.shape[:-1] + mask.shape)
-        arrays[key][..., mask] = X[..., pos : pos + size]
+        arrays[key] = np.zeros(mask.shape)
+        arrays[key][mask] = x[pos : pos + size]
         pos += size
     for key in ("D", "theta"):
         arrays[key][..., -1] = 1.0 - arrays[key][..., :-1].sum(axis=-1)
     return MSRKMethod(s=s, k=k, **arrays)
 
 
-def _residuals_as_first_written(method, r, p):
-    """constraint_residuals with the coefficient bounds read from the method's arrays."""
-    eq = order_residual_vector(method, p)
-    cf = canonical(to_spijker(method), r)
-    lead = method.b.shape[:-1]
-    ineq = np.concatenate([a.reshape(lead + (-1,)) for a in (
-        -cf.P, -cf.R, -method.D, method.D - 1.0, -method.theta, method.theta - 1.0,
-        -method.A, -method.Ahat, -method.b, -method.bhat,
-    )], axis=-1)
+def _residuals_as_first_written(methods, r, p):
+    """constraint_residuals on the stack of the methods' Spijker forms, one
+    row per method, with the coefficient bounds read from its arrays."""
+    sp = stack_forms(methods)
+    eq = order_residual_vector(sp, p)
+    cf = canonical(sp, r)
+    ineq = np.array([np.concatenate([a.ravel() for a in (
+        -P, -R, -m.D, m.D - 1.0, -m.theta, m.theta - 1.0, -m.A, -m.Ahat, -m.b, -m.bhat,
+    )]) for P, R, m in zip(cf.P, cf.R, methods)])
     return eq, ineq
 
 
 class TestMeritPlan:
-    """The merit scatters x straight into the Spijker form; its bits are those
-    of unpack, to_spijker and constraint_residuals as first written."""
+    """The merit scatters a stack of points straight into a stack of Spijker
+    forms; row i has the bits of unpack, to_spijker and constraint_residuals
+    as first written at point i, evaluated in a stack of the same size."""
 
     @settings(max_examples=150, deadline=None)
     @given(_stacks())
     def test_form_is_to_spijker_of_unpack(self, stack):
         s, k, X = stack
-        method, reference = unpack(X, s, k), _unpack_as_first_written(X, s, k)
-        for key in ("D", "Ahat", "A", "theta", "bhat", "b"):
-            assert same_bits(getattr(method, key), getattr(reference, key)), key
         sp = _spijker_from_flat(_scatter(X, s, k), s, k)
-        expected = to_spijker(method)
-        assert same_bits(sp.S, expected.S)
-        assert same_bits(sp.T, expected.T)
+        for i, x in enumerate(X):
+            method, reference = unpack(x, s, k), _unpack_as_first_written(x, s, k)
+            for key in ("D", "Ahat", "A", "theta", "bhat", "b"):
+                assert same_bits(getattr(method, key), getattr(reference, key)), key
+            expected = to_spijker(method)
+            assert same_bits(sp.S[i], expected.S)
+            assert same_bits(sp.T[i], expected.T)
 
     @settings(max_examples=150, deadline=None)
     @given(_stacks(), st.integers(1, 7), st.floats(0.0, 8.0))
     def test_rows_are_hinged_constraint_residuals(self, stack, p, r):
         s, k, X = stack
-        eq, ineq = constraint_residuals(unpack(X, s, k), r, p)
-        ref_eq, ref_ineq = _residuals_as_first_written(_unpack_as_first_written(X, s, k), r, p)
-        assert same_bits(eq, ref_eq) and same_bits(ineq, ref_ineq)
+        references = [_unpack_as_first_written(x, s, k) for x in X]
+        eq, ineq = _residuals_as_first_written(references, r, p)
         expected = np.concatenate([eq, np.maximum(0.0, ineq)], axis=-1)
         assert same_bits(_merit_residuals(X, s, k, r, p), expected)
+        for x, reference in zip(X, references):
+            eq, ineq = constraint_residuals(unpack(x, s, k), r, p)
+            ref_eq, ref_ineq = _residuals_as_first_written([reference], r, p)
+            assert same_bits(eq, ref_eq[0]) and same_bits(ineq, ref_ineq[0])
 
     def test_merit_and_jacobian_never_validate(self, rng, monkeypatch):
         calls = []

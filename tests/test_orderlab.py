@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import least_squares
 
 from conftest import random_valid_method
-from sspmsrk.methods import MSRKMethod, forward_euler, ssprk33
+from sspmsrk.methods import MSRKMethod, forward_euler, ssprk33, to_spijker
 from sspmsrk.msrkio import read_method
 from sspmsrk.orderlab import (
     _bushy_defects,
@@ -52,14 +52,14 @@ def _reference_methods():
 class TestBushyTrees:
     def test_first_stage_defect_vanishes_by_construction(self):
         for m in [forward_euler(), ssprk33(), gen_second_order(3, 4)]:
-            np.testing.assert_array_equal(_bushy_defects(m, 1)[1], 0.0)
+            np.testing.assert_array_equal(_bushy_defects(to_spijker(m), 1)[1], 0.0)
 
     def test_forward_euler_step_defect(self):
-        step, _ = _bushy_defects(forward_euler(), 2)
+        step, _ = _bushy_defects(to_spijker(forward_euler()), 2)
         assert step[1] == pytest.approx(-0.5)
 
     def test_ssprk33_defects(self):
-        step, stage = _bushy_defects(ssprk33(), 4)
+        step, stage = _bushy_defects(to_spijker(ssprk33()), 4)
         # b.c^3 = 1/4 holds too, yet the nonlinear order is 3:
         # the bushy conditions are necessary only
         np.testing.assert_allclose(step, 0.0, rtol=0, atol=1e-14)
@@ -74,7 +74,7 @@ class TestBushyTrees:
     @pytest.mark.parametrize("p", [5, 6, 7, 8])
     def test_stage_rows_are_negated_quadrature_residuals(self, p):
         for m in _reference_methods():
-            rows = order_residual_vector(m, p)[len(rooted_trees(p).order):]
+            rows = order_residual_vector(to_spijker(m), p)[len(rooted_trees(p).order):]
             ref = np.concatenate([_quadrature_defects(m, j)[0] for j in range(2, (p - 1) // 2 + 1)])
             np.testing.assert_allclose(rows, ref, rtol=1e-13, atol=1e-13)
 
@@ -139,15 +139,15 @@ def _rk4_with_bc3(bc3):
 
 class TestOrderResidualVector:
     def test_ssprk33_satisfies_order_three(self):
-        r = order_residual_vector(ssprk33(), 3)
+        r = order_residual_vector(to_spijker(ssprk33()), 3)
         assert np.abs(r).max() <= 1e-12
 
     def test_ssprk33_fails_order_four(self):
-        r = order_residual_vector(ssprk33(), 4)
+        r = order_residual_vector(to_spijker(ssprk33()), 4)
         assert np.abs(r).max() > 1e-3
 
     def test_gen_so2_family_is_second_order(self):
-        r = order_residual_vector(gen_second_order(5, 4), 2)
+        r = order_residual_vector(to_spijker(gen_second_order(5, 4)), 2)
         assert np.abs(r).max() <= 1e-10
 
 

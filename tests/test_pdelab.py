@@ -373,6 +373,12 @@ class TestMaxStableStep:
         with pytest.raises(ValueError, match="must be positive and finite"):
             max_stable_step(advection_upwind(), ssprk33(), "tvd", **kwargs)
 
+    def test_resolution_at_the_bracket_rejected(self, monkeypatch):
+        monkeypatch.setattr(pdelab, "startup", _unreachable)
+        problem = advection_upwind()
+        with pytest.raises(ValueError, match="must be below the bracket"):
+            max_stable_step(problem, ssprk33(), "tvd", resolution=20.0 * problem.dt_fe)
+
     def test_tiny_resolution_ends_on_neighbouring_floats(self, monkeypatch):
         # the property holds up to 0.3*dt_fe; a bracket there stops
         # shrinking at about 1e-18, far above the resolution

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_valid_method
-from sspmsrk.methods import MSRKMethod, forward_euler, ssprk33, to_spijker
+from conftest import random_valid_method, stack_forms
+from sspmsrk.methods import SpijkerForm, forward_euler, ssprk33, to_spijker
 from sspmsrk.series import elementary_weights, rooted_trees
 from sspmsrk.theory import gen_second_order, stability_polynomials
 
@@ -63,20 +63,21 @@ class TestFlowSeries:
         tall = [_tall(children, n) for n in range(1, 9)]
         np.testing.assert_array_equal(trees.gamma[tall], [math.factorial(n) for n in range(1, 9)])
         for m in [ssprk33(), gen_second_order(3, 2), gen_second_order(2, 4)]:
-            psi = stability_polynomials(to_spijker(m)).psi
+            psi = stability_polynomials(to_spijker(m))
             taylor = [
                 sum(p[d] * (1 - i) ** (n - d) / math.factorial(n - d)
                     for i, p in enumerate(psi, start=1) for d in range(min(n, len(p) - 1) + 1))
                 for n in range(1, 9)
             ]
-            phi = elementary_weights(m, rooted_trees(8))[0]
+            phi = elementary_weights(to_spijker(m), rooted_trees(8))[0]
             np.testing.assert_allclose(phi[tall], taylor, rtol=0, atol=1e-13)
 
     def test_constant_rhs(self):
         # on u' = 1 only the single vertex contributes, and every
         # consistent method follows the flow u0 + h
         for m in [forward_euler(), ssprk33(), gen_second_order(4, 3)]:
-            assert elementary_weights(m, rooted_trees(1))[0][0] == pytest.approx(1.0, abs=1e-14)
+            phi = elementary_weights(to_spijker(m), rooted_trees(1))[0]
+            assert phi[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_self_consistency(self):
         # U' = F(U) on the flow's series: gamma(t) = |t| * prod gamma(children)
@@ -86,14 +87,13 @@ class TestFlowSeries:
             assert trees.gamma[t] == expected
 
 
-def _weights_by_trees(method, N):
+def _weights_by_trees(sp, N):
     """Elementary weights one tree at a time: the stage weights of a tree
     need only those of its children, on every row at once."""
     trees = rooted_trees(N)
-    sp = to_spijker(method)
-    k = method.k
+    k = sp.k
     back = np.arange(1 - k, 1, dtype=float)[:, None] ** trees.order / trees.gamma
-    W = np.zeros(method.b.shape[:-1] + (k + method.s, len(trees.order)))
+    W = np.zeros(sp.S.shape[:-2] + (k + sp.s, len(trees.order)))
     for t, kids in enumerate(_children(trees)):
         F = np.ones(W.shape[:-1])
         for c in kids:
@@ -106,14 +106,13 @@ def _weights_by_trees(method, N):
 def test_stacked_eval_matches_members(N):
     rng = np.random.default_rng(N)
     members = [[random_valid_method(rng, 3, 2) for _ in range(3)] for _ in range(2)]
-    stack = MSRKMethod(
-        s=3, k=2, **{key: np.array([[getattr(m, key) for m in row] for row in members])
-                     for key in ("D", "Ahat", "A", "theta", "bhat", "b")},
-    )
+    rows = [stack_forms(row) for row in members]
+    stack = SpijkerForm(S=np.array([sp.S for sp in rows]), T=np.array([sp.T for sp in rows]),
+                        k=2, s=3)
     phi = elementary_weights(stack, rooted_trees(N))[0]
     assert phi.shape == (2, 3, len(rooted_trees(N).order))
     np.testing.assert_allclose(phi, _weights_by_trees(stack, N), rtol=0, atol=1e-12)
     for index in np.ndindex(2, 3):
-        member = members[index[0]][index[1]]
+        member = to_spijker(members[index[0]][index[1]])
         np.testing.assert_allclose(phi[index], elementary_weights(member, rooted_trees(N))[0],
                                    rtol=0, atol=1e-13)

@@ -25,26 +25,24 @@ from conftest import random_valid_method
 
 class TestStabilityPolynomials:
     def test_forward_euler(self):
-        sp = stability_polynomials(to_spijker(forward_euler()))
-        assert len(sp.psi) == 1
-        np.testing.assert_allclose(sp.psi[0], [1.0, 1.0])
+        psi = stability_polynomials(to_spijker(forward_euler()))
+        np.testing.assert_allclose(psi, [[1.0, 1.0]])
 
     def test_ssprk33_is_truncated_exponential(self):
-        sp = stability_polynomials(to_spijker(ssprk33()))
-        np.testing.assert_allclose(sp.psi[0], [1.0, 1.0, 0.5, 1.0 / 6.0])
+        psi = stability_polynomials(to_spijker(ssprk33()))
+        np.testing.assert_allclose(psi, [[1.0, 1.0, 0.5, 1.0 / 6.0]])
 
     def test_consistency_at_zero(self, rng):
         # psi_i(0) must reproduce the theta weights
         m = random_valid_method(rng, 3, 3)
-        sp = stability_polynomials(to_spijker(m))
-        values = [psi[0] for psi in sp.psi]
-        np.testing.assert_allclose(values, m.theta[::-1], atol=1e-14)
+        psi = stability_polynomials(to_spijker(m))
+        np.testing.assert_allclose(psi[:, 0], m.theta[::-1], atol=1e-14)
 
     def test_gen_so2_two_step(self):
         m = gen_second_order(2, 2)
-        sp = stability_polynomials(to_spijker(m))
+        psi = stability_polynomials(to_spijker(m))
         # psi_1 + psi_2 evaluated at z = 0 must be 1 (consistency)
-        assert sp.psi[0][0] + sp.psi[1][0] == pytest.approx(1.0)
+        assert psi[0][0] + psi[1][0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("method", [gen_second_order(3, 2), ssprk33()], ids=lambda m: m.name)
@@ -53,7 +51,7 @@ def test_msrk_step_on_linear_problem_matches_stability_polynomials(method):
     lam, dt = -1.3, 0.4
     history = [np.array([1.0 + 0.5 * j]) for j in range(method.k)]
     u_next, _ = msrk_step(method, history, [lam * u for u in history], lambda u: lam * u, dt)
-    psi = stability_polynomials(to_spijker(method)).psi
+    psi = stability_polynomials(to_spijker(method))
     z = lam * dt
     expected = sum(npoly.polyval(z, p) * history[-i][0] for i, p in enumerate(psi, start=1))
     assert u_next[0] == pytest.approx(expected, abs=1e-13)
@@ -113,8 +111,8 @@ class TestRadiusAbsMonotonicity:
 
 class TestThresholdFactor:
     def test_forward_euler(self):
-        sp = stability_polynomials(to_spijker(forward_euler()))
-        assert threshold_factor(sp) == pytest.approx(1.0, abs=1e-9)
+        psi = stability_polynomials(to_spijker(forward_euler()))
+        assert threshold_factor(psi) == pytest.approx(1.0, abs=1e-9)
 
     def test_bounds_ssp_coefficient(self):
         # C <= threshold factor for every method (linear problems are a subset)
@@ -126,8 +124,8 @@ class TestThresholdFactor:
 
     def test_gen_so2_attains_optimum(self):
         for s, k in [(2, 2), (3, 2), (5, 3), (8, 5)]:
-            sp = stability_polynomials(to_spijker(gen_second_order(s, k)))
-            assert threshold_factor(sp) == pytest.approx(r_sk2(s, k), abs=1e-8)
+            psi = stability_polynomials(to_spijker(gen_second_order(s, k)))
+            assert threshold_factor(psi) == pytest.approx(r_sk2(s, k), abs=1e-8)
 
 
 class TestLinearOrder:
