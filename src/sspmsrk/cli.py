@@ -127,7 +127,7 @@ def cmd_run(args) -> int:
             writer.writerow([f"{t:.12g}"] + [f"{record.monitors[n][i]:.12g}" for n in names])
     if record.final_error is not None:
         print(f"final_error: {record.final_error:.6e}")
-    print(f"wrote {len(record.times)} rows to {args.out}")
+    print(f"wrote {len(record.times)} rows to {args.out}, the last at t = {record.times[-1]:.12g}")
     return EXIT_OK
 
 

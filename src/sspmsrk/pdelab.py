@@ -4,11 +4,11 @@ The problems are the van der Pol oscillator, first-order upwind
 advection of a step function, and a flux-limited Buckley-Leverett
 scheme.  Van der Pol errors are measured against DOP853 dense output
 at rtol = atol = 1e-13 (scipy's ``solve_ivp``) up to t = VDP_MAX_HORIZON.
-Runs record convex monitor values (total variation, minimum entry) at
-every accepted step.  A bisection search over the step size locates the
-largest step for which a monotonicity property holds over a whole run;
-each probe reads only its property's monitor and stops at the first
-violating step.
+Runs take whole steps of dt only and record convex monitor values
+(total variation, minimum entry) at every step.  A bisection search over
+the step size locates the largest step for which a monotonicity property
+holds over a whole run; each probe reads only its property's monitor and
+stops at the first violating step.
 """
 
 from __future__ import annotations
@@ -42,8 +42,11 @@ __all__ = [
 MONOTONICITY_SLACK = 1e-12
 #: the van der Pol reference ends here; DOP853 takes about 0.7 s to reach it
 VDP_MAX_HORIZON = 1024.0
+_VDP_U0 = (0.5, 0.0)
 #: a run of more steps than this fails before its start-up
 MAX_STEPS = 10**7
+#: the one-step method of the rk3_substeps start-up
+_SSPRK33 = ssprk33()
 
 
 def _forward_diff(u: NDArray) -> NDArray:
@@ -105,7 +108,7 @@ class RunRecord:
 @dataclass(frozen=True)
 class StepSearchResult:
     """``horizon_limited``: the smallest failing step failed because the
-    horizon left no full step after start-up, not because of the
+    horizon left no whole step after start-up, not because of the
     property, so ``dt_max`` is about tf/k and not the property's limit."""
 
     dt_max: float
@@ -177,8 +180,8 @@ def startup(
     nsub = max(1, math.ceil(dt / substep))
     states = []
     try:
-        for j, (_, u) in enumerate(_trajectory(problem, ssprk33(), dt / nsub, (k - 1) * dt,
-                                               "rk3_substeps", truncate_final=False)):
+        for j, (_, u) in enumerate(_trajectory(problem, _SSPRK33, dt / nsub, (k - 1) * dt,
+                                               "rk3_substeps")):
             if j % nsub == 0:
                 states.append(u)
     except RunAbortedError as exc:
@@ -193,33 +196,32 @@ def _vdp_rhs(u: NDArray, eps: float) -> NDArray:
 
 
 @functools.lru_cache(maxsize=8)
-def _vdp_reference(eps: float, u0: tuple[float, float], horizon: float):
-    """Dense output of DOP853 at rtol = atol = 1e-13 on [0, horizon]."""
+def _vdp_reference(eps: float, horizon: float):
+    """Dense output of DOP853 at rtol = atol = 1e-13 on [0, horizon] from _VDP_U0."""
     # imported here: only van der Pol needs scipy.integrate, and importing
     # it with the module adds about 0.05 s to every process that loads pdelab
     from scipy.integrate import solve_ivp
 
-    return solve_ivp(lambda t, u: _vdp_rhs(u, eps), (0.0, horizon), u0, method="DOP853",
+    return solve_ivp(lambda t, u: _vdp_rhs(u, eps), (0.0, horizon), _VDP_U0, method="DOP853",
                      rtol=1e-13, atol=1e-13, dense_output=True).sol
 
 
-def vdp_problem(eps: float = 10.0, u0=(0.5, 0.0)) -> SemiDiscretization:
-    """The van der Pol oscillator u1' = u2, u2' = (-u1 + (1-u1^2) u2)/eps."""
+def vdp_problem(eps: float = 10.0) -> SemiDiscretization:
+    """The van der Pol oscillator u1' = u2, u2' = (-u1 + (1-u1^2) u2)/eps from (0.5, 0)."""
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    u0 = tuple(float(x) for x in u0)
 
     def exact(t: float) -> NDArray:
         if not t <= VDP_MAX_HORIZON:
             raise ValueError(f"the van der Pol reference ends at t = {VDP_MAX_HORIZON:g}; "
                              f"t = {t:g} is past it")
         # the horizon, the smallest 4*2^m >= t, depends on t alone, and so does u(t)
-        return _vdp_reference(eps, u0, 4.0 * 2.0 ** math.ceil(math.log2(max(t / 4.0, 1.0))))(t)
+        return _vdp_reference(eps, 4.0 * 2.0 ** math.ceil(math.log2(max(t / 4.0, 1.0))))(t)
 
     # dt_fe is nominal: the oscillator carries no convex monitor of interest
     return SemiDiscretization(
         name="vdp", dim=2, rhs=functools.partial(_vdp_rhs, eps=eps), dt_fe=eps / 10.0,
-        u0=np.array(u0), monitors={}, exact=exact,
+        u0=np.array(_VDP_U0), monitors={}, exact=exact,
     )
 
 
@@ -254,18 +256,17 @@ def _koren_phi(theta: NDArray) -> NDArray:
     return np.maximum(0.0, np.minimum(np.minimum(2.0 * theta, (1.0 + 2.0 * theta) / 3.0), 2.0))
 
 
-def buckley_leverett(N: int = 100, a: float = 1.0 / 3.0) -> SemiDiscretization:
+def buckley_leverett(N: int = 100) -> SemiDiscretization:
     """Buckley-Leverett flux with a Koren-limited conservative upwind scheme.
 
-    f(u) = u^2 / (u^2 + a(1-u)^2) is nondecreasing on [0, 1], so the
-    interface flux uses the limited left value.  ``dt_fe = dx/4`` is
+    f(u) = u^2 / (u^2 + a(1-u)^2), a = 1/3, is nondecreasing on [0, 1], so
+    the interface flux uses the limited left value.  ``dt_fe = dx/4`` is
     nominal: max f' exceeds 2, so forward Euler is TVD only up to
-    (2/max f')*dx/4, about 0.9067*dx/4 at a = 1/3.
+    (2/max f')*dx/4, about 0.9067*dx/4.
     """
     if N < 3:
         raise ValueError("N must be at least 3")
-    if a <= 0:
-        raise ValueError("a must be positive")
+    a = 1.0 / 3.0
     dx = 1.0 / N
     x = dx * np.arange(N)
     u0 = np.where(x >= 0.5, 0.5, 0.0)
@@ -296,21 +297,23 @@ def run(
     tf: float,
     startup_mode: Optional[str] = None,
 ) -> RunRecord:
-    """Integrate to tf, sampling every monitor at every accepted state.
+    """Integrate in whole steps of dt, sampling every monitor at every state.
 
-    The final partial step is truncated to land on tf exactly.
+    The run, and ``final_error``, end at the last whole step at or before
+    tf: a shorter step of a k-step method is not a step of the method.
+    k*dt > tf, which leaves no whole step after start-up, raises ValueError.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not math.isfinite(tf):
         raise ValueError("tf must be finite")
-    if tf <= (method.k - 1) * dt:
-        raise ValueError("tf must exceed the startup interval (k-1)*dt")
-    # the run ends at tf: an exact solution that cannot reach it fails before any step
+    if method.k * dt > tf:
+        raise ValueError("tf must be at least k*dt, so that a whole step follows the start-up")
+    # an exact solution that cannot reach tf fails before any step
     exact_tf = problem.exact(tf) if problem.exact is not None else None
     times = []
     monitors = {name: [] for name in problem.monitors}
-    for t, u in _trajectory(problem, method, dt, tf, startup_mode, truncate_final=True):
+    for t, u in _trajectory(problem, method, dt, tf, startup_mode):
         times.append(t)
         for name, fn in problem.monitors.items():
             monitors[name].append(fn(u))
@@ -321,9 +324,9 @@ def run(
     return RunRecord(times=times, monitors=monitors, final_error=final_error)
 
 
-def _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
-    """(t, u) for each startup state, then for each accepted step to tf; the final
-    partial step is truncated to land on tf, or dropped if ``truncate_final`` is false."""
+def _trajectory(problem, method, dt, tf, startup_mode):
+    """(t, u) for each startup state, then for each whole step of dt while
+    t + dt <= tf; a step that lands within ``tol`` of tf ends exactly on it."""
     k = method.k
     _check_step_count((tf - (k - 1) * dt) / dt)
     tol = min(1e-12, 1e-3 * dt)  # times this close are equal; below dt = 1e-9, relative to dt
@@ -335,17 +338,12 @@ def _trajectory(problem, method, dt, tf, startup_mode, truncate_final):
     rhs_vals = np.array([problem.rhs(u) for u in states])
     t = (k - 1) * dt
     step_index = 0
-    while t < tf - tol:
-        h = dt
-        if t + dt > tf + tol:
-            if not truncate_final:
-                break
-            h = tf - t
-        u_next, _ = msrk_step(method, states, rhs_vals, problem.rhs, h)
+    while t + dt <= tf + tol:
+        u_next, _ = msrk_step(method, states, rhs_vals, problem.rhs, dt)
         step_index += 1
         if not np.all(np.isfinite(u_next)):
             raise RunAbortedError(f"non-finite state at step {step_index}")
-        t += h
+        t += dt
         if abs(t - tf) <= tol:
             t = tf
         states[:-1] = states[1:]
@@ -360,18 +358,18 @@ _PROPERTY_MONITORS = {"tvd": "tv", "positivity": "min"}
 
 
 def _holds(problem, method, prop, dt, tf, startup_mode) -> bool:
-    """Whether ``prop`` holds in a run of full steps to tf: positivity at every
-    state, TVD from the first full step on against the max over the k states
-    before.  Reads only the property's monitor and stops at the first violating
-    state; a run with no full step after start-up, or a non-finite state, fails.
+    """Whether ``prop`` holds in a run to tf: positivity at every state, TVD
+    from the first step on against the max over the k states before.  Reads
+    only the property's monitor and stops at the first violating state; a run
+    with no whole step after start-up, or a non-finite state, fails.
     """
     k = method.k
-    if k * dt > tf:  # horizon too short for startup plus one full step
+    if k * dt > tf:  # horizon too short for startup plus one whole step
         return False
     monitor = problem.monitors[_PROPERTY_MONITORS[prop]]
     values = []
     try:
-        for _, u in _trajectory(problem, method, dt, tf, startup_mode, truncate_final=False):
+        for _, u in _trajectory(problem, method, dt, tf, startup_mode):
             v = monitor(u)
             if (not v >= -MONOTONICITY_SLACK if prop == "positivity"
                     else len(values) >= k and v > max(values[-k:]) + MONOTONICITY_SLACK):
@@ -390,10 +388,11 @@ def max_stable_step(
     tf: Optional[float] = None,
     startup_mode: Optional[str] = None,
 ) -> StepSearchResult:
-    """Largest dt for which the property holds at every step of a full run.
+    """Largest dt for which the property holds at every step of a run to tf.
 
-    Bisection over [0, 20*dt_fe]; runs use only full steps so the
-    comparison against C*dt_fe is clean.  Each probe asks ``_holds``.
+    Bisection over [0, 20*dt_fe].  Each probe asks ``_holds``, whose run,
+    like every run, takes whole steps of dt only and ends at the last one
+    at or before tf, so the comparison against C*dt_fe is clean.
     The default horizon max(0.125, 12*k*max(C, 1)*dt_fe) makes a run at
     the theoretical step C*dt_fe last at least 12*k steps; C*dt_fe is
     capped at 20*dt_fe, so a method with C = inf gets a finite horizon.

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
 from scipy.optimize import linprog
 
@@ -64,23 +63,18 @@ def shifted_basis(psi: NDArray, r: float) -> NDArray:
     """Exact change of basis from monomials in z to powers of (1 + z/r).
 
     Writing t = 1 + z/r, the result is the coefficient table of
-    psi(r*(t-1)) in t; same length as the input.
+    psi(r*(t-1)) in t along the last axis; same shape as the input.
     """
     if r <= 0:
         raise ValueError("r must be positive")
     psi = np.asarray(psi, dtype=float)
-    gamma = np.array([psi[-1]])
-    for c in psi[-2::-1]:
-        gamma = npoly.polymul(gamma, [-r, r])
-        gamma[0] += c
-    out = np.zeros(len(psi))
-    out[: len(gamma)] = gamma
-    return out
-
-
-def _poly_degree(psi: NDArray) -> int:
-    nz = np.nonzero(np.asarray(psi))[0]
-    return int(nz[-1]) if len(nz) else -1
+    gamma, rg = np.zeros_like(psi), np.empty_like(psi)
+    # Horner's rule, highest power first: gamma <- gamma * (r t - r) + c
+    for c in np.moveaxis(psi, -1, 0)[::-1]:
+        np.multiply(gamma, r, out=rg)
+        np.subtract(rg[..., :-1], rg[..., 1:], out=gamma[..., 1:])
+        gamma[..., 0] = c - rg[..., 0]
+    return gamma
 
 
 def radius_abs_monotonicity(psi: NDArray) -> float:
@@ -90,62 +84,66 @@ def radius_abs_monotonicity(psi: NDArray) -> float:
     shifted-basis coefficients at r, which is what the bisection tests.
     """
     psi = np.asarray(psi, dtype=float)
-    deg = _poly_degree(psi)
-    if deg < 0:
+    if not psi.any():
         raise ValueError("psi must be nonzero")
-    # feasibility at r -> 0+ means all Taylor coefficients at 0 are nonnegative
-    if psi.min() < -COEFF_TOL:
-        return 0.0
-    if deg == 0:
-        return math.inf  # nonnegative constant: absolutely monotonic everywhere
-
-    # the positive leading coefficient makes the radius finite, but it can
-    # exceed the starting bracket 2 deg + 2
-    return _largest_feasible(lambda r: shifted_basis(psi, r).min() >= -COEFF_TOL, 2.0 * deg + 2.0)
+    return threshold_factor(psi[None])
 
 
 def threshold_factor(psis: NDArray) -> float:
-    """min_i R(psi_i) over the rows of :func:`stability_polynomials`;
-    identically-zero polynomials count as +inf."""
-    radii = [
-        radius_abs_monotonicity(psi)
-        for psi in psis
-        if _poly_degree(psi) >= 0
-    ]
-    return min(radii) if radii else math.inf
+    """min_i R(psi_i) over the rows of :func:`stability_polynomials`, found
+    by one bisection on all rows at once; identically-zero polynomials
+    count as +inf."""
+    psis = np.asarray(psis, dtype=float)
+    deg = int(max(np.flatnonzero(psis.any(axis=0)), default=0))
+    # feasibility at r -> 0+ means all Taylor coefficients at 0 are nonnegative
+    if psis.min() < -COEFF_TOL:
+        return 0.0
+    if deg == 0:
+        return math.inf  # nonnegative constants: absolutely monotonic everywhere
+    # the positive leading coefficients make the radius finite, but it can
+    # exceed the starting bracket 2 deg + 2
+    return _largest_feasible(lambda r: shifted_basis(psis, r).min() >= -COEFF_TOL, 2.0 * deg + 2)
+
+
+def _linear_conditions(basis: NDArray, k: int, p: int) -> tuple[NDArray, NDArray]:
+    """Rows A and right side b of sum_i psi_i(z) e^{-(i-1)z} = e^z through z^p
+    for psi_i = sum_j gamma_ij basis_j, i <= k, as A @ gamma.ravel() = b.
+
+    ``basis`` holds the z^0..z^p coefficients of basis_j as row j; row m of
+    A holds the z^m coefficients of basis_j(z) e^{-(i-1)z}, column (i, j).
+    """
+    m = np.arange(p + 1)
+    factorial = np.array([math.factorial(n) for n in m], dtype=float)
+    shift = (-np.arange(k, dtype=float)[:, None]) ** m / factorial
+    lag = m[:, None] - m
+    toeplitz = np.where(lag >= 0, shift[:, np.maximum(lag, 0)], 0.0)
+    rows = np.swapaxes(toeplitz @ basis.T, 0, 1).reshape(p + 1, -1)
+    return rows, 1.0 / factorial
 
 
 def linear_order(psis: NDArray) -> int:
     """Largest p with sum_i psi_i(z) e^{-(i-1)z} = e^z through order z^p,
     psi_i being row i-1 of :func:`stability_polynomials`."""
-    N = max(_poly_degree(psi) for psi in psis) + len(psis) + 4
-    total = np.zeros(N + 1)
-    for i, psi in enumerate(psis, start=1):
-        shift = np.array([(-(i - 1.0)) ** n / math.factorial(n) for n in range(N + 1)])
-        prod = npoly.polymul(psi, shift)[: N + 1]
-        total[: len(prod)] += prod
-    expz = np.array([1.0 / math.factorial(n) for n in range(N + 1)])
-    failed = np.flatnonzero(np.abs(total - expz) > LINEAR_ORDER_TOL)
+    psis = np.asarray(psis, dtype=float)
+    k, n = psis.shape
+    N = int(max(np.flatnonzero(psis.any(axis=0)), default=-1)) + k + 4
+    rows, rhs = _linear_conditions(np.eye(n, N + 1), k, N)
+    failed = np.flatnonzero(np.abs(rows @ psis.ravel() - rhs) > LINEAR_ORDER_TOL)
     return max(int(failed[0]) - 1, 0) if failed.size else N
 
 
 def _linear_order_feasible(s: int, k: int, p: int, r: float) -> bool:
     """Whether some gamma >= 0 makes psi_i(z) = sum_j gamma_ij (1 + z/r)^j,
-    i <= k and j <= s, meet sum_i psi_i(z) e^{-(i-1)z} = e^z through z^p.
+    i <= k and j <= s, meet the linear order conditions through z^p.
 
-    Row m holds the z^m coefficients of (1 + z/r)^j e^{-(i-1)z}, one
-    column per (i, j); each column is divided by its largest entry, as
-    the columns scale like r^-j.
+    Each column of :func:`_linear_conditions` is divided by its largest
+    entry, as the columns scale like r^-j.
     """
     m = np.arange(p + 1)
-    factorial = np.array([math.factorial(n) for n in m], dtype=float)
     power = np.array([[math.comb(j, l) for l in m] for j in range(s + 1)]) / r**m
-    shift = (-np.arange(k, dtype=float)[:, None]) ** m / factorial
-    lag = m[:, None] - m
-    toeplitz = np.where(lag >= 0, shift[:, np.maximum(lag, 0)], 0.0)
-    rows = np.swapaxes(toeplitz @ power.T, 0, 1).reshape(p + 1, k * (s + 1))
+    rows, rhs = _linear_conditions(power, k, p)
     rows /= np.abs(rows).max(axis=0)
-    res = linprog(np.zeros(rows.shape[1]), A_eq=rows, b_eq=1.0 / factorial, bounds=(0, None),
+    res = linprog(np.zeros(rows.shape[1]), A_eq=rows, b_eq=rhs, bounds=(0, None),
                   method="highs")
     return res.status == 0
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import types
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.integrate import solve_ivp
 from conftest import same_bits as _same_bits
 from sspmsrk import pdelab
 from sspmsrk.methods import MSRKMethod, forward_euler, ssp_coefficient, ssprk33, to_spijker
+from sspmsrk.msrkio import read_method
 from sspmsrk.orderlab import convergence_order
 from sspmsrk.pdelab import (
     MAX_STEPS,
@@ -32,6 +34,8 @@ from sspmsrk.pdelab import (
     vdp_problem,
 )
 from sspmsrk.theory import gen_second_order
+
+BENCH_OPT_234 = Path(__file__).resolve().parents[1] / "perfbench" / "methods" / "opt_2_3_4.msrk"
 
 
 def _unreachable(*args, **kwargs):
@@ -279,20 +283,30 @@ class TestRun:
         assert max(tv) <= tv[0] + 1e-12
         assert record.monitors["min"][-1] >= -1e-12
 
-    def test_final_time_is_hit_exactly(self):
-        problem = advection_upwind()
-        record = run(problem, ssprk33(), 0.003, 0.1)
-        assert record.times[-1] == pytest.approx(0.1, abs=1e-12)
+    def test_run_ends_at_the_last_whole_step_before_tf(self):
+        # 0.1 is 33.3 steps of 0.003: the run stops after the 33rd
+        record = run(advection_upwind(), ssprk33(), 0.003, 0.1)
+        assert record.times[-1] == pytest.approx(33 * 0.003, abs=1e-12)
+        np.testing.assert_allclose(np.diff(record.times), 0.003, rtol=0, atol=1e-12)
+
+    def test_multistep_run_off_the_grid_keeps_its_order(self):
+        # tf = 4 is 45.2 steps of dt; a shorter last step through the same
+        # coefficients is no step of a k-step method, and its error is O(1e-2)
+        method = read_method(BENCH_OPT_234)
+        dt, tf = 0.93 * 4.0 / 42, 4.0
+        record = run(vdp_problem(), method, dt, tf, startup_mode="exact")
+        assert record.final_error < 1e-5
+        np.testing.assert_allclose(np.diff(record.times), dt, rtol=0, atol=1e-12)
+        assert record.times[-1] <= tf
 
     def test_accumulated_time_lands_on_tf(self):
         # 42 steps of 4/42 sum to 4.000000000000003 in floating point
         record = run(vdp_problem(), ssprk33(), 4.0 / 42, 4.0)
         assert record.times[-1] == 4.0
 
-    def test_truncate_final_false_stops_at_full_step(self):
+    def test_trajectory_stops_at_last_whole_step(self):
         problem = advection_upwind()
-        times = [t for t, _ in pdelab._trajectory(problem, ssprk33(), 0.003, 0.1, None,
-                                                  truncate_final=False)]
+        times = [t for t, _ in pdelab._trajectory(problem, ssprk33(), 0.003, 0.1, None)]
         assert times[-1] <= 0.1
         steps = np.diff(times)
         np.testing.assert_allclose(steps, 0.003, atol=1e-12)
@@ -303,9 +317,13 @@ class TestRun:
         record = run(problem, m, 0.5 * problem.dt_fe, 0.1)
         assert len(record.times) == len(record.monitors["tv"])
 
-    def test_horizon_shorter_than_startup_rejected(self):
+    def test_horizon_shorter_than_startup_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             run(advection_upwind(), gen_second_order(2, 3), 0.05, 0.08)
+        # start-up ends at 0.1 < tf = 0.12, but a whole step would end at 0.15
+        monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
+        with pytest.raises(ValueError, match=re.escape("tf must be at least k*dt")):
+            run(advection_upwind(), gen_second_order(2, 3), 0.05, 0.12)
 
     @pytest.mark.parametrize("dt, tf", [(np.inf, 0.1), (np.nan, 0.1), (0.003, np.inf),
                                         (0.003, np.nan)])
@@ -339,7 +357,7 @@ class TestRun:
 
         record = run(dataclasses.replace(problem, exact=exact), ssprk33(), 4.0 / 42, 4.0)
         assert sorted(calls) == [0.0, 4.0]  # startup sample and tf, each once
-        *_, (t, u) = pdelab._trajectory(problem, ssprk33(), 4.0 / 42, 4.0, None, True)
+        *_, (t, u) = pdelab._trajectory(problem, ssprk33(), 4.0 / 42, 4.0, None)
         assert t == 4.0
         assert record.final_error == float(np.linalg.norm(u - problem.exact(4.0)))
 
@@ -385,7 +403,7 @@ class TestMaxStableStep:
         problem = advection_upwind()
         steps = []
 
-        def fake_trajectory(problem, method, dt, tf, startup_mode, truncate_final):
+        def fake_trajectory(problem, method, dt, tf, startup_mode):
             steps.append(dt)
             if len(steps) > 200:
                 pytest.fail("the bisection did not end")
@@ -436,8 +454,7 @@ class TestMaxStableStep:
         # at that dt takes every step of the horizon
         problem, method, tf = advection_upwind(), ssprk33(), 2.0
         dt = 20.0 * problem.dt_fe
-        tv = [tv_seminorm(u) for _, u in pdelab._trajectory(problem, method, dt, tf, None,
-                                                            truncate_final=False)]
+        tv = [tv_seminorm(u) for _, u in pdelab._trajectory(problem, method, dt, tf, None)]
         first = next(n for n in range(len(tv)) if not _two_branch_holds(tv[: n + 1], "tvd", 1))
         probe_steps = []
 

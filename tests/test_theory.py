@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from sspmsrk.methods import forward_euler, ssp_coefficient, ssprk33, to_spijker
+from sspmsrk.methods import _largest_feasible, forward_euler, ssp_coefficient, ssprk33, to_spijker
 from sspmsrk.orderlab import oracle_order
 from sspmsrk.pdelab import msrk_step
 from sspmsrk.theory import (
+    COEFF_TOL,
+    LINEAR_ORDER_TOL,
     LINEAR_BOUND_TOL,
     MIN_POSITIVE_C,
     gen_second_order,
@@ -137,6 +141,67 @@ class TestLinearOrder:
 
     def test_gen_so2(self):
         assert linear_order(stability_polynomials(to_spijker(gen_second_order(3, 3)))) == 2
+
+
+# random valid methods of up to 5 stages and 4 steps, and the SO2 family
+_methods = st.one_of(
+    st.builds(lambda seed, s, k: random_valid_method(np.random.default_rng(seed), s, k),
+              st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4)),
+    st.sampled_from([(s, k) for s in range(2, 9) for k in range(2, 6)]).map(
+        lambda sk: gen_second_order(*sk)),
+)
+
+
+def _row_radius_as_first_written(psi):
+    """The radius of one nonzero row by a bisection of its own, through npoly."""
+    def shifted(r):
+        gamma = np.array([psi[-1]])
+        for c in psi[-2::-1]:
+            gamma = npoly.polymul(gamma, [-r, r])
+            gamma[0] += c
+        return gamma
+
+    deg = int(np.flatnonzero(psi)[-1])
+    if psi.min() < -COEFF_TOL:
+        return 0.0
+    if deg == 0:
+        return math.inf
+    return _largest_feasible(lambda r: shifted(r).min() >= -COEFF_TOL, 2.0 * deg + 2.0)
+
+
+def _linear_order_as_first_written(psis):
+    """Linear order from each psi_i times the series of e^{-(i-1)z}, through npoly."""
+    N = max(int(np.flatnonzero(psi)[-1]) if psi.any() else -1 for psi in psis) + len(psis) + 4
+    total = np.zeros(N + 1)
+    for i, psi in enumerate(psis, start=1):
+        shift = np.array([(-(i - 1.0)) ** n / math.factorial(n) for n in range(N + 1)])
+        prod = npoly.polymul(psi, shift)[: N + 1]
+        total[: len(prod)] += prod
+    expz = np.array([1.0 / math.factorial(n) for n in range(N + 1)])
+    failed = np.flatnonzero(np.abs(total - expz) > LINEAR_ORDER_TOL)
+    return max(int(failed[0]) - 1, 0) if failed.size else N
+
+
+@settings(max_examples=60, deadline=None)
+@given(_methods)
+def test_threshold_factor_is_the_least_row_radius(method):
+    psis = stability_polynomials(to_spijker(method))
+    radii = [_row_radius_as_first_written(psi) for psi in psis if psi.any()]
+    factor = threshold_factor(psis)
+    assert type(factor) is float
+    assert factor == pytest.approx(min(radii), rel=0, abs=1e-9)
+    # the change of basis of all rows at once is the one of each row
+    r = 0.5 + factor if math.isfinite(factor) else 1.5
+    assert np.array_equal(shifted_basis(psis, r), [shifted_basis(psi, r) for psi in psis])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_methods)
+def test_linear_order_matches_the_series_product(method):
+    psis = stability_polynomials(to_spijker(method))
+    order = linear_order(psis)
+    assert type(order) is int
+    assert order == _linear_order_as_first_written(psis)
 
 
 class TestLinearBound:
