@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Optional
 
@@ -40,6 +41,11 @@ __all__ = [
 
 #: evaluation budget (max_nfev) of one inner least-squares solve
 MAX_INNER_ITERS = 500
+
+#: a solve at r > 0 stops once its least merit, still above feas_tol**2, has not
+#: fallen by STALL_FACTOR over its last max(STALL_WINDOW, 5 n) residual evaluations
+STALL_WINDOW = 50
+STALL_FACTOR = 10.0
 
 #: norm of the pad column of a solve's Jacobian (see :func:`_solve_feasibility`)
 _PAD_NORM = 1e-100
@@ -240,6 +246,49 @@ def _padded_jacobian(z, s, k, r, p):
     return out
 
 
+class _Stalled(Exception):
+    """Raised from a solve's residual to stop it, as scipy's 'lm' ignores ``callback``."""
+
+
+class _Solve:
+    """The residual and Jacobian callables of one inner solve, and its counts.
+
+    The residual keeps the least merit after each evaluation and raises
+    :class:`_Stalled` by the stall rule (STALL_WINDOW) at r > 0:
+    Levenberg-Marquardt converges fast near a zero residual, so a long
+    plateau above feas_tol**2 is a solve that fails.  The Jacobian reuses
+    its array at its last point, where scipy most often asks again to
+    report the gradient.  ``len(least)`` counts the residuals computed and
+    ``njev`` the Jacobians computed.
+    """
+
+    def __init__(self, spec: SearchSpec, r: float, p: int):
+        self.args = (spec.s, spec.k, r, p)
+        self.floor = spec.feas_tol**2
+        # the r = 0 solves, which a search must pass to start, run their whole budget
+        self.window = (max(STALL_WINDOW, 5 * free_parameter_count(spec.s, spec.k))
+                       if r > 0.0 else math.inf)
+        self.least: list[float] = []  # least merit after each residual evaluation
+        self.njev = 0
+        self._z = self._J = None  # the last Jacobian's point and array
+
+    def residuals(self, z):
+        F = _padded_residuals(z, *self.args)
+        merit = float(F @ F)
+        least = self.least
+        least.append(min(merit, least[-1]) if least else merit)
+        if len(least) > self.window and least[-1] > max(
+                self.floor, least[-1 - self.window] / STALL_FACTOR):
+            raise _Stalled
+        return F
+
+    def jacobian(self, z):
+        if not np.array_equal(z, self._z):
+            self._z, self._J = z.copy(), _padded_jacobian(z, *self.args)
+            self.njev += 1
+        return self._J
+
+
 def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     """(x, best merit): x of the first start whose solve is :func:`_accepted`
     at r, or None, and the least merit over the solves made.
@@ -247,7 +296,8 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     Each start is solved by MINPACK's compiled Levenberg-Marquardt, as the
     merit has no bounds (they are hinged into the residual).  Unit scaling
     of the coordinates, as 'trf' had, kept the (3,2,3) search at its optimum
-    where scipy's 'lm' default, column-norm scaling, often did not.
+    where scipy's 'lm' default, column-norm scaling, often did not.  A solve
+    that stalls (see :class:`_Solve`) is recorded with its least merit.
 
     The solve carries a pad: a last coordinate that no residual reads and a
     zero last residual.  MINPACK's QR (scipy 1.17.1), when it recomputes the
@@ -261,16 +311,19 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     """
     best_merit = np.inf
     for idx, x0 in enumerate(starts):
-        sol = least_squares(
-            _padded_residuals, np.append(x0, 0.0), jac=_padded_jacobian,
-            args=(spec.s, spec.k, r, p),
-            method="lm", x_scale=1.0, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            max_nfev=MAX_INNER_ITERS,
-        )
-        merit = float(2.0 * sol.cost)  # cost is half the squared norm
-        history.append((r, idx, merit, sol.nfev, sol.njev))
-        x = sol.x[:-1]
-        if _accepted(spec, r, merit, x):
+        solve = _Solve(spec, r, p)
+        try:
+            sol = least_squares(
+                solve.residuals, np.append(x0, 0.0), jac=solve.jacobian,
+                method="lm", x_scale=1.0, xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                max_nfev=MAX_INNER_ITERS,
+            )
+        except _Stalled:
+            merit, x = solve.least[-1], None
+        else:
+            merit, x = float(2.0 * sol.cost), sol.x[:-1]  # cost is half the squared norm
+        history.append((r, idx, merit, len(solve.least), solve.njev))
+        if x is not None and _accepted(spec, r, merit, x):
             return x, merit
         best_merit = min(best_merit, merit)
     return None, best_merit

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from conftest import random_valid_method, same_bits, stack_forms
 from sspmsrk import methods, optimizer
@@ -423,6 +424,151 @@ class TestMaximizeSSP:
         lines = log.read_text().strip().splitlines()
         assert lines[0] == "start,r,merit,iterations"
         assert len(lines) == len(res.history) + 1
+
+
+def _benchmark_search_234():
+    """The (2,3,4) search of the benchmark's round 0, whose solver seed is
+    derived from 123, the round and the target."""
+    seed = int(np.random.SeedSequence([123, 0, 2, 3, 4]).generate_state(1)[0]) % 2**31
+    return SearchSpec(s=2, k=3, p=4, starts=20, seed=seed, r_tol=1e-3,
+                      warm_starts=warm_start_ladder(2, 3, 4))
+
+
+def _acceptance_search_323():
+    """The acceptance suite's (3,2,3) search, warm-started from its (2,2,3) result."""
+    def spec(s, k, p, found):
+        return SearchSpec(s=s, k=k, p=p, starts=20, seed=123, r_tol=1e-4,
+                          warm_starts=warm_start_ladder(s, k, p, found))
+
+    return spec(3, 2, 3, {(2, 2, 3): maximize_ssp(spec(2, 2, 3, {})).method})
+
+
+def _stall_at(merits, window, floor):
+    """The first evaluation, counted from 1, at which the least merit so far
+    is above floor and above a tenth of the least merit window evaluations
+    before, or None."""
+    least = np.minimum.accumulate(merits)
+    for e in range(window + 1, len(least) + 1):
+        if least[e - 1] > floor and least[e - 1] > least[e - 1 - window] / 10.0:
+            return e
+    return None
+
+
+class TestStallRule:
+    """A solve whose least merit, above feas_tol**2, has not fallen tenfold over
+    max(STALL_WINDOW, 5 n) residual evaluations stops; no solve that would be
+    accepted stalls that long, so the results keep their bits."""
+
+    @pytest.fixture(scope="class")
+    def search_234(self):
+        """The search's result and, per inner solve, the merit of each residual
+        evaluation and the solution, or None for a solve the rule stopped."""
+        solves = []
+
+        def recording(fun, x0, **kwargs):
+            merits = []
+
+            def recorded(z):
+                F = optimizer._padded_residuals(z, *fun.__self__.args)
+                merits.append(float(F @ F))
+                return fun(z)
+
+            solves.append((merits, None))
+            sol = least_squares(recorded, x0, **kwargs)
+            solves[-1] = (merits, sol)
+            return sol
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "least_squares", recording)
+            res = maximize_ssp(_benchmark_search_234())
+        assert len(solves) == len(res.history)
+        return res, solves
+
+    @pytest.mark.parametrize("make_spec", [_benchmark_search_234, _acceptance_search_323])
+    def test_rule_off_gives_the_same_results(self, monkeypatch, make_spec):
+        spec = make_spec()
+        on = maximize_ssp(spec)
+        monkeypatch.setattr(optimizer, "STALL_WINDOW", MAX_INNER_ITERS)
+        off = maximize_ssp(spec)
+        for key in ("D", "Ahat", "A", "theta", "bhat", "b"):
+            assert same_bits(getattr(on.method, key), getattr(off.method, key)), key
+        assert same_bits(on.C, off.C) and on.certified == off.certified
+        # the same starts at the same radii; every solve that could be accepted is untouched
+        assert [row[:2] for row in on.history] == [row[:2] for row in off.history]
+        floor = SearchSpec.feas_tol**2
+        kept = [(a, b) for a, b in zip(on.history, off.history) if b[2] <= floor]
+        assert kept and all(a == b for a, b in kept)
+        assert sum(row[3] for row in on.history) < sum(row[3] for row in off.history)
+
+    def test_no_solve_spends_the_budget(self, search_234):
+        res, solves = search_234
+        assert res.certified
+        assert all(nfev < MAX_INNER_ITERS for _, _, _, nfev, _ in res.history)
+        assert any(sol is None for _, sol in solves)
+
+    def test_a_stopped_solve_records_its_least_merit(self, search_234):
+        res, solves = search_234
+        window = max(optimizer.STALL_WINDOW, 5 * free_parameter_count(2, 3))
+        floor = SearchSpec.feas_tol**2
+        for (r, _, merit, nfev, njev), (merits, sol) in zip(res.history, solves):
+            # every row counts the residuals and Jacobians computed
+            assert isinstance(nfev, int) and nfev == len(merits) <= MAX_INNER_ITERS
+            assert isinstance(njev, int) and 0 < njev <= nfev
+            if sol is None:
+                assert r > 0.0 and _stall_at(merits, window, floor) == len(merits)
+                assert same_bits(merit, min(merits))
+            else:
+                assert r == 0.0 or _stall_at(merits, window, floor) is None
+
+    def test_the_solves_at_r_0_are_never_stopped(self, rng):
+        z = np.append(rng.uniform(0.0, 0.5, free_parameter_count(2, 2)), 0.0)
+        spec = SearchSpec(s=2, k=2, p=4)  # no (2,2) method has order 4
+        stalling = optimizer._Solve(spec, 0.4, 4)
+        with pytest.raises(optimizer._Stalled):
+            for _ in range(MAX_INNER_ITERS):
+                stalling.residuals(z)
+        assert len(stalling.least) == optimizer.STALL_WINDOW + 1
+        starting = optimizer._Solve(spec, 0.0, 4)
+        for _ in range(MAX_INNER_ITERS):
+            starting.residuals(z)
+
+    def test_the_solve_that_crept_over_the_budget_stops_on_its_plateau(self, search_234):
+        # from the last feasible point its merit reaches 4.1e-20 at evaluation 11
+        # and then creeps: at the budget it was still 1.158e-20 > feas_tol**2
+        res, _ = search_234
+        rows = [row for row in res.history if abs(row[0] - 0.4950117295) < 1e-9]
+        assert rows[0][1] == 0 and SearchSpec.feas_tol**2 < rows[0][2] < 1.4e-20
+        assert rows[0][3] <= 11 + max(optimizer.STALL_WINDOW, 5 * free_parameter_count(2, 3))
+        assert rows[1][2] <= SearchSpec.feas_tol**2
+
+
+class TestJacobianMemo:
+    def test_the_same_point_reuses_the_array(self, rng):
+        solve = optimizer._Solve(SearchSpec(s=2, k=2, p=3), 0.4, 3)
+        z = np.append(rng.uniform(0.0, 0.5, free_parameter_count(2, 2)), 0.0)
+        J = solve.jacobian(z)
+        assert solve.jacobian(z.copy()) is J and solve.njev == 1
+        assert solve.jacobian(z + 1e-3) is not J and solve.njev == 2
+
+    def test_no_jacobian_repeats_its_point_and_njev_counts_them(self, monkeypatch):
+        points = []
+
+        def recording(x, *args):
+            points[-1].append(x.copy())
+            return _merit_jacobian(x, *args)
+
+        def solve(*args, **kwargs):
+            points.append([])
+            return least_squares(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_merit_jacobian", recording)
+        monkeypatch.setattr(optimizer, "least_squares", solve)
+        res = maximize_ssp(SearchSpec(s=2, k=2, p=3, starts=20, seed=123, r_tol=1e-3,
+                                      warm_starts=warm_start_ladder(2, 2, 3)))
+        assert len(points) == len(res.history)
+        for xs in points:
+            assert all(not np.array_equal(a, b) for a, b in zip(xs, xs[1:]))
+        assert sum(len(xs) for xs in points) == sum(row[4] for row in res.history)
 
 
 class TestSearchSpec:
