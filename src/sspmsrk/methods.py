@@ -232,18 +232,6 @@ def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h):
     return w.reshape(shape), F[..., k - 1 :, :]
 
 
-def _degree_shift(width: int):
-    """h for polynomial tables stored degree-first: multiply by
-    the step variable, dropping the top degree of a flattened row."""
-
-    def h(v: NDArray) -> NDArray:
-        out = np.zeros_like(v)
-        out[..., width:] = v[..., :-width]
-        return out
-
-    return h
-
-
 def canonical(sp: SpijkerForm, r: float) -> CanonicalForm:
     """Compute P = r (I + rT)^{-1} T and R = (I + rT)^{-1} S.
 

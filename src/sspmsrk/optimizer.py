@@ -218,10 +218,6 @@ def _merit_jacobian(x, s, k, r, p):
     return (F[1:] - F[0]).T / ((x + h) - x)
 
 
-def _random_start(rng, s, k):
-    return rng.uniform(0.0, _plan(s, k).high)
-
-
 def _accepted(spec: SearchSpec, r: float, merit: float, x: NDArray) -> bool:
     """Whether a solve shows radius r feasible: its merit is within feas_tol**2
     and, for r > 0, its method reaches r less 1e-6, since such a merit can
@@ -231,21 +227,6 @@ def _accepted(spec: SearchSpec, r: float, merit: float, x: NDArray) -> bool:
         r == 0.0 or _feasible(_spijker_from_flat(_scatter(x, s, k), s, k), max(0.0, r - 1e-6)))
 
 
-def _padded_residuals(z, s, k, r, p):
-    """:func:`_merit_residuals` of z less its last coordinate, a pad, and a zero row."""
-    return np.append(_merit_residuals(z[:-1], s, k, r, p), 0.0)
-
-
-def _padded_jacobian(z, s, k, r, p):
-    """:func:`_merit_jacobian` of z less its pad, bordered by the pad's row and
-    column, which are zero but for _PAD_NORM where they meet."""
-    J = _merit_jacobian(z[:-1], s, k, r, p)
-    out = np.zeros((J.shape[0] + 1, J.shape[1] + 1))
-    out[:-1, :-1] = J
-    out[-1, -1] = _PAD_NORM
-    return out
-
-
 class _Stalled(Exception):
     """Raised from a solve's residual to stop it, as scipy's 'lm' ignores ``callback``."""
 
@@ -253,8 +234,11 @@ class _Stalled(Exception):
 class _Solve:
     """The residual and Jacobian callables of one inner solve, and its counts.
 
-    The residual keeps the least merit after each evaluation and raises
-    :class:`_Stalled` by the stall rule (STALL_WINDOW) at r > 0:
+    Both take z, the free coordinates x then the pad (see
+    :func:`_solve_feasibility`): the residuals of x gain a zero row, and
+    their Jacobian the pad's row and column, zero but for _PAD_NORM where
+    they meet.  The residual keeps the least merit after each evaluation
+    and raises :class:`_Stalled` by the stall rule (STALL_WINDOW) at r > 0:
     Levenberg-Marquardt converges fast near a zero residual, so a long
     plateau above feas_tol**2 is a solve that fails.  The Jacobian reuses
     its array at its last point, where scipy most often asks again to
@@ -273,7 +257,7 @@ class _Solve:
         self._z = self._J = None  # the last Jacobian's point and array
 
     def residuals(self, z):
-        F = _padded_residuals(z, *self.args)
+        F = np.append(_merit_residuals(z[:-1], *self.args), 0.0)
         merit = float(F @ F)
         least = self.least
         least.append(min(merit, least[-1]) if least else merit)
@@ -284,7 +268,10 @@ class _Solve:
 
     def jacobian(self, z):
         if not np.array_equal(z, self._z):
-            self._z, self._J = z.copy(), _padded_jacobian(z, *self.args)
+            J = _merit_jacobian(z[:-1], *self.args)
+            self._z, self._J = z.copy(), np.zeros((J.shape[0] + 1, J.shape[1] + 1))
+            self._J[:-1, :-1] = J
+            self._J[-1, -1] = _PAD_NORM
             self.njev += 1
         return self._J
 
@@ -407,7 +394,7 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
         if best_x is not None:
             out.append(best_x)
         out.extend(pack(m) for m in spec.warm_starts)
-        out.extend(_random_start(rng, s, k) for _ in range(n_random))
+        out.extend(rng.uniform(0.0, _plan(s, k).high) for _ in range(n_random))
         return out
 
     # establish feasibility at r = 0 with the full multistart budget

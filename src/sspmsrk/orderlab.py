@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .methods import MSRKMethod, SpijkerForm, to_spijker
-from .series import bushy_trees, elementary_weights, rooted_trees
+from .series import RootedTrees, bushy_trees, elementary_weights, rooted_trees
 
 __all__ = ["stage_order", "oracle_order", "order_residual_vector", "convergence_order"]
 
@@ -27,27 +27,30 @@ ORDER_TOL = 1e-9
 STAGE_TOL = 1e-10
 
 
-def _bushy_defects(sp: SpijkerForm, N: int) -> tuple[NDArray, NDArray]:
-    """Defects of the bushy trees b_1..b_N, each divided by (j-1)!, of a
-    method's Spijker form.
+def _bushy_defects(trees: RootedTrees, phi: NDArray, stage: NDArray, N: int
+                   ) -> tuple[NDArray, NDArray]:
+    """Defects of the bushy trees b_1..b_N, each divided by (j-1)!, from
+    the weights ``elementary_weights`` gave on a table that holds b_j and
+    [b_j] for every j <= N.
 
     Returns the step value's Phi(b_j) - 1/j, shaped (..., N), and the
-    stages' Phi_i(b_j) - c_i^j / j, shaped (..., s, N): the negated
-    quadrature residuals tau_j of the final update and of the stages.
+    stages' Phi_i(b_j) - c_i^j / j, read at the stems [b_j] and shaped
+    (..., s, N): the negated quadrature residuals tau_j of the final
+    update and of the stages.
     """
-    trees = bushy_trees(N)
-    phi, stage = elementary_weights(sp, trees)
     j = np.arange(1, N + 1)
     scale = np.array([math.factorial(i - 1) for i in j], dtype=float)
-    c = stage[..., N, None]
-    return (phi[..., :N] - 1.0 / j) / scale, (stage[..., N:] - c**j / j) / scale
+    c = stage[..., trees.stems[0], None]
+    return ((phi[..., trees.bushy[:N]] - 1.0 / j) / scale,
+            (stage[..., trees.stems[:N]] - c**j / j) / scale)
 
 
 def stage_order(method: MSRKMethod) -> int:
     """Largest q <= MAX_ORACLE_ORDER + 1 with every bushy defect of the
     step value and of the stages at most STAGE_TOL for j <= q."""
     N = MAX_ORACLE_ORDER + 1
-    step, stage = _bushy_defects(to_spijker(method), N)
+    trees = bushy_trees(N)  # not rooted_trees(N + 1), which is far too large
+    step, stage = _bushy_defects(trees, *elementary_weights(to_spijker(method), trees), N)
     bad = (np.abs(step) > STAGE_TOL) | (np.abs(stage) > STAGE_TOL).any(axis=-2)
     return int(np.argmax(bad)) if bad.any() else N
 
@@ -76,16 +79,19 @@ def order_residual_vector(sp: SpijkerForm, p: int) -> NDArray:
     Concatenates the tree residuals Phi(t) - 1/gamma(t) for |t| <= p and
     the stage defects of the bushy trees b_j for 2 <= j <= floor((p-1)/2),
     the stage order forced on SSP methods of order p (j = 1 holds by the
-    definition of c).  A stack of forms gives one row per member.
+    definition of c).  Both come from one pass over the trees of order at
+    most p, which hold b_j and [b_j].  A stack of forms gives one row per
+    member.
     """
     if p > MAX_ORACLE_ORDER:
         raise ValueError(f"p must be at most {MAX_ORACLE_ORDER}")
     trees = rooted_trees(p)
-    parts = [elementary_weights(sp, trees)[0] - 1.0 / trees.gamma]
+    phi, stage = elementary_weights(sp, trees)
+    parts = [phi - 1.0 / trees.gamma]
     q = (p - 1) // 2
     if q >= 2:
-        stage = _bushy_defects(sp, q)[1][..., 1:]
-        parts.append(np.swapaxes(stage, -1, -2).reshape(stage.shape[:-2] + (-1,)))
+        rows = _bushy_defects(trees, phi, stage, q)[1][..., 1:]
+        parts.append(np.swapaxes(rows, -1, -2).reshape(rows.shape[:-2] + (-1,)))
     return np.concatenate(parts, axis=-1)
 
 

@@ -180,10 +180,11 @@ def startup(
     nsub = max(1, math.ceil(dt / substep))
     states = []
     try:
-        for j, (_, u) in enumerate(_trajectory(problem, _SSPRK33, dt / nsub, (k - 1) * dt,
-                                               "rk3_substeps")):
-            if j % nsub == 0:
-                states.append(u)
+        with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
+            for j, (_, u) in enumerate(_trajectory(problem, _SSPRK33, dt / nsub, (k - 1) * dt,
+                                                   "rk3_substeps")):
+                if j % nsub == 0:
+                    states.append(u)
     except RunAbortedError as exc:
         # states holds u0 and the end of every interval before the failing one
         raise RunAbortedError(f"non-finite state during start-up, in interval {len(states)} "
@@ -313,14 +314,15 @@ def run(
     exact_tf = problem.exact(tf) if problem.exact is not None else None
     times = []
     monitors = {name: [] for name in problem.monitors}
-    for t, u in _trajectory(problem, method, dt, tf, startup_mode):
-        times.append(t)
-        for name, fn in problem.monitors.items():
-            monitors[name].append(fn(u))
     final_error = None
-    if problem.exact is not None:
-        u_exact = exact_tf if t == tf else problem.exact(t)
-        final_error = float(np.linalg.norm(u - u_exact))
+    with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
+        for t, u in _trajectory(problem, method, dt, tf, startup_mode):
+            times.append(t)
+            for name, fn in problem.monitors.items():
+                monitors[name].append(fn(u))
+        if problem.exact is not None:
+            u_exact = exact_tf if t == tf else problem.exact(t)
+            final_error = float(np.linalg.norm(u - u_exact))
     return RunRecord(times=times, monitors=monitors, final_error=final_error)
 
 
@@ -369,12 +371,13 @@ def _holds(problem, method, prop, dt, tf, startup_mode) -> bool:
     monitor = problem.monitors[_PROPERTY_MONITORS[prop]]
     values = []
     try:
-        for _, u in _trajectory(problem, method, dt, tf, startup_mode):
-            v = monitor(u)
-            if (not v >= -MONOTONICITY_SLACK if prop == "positivity"
-                    else len(values) >= k and v > max(values[-k:]) + MONOTONICITY_SLACK):
-                return False
-            values.append(v)
+        with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
+            for _, u in _trajectory(problem, method, dt, tf, startup_mode):
+                v = monitor(u)
+                if (not v >= -MONOTONICITY_SLACK if prop == "positivity"
+                        else len(values) >= k and v > max(values[-k:]) + MONOTONICITY_SLACK):
+                    return False
+                values.append(v)
     except RunAbortedError:
         return False
     return len(values) > k

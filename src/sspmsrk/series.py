@@ -33,12 +33,18 @@ class RootedTrees:
     product u o v (v grafted onto the root of u).  ``products`` holds
     index arrays (t, u, v), applied in sequence: a group may use the
     trees of earlier groups only.  A table need not hold every tree of
-    an order.  Tables compare and hash by identity.
+    an order.  ``bushy[j - 1]`` is the index of the bushy tree b_j =
+    b_(j-1) o tau (tau^(j-1) on one root; order j, gamma j) and
+    ``stems[j - 1]`` that of its stem [b_j] = tau o b_j (order j+1, gamma
+    (j+1) j), for as many j as the table holds.  Tables compare and hash
+    by identity.
     """
 
     order: NDArray
     gamma: NDArray
     products: tuple[tuple[NDArray, NDArray, NDArray], ...]
+    bushy: NDArray
+    stems: NDArray
 
 
 @lru_cache(maxsize=None)
@@ -46,7 +52,10 @@ def rooted_trees(N: int) -> RootedTrees:
     """Every rooted tree with 1..N vertices, in order of size.
 
     Each tree's v is its last child in index order, and ``products[n - 2]``
-    builds the trees with n vertices.
+    builds the trees with n vertices.  So b_n, built last from b_(n-1) and
+    tau, is the last tree with n vertices, and the trees tau o v come first
+    in each block, in the order of v: [b_j] has the rank among the j+1
+    vertex trees that b_j has among the j vertex trees.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -67,21 +76,22 @@ def rooted_trees(N: int) -> RootedTrees:
             gamma.append(gamma[iu] * gamma[iv] * n / order[iu])
             last_child.append(iv)
         products.append((np.array(t), np.array(u), np.array(v)))
-    return RootedTrees(order=np.array(order), gamma=np.array(gamma), products=tuple(products))
+    first = np.array(first)
+    return RootedTrees(order=np.array(order), gamma=np.array(gamma), products=tuple(products),
+                       bushy=first[2:] - 1, stems=2 * first[2:-1] - first[1:-2] - 1)
 
 
 @lru_cache(maxsize=None)
 def bushy_trees(N: int) -> RootedTrees:
-    """The bushy trees b_j = b_(j-1) o tau (tau^(j-1) on one root; order j,
-    gamma j) for j = 1..N, then their stems [b_j] = tau o b_j (order j+1,
-    gamma (j+1) j).  Tree j-1 is b_j and tree N+j-1 is [b_j]."""
+    """The bushy trees b_1..b_N, then their stems [b_1]..[b_N]."""
     if N < 1:
         raise ValueError("N must be at least 1")
     j = np.arange(1, N + 1)
     products = [(np.array([i]), np.array([i - 1]), np.array([0])) for i in range(1, N)]
     products.append((j + N - 1, np.zeros(N, dtype=int), j - 1))
     gamma = np.concatenate([j, (j + 1) * j]).astype(float)
-    return RootedTrees(order=np.concatenate([j, j + 1]), gamma=gamma, products=tuple(products))
+    return RootedTrees(order=np.concatenate([j, j + 1]), gamma=gamma, products=tuple(products),
+                       bushy=j - 1, stems=j + N - 1)
 
 
 def _tree_system(trees: RootedTrees, w: NDArray) -> NDArray:

@@ -17,9 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import linprog
 
-from .methods import (
-    MSRKMethod, SpijkerForm, _bisect, _degree_shift, _largest_feasible, _spijker_step,
-)
+from .methods import MSRKMethod, SpijkerForm, _bisect, _largest_feasible, _spijker_step
 
 __all__ = [
     "stability_polynomials",
@@ -55,7 +53,13 @@ def stability_polynomials(sp: SpijkerForm) -> NDArray:
     k, s = sp.k, sp.s
     x = np.zeros((k, s + 1, k))
     x[:, 0, :] = np.eye(k)
-    last, _ = _spijker_step(sp, x, x, lambda w: w, _degree_shift(k))
+
+    def times_z(v: NDArray) -> NDArray:  # a flattened row holds k columns per degree
+        out = np.zeros_like(v)
+        out[..., k:] = v[..., :-k]  # the top degree, past s, is dropped
+        return out
+
+    last, _ = _spijker_step(sp, x, x, lambda w: w, times_z)
     return last[:, ::-1].T.copy()
 
 

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -453,10 +454,12 @@ class TestConvergence:
         # dt = 1000/14 is far past van der Pol's stable steps
         path = tmp_path / "so2_22.msrk"
         write_method(gen_second_order(2, 2), path)
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["convergence", "--method", str(path), "--tf", "1000",
                          "--out", str(tmp_path / "conv.csv")])
         assert code == EXIT_NUMERICAL
+        assert not caught  # the message below names the blow-up; numpy's warnings do not
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: non-finite state at step ")
         assert "Traceback" not in err
@@ -527,10 +530,12 @@ def fuzz_files(tmp_path_factory):
 
 def _exits_cleanly(argv):
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
     assert code in {0, 1, 2, 3, 4, 5}
     assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
 
 
 class TestFuzzExitCodes:

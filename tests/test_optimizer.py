@@ -17,7 +17,6 @@ from sspmsrk.optimizer import (
     SearchFailure,
     _merit_jacobian,
     _merit_residuals,
-    _random_start,
     _scatter,
     SearchSpec,
     constraint_residuals,
@@ -75,16 +74,28 @@ class TestPackUnpack:
                                            for key, mask in _free_masks(s, k).items()])
                 assert same_bits(pack(method), expected), (s, k)
 
-    def test_random_start_draws_array_by_array(self):
+    def test_random_start_draws_array_by_array(self, monkeypatch):
+        drawn = []
+
+        def failing(spec, r, p, starts, history):  # records the r = 0 starts and finds none
+            drawn.extend(starts)
+            return None, np.inf
+
+        monkeypatch.setattr(optimizer, "_solve_feasibility", failing)
         for s in range(1, 6):
             for k in range(1, 5):
-                rng, reference = np.random.default_rng([s, k]), np.random.default_rng([s, k])
-                expected = np.concatenate([
-                    reference.uniform(0.0, 1.0 if key in ("D", "theta") else 2.0 / s,
-                                      np.count_nonzero(mask))
-                    for key, mask in _free_masks(s, k).items()
-                ])
-                assert same_bits(_random_start(rng, s, k), expected), (s, k)
+                drawn.clear()
+                with pytest.raises(SearchFailure, match="at r=0"):
+                    maximize_ssp(SearchSpec(s=s, k=k, p=1, starts=2, seed=s + k))
+                reference = np.random.default_rng(np.random.SeedSequence([s + k, s, k, 1]))
+                for x in drawn:
+                    expected = np.concatenate([
+                        reference.uniform(0.0, 1.0 if key in ("D", "theta") else 2.0 / s,
+                                          np.count_nonzero(mask))
+                        for key, mask in _free_masks(s, k).items()
+                    ])
+                    assert same_bits(x, expected), (s, k)
+                assert len(drawn) == 2
 
     def test_pack_of_an_invalid_method_raises(self):
         method = ssprk33()
@@ -170,8 +181,8 @@ class TestStackedMerit:
     def test_pad_is_not_read_and_is_bordered_off(self, rng):
         x = rng.uniform(0.0, 0.5, free_parameter_count(3, 2))
         z = np.append(x, 7.0)
-        F = optimizer._padded_residuals(z, 3, 2, 0.4, 3)
-        J = optimizer._padded_jacobian(z, 3, 2, 0.4, 3)
+        solve = optimizer._Solve(SearchSpec(s=3, k=2, p=3), 0.4, 3)
+        F, J = solve.residuals(z), solve.jacobian(z)
         assert same_bits(F, np.append(_merit_residuals(x, 3, 2, 0.4, 3), 0.0))
         assert same_bits(J[:-1, :-1], _merit_jacobian(x, 3, 2, 0.4, 3))
         assert not J[-1, :-1].any() and not J[:-1, -1].any()
@@ -464,12 +475,14 @@ class TestStallRule:
         """The search's result and, per inner solve, the merit of each residual
         evaluation and the solution, or None for a solve the rule stopped."""
         solves = []
+        spec = _benchmark_search_234()
 
         def recording(fun, x0, **kwargs):
             merits = []
 
             def recorded(z):
-                F = optimizer._padded_residuals(z, *fun.__self__.args)
+                # a new solve's residual, which has no stall to raise
+                F = optimizer._Solve(spec, *fun.__self__.args[2:]).residuals(z)
                 merits.append(float(F @ F))
                 return fun(z)
 
@@ -480,7 +493,7 @@ class TestStallRule:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer, "least_squares", recording)
-            res = maximize_ssp(_benchmark_search_234())
+            res = maximize_ssp(spec)
         assert len(solves) == len(res.history)
         return res, solves
 

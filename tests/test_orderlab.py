@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from conftest import random_valid_method
+from conftest import random_valid_method, same_bits, stack_forms
+from sspmsrk import orderlab
 from sspmsrk.methods import MSRKMethod, forward_euler, ssprk33, to_spijker
 from sspmsrk.msrkio import read_method
 from sspmsrk.orderlab import (
@@ -15,7 +16,7 @@ from sspmsrk.orderlab import (
     order_residual_vector,
     stage_order,
 )
-from sspmsrk.series import rooted_trees
+from sspmsrk.series import bushy_trees, elementary_weights, rooted_trees
 from sspmsrk.theory import gen_second_order
 
 BENCH_METHODS = Path(__file__).resolve().parents[1] / "perfbench" / "methods"
@@ -49,17 +50,24 @@ def _reference_methods():
     return ms + [read_method(BENCH_METHODS / name) for name in ("opt_2_2_3.msrk", "opt_2_3_4.msrk")]
 
 
+def _defects(method, N, trees=None):
+    """The bushy defects of j <= N from the weights on ``bushy_trees(N)``,
+    or on ``trees``."""
+    trees = trees or bushy_trees(N)
+    return _bushy_defects(trees, *elementary_weights(to_spijker(method), trees), N)
+
+
 class TestBushyTrees:
     def test_first_stage_defect_vanishes_by_construction(self):
         for m in [forward_euler(), ssprk33(), gen_second_order(3, 4)]:
-            np.testing.assert_array_equal(_bushy_defects(to_spijker(m), 1)[1], 0.0)
+            np.testing.assert_array_equal(_defects(m, 1)[1], 0.0)
 
     def test_forward_euler_step_defect(self):
-        step, _ = _bushy_defects(to_spijker(forward_euler()), 2)
+        step, _ = _defects(forward_euler(), 2)
         assert step[1] == pytest.approx(-0.5)
 
     def test_ssprk33_defects(self):
-        step, stage = _bushy_defects(to_spijker(ssprk33()), 4)
+        step, stage = _defects(ssprk33(), 4)
         # b.c^3 = 1/4 holds too, yet the nonlinear order is 3:
         # the bushy conditions are necessary only
         np.testing.assert_allclose(step, 0.0, rtol=0, atol=1e-14)
@@ -77,6 +85,12 @@ class TestBushyTrees:
             rows = order_residual_vector(to_spijker(m), p)[len(rooted_trees(p).order):]
             ref = np.concatenate([_quadrature_defects(m, j)[0] for j in range(2, (p - 1) // 2 + 1)])
             np.testing.assert_allclose(rows, ref, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("N", range(1, 8))
+    def test_every_table_gives_the_same_defects(self, N):
+        for m in _reference_methods():
+            bushy, rooted = _defects(m, N), _defects(m, N, rooted_trees(N + 1))
+            assert same_bits(bushy[0], rooted[0]) and same_bits(bushy[1], rooted[1])
 
 
 class TestStageOrder:
@@ -149,6 +163,40 @@ class TestOrderResidualVector:
     def test_gen_so2_family_is_second_order(self):
         r = order_residual_vector(to_spijker(gen_second_order(5, 4)), 2)
         assert np.abs(r).max() <= 1e-10
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_one_tree_pass(self, monkeypatch, p):
+        calls = []
+
+        def counting(sp, trees):
+            calls.append(trees)
+            return elementary_weights(sp, trees)
+
+        monkeypatch.setattr(orderlab, "elementary_weights", counting)
+        order_residual_vector(to_spijker(gen_second_order(4, 3)), p)
+        assert calls == [rooted_trees(p)]
+
+    @pytest.mark.parametrize("p", [5, 6, 7, 8])
+    def test_same_bits_as_two_passes(self, p):
+        rng = np.random.default_rng(p)
+        for s, k in [(2, 2), (3, 3), (5, 3), (4, 2)]:
+            sp = stack_forms([random_valid_method(rng, s, k) for _ in range(5)])
+            assert same_bits(order_residual_vector(sp, p), _two_pass_residuals(sp, p)), (s, k)
+
+
+def _two_pass_residuals(sp, p):
+    """The order residual vector from two kernel passes: the trees of order
+    at most p, then the stage weights on ``bushy_trees(q)``, whose tree j-1
+    is b_j and tree q+j-1 is [b_j]."""
+    trees = rooted_trees(p)
+    residuals = elementary_weights(sp, trees)[0] - 1.0 / trees.gamma
+    q = (p - 1) // 2
+    stage = elementary_weights(sp, bushy_trees(q))[1]
+    j = np.arange(1, q + 1)
+    scale = np.array([math.factorial(i - 1) for i in j], dtype=float)
+    rows = ((stage[..., q:] - stage[..., q, None] ** j / j) / scale)[..., 1:]
+    return np.concatenate([residuals, np.swapaxes(rows, -1, -2).reshape(len(residuals), -1)],
+                          axis=-1)
 
 
 class TestConvergenceOrder:

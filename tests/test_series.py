@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_valid_method, stack_forms
 from sspmsrk.methods import SpijkerForm, forward_euler, ssprk33, to_spijker
-from sspmsrk.series import elementary_weights, rooted_trees
+from sspmsrk.series import bushy_trees, elementary_weights, rooted_trees
 from sspmsrk.theory import gen_second_order, stability_polynomials
 
 
@@ -48,6 +48,20 @@ class TestRootedTrees:
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             rooted_trees(0)
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("table", [rooted_trees, bushy_trees])
+    def test_recorded_bushy_trees_and_stems(self, table, N):
+        trees = table(N)
+        product = {t: (u, v) for group in trees.products for t, u, v in zip(*group)}
+        assert len(trees.bushy) == N and len(trees.stems) == (N if table is bushy_trees else N - 1)
+        for j, b in enumerate(trees.bushy, start=1):
+            assert trees.order[b] == j and trees.gamma[b] == j
+            # b_j = b_(j-1) o tau, and b_1 is tau itself
+            assert product.get(b) == ((trees.bushy[j - 2], 0) if j > 1 else None)
+        for j, stem in enumerate(trees.stems, start=1):
+            assert trees.order[stem] == j + 1 and trees.gamma[stem] == (j + 1) * j
+            assert product[stem] == (0, trees.bushy[j - 1])  # [b_j] = tau o b_j
 
 
 class TestFlowSeries:
