@@ -4,8 +4,10 @@ The problems are the van der Pol oscillator, first-order upwind
 advection of a step function, and a flux-limited Buckley-Leverett
 scheme.  Van der Pol errors are measured against DOP853 dense output
 at rtol = atol = 1e-13 (scipy's ``solve_ivp``) up to t = VDP_MAX_HORIZON.
-Runs take whole steps of dt only and record convex monitor values
-(total variation, minimum entry) at every step.  A bisection search over
+A run counts its whole steps of dt once, as an integer n, before its
+start-up; state j sits at j*dt, and its error is read at its last whole
+step, not at tf.  Runs record convex monitor values (total variation,
+minimum entry) at every step.  A bisection search over
 the step size locates the largest step for which a monotonicity property
 holds over a whole run; each probe reads only its property's monitor and
 stops at the first violating step.
@@ -127,6 +129,16 @@ def _check_step_count(steps: float) -> None:
         raise ValueError(f"the run needs {steps:.4g} steps, more than MAX_STEPS = {MAX_STEPS:g}")
 
 
+def _whole_steps(dt: float, tf: float, k: int) -> tuple[int, float]:
+    """(n, t_end): the number n of whole steps of dt after the k start-up
+    states, ending at or before tf, and the time of the last state, which is
+    tf when within ``tol`` of it.  n < 1 leaves no step after the start-up."""
+    _check_step_count((tf - (k - 1) * dt) / dt)  # before the floor, which overflows
+    tol = min(1e-12, 1e-3 * dt)  # times this close are equal; below dt = 1e-9, relative to dt
+    last = math.floor(max(tf + tol, 0.0) / dt)  # a negative tf leaves no step
+    return last - k + 1, tf if abs(last * dt - tf) <= tol else last * dt
+
+
 def msrk_step(
     method: MSRKMethod,
     history: list[NDArray],
@@ -158,7 +170,7 @@ def startup(
     """The k initial states u(t_0)..u(t_{k-1}) a k-step method needs.
 
     exact: sample the problem's exact solution.  rk3_substeps: one SSPRK(3,3)
-    run of ``_trajectory`` over the k-1 intervals, substeps at most dt**(p/3)
+    run of ``_trajectory`` of (k-1)*nsub substeps dt/nsub, at most dt**(p/3)
     and 0.9*dt_fe so the startup states inherit the forward-Euler monotonicity
     properties; a non-finite substep raises RunAbortedError naming its interval,
     and more than MAX_STEPS substeps (or a substep that underflows to 0) raise
@@ -181,8 +193,8 @@ def startup(
     states = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
-            for j, (_, u) in enumerate(_trajectory(problem, _SSPRK33, dt / nsub, (k - 1) * dt,
-                                                   "rk3_substeps")):
+            for j, u in enumerate(_trajectory(problem, _SSPRK33, dt / nsub, (k - 1) * nsub,
+                                              "rk3_substeps")):
                 if j % nsub == 0:
                     states.append(u)
     except RunAbortedError as exc:
@@ -302,57 +314,44 @@ def run(
 
     The run, and ``final_error``, end at the last whole step at or before
     tf: a shorter step of a k-step method is not a step of the method.
-    k*dt > tf, which leaves no whole step after start-up, raises ValueError.
+    State j is at j*dt; the last is at tf when within ``tol`` of it.  A tf
+    that leaves no whole step after start-up raises ValueError.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if not math.isfinite(tf):
         raise ValueError("tf must be finite")
-    if method.k * dt > tf:
+    n, t_end = _whole_steps(dt, tf, method.k)
+    if n < 1:
         raise ValueError("tf must be at least k*dt, so that a whole step follows the start-up")
-    # an exact solution that cannot reach tf fails before any step
-    exact_tf = problem.exact(tf) if problem.exact is not None else None
-    times = []
+    # an exact solution that cannot reach the last step fails before any step
+    u_exact = problem.exact(t_end) if problem.exact is not None else None
     monitors = {name: [] for name in problem.monitors}
-    final_error = None
     with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
-        for t, u in _trajectory(problem, method, dt, tf, startup_mode):
-            times.append(t)
+        for u in _trajectory(problem, method, dt, n, startup_mode):
             for name, fn in problem.monitors.items():
                 monitors[name].append(fn(u))
-        if problem.exact is not None:
-            u_exact = exact_tf if t == tf else problem.exact(t)
-            final_error = float(np.linalg.norm(u - u_exact))
+    times = [j * dt for j in range(method.k + n - 1)] + [t_end]
+    final_error = None if u_exact is None else float(np.linalg.norm(u - u_exact))
     return RunRecord(times=times, monitors=monitors, final_error=final_error)
 
 
-def _trajectory(problem, method, dt, tf, startup_mode):
-    """(t, u) for each startup state, then for each whole step of dt while
-    t + dt <= tf; a step that lands within ``tol`` of tf ends exactly on it."""
-    k = method.k
-    _check_step_count((tf - (k - 1) * dt) / dt)
-    tol = min(1e-12, 1e-3 * dt)  # times this close are equal; below dt = 1e-9, relative to dt
-    start = startup(problem, dt, k, method.claimed_order, startup_mode)
-    for j, u in enumerate(start):
-        yield j * dt, u
+def _trajectory(problem, method, dt, n, startup_mode):
+    """Each startup state, then the state after each of n whole steps of dt."""
+    start = startup(problem, dt, method.k, method.claimed_order, startup_mode)
+    yield from start
     # (k, dim) histories, shifted in place after each step
     states = np.array(start)
     rhs_vals = np.array([problem.rhs(u) for u in states])
-    t = (k - 1) * dt
-    step_index = 0
-    while t + dt <= tf + tol:
+    for step_index in range(1, n + 1):
         u_next, _ = msrk_step(method, states, rhs_vals, problem.rhs, dt)
-        step_index += 1
         if not np.all(np.isfinite(u_next)):
             raise RunAbortedError(f"non-finite state at step {step_index}")
-        t += dt
-        if abs(t - tf) <= tol:
-            t = tf
         states[:-1] = states[1:]
         states[-1] = u_next
         rhs_vals[:-1] = rhs_vals[1:]
         rhs_vals[-1] = problem.rhs(u_next)
-        yield t, u_next
+        yield u_next
 
 
 #: the monitor each property of ``max_stable_step`` reads
@@ -366,13 +365,14 @@ def _holds(problem, method, prop, dt, tf, startup_mode) -> bool:
     with no whole step after start-up, or a non-finite state, fails.
     """
     k = method.k
-    if k * dt > tf:  # horizon too short for startup plus one whole step
+    n = _whole_steps(dt, tf, k)[0]
+    if n < 1:  # horizon too short for startup plus one whole step
         return False
     monitor = problem.monitors[_PROPERTY_MONITORS[prop]]
     values = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
-            for _, u in _trajectory(problem, method, dt, tf, startup_mode):
+            for u in _trajectory(problem, method, dt, n, startup_mode):
                 v = monitor(u)
                 if (not v >= -MONOTONICITY_SLACK if prop == "positivity"
                         else len(values) >= k and v > max(values[-k:]) + MONOTONICITY_SLACK):
@@ -427,7 +427,7 @@ def max_stable_step(
         normalized=lo / dx,
         theoretical=C * problem.dt_fe,
         resolution=resolution,
-        horizon_limited=lo < hi and method.k * hi > tf,
+        horizon_limited=lo < hi and _whole_steps(hi, tf, method.k)[0] < 1,
     )
 
 

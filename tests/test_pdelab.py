@@ -173,12 +173,14 @@ class TestStartup:
                 expected = _startup_as_first_written(problem, dt, k, p)
                 assert all(_same_bits(u, v) for u, v in zip(states, expected)), (k, p)
 
-    @pytest.mark.parametrize("dt, k, p", [
-        (0.006, 5, 6),  # 167 substeps per interval
-        (1e-9, 2, 4),  # substeps of about 1e-12
-    ])
-    def test_many_or_tiny_substeps(self, dt, k, p):
-        problem = buckley_leverett()
+    @pytest.mark.parametrize("problem, dt, k, p", [
+        (buckley_leverett, 0.006, 5, 6),  # 167 substeps per interval
+        (buckley_leverett, 1e-9, 2, 4),  # substeps of about 1e-12
+        # 643 substeps of 0.3 per interval, whose running sum fell short of 2*dt
+        (lambda: advection_upwind(3), 192.90369775982902, 3, 3),
+    ], ids=["0.006-5-6", "1e-09-2-4", "advection3-192.9-3-3"])
+    def test_many_or_tiny_substeps(self, problem, dt, k, p):
+        problem = problem()
         states = startup(problem, dt, k, p, mode="rk3_substeps")
         assert len(states) == k
         expected = _startup_as_first_written(problem, dt, k, p)
@@ -300,13 +302,20 @@ class TestRun:
         assert record.times[-1] <= tf
 
     def test_accumulated_time_lands_on_tf(self):
-        # 42 steps of 4/42 sum to 4.000000000000003 in floating point
-        record = run(vdp_problem(), ssprk33(), 4.0 / 42, 4.0)
-        assert record.times[-1] == 4.0
+        # 42 steps of 4/42 sum to 4.000000000000003 in floating point; a
+        # running sum of 0.01 reaches 99.99000000001425 after 9,999 steps,
+        # and one more would pass tf + 1e-12
+        for dt, tf, steps in [(4.0 / 42, 4.0, 42), (0.01, 100.0, 10_000)]:
+            record = run(vdp_problem(), ssprk33(), dt, tf)
+            assert len(record.times) == 1 + steps
+            assert record.times[-1] == tf
 
     def test_trajectory_stops_at_last_whole_step(self):
         problem = advection_upwind()
-        times = [t for t, _ in pdelab._trajectory(problem, ssprk33(), 0.003, 0.1, None)]
+        n, t_end = pdelab._whole_steps(0.003, 0.1, 1)
+        states = list(pdelab._trajectory(problem, ssprk33(), 0.003, n, None))
+        times = [j * 0.003 for j in range(len(states) - 1)] + [t_end]
+        assert n == 33 and len(states) == 1 + n  # 0.1 is 33.3 steps of 0.003
         assert times[-1] <= 0.1
         steps = np.diff(times)
         np.testing.assert_allclose(steps, 0.003, atol=1e-12)
@@ -324,6 +333,9 @@ class TestRun:
         monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
         with pytest.raises(ValueError, match=re.escape("tf must be at least k*dt")):
             run(advection_upwind(), gen_second_order(2, 3), 0.05, 0.12)
+        # tf/dt overflows to -inf, which has no floor
+        with pytest.raises(ValueError, match=re.escape("tf must be at least k*dt")):
+            run(advection_upwind(), gen_second_order(2, 3), 1e-10, -1e300)
 
     @pytest.mark.parametrize("dt, tf", [(np.inf, 0.1), (np.nan, 0.1), (0.003, np.inf),
                                         (0.003, np.nan)])
@@ -349,17 +361,20 @@ class TestRun:
 
     def test_final_error_reads_the_exact_solution_at_tf_once(self):
         problem = vdp_problem()
-        calls = []
+        # the second run ends at 4.0; u(4.2) would need a reference to t = 8
+        for dt, tf in [(4.0 / 42, 4.0), (0.5, 4.2)]:
+            calls = []
 
-        def exact(t):
-            calls.append(t)
-            return problem.exact(t)
+            def exact(t):
+                calls.append(t)
+                return problem.exact(t)
 
-        record = run(dataclasses.replace(problem, exact=exact), ssprk33(), 4.0 / 42, 4.0)
-        assert sorted(calls) == [0.0, 4.0]  # startup sample and tf, each once
-        *_, (t, u) = pdelab._trajectory(problem, ssprk33(), 4.0 / 42, 4.0, None)
-        assert t == 4.0
-        assert record.final_error == float(np.linalg.norm(u - problem.exact(4.0)))
+            record = run(dataclasses.replace(problem, exact=exact), ssprk33(), dt, tf)
+            assert sorted(calls) == [0.0, 4.0]  # startup sample and the last step, each once
+            n, t = pdelab._whole_steps(dt, tf, 1)
+            *_, u = pdelab._trajectory(problem, ssprk33(), dt, n, None)
+            assert t == 4.0
+            assert record.final_error == float(np.linalg.norm(u - problem.exact(4.0)))
 
 
 class TestMaxStableStep:
@@ -403,13 +418,13 @@ class TestMaxStableStep:
         problem = advection_upwind()
         steps = []
 
-        def fake_trajectory(problem, method, dt, tf, startup_mode):
+        def fake_trajectory(problem, method, dt, n, startup_mode):
             steps.append(dt)
             if len(steps) > 200:
                 pytest.fail("the bisection did not end")
             # total variation 1, then 1 or 2
-            yield 0.0, np.array([0.0, 0.5])
-            yield dt, np.array([0.0, 0.5 if dt <= 0.3 * problem.dt_fe else 1.0])
+            yield np.array([0.0, 0.5])
+            yield np.array([0.0, 0.5 if dt <= 0.3 * problem.dt_fe else 1.0])
 
         monkeypatch.setattr(pdelab, "_trajectory", fake_trajectory)
         res = max_stable_step(problem, ssprk33(), "tvd", resolution=1e-300)
@@ -454,7 +469,8 @@ class TestMaxStableStep:
         # at that dt takes every step of the horizon
         problem, method, tf = advection_upwind(), ssprk33(), 2.0
         dt = 20.0 * problem.dt_fe
-        tv = [tv_seminorm(u) for _, u in pdelab._trajectory(problem, method, dt, tf, None)]
+        whole = pdelab._whole_steps(dt, tf, method.k)[0]
+        tv = [tv_seminorm(u) for u in pdelab._trajectory(problem, method, dt, whole, None)]
         first = next(n for n in range(len(tv)) if not _two_branch_holds(tv[: n + 1], "tvd", 1))
         probe_steps = []
 
@@ -482,7 +498,7 @@ class TestMaxStableStep:
 def test_property_rule_matches_two_branch_formula(k, prop, values):
     # the stubbed run yields the monitor values themselves as states
     problem = dataclasses.replace(advection_upwind(N=3), monitors={"tv": float, "min": float})
-    states = lambda *args, **kwargs: ((0.0, v) for v in values)
+    states = lambda *args, **kwargs: iter(values)
     with mock.patch.object(pdelab, "_trajectory", states):
         holds = pdelab._holds(problem, types.SimpleNamespace(k=k), prop, 1.0, float(k), None)
     # a run without a full step after start-up fails
