@@ -17,7 +17,6 @@ from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import least_squares
 
 from .methods import (
     MethodStructureError, MSRKMethod, SpijkerForm, _bisect, _feasible, _spijker_from_flat,
@@ -276,6 +275,13 @@ class _Solve:
         return self._J
 
 
+def least_squares(*args, **kwargs):
+    """scipy's ``least_squares``, imported on first call, as scipy.optimize adds
+    about 0.45 s to a fresh process; a module global, so it can be wrapped."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
+
+
 def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     """(x, best merit): x of the first start whose solve is :func:`_accepted`
     at r, or None, and the least merit over the solves made.
@@ -376,7 +382,9 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
     bound R(s, k, p), which no radius above can beat.  Raises
     :class:`SearchFailure` when R, or the radius found, is not
     meaningfully positive; below MIN_POSITIVE_C, R fails the search
-    before any inner solve.
+    before any inner solve.  Raises ValueError before any inner solve
+    when r_tol is not below the bracket, as the bisection would make no
+    probe and report a radius of 0.
     """
     s, k, p = spec.s, spec.k, spec.p
     R = linear_bound(s, k, p)
@@ -385,6 +393,10 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
             f"the linear bound R({s},{k},{p}) is below {MIN_POSITIVE_C:g}, so no order-{p} "
             f"method for (s={s}, k={k}) has a positive SSP coefficient"
         )
+    hi = R + LINEAR_BOUND_TOL
+    if spec.r_tol >= hi:
+        raise ValueError(f"r_tol must be below the bracket R({s},{k},{p}) + {LINEAR_BOUND_TOL:g} "
+                         f"= {hi:g}")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, s, k, p]))
 
     history: list[tuple[float, int, float, int, int]] = []
@@ -414,7 +426,7 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
             best_x = x
         return x is not None
 
-    lo, _ = _bisect(feasible, 0.0, R + LINEAR_BOUND_TOL, spec.r_tol)
+    lo, _ = _bisect(feasible, 0.0, hi, spec.r_tol)
 
     if lo <= MIN_POSITIVE_C:
         raise SearchFailure(

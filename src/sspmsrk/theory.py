@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linprog
 
 from .methods import MSRKMethod, SpijkerForm, _bisect, _largest_feasible, _spijker_step
 
@@ -143,6 +142,10 @@ def _linear_order_feasible(s: int, k: int, p: int, r: float) -> bool:
     Each column of :func:`_linear_conditions` is divided by its largest
     entry, as the columns scale like r^-j.
     """
+    # imported here: scipy.optimize adds about 0.45 s to a fresh process,
+    # and only the linear bound and the search's inner solves need it
+    from scipy.optimize import linprog
+
     m = np.arange(p + 1)
     power = np.array([[math.comb(j, l) for l in m] for j in range(s + 1)]) / r**m
     rows, rhs = _linear_conditions(power, k, p)

@@ -151,6 +151,16 @@ class TestOptimize:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: r_tol must be positive and finite\n"
 
+    def test_r_tol_not_below_the_bracket_exits_2_without_a_solve(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the bisection would make no probe and report the feasible (2,2,3) infeasible
+        monkeypatch.setattr(optimizer, "least_squares", _unreachable)
+        code = main(["optimize", "--stages", "2", "--steps", "2", "--order", "3",
+                     "--r-tol", "1e300", "--starts", "1", "--out", str(tmp_path / "x.msrk")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: r_tol must be below the bracket "
+                                           "R(2,2,3) + 1e-06 = 0.732052\n")
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--stages", "0", "s and k must be at least 1"),
         ("--steps", "0", "s and k must be at least 1"),

@@ -1,10 +1,16 @@
 """No module of the package or of its tests imports a name that it never uses,
-and every name a package module exports is bound in it."""
+every name a package module exports is bound in it, and scipy's solvers load
+only when a function needs them."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from sspmsrk import optimizer, theory
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "sspmsrk"
@@ -80,3 +86,93 @@ def test_checker_flags_only_unbound_exports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+#: scipy subpackages the package loads only inside the functions that need them
+SOLVERS = ("scipy.optimize", "scipy.integrate")
+
+
+def eager_solver_imports(source: str) -> list[tuple[int, str]]:
+    """(line, dotted name) of every import of a SOLVERS module that runs when
+    the module loads, that is, outside any function body; ``from m import a``
+    gives m.a."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, a.name) for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                module = "." * child.level + (child.module or "")
+                found.extend((child.lineno, f"{module}.{a.name}") for a in child.names)
+            visit(child)
+
+    visit(ast.parse(source))
+    return [(line, name) for line, name in found
+            if any(name == m or name.startswith(m + ".") for m in SOLVERS)]
+
+
+def test_checker_flags_only_module_level_solver_imports():
+    source = ("import scipy, scipy.linalg\n"
+              "from scipy import optimize\n"
+              "try:\n"
+              "    import scipy.integrate as si\n"
+              "except ImportError:\n"
+              "    pass\n"
+              "class K:\n"
+              "    from scipy.optimize import linprog\n"
+              "def f():\n"
+              "    from scipy.optimize import least_squares\n"
+              "    import scipy.integrate\n")
+    assert eager_solver_imports(source) == [
+        (2, "scipy.optimize"), (4, "scipy.integrate"), (8, "scipy.optimize.linprog")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_solver_import_at_module_level(path):
+    assert eager_solver_imports(path.read_text()) == []
+
+
+#: run in a fresh interpreter, as the test process has scipy.optimize loaded
+_COLD_START = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import sspmsrk, sspmsrk.cli, sspmsrk.msrkio, sspmsrk.optimizer, sspmsrk.pdelab
+from sspmsrk import cli, optimizer, theory
+
+def loaded():
+    return [m for m in {solvers!r} if m in sys.modules]
+
+report = {{"after_import": loaded()}}
+so2, out = sys.argv[2] + "/so2.msrk", sys.argv[2] + "/out.csv"
+codes = [
+    cli.main(["gen-so2", "--stages", "2", "--steps", "2", "--out", so2]),
+    cli.main(["stepsearch", "--problem", "advection", "--method", so2, "--property", "tvd",
+              "--resolution", "0.05", "--tf", "0.05", "--out", out]),
+    cli.main(["run", "--problem", "buckley", "--method", so2, "--dt", "0.002", "--tf", "0.02",
+              "--out", out]),
+]
+report.update(codes=codes, after_commands=loaded())
+result = optimizer.maximize_ssp(optimizer.SearchSpec(s=2, k=2, p=3, starts=1))
+report.update(R=theory.linear_bound(2, 2, 3).hex(), C=result.C.hex(),
+              certified=result.certified, after_solvers=loaded())
+print(json.dumps(report))
+"""
+
+
+def test_cold_start_loads_the_solvers_only_on_first_use(tmp_path):
+    script = _COLD_START.format(solvers=SOLVERS)
+    proc = subprocess.run([sys.executable, "-c", script, str(SRC.parent), str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["after_import"] == []
+    assert report["codes"] == [0, 0, 0]
+    assert report["after_commands"] == []
+    # the solvers load on first use and give what they give with scipy loaded up front
+    assert "scipy.optimize" in report["after_solvers"]
+    assert report["R"] == theory.linear_bound(2, 2, 3).hex()
+    result = optimizer.maximize_ssp(optimizer.SearchSpec(s=2, k=2, p=3, starts=1))
+    assert (report["C"], report["certified"]) == (result.C.hex(), True)

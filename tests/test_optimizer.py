@@ -313,6 +313,10 @@ class TestPadding:
         assert any(m.k == 3 and m.name.endswith("+step") for m in warm)
 
 
+def _unreachable(*args, **kwargs):
+    pytest.fail("an invalid argument reached an inner solve")
+
+
 def _heun():
     """Heun's method, of order 2 and C = 1."""
     return MSRKMethod(s=2, k=1, D=[[1.0], [1.0]], Ahat=np.zeros((2, 0)),
@@ -377,6 +381,29 @@ class TestMaximizeSSP:
         maximize_ssp(SearchSpec(s=2, k=2, p=2, starts=1, r_tol=1e-300))
         assert max(r for r in radii if r <= 0.3) == 0.3
         assert len(radii) < 70
+
+    @pytest.mark.parametrize("r_tol", ["bracket", 1e300])
+    def test_r_tol_not_below_the_bracket_rejected_before_a_solve(self, monkeypatch, r_tol):
+        # the bisection would make no probe and report the feasible (2,2,3) infeasible
+        monkeypatch.setattr(optimizer, "least_squares", _unreachable)
+        hi = linear_bound(2, 2, 3) + LINEAR_BOUND_TOL
+        spec = SearchSpec(s=2, k=2, p=3, starts=1, r_tol=hi if r_tol == "bracket" else r_tol)
+        with pytest.raises(ValueError, match=r"r_tol must be below the bracket R\(2,2,3\) "
+                                             r"\+ 1e-06 = 0\.732052$"):
+            maximize_ssp(spec)
+
+    def test_r_tol_just_below_the_bracket_probes_its_midpoint(self, monkeypatch):
+        x = pack(gen_second_order(2, 2))
+        radii = []
+
+        def solve(spec, r, p, starts, history):
+            radii.append(r)
+            return x, 0.0
+
+        monkeypatch.setattr(optimizer, "_solve_feasibility", solve)
+        hi = linear_bound(2, 2, 3) + LINEAR_BOUND_TOL
+        maximize_ssp(SearchSpec(s=2, k=2, p=3, starts=1, r_tol=np.nextafter(hi, 0.0)))
+        assert radii == [0.0, 0.5 * hi]
 
     def test_radius_accepted_only_when_the_method_reaches_it(self, monkeypatch):
         # every solve claims feasibility with the same order-2 method, whose C = 1
