@@ -20,7 +20,7 @@ import numpy as np
 from . import msrkio, pdelab
 from .methods import MethodStructureError, ssp_coefficient, to_spijker, validate
 from .optimizer import SearchFailure, SearchSpec, maximize_ssp, warm_start_ladder, write_search_log
-from .orderlab import convergence_order, oracle_order, stage_order
+from .orderlab import MAX_ORACLE_ORDER, convergence_order, oracle_order, stage_order
 from .theory import (
     LINEAR_BOUND_TOL,
     MIN_POSITIVE_C,
@@ -69,7 +69,7 @@ def cmd_analyze(args) -> int:
         pols = stability_polynomials(sp)
         q = stage_order(method)
         lin = linear_order(pols)
-        orc = oracle_order(method, pmax=min(12, max(lin + 1, method.claimed_order + 1)))
+        orc = oracle_order(method, pmax=min(MAX_ORACLE_ORDER, max(lin, method.claimed_order) + 1))
         thr = threshold_factor(pols)
         print(f"stage_order: {q}")
         print(f"linear_order: {lin}")

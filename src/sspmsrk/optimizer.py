@@ -174,8 +174,14 @@ def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int 
     return MSRKMethod(s=s, k=k, **arrays, name=name, claimed_order=claimed_order)
 
 
-def _residuals(sp: SpijkerForm, r: float, p: int):
-    """:func:`constraint_residuals` of a method's Spijker form."""
+def constraint_residuals(sp: SpijkerForm, r: float, p: int):
+    """Equality residuals (order conditions) and inequality violations of a
+    Spijker form, or one row of each per form of a stack.
+
+    Inequality entries are positive exactly when violated: negated
+    entries of P and R at radius r, plus the coefficient bounds
+    0 <= D <= 1, 0 <= theta <= 1, and nonnegativity of A, Ahat, b, bhat.
+    """
     if r < 0:
         raise ValueError("r must be nonnegative")
     eq = order_residual_vector(sp, p)
@@ -186,16 +192,6 @@ def _residuals(sp: SpijkerForm, r: float, p: int):
     return eq, ineq
 
 
-def constraint_residuals(method: MSRKMethod, r: float, p: int):
-    """Equality residuals (order conditions) and inequality violations.
-
-    Inequality entries are positive exactly when violated: negated
-    entries of P and R at radius r, plus the coefficient bounds
-    0 <= D <= 1, 0 <= theta <= 1, and nonnegativity of A, Ahat, b, bhat.
-    """
-    return _residuals(to_spijker(method), r, p)
-
-
 def _merit_residuals(x, s, k, r, p):
     """Merit residuals at x, or one row per point of a stack x of shape (B, n).
 
@@ -204,7 +200,7 @@ def _merit_residuals(x, s, k, r, p):
     """
     if not np.isfinite(x).all():
         raise MethodStructureError("coefficients must be finite")
-    eq, ineq = _residuals(_spijker_from_flat(_scatter(x, s, k), s, k), r, p)
+    eq, ineq = constraint_residuals(_spijker_from_flat(_scatter(x, s, k), s, k), r, p)
     return np.concatenate([eq, np.maximum(0.0, ineq)], axis=-1)
 
 

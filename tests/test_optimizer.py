@@ -118,12 +118,12 @@ def _free_masks(s, k):
 
 class TestConstraintResiduals:
     def test_ssprk33_feasible_at_its_coefficient(self):
-        eq, ineq = constraint_residuals(ssprk33(), 1.0, 3)
+        eq, ineq = constraint_residuals(to_spijker(ssprk33()), 1.0, 3)
         assert np.abs(eq).max() < 1e-12
         assert ineq.max() < 1e-9
 
     def test_violation_past_the_coefficient(self):
-        _, ineq = constraint_residuals(ssprk33(), 1.5, 3)
+        _, ineq = constraint_residuals(to_spijker(ssprk33()), 1.5, 3)
         assert ineq.max() > 1e-3
 
     def test_validates_each_iterate_once(self, rng, monkeypatch):
@@ -136,12 +136,25 @@ class TestConstraintResiduals:
 
         monkeypatch.setattr(methods, "validate", counting)
         m = unpack(rng.uniform(0.0, 0.5, free_parameter_count(2, 2)), 2, 2)
-        constraint_residuals(m, 0.5, 3)
+        constraint_residuals(to_spijker(m), 0.5, 3)
         assert len(calls) == 1
 
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
-            constraint_residuals(forward_euler(), -1.0, 1)
+            constraint_residuals(to_spijker(forward_euler()), -1.0, 1)
+
+    def test_search_evaluates_every_residual_through_it(self, monkeypatch):
+        # each residual and each Jacobian stack of an inner solve is one call
+        calls = []
+        original = optimizer.constraint_residuals
+
+        def counting(sp, r, p):
+            calls.append(r)
+            return original(sp, r, p)
+
+        monkeypatch.setattr(optimizer, "constraint_residuals", counting)
+        res = maximize_ssp(SearchSpec(s=2, k=2, p=3, starts=1, seed=0, r_tol=1e-3))
+        assert len(calls) == sum(nfev + njev for *_, nfev, njev in res.history) > 0
 
 
 class TestStackedMerit:
@@ -267,7 +280,7 @@ class TestMeritPlan:
         expected = np.concatenate([eq, np.maximum(0.0, ineq)], axis=-1)
         assert same_bits(_merit_residuals(X, s, k, r, p), expected)
         for x, reference in zip(X, references):
-            eq, ineq = constraint_residuals(unpack(x, s, k), r, p)
+            eq, ineq = constraint_residuals(to_spijker(unpack(x, s, k)), r, p)
             ref_eq, ref_ineq = _residuals_as_first_written([reference], r, p)
             assert same_bits(eq, ref_eq[0]) and same_bits(ineq, ref_ineq[0])
 
