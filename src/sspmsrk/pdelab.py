@@ -6,11 +6,12 @@ scheme.  Van der Pol errors are measured against DOP853 dense output
 at rtol = atol = 1e-13 (scipy's ``solve_ivp``) up to t = VDP_MAX_HORIZON.
 A run counts its whole steps of dt once, as an integer n, before its
 start-up; state j sits at j*dt, and its error is read at its last whole
-step, not at tf.  Runs record convex monitor values (total variation,
-minimum entry) at every step.  A bisection search over
-the step size locates the largest step for which a monotonicity property
-holds over a whole run; each probe reads only its property's monitor and
-stops at the first violating step.
+step, not at tf.  A problem's ``u0`` is read-only, and it keeps its
+SSPRK(3,3) start-ups per substep and count for every later run.  Runs
+record convex monitor values (total variation, minimum entry) at every
+step.  A bisection search over the step size locates the largest step for
+which a monotonicity property holds over a whole run; each probe reads
+only its property's monitor and stops at the first violating step.
 """
 
 from __future__ import annotations
@@ -59,9 +60,12 @@ def _forward_diff(u: NDArray) -> NDArray:
     return d
 
 
-def _shift_right(d: NDArray) -> NDArray:
-    """d_{j-1} on a periodic grid; of a forward difference, the backward one."""
-    return np.concatenate((d[-1:], d[:-1]))
+def _backward_diff(u: NDArray) -> NDArray:
+    """u_j - u_{j-1} on a periodic grid."""
+    d = np.empty_like(u)
+    np.subtract(u[1:], u[:-1], out=d[1:])
+    np.subtract(u[:1], u[-1:], out=d[:1])
+    return d
 
 
 def tv_seminorm(u: NDArray) -> float:
@@ -81,7 +85,9 @@ def positivity_min(u: NDArray) -> float:
 
 @dataclass(frozen=True)
 class SemiDiscretization:
-    """A semi-discretized problem u' = rhs(u) with its forward-Euler SSP bound."""
+    """A semi-discretized problem u' = rhs(u) with its forward-Euler SSP bound.  ``u0`` is
+    a read-only copy; ``startup`` keeps the problem's rk3_substeps start-ups per substep
+    and count, and ``dataclasses.replace`` keeps none."""
 
     name: str
     dim: int
@@ -91,11 +97,13 @@ class SemiDiscretization:
     monitors: dict[str, Callable[[NDArray], float]] = field(default_factory=dict)
     exact: Optional[Callable[[float], NDArray]] = None
     dx: Optional[float] = None
+    _startups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt_fe <= 0:
             raise ValueError("dt_fe must be positive")
-        object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
+        object.__setattr__(self, "u0", np.array(self.u0, dtype=float))
+        self.u0.flags.writeable = False
 
 
 @dataclass
@@ -174,8 +182,10 @@ def startup(
     and 0.9*dt_fe so the startup states inherit the forward-Euler monotonicity
     properties; a non-finite substep raises RunAbortedError naming its interval,
     and more than MAX_STEPS substeps (or a substep that underflows to 0) raise
-    ValueError.  None: exact when the problem has an exact solution,
-    rk3_substeps otherwise.
+    ValueError.  The problem keeps each run's states, read-only, under
+    (dt/nsub, nsub), on which alone the substeps depend, for any later call
+    of any method or property that needs no more of them.  None: exact when
+    the problem has an exact solution, rk3_substeps otherwise.
     """
     if mode is None:
         mode = "exact" if problem.exact is not None else "rk3_substeps"
@@ -186,22 +196,27 @@ def startup(
     if mode != "rk3_substeps":
         raise ValueError(f"unknown startup mode {mode!r}")
     if k == 1:  # also ends the one-step run below, whose own start-up is u0
-        return [problem.u0.copy()]
+        return [problem.u0]
     substep = min(dt ** (p / 3.0), 0.9 * problem.dt_fe)
     _check_step_count((k - 1) * dt / substep if substep > 0.0 else math.inf)
     nsub = max(1, math.ceil(dt / substep))
-    states = []
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
-            for j, u in enumerate(_trajectory(problem, _SSPRK33, dt / nsub, (k - 1) * nsub,
-                                              "rk3_substeps")):
-                if j % nsub == 0:
-                    states.append(u)
-    except RunAbortedError as exc:
-        # states holds u0 and the end of every interval before the failing one
-        raise RunAbortedError(f"non-finite state during start-up, in interval {len(states)} "
-                              f"of 1..{k - 1}") from exc
-    return states
+    key = (dt / nsub, nsub)
+    states = problem._startups.get(key, [])
+    if len(states) < k:
+        states = []
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
+                for j, u in enumerate(_trajectory(problem, _SSPRK33, dt / nsub, (k - 1) * nsub,
+                                                  "rk3_substeps")):
+                    if j % nsub == 0:
+                        u.flags.writeable = False
+                        states.append(u)
+        except RunAbortedError as exc:
+            # states holds u0 and the end of every interval before the failing one
+            raise RunAbortedError(f"non-finite state during start-up, in interval "
+                                  f"{len(states)} of 1..{k - 1}") from exc
+        problem._startups[key] = states
+    return states[:k]
 
 
 def _vdp_rhs(u: NDArray, eps: float) -> NDArray:
@@ -254,7 +269,7 @@ def advection_upwind(N: int = 101) -> SemiDiscretization:
         return np.where((y >= 0.0) & (y <= 0.5), 1.0, 0.0)
 
     def rhs(u):
-        return _shift_right(_forward_diff(u)) / -dx  # -(u_j - u_{j-1})/dx
+        return _backward_diff(u) / -dx  # -(u_j - u_{j-1})/dx
 
     def exact(t):
         return ic(x - t)
@@ -267,7 +282,11 @@ def advection_upwind(N: int = 101) -> SemiDiscretization:
 
 
 def _koren_phi(theta: NDArray) -> NDArray:
-    return np.maximum(0.0, np.minimum(np.minimum(2.0 * theta, (1.0 + 2.0 * theta) / 3.0), 2.0))
+    """max(0, min(2 theta, (1 + 2 theta)/3, 2)); the operand order fixes the sign of a zero."""
+    twice = 2.0 * theta
+    phi = np.minimum(twice, (1.0 + twice) / 3.0)
+    np.minimum(phi, 2.0, out=phi)
+    return np.maximum(0.0, phi, out=phi)
 
 
 def buckley_leverett(N: int = 100) -> SemiDiscretization:
@@ -286,16 +305,17 @@ def buckley_leverett(N: int = 100) -> SemiDiscretization:
     u0 = np.where(x >= 0.5, 0.5, 0.0)
 
     def flux(u):
-        return u**2 / (u**2 + a * (1.0 - u) ** 2)
+        square = u**2
+        return square / (square + a * (1.0 - u) ** 2)
 
     eps_den = 1e-14
 
     def rhs(u):
         du = _forward_diff(u)  # u_{j+1} - u_j
         # smoothness ratio, 0 where |du| is tiny; _koren_phi(0) = 0 limits those faces
-        theta = np.divide(_shift_right(du), du, out=np.zeros_like(du), where=np.abs(du) > eps_den)
+        theta = np.divide(_backward_diff(u), du, out=np.zeros(du.shape), where=np.abs(du) > eps_den)
         u_face = u + 0.5 * _koren_phi(theta) * du  # left value at interface j+1/2
-        return _shift_right(_forward_diff(flux(u_face))) / -dx  # -(F_{j+1/2} - F_{j-1/2})/dx
+        return _backward_diff(flux(u_face)) / -dx  # -(F_{j+1/2} - F_{j-1/2})/dx
 
     return SemiDiscretization(
         name="buckley", dim=N, rhs=rhs, dt_fe=dx / 4.0, u0=u0,
@@ -328,12 +348,12 @@ def run(
     # an exact solution that cannot reach the last step fails before any step
     u_exact = problem.exact(t_end) if problem.exact is not None else None
     monitors = {name: [] for name in problem.monitors}
-    with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises, or its error is inf
         for u in _trajectory(problem, method, dt, n, startup_mode):
             for name, fn in problem.monitors.items():
                 monitors[name].append(fn(u))
+        final_error = None if u_exact is None else float(np.linalg.norm(u - u_exact))
     times = [j * dt for j in range(method.k + n - 1)] + [t_end]
-    final_error = None if u_exact is None else float(np.linalg.norm(u - u_exact))
     return RunRecord(times=times, monitors=monitors, final_error=final_error)
 
 
@@ -346,7 +366,7 @@ def _trajectory(problem, method, dt, n, startup_mode):
     rhs_vals = np.array([problem.rhs(u) for u in states])
     for step_index in range(1, n + 1):
         u_next, _ = msrk_step(method, states, rhs_vals, problem.rhs, dt)
-        if not np.all(np.isfinite(u_next)):
+        if not np.isfinite(u_next).all():
             raise RunAbortedError(f"non-finite state at step {step_index}")
         states[:-1] = states[1:]
         states[-1] = u_next

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import types
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -193,21 +194,58 @@ class TestStartup:
 
     @pytest.mark.parametrize("k, interval", [(2, 1), (4, 1), (4, 2), (4, 3)])
     def test_non_finite_substep_names_its_start_up_interval(self, k, interval):
-        # one rhs call at u0, then 3 per SSPRK(3,3) substep; the rhs turns
-        # infinite at the first substep of the given interval
-        dt, problem = 0.006, buckley_leverett()
-        nsub = math.ceil(dt / (0.9 * problem.dt_fe))
-        calls = []
-
-        def rhs(u):
-            calls.append(u)
-            finite = len(calls) <= 1 + 3 * nsub * (interval - 1)
-            return problem.rhs(u) if finite else np.full_like(u, np.inf)
-
+        problem, calls, nsub = _blowing_up(0.006, interval)
         message = f"non-finite state during start-up, in interval {interval} of 1..{k - 1}"
         with pytest.raises(RunAbortedError, match=re.escape(message)):
-            startup(dataclasses.replace(problem, rhs=rhs), dt, k, 3, mode="rk3_substeps")
+            startup(problem, 0.006, k, 3, mode="rk3_substeps")
         assert len(calls) == 1 + 3 * nsub * (interval - 1) + 2  # no substep after the failing one
+
+    def test_aborted_start_up_stores_nothing(self):
+        problem, calls, _ = _blowing_up(0.006, 2)
+        with pytest.raises(RunAbortedError):
+            startup(problem, 0.006, 3, 3, mode="rk3_substeps")
+        assert problem._startups == {}
+
+    def test_later_calls_read_the_first_written_states(self):
+        # dt on both sides of the cap 0.9*dt_fe = 0.00225, so that nsub is 1
+        # or more; k grows after a smaller k is kept and shrinks after a larger
+        problem = buckley_leverett()
+        for dt in (0.0015, 0.002, 0.003, 0.006):
+            for p in range(2, 6):
+                for k in (2, 4, 3, 5, 2):
+                    states = startup(problem, dt, k, p, mode="rk3_substeps")
+                    expected = _startup_as_first_written(problem, dt, k, p)
+                    assert [u.tobytes() for u in states] == [u.tobytes() for u in expected], \
+                        (dt, k, p)
+        # p = 2 and 3 share their substeps at dt = 0.0015 and 0.002
+        assert len(problem._startups) < 4 * 4
+
+    def test_returned_states_cannot_change_later_ones(self):
+        problem = buckley_leverett()
+        expected = [u.tobytes() for u in _startup_as_first_written(problem, 0.006, 3, 3)]
+        states = startup(problem, 0.006, 3, 3, mode="rk3_substeps")
+        for u in states:
+            with pytest.raises(ValueError, match="read-only"):
+                u[0] = 1.0
+        states[1] = np.zeros(problem.dim)
+        states.append(np.zeros(problem.dim))
+        again = startup(problem, 0.006, 3, 3, mode="rk3_substeps")
+        assert [u.tobytes() for u in again] == expected
+
+    def test_replace_starts_with_no_start_ups(self):
+        problem = buckley_leverett()
+        startup(problem, 0.006, 3, 3, mode="rk3_substeps")
+        assert problem._startups
+        assert dataclasses.replace(problem)._startups == {}
+
+    @pytest.mark.parametrize("make", [vdp_problem, advection_upwind, buckley_leverett])
+    def test_initial_data_is_a_read_only_copy(self, make):
+        problem = make()
+        with pytest.raises(ValueError, match="read-only"):
+            problem.u0[0] = 1.0
+        u0 = np.array(problem.u0)
+        dataclasses.replace(problem, u0=u0)
+        u0[0] = 1.0  # the caller's array stays writable
 
     def test_probe_with_non_finite_start_up_fails(self):
         problem = dataclasses.replace(buckley_leverett(), rhs=lambda u: np.full_like(u, np.inf))
@@ -226,6 +264,22 @@ class TestStartup:
             startup(buckley_leverett(), dt, 3, p, mode="rk3_substeps")
 
 
+def _blowing_up(dt, interval):
+    """Buckley-Leverett whose rhs turns infinite at the first SSPRK(3,3)
+    substep of the given start-up interval: one rhs call at u0, then 3 per
+    substep.  Returns the problem, its list of calls and nsub."""
+    problem = buckley_leverett()
+    nsub = math.ceil(dt / (0.9 * problem.dt_fe))
+    calls = []
+
+    def rhs(u):
+        calls.append(u)
+        finite = len(calls) <= 1 + 3 * nsub * (interval - 1)
+        return problem.rhs(u) if finite else np.full_like(u, np.inf)
+
+    return dataclasses.replace(problem, rhs=rhs), calls, nsub
+
+
 def _startup_as_first_written(problem, dt, k, p):
     """The rk3_substeps start-up as a loop of its own over SSPRK(3,3) substeps."""
     states = [problem.u0.copy()]
@@ -238,7 +292,44 @@ def _startup_as_first_written(problem, dt, k, p):
     return states
 
 
+def _buckley_rhs_as_first_written(u, dx, a=1.0 / 3.0):
+    """The Buckley-Leverett rhs before its in-place limiter and backward differences."""
+    def shift_right(d):  # d_{j-1} on a periodic grid
+        return np.concatenate((d[-1:], d[:-1]))
+
+    du = pdelab._forward_diff(u)
+    theta = np.divide(shift_right(du), du, out=np.zeros_like(du), where=np.abs(du) > 1e-14)
+    phi = np.maximum(0.0, np.minimum(np.minimum(2.0 * theta, (1.0 + 2.0 * theta) / 3.0), 2.0))
+    u_face = u + 0.5 * phi * du
+    flux = u_face**2 / (u_face**2 + a * (1.0 - u_face) ** 2)
+    return shift_right(pdelab._forward_diff(flux)) / -dx
+
+
+def _flat_stretches(rng, count, N=100):
+    """States in [0, 1] of constant runs (du = 0), some neighbours moved by
+    at most 1e-14 either way, one cell in four, and ordinary jumps."""
+    tiny = np.array([1e-14, -1e-14, np.nextafter(1e-14, 0.0), -5e-15, 3e-15, 1e-15])
+    states = []
+    for _ in range(count):
+        u = np.repeat(rng.choice([0.0, 0.25, 0.5, 1.0], size=N // 5), 5)
+        moved = rng.random(N) < 0.25
+        u[moved] += rng.choice(tiny, size=moved.sum())
+        states.append(np.clip(u, 0.0, 1.0))
+    return states
+
+
 class TestProblems:
+    def test_buckley_rhs_keeps_the_bits_of_its_first_expression(self):
+        rng = np.random.default_rng(2025)
+        problem = buckley_leverett()
+        flat = _flat_stretches(rng, 50)
+        du = np.concatenate([pdelab._forward_diff(u) for u in flat])
+        assert (du == 0.0).any() and (du > 0.0).any() and (du < 0.0).any()
+        assert ((du != 0.0) & (np.abs(du) <= 1e-14)).any()
+        states = [problem.u0] + list(rng.uniform(0.0, 1.0, size=(200, problem.dim))) + flat
+        for u in states:
+            assert problem.rhs(u).tobytes() == _buckley_rhs_as_first_written(u, problem.dx).tobytes()
+
     def test_advection_exact_translation(self):
         problem = advection_upwind(N=50)
         np.testing.assert_allclose(problem.exact(1.0), problem.u0)
@@ -359,6 +450,14 @@ class TestRun:
         with pytest.raises(ValueError, match=f"ends at t = {VDP_MAX_HORIZON:g}"):
             run(vdp_problem(), ssprk33(), 0.01, 2000.0)
 
+    def test_finite_blow_up_has_an_infinite_error_and_no_warning(self):
+        # SSPRK(3,3) at dt = 6.3 dx: every state stays finite, but the last
+        # one's norm overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run(advection_upwind(), ssprk33(), 0.0625, 4.0)
+        assert record.final_error == math.inf
+
     def test_final_error_reads_the_exact_solution_at_tf_once(self):
         problem = vdp_problem()
         # the second run ends at 4.0; u(4.2) would need a reference to t = 8
@@ -453,6 +552,28 @@ class TestMaxStableStep:
         tf = max(0.125, 12.0 * method.k * max(C, 1.0) * problem.dt_fe)
         explicit = max_stable_step(problem, method, "tvd", tf=tf, startup_mode="rk3_substeps")
         assert max_stable_step(problem, method, "tvd") == explicit
+
+    def test_searches_share_start_ups_and_keep_their_results(self):
+        # k = 1..3 and p = 2..4; one problem serves every method and property
+        library = [ssprk33(), gen_second_order(2, 2), gen_second_order(4, 3),
+                   read_method(BENCH_OPT_234)]
+
+        def counting(calls):
+            problem = buckley_leverett()
+
+            def rhs(u):
+                calls.append(None)
+                return problem.rhs(u)
+
+            return dataclasses.replace(problem, rhs=rhs)
+
+        shared_calls, fresh_calls = [], []
+        shared = counting(shared_calls)
+        for method in library:
+            for prop in ("tvd", "positivity"):
+                fresh = max_stable_step(counting(fresh_calls), method, prop)
+                assert max_stable_step(shared, method, prop) == fresh, (method.name, prop)
+        assert len(shared_calls) < len(fresh_calls)
 
     def test_infinite_coefficient_gets_a_finite_horizon(self):
         # C = inf for a method that never uses f; the horizon stops at
