@@ -223,7 +223,7 @@ def _accepted(spec: SearchSpec, r: float, merit: float, x: NDArray) -> bool:
 
 
 class _Stalled(Exception):
-    """Raised from a solve's residual to stop it, as scipy's 'lm' ignores ``callback``."""
+    """Raised from a solve's residual to stop it, as MINPACK's loop takes no callback."""
 
 
 class _Solve:
@@ -236,8 +236,8 @@ class _Solve:
     and raises :class:`_Stalled` by the stall rule (STALL_WINDOW) at r > 0:
     Levenberg-Marquardt converges fast near a zero residual, so a long
     plateau above feas_tol**2 is a solve that fails.  The Jacobian reuses
-    its array at its last point, where scipy most often asks again to
-    report the gradient.  ``len(least)`` counts the residuals computed and
+    its array at its last point, as ``leastsq`` checks the one at x0 before
+    MINPACK asks for it.  ``len(least)`` counts the residuals computed and
     ``njev`` the Jacobians computed.
     """
 
@@ -271,21 +271,46 @@ class _Solve:
         return self._J
 
 
-def least_squares(*args, **kwargs):
-    """scipy's ``least_squares``, imported on first call, as scipy.optimize adds
-    about 0.45 s to a fresh process; a module global, so it can be wrapped."""
-    from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
+#: scipy's status of a MINPACK exit; exits 6-8 need a tolerance below machine epsilon
+_STATUS = {0: -1, 1: 2, 2: 3, 3: 4, 4: 1, 5: 0}
+
+
+def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev):
+    """MINPACK's Levenberg-Marquardt (``lmder``) through scipy's ``leastsq``, as
+    scipy's ``least_squares(method="lm", x_scale=1.0)`` runs it, less the wrapper
+    around each call and the Jacobian it adds at the end to report the gradient.
+    Returns x, cost (half the last residual's squared norm), nfev, njev and
+    status (0: max_nfev ran out).  Each residual is computed once, though
+    ``leastsq`` checks the one at x0 before MINPACK asks for it.  Imports
+    scipy.optimize on first call (about 0.45 s in a fresh process); a module
+    global, so it can be wrapped."""
+    from scipy.optimize import OptimizeResult, leastsq
+
+    last = [None, None]  # the last point and its residual
+
+    def residuals(z):
+        if last[0] is None or not np.array_equal(z, last[0]):
+            last[:] = z.copy(), fun(z)
+        return last[1]
+
+    if not np.isfinite(residuals(x0)).all():
+        raise ValueError("Residuals are not finite in the initial point.")
+    x, _, info, _, exit_code = leastsq(
+        residuals, x0, Dfun=jac, full_output=True, ftol=ftol, xtol=xtol, gtol=gtol,
+        maxfev=max_nfev, diag=np.ones(len(x0)))
+    f = info["fvec"]
+    return OptimizeResult(x=x, cost=0.5 * np.dot(f, f), nfev=info["nfev"], njev=info["njev"],
+                          status=_STATUS[exit_code])
 
 
 def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     """(x, best merit): x of the first start whose solve is :func:`_accepted`
     at r, or None, and the least merit over the solves made.
 
-    Each start is solved by MINPACK's compiled Levenberg-Marquardt, as the
-    merit has no bounds (they are hinged into the residual).  Unit scaling
+    Each start is solved by MINPACK's Levenberg-Marquardt (:func:`least_squares`),
+    as the merit has no bounds (they are hinged into the residual).  Unit scaling
     of the coordinates, as 'trf' had, kept the (3,2,3) search at its optimum
-    where scipy's 'lm' default, column-norm scaling, often did not.  A solve
+    where MINPACK's default, column-norm scaling, often did not.  A solve
     that stalls (see :class:`_Solve`) is recorded with its least merit.
 
     The solve carries a pad: a last coordinate that no residual reads and a
@@ -304,8 +329,7 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
         try:
             sol = least_squares(
                 solve.residuals, np.append(x0, 0.0), jac=solve.jacobian,
-                method="lm", x_scale=1.0, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                max_nfev=MAX_INNER_ITERS,
+                xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=MAX_INNER_ITERS,
             )
         except _Stalled:
             merit, x = solve.least[-1], None

@@ -485,13 +485,19 @@ def _benchmark_search_234():
                       warm_starts=warm_start_ladder(2, 3, 4))
 
 
+def _acceptance_spec(s, k, p, found):
+    """A search of the acceptance suite, warm-started from the methods it found."""
+    return SearchSpec(s=s, k=k, p=p, starts=20, seed=123, r_tol=1e-4,
+                      warm_starts=warm_start_ladder(s, k, p, found))
+
+
+def _acceptance_search_223():
+    return _acceptance_spec(2, 2, 3, {})
+
+
 def _acceptance_search_323():
     """The acceptance suite's (3,2,3) search, warm-started from its (2,2,3) result."""
-    def spec(s, k, p, found):
-        return SearchSpec(s=s, k=k, p=p, starts=20, seed=123, r_tol=1e-4,
-                          warm_starts=warm_start_ladder(s, k, p, found))
-
-    return spec(3, 2, 3, {(2, 2, 3): maximize_ssp(spec(2, 2, 3, {})).method})
+    return _acceptance_spec(3, 2, 3, {(2, 2, 3): maximize_ssp(_acceptance_search_223()).method})
 
 
 def _stall_at(merits, window, floor):
@@ -516,6 +522,7 @@ class TestStallRule:
         evaluation and the solution, or None for a solve the rule stopped."""
         solves = []
         spec = _benchmark_search_234()
+        driver = optimizer.least_squares
 
         def recording(fun, x0, **kwargs):
             merits = []
@@ -527,7 +534,7 @@ class TestStallRule:
                 return fun(z)
 
             solves.append((merits, None))
-            sol = least_squares(recorded, x0, **kwargs)
+            sol = driver(recorded, x0, **kwargs)
             solves[-1] = (merits, sol)
             return sol
 
@@ -605,6 +612,7 @@ class TestJacobianMemo:
 
     def test_no_jacobian_repeats_its_point_and_njev_counts_them(self, monkeypatch):
         points = []
+        driver = optimizer.least_squares
 
         def recording(x, *args):
             points[-1].append(x.copy())
@@ -612,7 +620,7 @@ class TestJacobianMemo:
 
         def solve(*args, **kwargs):
             points.append([])
-            return least_squares(*args, **kwargs)
+            return driver(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "_merit_jacobian", recording)
         monkeypatch.setattr(optimizer, "least_squares", solve)
@@ -622,6 +630,73 @@ class TestJacobianMemo:
         for xs in points:
             assert all(not np.array_equal(a, b) for a, b in zip(xs, xs[1:]))
         assert sum(len(xs) for xs in points) == sum(row[4] for row in res.history)
+
+
+def _scipy_lm(fun, x0, **kwargs):
+    """The inner solve as scipy's ``least_squares`` runs it: 'lm' with unit scaling."""
+    return least_squares(fun, x0, method="lm", x_scale=1.0, **kwargs)
+
+
+def _rosenbrock(z):
+    return np.array([10.0 * (z[1] - z[0] ** 2), 1.0 - z[0]])
+
+
+def _rosenbrock_jacobian(z):
+    return np.array([[-20.0 * z[0], 10.0], [-1.0, 0.0]])
+
+
+_TOLS = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
+
+
+class TestInnerDriver:
+    """optimizer.least_squares runs MINPACK's lmder, through scipy's leastsq,
+    as scipy's least_squares(method="lm", x_scale=1.0) runs it."""
+
+    @pytest.mark.parametrize("make_spec", [_benchmark_search_234, _acceptance_search_223])
+    def test_searches_keep_their_bits(self, monkeypatch, make_spec):
+        spec = make_spec()
+        ours = maximize_ssp(spec)
+        monkeypatch.setattr(optimizer, "least_squares", _scipy_lm)
+        theirs = maximize_ssp(spec)
+        for key in ("D", "Ahat", "A", "theta", "bhat", "b"):
+            assert same_bits(getattr(ours.method, key), getattr(theirs.method, key)), key
+        assert same_bits(ours.C, theirs.C) and ours.certified == theirs.certified
+        assert len(ours.history) == len(theirs.history)
+        for a, b in zip(ours.history, theirs.history):
+            assert same_bits(a[:3], b[:3]) and a[3] == b[3], (a, b)
+            # no Jacobian is computed to report the gradient at the end
+            assert a[4] <= b[4], (a, b)
+        assert sum(row[4] for row in ours.history) < sum(row[4] for row in theirs.history)
+
+    @pytest.mark.parametrize("max_nfev", [3, MAX_INNER_ITERS])
+    def test_result_fields_match_scipy(self, max_nfev):
+        x0 = np.array([-1.2, 1.0])
+        ours = optimizer.least_squares(_rosenbrock, x0, jac=_rosenbrock_jacobian,
+                                       max_nfev=max_nfev, **_TOLS)
+        theirs = _scipy_lm(_rosenbrock, x0, jac=_rosenbrock_jacobian, max_nfev=max_nfev, **_TOLS)
+        assert same_bits(ours.x, theirs.x) and same_bits(ours.cost, theirs.cost)
+        assert same_bits(ours.cost, 0.5 * np.dot(_rosenbrock(ours.x), _rosenbrock(ours.x)))
+        assert (ours.nfev, ours.njev, ours.status) == (theirs.nfev, theirs.njev, theirs.status)
+        # status 0 is a spent budget, as the tracer counts it
+        assert (ours.status == 0) == (max_nfev == 3) and ours.nfev <= max_nfev
+
+    def test_each_residual_is_computed_once(self):
+        points = []
+
+        def counting(z):
+            points.append(z.copy())
+            return _rosenbrock(z)
+
+        x0 = np.array([-1.2, 1.0])
+        sol = optimizer.least_squares(counting, x0, jac=_rosenbrock_jacobian,
+                                      max_nfev=MAX_INNER_ITERS, **_TOLS)
+        assert sol.status > 0 and len(points) == sol.nfev
+        assert sum(np.array_equal(z, x0) for z in points) == 1
+
+    def test_non_finite_residual_at_the_start_raises(self):
+        with pytest.raises(ValueError, match="Residuals are not finite in the initial point"):
+            optimizer.least_squares(lambda z: np.array([np.nan, z[0]]), np.zeros(2),
+                                    jac=lambda z: np.eye(2), max_nfev=MAX_INNER_ITERS, **_TOLS)
 
 
 class TestSearchSpec:
