@@ -46,7 +46,7 @@ MAX_INNER_ITERS = 500
 STALL_WINDOW = 50
 STALL_FACTOR = 10.0
 
-#: norm of the pad column of a solve's Jacobian (see :func:`_solve_feasibility`)
+#: norm of the pad column of a solve's Jacobian (see :func:`least_squares`)
 _PAD_NORM = 1e-100
 
 
@@ -226,80 +226,89 @@ class _Stalled(Exception):
     """Raised from a solve's residual to stop it, as MINPACK's loop takes no callback."""
 
 
-class _Solve:
-    """The residual and Jacobian callables of one inner solve, and its counts.
+def _once_per_point(f):
+    """f, which gives its last value again, uncomputed, when called again at its last point."""
+    last = [None, None]
 
-    Both take z, the free coordinates x then the pad (see
-    :func:`_solve_feasibility`): the residuals of x gain a zero row, and
-    their Jacobian the pad's row and column, zero but for _PAD_NORM where
-    they meet.  The residual keeps the least merit after each evaluation
-    and raises :class:`_Stalled` by the stall rule (STALL_WINDOW) at r > 0:
-    Levenberg-Marquardt converges fast near a zero residual, so a long
-    plateau above feas_tol**2 is a solve that fails.  The Jacobian reuses
-    its array at its last point, as ``leastsq`` checks the one at x0 before
-    MINPACK asks for it.  ``len(least)`` counts the residuals computed and
-    ``njev`` the Jacobians computed.
-    """
+    def memo(z):
+        if last[0] is None or not np.array_equal(z, last[0]):
+            last[:] = z.copy(), f(z)
+        return last[1]
 
-    def __init__(self, spec: SearchSpec, r: float, p: int):
-        self.args = (spec.s, spec.k, r, p)
-        self.floor = spec.feas_tol**2
-        # the r = 0 solves, which a search must pass to start, run their whole budget
-        self.window = (max(STALL_WINDOW, 5 * free_parameter_count(spec.s, spec.k))
-                       if r > 0.0 else math.inf)
-        self.least: list[float] = []  # least merit after each residual evaluation
-        self.njev = 0
-        self._z = self._J = None  # the last Jacobian's point and array
-
-    def residuals(self, z):
-        F = np.append(_merit_residuals(z[:-1], *self.args), 0.0)
-        merit = float(F @ F)
-        least = self.least
-        least.append(min(merit, least[-1]) if least else merit)
-        if len(least) > self.window and least[-1] > max(
-                self.floor, least[-1 - self.window] / STALL_FACTOR):
-            raise _Stalled
-        return F
-
-    def jacobian(self, z):
-        if not np.array_equal(z, self._z):
-            J = _merit_jacobian(z[:-1], *self.args)
-            self._z, self._J = z.copy(), np.zeros((J.shape[0] + 1, J.shape[1] + 1))
-            self._J[:-1, :-1] = J
-            self._J[-1, -1] = _PAD_NORM
-            self.njev += 1
-        return self._J
+    return memo
 
 
 #: scipy's status of a MINPACK exit; exits 6-8 need a tolerance below machine epsilon
 _STATUS = {0: -1, 1: 2, 2: 3, 3: 4, 4: 1, 5: 0}
 
 
-def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev):
-    """MINPACK's Levenberg-Marquardt (``lmder``) through scipy's ``leastsq``, as
-    scipy's ``least_squares(method="lm", x_scale=1.0)`` runs it, less the wrapper
-    around each call and the Jacobian it adds at the end to report the gradient.
-    Returns x, cost (half the last residual's squared norm), nfev, njev and
-    status (0: max_nfev ran out).  Each residual is computed once, though
-    ``leastsq`` checks the one at x0 before MINPACK asks for it.  Imports
+def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev, stall_window=math.inf):
+    """One inner solve of fun(x) = 0, jac(x) its Jacobian, by MINPACK's
+    Levenberg-Marquardt (``lmder``) through scipy's ``leastsq``: the loop that scipy's
+    ``least_squares(method="lm", x_scale=1.0)`` runs on the padded problem, less the
+    wrapper around each call and the Jacobian it adds at the end.  Imports
     scipy.optimize on first call (about 0.45 s in a fresh process); a module
-    global, so it can be wrapped."""
+    global, so it can be wrapped.
+
+    The pad: a last coordinate that no residual reads, and a zero last residual.
+    MINPACK's QR (scipy 1.17.1), when it recomputes the norm of the last column,
+    reads one entry past the Jacobian's end, so without the pad a solve hung on
+    leftover heap memory and could end an ulp apart from one process to the next.
+    The pad's column is zero but for _PAD_NORM in its own row: no Householder
+    step changes it, so its norm is never recomputed, and its step is zero.
+    Pivoting takes it after every column with a norm left and before those whose
+    norm fell to zero, which are never recomputed either.
+
+    The stall rule: the solve stops once its least merit (squared residual norm),
+    still above feas_tol**2, has not fallen by STALL_FACTOR over its last
+    stall_window residuals; Levenberg-Marquardt converges fast near a zero
+    residual, so a long plateau above feas_tol**2 is a solve that fails.
+
+    Returns x, cost (half the last residual's squared norm or, when the solve
+    stalled, the least one's, at x), nfev and njev (the residuals and Jacobians
+    computed, each once per point, though ``leastsq`` checks both at x0 before
+    MINPACK asks for them) and status (0: max_nfev ran out, -2: stalled).
+    """
     from scipy.optimize import OptimizeResult, leastsq
 
-    last = [None, None]  # the last point and its residual
+    floor = SearchSpec.feas_tol**2
+    least: list[float] = []  # the least merit after each residual computed
+    at_least, njev = None, 0  # the point of the least merit; the Jacobians computed
 
     def residuals(z):
-        if last[0] is None or not np.array_equal(z, last[0]):
-            last[:] = z.copy(), fun(z)
-        return last[1]
+        nonlocal at_least
+        F = np.append(fun(z[:-1]), 0.0)
+        merit = float(F @ F)
+        if not least or merit < least[-1]:
+            at_least = z[:-1].copy()
+        least.append(min(merit, least[-1]) if least else merit)
+        if len(least) > stall_window and least[-1] > max(
+                floor, least[-1 - stall_window] / STALL_FACTOR):
+            raise _Stalled
+        return F
 
-    if not np.isfinite(residuals(x0)).all():
+    def jacobian(z):
+        nonlocal njev
+        njev += 1
+        J = jac(z[:-1])
+        bordered = np.zeros((J.shape[0] + 1, J.shape[1] + 1))
+        bordered[:-1, :-1] = J
+        bordered[-1, -1] = _PAD_NORM
+        return bordered
+
+    z0 = np.append(x0, 0.0)
+    residuals, jacobian = _once_per_point(residuals), _once_per_point(jacobian)
+    if not np.isfinite(residuals(z0)).all():
         raise ValueError("Residuals are not finite in the initial point.")
-    x, _, info, _, exit_code = leastsq(
-        residuals, x0, Dfun=jac, full_output=True, ftol=ftol, xtol=xtol, gtol=gtol,
-        maxfev=max_nfev, diag=np.ones(len(x0)))
+    try:
+        z, _, info, _, exit_code = leastsq(
+            residuals, z0, Dfun=jacobian, full_output=True, ftol=ftol, xtol=xtol, gtol=gtol,
+            maxfev=max_nfev, diag=np.ones(len(z0)))
+    except _Stalled:
+        return OptimizeResult(x=at_least, cost=0.5 * least[-1], nfev=len(least), njev=njev,
+                              status=-2)
     f = info["fvec"]
-    return OptimizeResult(x=x, cost=0.5 * np.dot(f, f), nfev=info["nfev"], njev=info["njev"],
+    return OptimizeResult(x=z[:-1], cost=0.5 * np.dot(f, f), nfev=len(least), njev=njev,
                           status=_STATUS[exit_code])
 
 
@@ -310,34 +319,20 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     Each start is solved by MINPACK's Levenberg-Marquardt (:func:`least_squares`),
     as the merit has no bounds (they are hinged into the residual).  Unit scaling
     of the coordinates, as 'trf' had, kept the (3,2,3) search at its optimum
-    where MINPACK's default, column-norm scaling, often did not.  A solve
-    that stalls (see :class:`_Solve`) is recorded with its least merit.
-
-    The solve carries a pad: a last coordinate that no residual reads and a
-    zero last residual.  MINPACK's QR (scipy 1.17.1), when it recomputes the
-    norm of the last column, reads one entry past the Jacobian's end, so
-    without the pad a solve hung on leftover heap memory and could end an
-    ulp apart from one process to the next.  The pad's column is zero but
-    for _PAD_NORM in its own row: no Householder step changes it, so its
-    norm is never recomputed, and its step is zero.  Pivoting takes it
-    after every column with a norm left and before those whose norm fell
-    to zero, which are never recomputed either.
+    where MINPACK's default, column-norm scaling, often did not.  The r = 0
+    solves, which a search must pass to start, run their whole budget.
     """
+    s, k = spec.s, spec.k
+    window = max(STALL_WINDOW, 5 * free_parameter_count(s, k)) if r > 0.0 else math.inf
     best_merit = np.inf
     for idx, x0 in enumerate(starts):
-        solve = _Solve(spec, r, p)
-        try:
-            sol = least_squares(
-                solve.residuals, np.append(x0, 0.0), jac=solve.jacobian,
-                xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=MAX_INNER_ITERS,
-            )
-        except _Stalled:
-            merit, x = solve.least[-1], None
-        else:
-            merit, x = float(2.0 * sol.cost), sol.x[:-1]  # cost is half the squared norm
-        history.append((r, idx, merit, len(solve.least), solve.njev))
-        if x is not None and _accepted(spec, r, merit, x):
-            return x, merit
+        sol = least_squares(lambda x: _merit_residuals(x, s, k, r, p), x0,
+                            jac=lambda x: _merit_jacobian(x, s, k, r, p), xtol=1e-15, ftol=1e-15,
+                            gtol=1e-15, max_nfev=MAX_INNER_ITERS, stall_window=window)
+        merit = float(2.0 * sol.cost)  # cost is half the squared norm
+        history.append((r, idx, merit, sol.nfev, sol.njev))
+        if _accepted(spec, r, merit, sol.x):
+            return sol.x, merit
         best_merit = min(best_merit, merit)
     return None, best_merit
 

@@ -52,19 +52,12 @@ MAX_STEPS = 10**7
 _SSPRK33 = ssprk33()
 
 
-def _forward_diff(u: NDArray) -> NDArray:
-    """u_{j+1} - u_j on a periodic grid."""
-    d = np.empty_like(u)
-    np.subtract(u[1:], u[:-1], out=d[:-1])
-    np.subtract(u[:1], u[-1:], out=d[-1:])
-    return d
-
-
-def _backward_diff(u: NDArray) -> NDArray:
-    """u_j - u_{j-1} on a periodic grid."""
-    d = np.empty_like(u)
-    np.subtract(u[1:], u[:-1], out=d[1:])
-    np.subtract(u[:1], u[-1:], out=d[:1])
+def _differences(u: NDArray) -> NDArray:
+    """u_j - u_{j-1} on a periodic grid of N cells, as an (N+1)-array d whose
+    d[:-1] holds the backward differences and d[1:] the forward ones."""
+    d = np.empty(len(u) + 1, dtype=u.dtype)
+    np.subtract(u[1:], u[:-1], out=d[1:-1])
+    d[0] = d[-1] = u[0] - u[-1]
     return d
 
 
@@ -73,7 +66,7 @@ def tv_seminorm(u: NDArray) -> float:
     u = np.asarray(u, dtype=float)
     if u.size == 0:
         raise ValueError("u must be nonempty")
-    return float(np.abs(_forward_diff(u)).sum())
+    return float(np.abs(_differences(u)[1:]).sum())
 
 
 def positivity_min(u: NDArray) -> float:
@@ -177,15 +170,16 @@ def startup(
 ) -> list[NDArray]:
     """The k initial states u(t_0)..u(t_{k-1}) a k-step method needs.
 
-    exact: sample the problem's exact solution.  rk3_substeps: one SSPRK(3,3)
-    run of ``_trajectory`` of (k-1)*nsub substeps dt/nsub, at most dt**(p/3)
-    and 0.9*dt_fe so the startup states inherit the forward-Euler monotonicity
+    exact: sample the problem's exact solution.  rk3_substeps: an SSPRK(3,3)
+    run (``_steps``) of (k-1)*nsub substeps dt/nsub, at most dt**(p/3) and
+    0.9*dt_fe so the startup states inherit the forward-Euler monotonicity
     properties; a non-finite substep raises RunAbortedError naming its interval,
     and more than MAX_STEPS substeps (or a substep that underflows to 0) raise
-    ValueError.  The problem keeps each run's states, read-only, under
-    (dt/nsub, nsub), on which alone the substeps depend, for any later call
-    of any method or property that needs no more of them.  None: exact when
-    the problem has an exact solution, rk3_substeps otherwise.
+    ValueError.  The problem keeps the states, read-only, under (dt/nsub, nsub),
+    on which alone the substeps depend, for any later call of any method or
+    property; a call that needs more of them continues the run from the last
+    kept state, and keeps the longer run only if it completes.  None: exact
+    when the problem has an exact solution, rk3_substeps otherwise.
     """
     if mode is None:
         mode = "exact" if problem.exact is not None else "rk3_substeps"
@@ -195,19 +189,18 @@ def startup(
         return [problem.exact(j * dt) for j in range(k)]
     if mode != "rk3_substeps":
         raise ValueError(f"unknown startup mode {mode!r}")
-    if k == 1:  # also ends the one-step run below, whose own start-up is u0
+    if k == 1:
         return [problem.u0]
     substep = min(dt ** (p / 3.0), 0.9 * problem.dt_fe)
     _check_step_count((k - 1) * dt / substep if substep > 0.0 else math.inf)
     nsub = max(1, math.ceil(dt / substep))
     key = (dt / nsub, nsub)
-    states = problem._startups.get(key, [])
+    states = list(problem._startups.get(key, [problem.u0]))
     if len(states) < k:
-        states = []
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
-                for j, u in enumerate(_trajectory(problem, _SSPRK33, dt / nsub, (k - 1) * nsub,
-                                                  "rk3_substeps")):
+                more = (k - len(states)) * nsub
+                for j, u in enumerate(_steps(problem, _SSPRK33, states[-1:], dt / nsub, more), 1):
                     if j % nsub == 0:
                         u.flags.writeable = False
                         states.append(u)
@@ -269,7 +262,7 @@ def advection_upwind(N: int = 101) -> SemiDiscretization:
         return np.where((y >= 0.0) & (y <= 0.5), 1.0, 0.0)
 
     def rhs(u):
-        return _backward_diff(u) / -dx  # -(u_j - u_{j-1})/dx
+        return _differences(u)[:-1] / -dx  # -(u_j - u_{j-1})/dx
 
     def exact(t):
         return ic(x - t)
@@ -311,11 +304,12 @@ def buckley_leverett(N: int = 100) -> SemiDiscretization:
     eps_den = 1e-14
 
     def rhs(u):
-        du = _forward_diff(u)  # u_{j+1} - u_j
+        d = _differences(u)
+        du = d[1:]  # u_{j+1} - u_j
         # smoothness ratio, 0 where |du| is tiny; _koren_phi(0) = 0 limits those faces
-        theta = np.divide(_backward_diff(u), du, out=np.zeros(du.shape), where=np.abs(du) > eps_den)
+        theta = np.divide(d[:-1], du, out=np.zeros(du.shape), where=np.abs(du) > eps_den)
         u_face = u + 0.5 * _koren_phi(theta) * du  # left value at interface j+1/2
-        return _backward_diff(flux(u_face)) / -dx  # -(F_{j+1/2} - F_{j-1/2})/dx
+        return _differences(flux(u_face))[:-1] / -dx  # -(F_{j+1/2} - F_{j-1/2})/dx
 
     return SemiDiscretization(
         name="buckley", dim=N, rhs=rhs, dt_fe=dx / 4.0, u0=u0,
@@ -361,6 +355,11 @@ def _trajectory(problem, method, dt, n, startup_mode):
     """Each startup state, then the state after each of n whole steps of dt."""
     start = startup(problem, dt, method.k, method.claimed_order, startup_mode)
     yield from start
+    yield from _steps(problem, method, start, dt, n)
+
+
+def _steps(problem, method, start, dt, n):
+    """The state after each of n steps of dt from the k states ``start``."""
     # (k, dim) histories, shifted in place after each step
     states = np.array(start)
     rhs_vals = np.array([problem.rhs(u) for u in states])

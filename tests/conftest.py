@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from sspmsrk.methods import MSRKMethod, SpijkerForm, to_spijker
+from sspmsrk.optimizer import SearchSpec, warm_start_ladder
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +15,14 @@ def same_bits(a, b) -> bool:
     """Equal as IEEE bit patterns: -0.0 differs from 0.0 and NaNs compare."""
     a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
     return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _benchmark_search_234():
+    """The (2,3,4) search of the benchmark's round 0, whose solver seed is
+    derived from 123, the round and the target."""
+    seed = int(np.random.SeedSequence([123, 0, 2, 3, 4]).generate_state(1)[0]) % 2**31
+    return SearchSpec(s=2, k=3, p=4, starts=20, seed=seed, r_tol=1e-3,
+                      warm_starts=warm_start_ladder(2, 3, 4))
 
 
 def random_valid_method(rng, s, k):

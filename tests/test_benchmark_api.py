@@ -3,7 +3,8 @@
 ``perfbench/`` has its own tests, which the default test run does not
 collect; this module builds one round of each workload and runs four
 cheap operations, so a renamed or removed name fails here, and so does a
-broken start-up on either step-search problem.
+broken start-up on either step-search problem.  It also checks that the
+tracer's solve counts agree with a search's history.
 """
 
 import sys
@@ -12,8 +13,10 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import tracer  # noqa: E402
 import workloads  # noqa: E402
-from sspmsrk.optimizer import SearchSpec  # noqa: E402
+from conftest import _benchmark_search_234  # noqa: E402
+from sspmsrk.optimizer import SearchSpec, maximize_ssp  # noqa: E402
 
 
 def _run(op):
@@ -34,3 +37,18 @@ def test_round_zero_builds_and_runs():
 
 def test_feasibility_tolerance_is_a_class_attribute():
     assert SearchSpec.feas_tol == 1e-10
+
+
+def test_the_tracer_counts_every_inner_solve():
+    # stalled solves included: they end in the traced driver like every other solve
+    spans = tracer.Spans()
+    instrumentation = tracer.Instrumentation(spans, feas_tol=SearchSpec.feas_tol)
+    instrumentation.install()
+    try:
+        res = maximize_ssp(_benchmark_search_234())
+    finally:
+        instrumentation.uninstall()
+    counts = {key: spans.counters[f"optimizer.inner_{key}"]
+              for key in ("solves", "nfev", "njev", "budget_exhausted")}
+    assert counts == {"solves": len(res.history), "nfev": sum(row[3] for row in res.history),
+                      "njev": sum(row[4] for row in res.history), "budget_exhausted": 0}

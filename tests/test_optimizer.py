@@ -1,12 +1,14 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from conftest import random_valid_method, same_bits, stack_forms
+from conftest import _benchmark_search_234, random_valid_method, same_bits, stack_forms
 from sspmsrk import methods, optimizer
 from sspmsrk.methods import (
     MethodStructureError, MSRKMethod, _spijker_from_flat, canonical, forward_euler,
@@ -191,11 +193,22 @@ class TestStackedMerit:
                 for p in range(1, MAX_ORACLE_ORDER + 1):
                     assert _merit_residuals(x, s, k, 0.4, p).size >= x.size, (s, k, p)
 
-    def test_pad_is_not_read_and_is_bordered_off(self, rng):
+    def test_pad_is_not_read_and_is_bordered_off(self, rng, monkeypatch):
+        # the residual and Jacobian that MINPACK gets, asked at a point whose pad is 7
         x = rng.uniform(0.0, 0.5, free_parameter_count(3, 2))
         z = np.append(x, 7.0)
-        solve = optimizer._Solve(SearchSpec(s=3, k=2, p=3), 0.4, 3)
-        F, J = solve.residuals(z), solve.jacobian(z)
+        seen = []
+
+        def leastsq(func, z0, Dfun, **kwargs):
+            seen.extend([func(z), Dfun(z)])
+            return z0, None, {"fvec": func(z0)}, "", 1
+
+        monkeypatch.setattr(scipy.optimize, "leastsq", leastsq)
+        sol = optimizer.least_squares(lambda x: _merit_residuals(x, 3, 2, 0.4, 3), x,
+                                      jac=lambda x: _merit_jacobian(x, 3, 2, 0.4, 3),
+                                      max_nfev=MAX_INNER_ITERS, **_TOLS)
+        assert same_bits(sol.x, x)  # the pad leaves with the solve
+        F, J = seen
         assert same_bits(F, np.append(_merit_residuals(x, 3, 2, 0.4, 3), 0.0))
         assert same_bits(J[:-1, :-1], _merit_jacobian(x, 3, 2, 0.4, 3))
         assert not J[-1, :-1].any() and not J[:-1, -1].any()
@@ -424,7 +437,7 @@ class TestMaximizeSSP:
         x = pack(pad_steps(_heun()))
         assert ssp_coefficient(to_spijker(unpack(x, 2, 2))) == pytest.approx(1.0, abs=1e-9)
         monkeypatch.setattr(optimizer, "least_squares", lambda *args, **kwargs: SimpleNamespace(
-            x=np.append(x, 0.0), cost=0.0, nfev=1, njev=1))
+            x=x, cost=0.0, nfev=1, njev=1))
         res = maximize_ssp(SearchSpec(s=2, k=2, p=2, starts=1, r_tol=1e-4))
         assert res.certified
         assert res.C == pytest.approx(1.0, abs=1e-9)
@@ -434,7 +447,7 @@ class TestMaximizeSSP:
         short, good = pack(pad_steps(_heun())), pack(gen_second_order(2, 2))
         solutions = iter([short, good])
         monkeypatch.setattr(optimizer, "least_squares", lambda *args, **kwargs: SimpleNamespace(
-            x=np.append(next(solutions), 0.0), cost=0.0, nfev=1, njev=1))
+            x=next(solutions), cost=0.0, nfev=1, njev=1))
         history = []
         x, _ = optimizer._solve_feasibility(SearchSpec(s=2, k=2, p=2), 1.2, 2, [short, short],
                                             history)
@@ -477,14 +490,6 @@ class TestMaximizeSSP:
         assert len(lines) == len(res.history) + 1
 
 
-def _benchmark_search_234():
-    """The (2,3,4) search of the benchmark's round 0, whose solver seed is
-    derived from 123, the round and the target."""
-    seed = int(np.random.SeedSequence([123, 0, 2, 3, 4]).generate_state(1)[0]) % 2**31
-    return SearchSpec(s=2, k=3, p=4, starts=20, seed=seed, r_tol=1e-3,
-                      warm_starts=warm_start_ladder(2, 3, 4))
-
-
 def _acceptance_spec(s, k, p, found):
     """A search of the acceptance suite, warm-started from the methods it found."""
     return SearchSpec(s=s, k=k, p=p, starts=20, seed=123, r_tol=1e-4,
@@ -519,28 +524,26 @@ class TestStallRule:
     @pytest.fixture(scope="class")
     def search_234(self):
         """The search's result and, per inner solve, the merit of each residual
-        evaluation and the solution, or None for a solve the rule stopped."""
+        computed and the solve's result."""
         solves = []
-        spec = _benchmark_search_234()
         driver = optimizer.least_squares
 
         def recording(fun, x0, **kwargs):
             merits = []
 
-            def recorded(z):
-                # a new solve's residual, which has no stall to raise
-                F = optimizer._Solve(spec, *fun.__self__.args[2:]).residuals(z)
-                merits.append(float(F @ F))
-                return fun(z)
+            def recorded(x):
+                F = fun(x)
+                padded = np.append(F, 0.0)  # the merit as the solve computes it
+                merits.append(float(padded @ padded))
+                return F
 
-            solves.append((merits, None))
             sol = driver(recorded, x0, **kwargs)
-            solves[-1] = (merits, sol)
+            solves.append((merits, sol))
             return sol
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer, "least_squares", recording)
-            res = maximize_ssp(spec)
+            res = maximize_ssp(_benchmark_search_234())
         assert len(solves) == len(res.history)
         return res, solves
 
@@ -564,7 +567,8 @@ class TestStallRule:
         res, solves = search_234
         assert res.certified
         assert all(nfev < MAX_INNER_ITERS for _, _, _, nfev, _ in res.history)
-        assert any(sol is None for _, sol in solves)
+        assert any(sol.status == -2 for _, sol in solves)
+        assert all(sol.status != 0 for _, sol in solves)
 
     def test_a_stopped_solve_records_its_least_merit(self, search_234):
         res, solves = search_234
@@ -574,23 +578,27 @@ class TestStallRule:
             # every row counts the residuals and Jacobians computed
             assert isinstance(nfev, int) and nfev == len(merits) <= MAX_INNER_ITERS
             assert isinstance(njev, int) and 0 < njev <= nfev
-            if sol is None:
+            assert (nfev, njev) == (sol.nfev, sol.njev)
+            if sol.status == -2:
                 assert r > 0.0 and _stall_at(merits, window, floor) == len(merits)
                 assert same_bits(merit, min(merits))
             else:
                 assert r == 0.0 or _stall_at(merits, window, floor) is None
 
-    def test_the_solves_at_r_0_are_never_stopped(self, rng):
-        z = np.append(rng.uniform(0.0, 0.5, free_parameter_count(2, 2)), 0.0)
+    def test_the_solves_at_r_0_are_never_stopped(self, rng, monkeypatch):
+        # a merit that never falls: the residuals and Jacobian of one point, wherever asked
+        x = rng.uniform(0.0, 0.5, free_parameter_count(2, 2))
+        F, J = _merit_residuals(x, 2, 2, 0.4, 4), _merit_jacobian(x, 2, 2, 0.4, 4)
+        monkeypatch.setattr(optimizer, "_merit_residuals", lambda *args: F)
+        monkeypatch.setattr(optimizer, "_merit_jacobian", lambda *args: J)
         spec = SearchSpec(s=2, k=2, p=4)  # no (2,2) method has order 4
-        stalling = optimizer._Solve(spec, 0.4, 4)
-        with pytest.raises(optimizer._Stalled):
-            for _ in range(MAX_INNER_ITERS):
-                stalling.residuals(z)
-        assert len(stalling.least) == optimizer.STALL_WINDOW + 1
-        starting = optimizer._Solve(spec, 0.0, 4)
-        for _ in range(MAX_INNER_ITERS):
-            starting.residuals(z)
+        stalling, starting = [], []
+        optimizer._solve_feasibility(spec, 0.4, 4, [x], stalling)
+        assert stalling[0][3] == optimizer.STALL_WINDOW + 1
+        optimizer._solve_feasibility(spec, 0.0, 4, [x], starting)
+        # MINPACK ends this one itself, past the evaluation that stopped the other
+        assert starting[0][3] > optimizer.STALL_WINDOW + 1
+        assert same_bits(stalling[0][2], starting[0][2])
 
     def test_the_solve_that_crept_over_the_budget_stops_on_its_plateau(self, search_234):
         # from the last feasible point its merit reaches 4.1e-20 at evaluation 11
@@ -603,12 +611,27 @@ class TestStallRule:
 
 
 class TestJacobianMemo:
-    def test_the_same_point_reuses_the_array(self, rng):
-        solve = optimizer._Solve(SearchSpec(s=2, k=2, p=3), 0.4, 3)
-        z = np.append(rng.uniform(0.0, 0.5, free_parameter_count(2, 2)), 0.0)
-        J = solve.jacobian(z)
-        assert solve.jacobian(z.copy()) is J and solve.njev == 1
-        assert solve.jacobian(z + 1e-3) is not J and solve.njev == 2
+    def test_the_same_point_reuses_the_array(self, rng, monkeypatch):
+        calls = []  # the point and array of each Jacobian MINPACK's caller gets
+        real = scipy.optimize.leastsq
+
+        def spying(func, z0, Dfun, **kwargs):
+            def jacobian(z):
+                calls.append((z.copy(), Dfun(z)))
+                return calls[-1][1]
+
+            return real(func, z0, Dfun=jacobian, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "leastsq", spying)
+        x = rng.uniform(0.0, 0.5, free_parameter_count(2, 2))
+        sol = optimizer.least_squares(lambda x: _merit_residuals(x, 2, 2, 0.4, 3), x,
+                                      jac=lambda x: _merit_jacobian(x, 2, 2, 0.4, 3),
+                                      max_nfev=20, **_TOLS)
+        # leastsq checks the Jacobian at x0, and MINPACK then asks for it there
+        (z, J), (z_again, J_again) = calls[:2]
+        assert np.array_equal(z, z_again) and J_again is J
+        assert all(not np.array_equal(a, b) for (a, _), (b, _) in zip(calls[1:], calls[2:]))
+        assert sol.njev == len(calls) - 1 == len({id(J) for _, J in calls})
 
     def test_no_jacobian_repeats_its_point_and_njev_counts_them(self, monkeypatch):
         points = []
@@ -637,6 +660,33 @@ def _scipy_lm(fun, x0, **kwargs):
     return least_squares(fun, x0, method="lm", x_scale=1.0, **kwargs)
 
 
+def _scipy_lm_padded(fun, x0, *, jac, stall_window, **kwargs):
+    """:func:`_scipy_lm` on the problem with the driver's pad, without the stall rule.
+    nfev counts the residuals computed and njev the Jacobians, each computed once
+    when asked again at its point."""
+    assert stall_window == math.inf
+    counts = {"nfev": 0, "njev": 0}
+    last = [None, None]  # the last Jacobian's point and array
+
+    def residuals(z):
+        counts["nfev"] += 1
+        return np.append(fun(z[:-1]), 0.0)
+
+    def jacobian(z):
+        if last[0] is None or not np.array_equal(z, last[0]):
+            J = jac(z[:-1])
+            bordered = np.zeros((J.shape[0] + 1, J.shape[1] + 1))
+            bordered[:-1, :-1] = J
+            bordered[-1, -1] = optimizer._PAD_NORM
+            last[:] = z.copy(), bordered
+            counts["njev"] += 1
+        return last[1]
+
+    sol = _scipy_lm(residuals, np.append(x0, 0.0), jac=jacobian, **kwargs)
+    sol.x, sol.nfev, sol.njev = sol.x[:-1], counts["nfev"], counts["njev"]
+    return sol
+
+
 def _rosenbrock(z):
     return np.array([10.0 * (z[1] - z[0] ** 2), 1.0 - z[0]])
 
@@ -650,13 +700,14 @@ _TOLS = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
 
 class TestInnerDriver:
     """optimizer.least_squares runs MINPACK's lmder, through scipy's leastsq,
-    as scipy's least_squares(method="lm", x_scale=1.0) runs it."""
+    as scipy's least_squares(method="lm", x_scale=1.0) runs it on the padded problem."""
 
     @pytest.mark.parametrize("make_spec", [_benchmark_search_234, _acceptance_search_223])
     def test_searches_keep_their_bits(self, monkeypatch, make_spec):
         spec = make_spec()
+        monkeypatch.setattr(optimizer, "STALL_WINDOW", math.inf)  # scipy has no stall rule
         ours = maximize_ssp(spec)
-        monkeypatch.setattr(optimizer, "least_squares", _scipy_lm)
+        monkeypatch.setattr(optimizer, "least_squares", _scipy_lm_padded)
         theirs = maximize_ssp(spec)
         for key in ("D", "Ahat", "A", "theta", "bhat", "b"):
             assert same_bits(getattr(ours.method, key), getattr(theirs.method, key)), key

@@ -220,6 +220,34 @@ class TestStartup:
         # p = 2 and 3 share their substeps at dt = 0.0015 and 0.002
         assert len(problem._startups) < 4 * 4
 
+    def test_a_longer_start_up_continues_the_kept_one(self):
+        # k = 2 then 4 at one (dt, p): the second call runs only the two new
+        # intervals, from the kept state, as one k = 4 start-up would run them
+        calls = {}
+
+        def counting(name):
+            problem = buckley_leverett()
+            calls[name] = 0
+
+            def rhs(u):
+                calls[name] += 1
+                return problem.rhs(u)
+
+            return dataclasses.replace(problem, rhs=rhs)
+
+        grown, direct = counting("grown"), counting("direct")
+        startup(grown, 0.006, 2, 3, mode="rk3_substeps")
+        first = calls["grown"]
+        states = startup(grown, 0.006, 4, 3, mode="rk3_substeps")
+        expected = startup(direct, 0.006, 4, 3, mode="rk3_substeps")
+        assert [u.tobytes() for u in states] == [u.tobytes() for u in expected]
+        assert len(grown._startups) == 1
+        # one rhs call at the start of each run, then 3 per substep
+        nsub = math.ceil(0.006 / (0.9 * grown.dt_fe))
+        assert first == 1 + 3 * nsub
+        assert calls["grown"] - first == 1 + 3 * 2 * nsub
+        assert calls["direct"] == 1 + 3 * 3 * nsub
+
     def test_returned_states_cannot_change_later_ones(self):
         problem = buckley_leverett()
         expected = [u.tobytes() for u in _startup_as_first_written(problem, 0.006, 3, 3)]
@@ -297,12 +325,12 @@ def _buckley_rhs_as_first_written(u, dx, a=1.0 / 3.0):
     def shift_right(d):  # d_{j-1} on a periodic grid
         return np.concatenate((d[-1:], d[:-1]))
 
-    du = pdelab._forward_diff(u)
+    du = np.roll(u, -1) - u  # u_{j+1} - u_j
     theta = np.divide(shift_right(du), du, out=np.zeros_like(du), where=np.abs(du) > 1e-14)
     phi = np.maximum(0.0, np.minimum(np.minimum(2.0 * theta, (1.0 + 2.0 * theta) / 3.0), 2.0))
     u_face = u + 0.5 * phi * du
     flux = u_face**2 / (u_face**2 + a * (1.0 - u_face) ** 2)
-    return shift_right(pdelab._forward_diff(flux)) / -dx
+    return shift_right(np.roll(flux, -1) - flux) / -dx
 
 
 def _flat_stretches(rng, count, N=100):
@@ -323,7 +351,7 @@ class TestProblems:
         rng = np.random.default_rng(2025)
         problem = buckley_leverett()
         flat = _flat_stretches(rng, 50)
-        du = np.concatenate([pdelab._forward_diff(u) for u in flat])
+        du = np.concatenate([np.roll(u, -1) - u for u in flat])
         assert (du == 0.0).any() and (du > 0.0).any() and (du < 0.0).any()
         assert ((du != 0.0) & (np.abs(du) <= 1e-14)).any()
         states = [problem.u0] + list(rng.uniform(0.0, 1.0, size=(200, problem.dim))) + flat
