@@ -33,7 +33,8 @@ __all__ = [
     "ssprk33",
 ]
 
-#: slack allowed on entries of P and R when testing nonnegativity
+#: slack of a nonnegativity test: on entries of P and R, and on the
+#: shifted-basis coefficients of ``theory.threshold_factor``
 ENTRY_TOL = 1e-12
 #: bisection width for the SSP coefficient and absolute-monotonicity radii
 BISECT_TOL = 1e-10
@@ -83,15 +84,22 @@ class MSRKMethod:
 
 @dataclass(frozen=True)
 class SpijkerForm:
-    """The (S, T) pair of the representation w = S x + dt * T f.
+    """The representation w = S x + dt * T f, held as one read-only matrix
+    ``ST`` = [S | T] of shape (k+s, 2k+s); ``S`` and ``T`` are views of it.
 
-    A stack of forms carries its leading axes on S and T.
+    A stack of forms carries its leading axes on ST.
     """
 
-    S: NDArray
-    T: NDArray
+    ST: NDArray
     k: int
     s: int
+    S: NDArray = field(init=False, repr=False, compare=False)
+    T: NDArray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.ST.setflags(write=False)
+        object.__setattr__(self, "S", self.ST[..., : self.k])
+        object.__setattr__(self, "T", self.ST[..., self.k :])
 
 
 @dataclass(frozen=True)
@@ -154,15 +162,14 @@ def validate(method: MSRKMethod) -> ValidationReport:
 def _spijker_layout(s: int, k: int) -> tuple[dict[str, NDArray], NDArray]:
     """Where the Spijker form of an (s, k) method keeps its coefficients.
 
-    Positions are flat indices into [S | T], S's n*k entries row by row
-    and then T's n*n, n = k + s: one index array per coefficient array,
-    shaped like it, in ``_coefficient_shapes`` order.  Also returns the
-    flat [S | T] of the fixed part, the identity block S[:k-1, :k-1],
-    with zeros elsewhere.  Every array is read-only.
+    Positions are flat indices into [S | T], row by row: one index array
+    per coefficient array, shaped like it, in ``_coefficient_shapes``
+    order.  Also returns the flat [S | T] of the fixed part, the identity
+    block S[:k-1, :k-1], with zeros elsewhere.  Every array is read-only.
     """
     n = k + s
-    S = np.arange(n * k).reshape(n, k)
-    T = np.arange(n * k, n * (k + n)).reshape(n, n)
+    ST = np.arange(n * (k + n)).reshape(n, k + n)
+    S, T = ST[:, :k], ST[:, k:]
     stages = slice(k - 1, k - 1 + s)
     where = {"D": S[stages], "Ahat": T[stages, : k - 1], "A": T[stages, stages],
              "theta": S[n - 1], "bhat": T[n - 1, : k - 1], "b": T[n - 1, stages]}
@@ -173,17 +180,8 @@ def _spijker_layout(s: int, k: int) -> tuple[dict[str, NDArray], NDArray]:
     return where, fixed
 
 
-def _spijker_from_flat(ST: NDArray, s: int, k: int) -> SpijkerForm:
-    """The form whose S and T are views of a flat [S | T] array (see
-    :func:`_spijker_layout`); leading axes make a stack."""
-    n = k + s
-    lead = ST.shape[:-1]
-    return SpijkerForm(S=ST[..., : n * k].reshape(lead + (n, k)),
-                       T=ST[..., n * k :].reshape(lead + (n, n)), k=k, s=s)
-
-
 def to_spijker(method: MSRKMethod) -> SpijkerForm:
-    """Assemble the block matrices S ((k+s) x k) and T ((k+s) x (k+s)).
+    """Assemble [S | T] from the block matrices S ((k+s) x k) and T ((k+s) x (k+s)).
 
     The method is validated on the first call and the result is kept on
     the method.  Raises :class:`MethodStructureError` naming the first
@@ -200,8 +198,7 @@ def to_spijker(method: MSRKMethod) -> SpijkerForm:
     ST = fixed.copy()
     for key, pos in where.items():
         ST[pos] = getattr(method, key)
-    ST.setflags(write=False)
-    sp = _spijker_from_flat(ST, s, k)
+    sp = SpijkerForm(ST.reshape(k + s, 2 * k + s), k=k, s=s)
     object.__setattr__(method, "_spijker", sp)
     return sp
 
@@ -238,13 +235,13 @@ def canonical(sp: SpijkerForm, r: float) -> CanonicalForm:
     Since T is strictly lower triangular, I + rT is unit lower
     triangular and nonsingular in exact arithmetic; the pivoted LU of
     ``np.linalg.solve`` can still report it singular when rT has huge
-    entries (1e200, say), and raises LinAlgError.  One solve covers S
-    and T together, for every member of a stack.
+    entries (1e200, say), and raises LinAlgError.  One solve covers
+    [S | T], for every member of a stack.
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
     n, k = sp.S.shape[-2:]
-    X = np.linalg.solve(np.eye(n) + r * sp.T, np.concatenate([sp.S, sp.T], axis=-1))
+    X = np.linalg.solve(np.eye(n) + r * sp.T, sp.ST)
     return CanonicalForm(P=r * X[..., k:], R=X[..., :k])
 
 

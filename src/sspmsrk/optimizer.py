@@ -19,8 +19,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .methods import (
-    MethodStructureError, MSRKMethod, SpijkerForm, _bisect, _feasible, _spijker_from_flat,
-    _spijker_layout, canonical, ssp_coefficient, to_spijker,
+    MethodStructureError, MSRKMethod, SpijkerForm, _bisect, _feasible, _spijker_layout, canonical,
+    ssp_coefficient, to_spijker,
 )
 from .orderlab import MAX_ORACLE_ORDER, oracle_order, order_residual_vector
 from .theory import LINEAR_BOUND_TOL, MIN_POSITIVE_C, gen_second_order, linear_bound
@@ -94,25 +94,16 @@ def free_parameter_count(s: int, k: int) -> int:
     return _plan(s, k).free.size
 
 
-def _flat(*matrices: NDArray) -> NDArray:
-    """The entries of the matrices row by row, one after another; leading
-    axes make a stack.  Of a form's S and T, the flat [S | T]."""
-    return np.concatenate([m.reshape(m.shape[:-2] + (-1,)) for m in matrices], axis=-1)
-
-
 def pack(method: MSRKMethod) -> NDArray:
     """Free coordinates of a valid method, read from its Spijker form; the
     entries dropped here are restored by normalization in :func:`unpack`."""
-    sp = to_spijker(method)
-    return _flat(sp.S, sp.T)[_plan(method.s, method.k).free]
+    return to_spijker(method).ST.reshape(-1)[_plan(method.s, method.k).free]
 
 
 class _Plan(NamedTuple):
-    """How a vector x of free coordinates fills the flat Spijker form
-    [S | T] of an (s, k) method (see ``methods._spijker_layout``)."""
+    """How a vector x of free coordinates fills the Spijker form [S | T]
+    of an (s, k) method, by flat position (see ``methods._spijker_layout``)."""
 
-    #: [S | T] of the fixed identity block, zeros elsewhere
-    fixed: NDArray
     #: positions the search moves: D[1:, :-1], Ahat[1:], tril(A, -1), theta[:-1], bhat, b
     free: NDArray
     #: upper end of each free coordinate's random start: 1 in D and theta, else 2/s
@@ -129,7 +120,7 @@ class _Plan(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _plan(s: int, k: int) -> _Plan:
-    where, fixed = _spijker_layout(s, k)
+    where = _spijker_layout(s, k)[0]
     D, theta = where["D"], where["theta"]
     # stage 1 is u^n, and the last entries of D's rows and of theta follow from their sums
     free = [(D[1:, :-1], 1.0), (where["Ahat"][1:], 2.0 / s),
@@ -138,7 +129,6 @@ def _plan(s: int, k: int) -> _Plan:
     rows = [(D, False), (D, True), (theta, False), (theta, True)]
     rows += [(where[key], False) for key in ("A", "Ahat", "b", "bhat")]
     plan = _Plan(
-        fixed=fixed,
         free=np.concatenate([pos.ravel() for pos, _ in free]),
         high=np.concatenate([np.full(pos.size, high) for pos, high in free]),
         last=np.append(D[:, -1], theta[-1]),
@@ -151,14 +141,14 @@ def _plan(s: int, k: int) -> _Plan:
     return plan
 
 
-def _scatter(x: NDArray, s: int, k: int) -> NDArray:
-    """The flat [S | T] of x, one row per point of a stack; D's rows and
-    theta regain sum 1 through their last entry."""
+def _scatter(x: NDArray, s: int, k: int) -> SpijkerForm:
+    """The Spijker form of x, or a stack of forms, one per point of a stack;
+    D's rows and theta regain sum 1 through their last entry."""
     plan = _plan(s, k)
-    ST = np.tile(plan.fixed, x.shape[:-1] + (1,))
+    ST = np.tile(_spijker_layout(s, k)[1], x.shape[:-1] + (1,))
     ST[..., plan.free] = x
     ST[..., plan.last] = 1.0 - ST[..., plan.rest].sum(axis=-1)
-    return ST
+    return SpijkerForm(ST.reshape(x.shape[:-1] + (k + s, 2 * k + s)), k=k, s=s)
 
 
 def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int = 1) -> MSRKMethod:
@@ -169,8 +159,8 @@ def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int 
     n = free_parameter_count(s, k)
     if x.shape != (n,):
         raise ValueError(f"expected {n} free parameters for (s={s}, k={k}), got shape {x.shape}")
-    ST = _scatter(x, s, k)
-    arrays = {key: ST[pos] for key, pos in _spijker_layout(s, k)[0].items()}
+    flat = _scatter(x, s, k).ST.reshape(-1)
+    arrays = {key: flat[pos] for key, pos in _spijker_layout(s, k)[0].items()}
     return MSRKMethod(s=s, k=k, **arrays, name=name, claimed_order=claimed_order)
 
 
@@ -187,8 +177,10 @@ def constraint_residuals(sp: SpijkerForm, r: float, p: int):
     eq = order_residual_vector(sp, p)
     cf = canonical(sp, r)
     plan = _plan(sp.s, sp.k)
-    coef = _flat(sp.S, sp.T)[..., plan.bounds]
-    ineq = np.concatenate([-_flat(cf.P, cf.R), np.where(plan.upper, coef - 1.0, -coef)], axis=-1)
+    lead = sp.ST.shape[:-2]
+    coef = sp.ST.reshape(lead + (-1,))[..., plan.bounds]
+    PR = np.concatenate([m.reshape(lead + (-1,)) for m in (cf.P, cf.R)], axis=-1)
+    ineq = np.concatenate([-PR, np.where(plan.upper, coef - 1.0, -coef)], axis=-1)
     return eq, ineq
 
 
@@ -200,7 +192,7 @@ def _merit_residuals(x, s, k, r, p):
     """
     if not np.isfinite(x).all():
         raise MethodStructureError("coefficients must be finite")
-    eq, ineq = constraint_residuals(_spijker_from_flat(_scatter(x, s, k), s, k), r, p)
+    eq, ineq = constraint_residuals(_scatter(x, s, k), r, p)
     return np.concatenate([eq, np.maximum(0.0, ineq)], axis=-1)
 
 
@@ -217,9 +209,8 @@ def _accepted(spec: SearchSpec, r: float, merit: float, x: NDArray) -> bool:
     """Whether a solve shows radius r feasible: its merit is within feas_tol**2
     and, for r > 0, its method reaches r less 1e-6, since such a merit can
     hide violations that leave it short of r."""
-    s, k = spec.s, spec.k
     return merit <= spec.feas_tol**2 and (
-        r == 0.0 or _feasible(_spijker_from_flat(_scatter(x, s, k), s, k), max(0.0, r - 1e-6)))
+        r == 0.0 or _feasible(_scatter(x, spec.s, spec.k), max(0.0, r - 1e-6)))
 
 
 class _Stalled(Exception):

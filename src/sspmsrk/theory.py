@@ -16,7 +16,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .methods import MSRKMethod, SpijkerForm, _bisect, _largest_feasible, _spijker_step
+from .methods import ENTRY_TOL, MSRKMethod, SpijkerForm, _bisect, _largest_feasible, _spijker_step
 
 __all__ = [
     "stability_polynomials",
@@ -29,7 +29,6 @@ __all__ = [
     "gen_second_order",
 ]
 
-COEFF_TOL = 1e-12
 #: largest coefficient error of a power of z that ``linear_order`` counts as met
 LINEAR_ORDER_TOL = 1e-9
 #: radii below this are not resolved: a search that finds no larger one
@@ -99,13 +98,13 @@ def threshold_factor(psis: NDArray) -> float:
     psis = np.asarray(psis, dtype=float)
     deg = int(max(np.flatnonzero(psis.any(axis=0)), default=0))
     # feasibility at r -> 0+ means all Taylor coefficients at 0 are nonnegative
-    if psis.min() < -COEFF_TOL:
+    if psis.min() < -ENTRY_TOL:
         return 0.0
     if deg == 0:
         return math.inf  # nonnegative constants: absolutely monotonic everywhere
     # the positive leading coefficients make the radius finite, but it can
     # exceed the starting bracket 2 deg + 2
-    return _largest_feasible(lambda r: shifted_basis(psis, r).min() >= -COEFF_TOL, 2.0 * deg + 2)
+    return _largest_feasible(lambda r: shifted_basis(psis, r).min() >= -ENTRY_TOL, 2.0 * deg + 2)
 
 
 def _linear_conditions(basis: NDArray, k: int, p: int) -> tuple[NDArray, NDArray]:

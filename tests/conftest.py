@@ -47,8 +47,7 @@ def random_valid_method(rng, s, k):
 def stack_forms(methods):
     """The Spijker forms of methods of one shape, stacked along a new first axis."""
     forms = [to_spijker(m) for m in methods]
-    return SpijkerForm(S=np.array([f.S for f in forms]), T=np.array([f.T for f in forms]),
-                       k=forms[0].k, s=forms[0].s)
+    return SpijkerForm(ST=np.array([f.ST for f in forms]), k=forms[0].k, s=forms[0].s)
 
 
 @st.composite

@@ -151,7 +151,7 @@ class TestSSPCoefficient:
         S = np.array([[0.0, 1.0], [0.0, 1.0], [-0.5, 1.5]])
         T = np.zeros((3, 3))
         T[2, 1] = 1.0
-        assert ssp_coefficient(SpijkerForm(S=S, T=T, k=2, s=1)) == 0.0
+        assert ssp_coefficient(SpijkerForm(ST=np.hstack([S, T]), k=2, s=1)) == 0.0
 
     def test_feasibility_interval_sampling(self):
         # nonnegativity must hold at every r below the computed coefficient

@@ -11,8 +11,8 @@ from scipy.optimize import least_squares
 from conftest import _benchmark_search_234, random_valid_method, same_bits, stack_forms
 from sspmsrk import methods, optimizer
 from sspmsrk.methods import (
-    MethodStructureError, MSRKMethod, _spijker_from_flat, canonical, forward_euler,
-    ssp_coefficient, ssprk33, to_spijker, validate,
+    MethodStructureError, MSRKMethod, canonical, forward_euler, ssp_coefficient, ssprk33,
+    to_spijker, validate,
 )
 from sspmsrk.optimizer import (
     MAX_INNER_ITERS,
@@ -275,7 +275,7 @@ class TestMeritPlan:
     @given(_stacks())
     def test_form_is_to_spijker_of_unpack(self, stack):
         s, k, X = stack
-        sp = _spijker_from_flat(_scatter(X, s, k), s, k)
+        sp = _scatter(X, s, k)
         for i, x in enumerate(X):
             method, reference = unpack(x, s, k), _unpack_as_first_written(x, s, k)
             for key in ("D", "Ahat", "A", "theta", "bhat", "b"):
@@ -283,6 +283,10 @@ class TestMeritPlan:
             expected = to_spijker(method)
             assert same_bits(sp.S[i], expected.S)
             assert same_bits(sp.T[i], expected.T)
+        # a form is one matrix [S | T], and S and T are views of it
+        for form in (sp, expected):
+            assert same_bits(form.ST, np.concatenate([form.S, form.T], axis=-1))
+            assert np.shares_memory(form.S, form.ST) and np.shares_memory(form.T, form.ST)
 
     @settings(max_examples=150, deadline=None)
     @given(_stacks(), st.integers(1, 7), st.floats(0.0, 8.0))

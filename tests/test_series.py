@@ -121,8 +121,7 @@ def test_stacked_eval_matches_members(N):
     rng = np.random.default_rng(N)
     members = [[random_valid_method(rng, 3, 2) for _ in range(3)] for _ in range(2)]
     rows = [stack_forms(row) for row in members]
-    stack = SpijkerForm(S=np.array([sp.S for sp in rows]), T=np.array([sp.T for sp in rows]),
-                        k=2, s=3)
+    stack = SpijkerForm(ST=np.array([sp.ST for sp in rows]), k=2, s=3)
     phi = elementary_weights(stack, rooted_trees(N))[0]
     assert phi.shape == (2, 3, len(rooted_trees(N).order))
     np.testing.assert_allclose(phi, _weights_by_trees(stack, N), rtol=0, atol=1e-12)

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from sspmsrk.methods import _largest_feasible, forward_euler, ssp_coefficient, ssprk33, to_spijker
+from sspmsrk.methods import (
+    ENTRY_TOL, _largest_feasible, forward_euler, ssp_coefficient, ssprk33, to_spijker,
+)
 from sspmsrk.orderlab import oracle_order
 from sspmsrk.pdelab import msrk_step
 from sspmsrk.theory import (
-    COEFF_TOL,
     LINEAR_ORDER_TOL,
     LINEAR_BOUND_TOL,
     MIN_POSITIVE_C,
@@ -162,11 +163,11 @@ def _row_radius_as_first_written(psi):
         return gamma
 
     deg = int(np.flatnonzero(psi)[-1])
-    if psi.min() < -COEFF_TOL:
+    if psi.min() < -ENTRY_TOL:
         return 0.0
     if deg == 0:
         return math.inf
-    return _largest_feasible(lambda r: shifted(r).min() >= -COEFF_TOL, 2.0 * deg + 2.0)
+    return _largest_feasible(lambda r: shifted(r).min() >= -ENTRY_TOL, 2.0 * deg + 2.0)
 
 
 def _linear_order_as_first_written(psis):
