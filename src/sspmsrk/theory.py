@@ -61,16 +61,20 @@ def stability_polynomials(sp: SpijkerForm) -> NDArray:
     return last[:, ::-1].T.copy()
 
 
-def shifted_basis(psi: NDArray, r: float) -> NDArray:
+def shifted_basis(psi: NDArray, r) -> NDArray:
     """Exact change of basis from monomials in z to powers of (1 + z/r).
 
     Writing t = 1 + z/r, the result is the coefficient table of
-    psi(r*(t-1)) in t along the last axis; same shape as the input.
+    psi(r*(t-1)) in t along the last axis; same shape as the input, or
+    with the radii of a 1-D array ``r`` leading.
     """
-    if r <= 0:
+    r = np.asarray(r, dtype=float)
+    if (r <= 0).any():
         raise ValueError("r must be positive")
     psi = np.asarray(psi, dtype=float)
-    gamma, rg = np.zeros_like(psi), np.empty_like(psi)
+    r = r.reshape(r.shape + (1,) * psi.ndim)
+    gamma = np.zeros(np.broadcast_shapes(r.shape, psi.shape))
+    rg = np.empty_like(gamma)
     # Horner's rule, highest power first: gamma <- gamma * (r t - r) + c
     for c in np.moveaxis(psi, -1, 0)[::-1]:
         np.multiply(gamma, r, out=rg)
@@ -104,7 +108,7 @@ def threshold_factor(psis: NDArray) -> float:
         return math.inf  # nonnegative constants: absolutely monotonic everywhere
     # the positive leading coefficients make the radius finite, but it can
     # exceed the starting bracket 2 deg + 2
-    return _largest_feasible(lambda r: shifted_basis(psis, r).min() >= -ENTRY_TOL, 2.0 * deg + 2)
+    return _largest_feasible(lambda r: shifted_basis(psis, r).min(axis=(-2, -1)), 2.0 * deg + 2)
 
 
 def _linear_conditions(basis: NDArray, k: int, p: int) -> tuple[NDArray, NDArray]:

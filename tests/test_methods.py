@@ -1,12 +1,19 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sspmsrk import methods
 from sspmsrk.methods import (
+    BISECT_TOL,
+    ENTRY_TOL,
     MethodStructureError,
     MSRKMethod,
     _bisect,
+    _largest_feasible,
     canonical,
     forward_euler,
     ssp_coefficient,
@@ -108,6 +115,17 @@ class TestCanonical:
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             canonical(to_spijker(forward_euler()), -0.5)
+        with pytest.raises(ValueError):
+            canonical(to_spijker(forward_euler()), np.array([0.5, -0.5]))
+
+    @pytest.mark.parametrize("s, k", [(1, 1), (2, 2), (3, 4), (8, 5)])
+    def test_several_radii_match_each_radius(self, rng, s, k):
+        # the stacked solve runs the same LU per radius, so the bits agree
+        rs = np.array([0.0, 0.3, 1.7, 4.0, 1e3])
+        for sp in [to_spijker(random_valid_method(rng, s, k)), to_spijker(ssprk33())]:
+            cf = canonical(sp, rs)
+            assert np.array_equal(cf.P, [canonical(sp, r).P for r in rs])
+            assert np.array_equal(cf.R, [canonical(sp, r).R for r in rs])
 
     def test_feasible_at_known_optimum(self):
         sp = to_spijker(gen_second_order(3, 2))
@@ -169,6 +187,13 @@ class TestSSPCoefficient:
         for m in methods:
             assert ssp_coefficient(to_spijker(m)) <= m.s + 1e-8
 
+    def test_kept_on_the_form(self, monkeypatch):
+        # the form is read-only, so a second call reads the first one's C
+        sp = to_spijker(gen_second_order(4, 3))
+        C = ssp_coefficient(sp)
+        monkeypatch.setattr(methods, "canonical", None)  # a second solve would fail
+        assert ssp_coefficient(sp) is C
+
     @pytest.mark.parametrize(
         "b, expected", [([0.0, 0.0], np.inf), ([0.1, 0.0], 10.0), ([1e-6, 0.0], 1e6)]
     )
@@ -200,6 +225,113 @@ class TestBisect:
         assert [a, b] == bracket
         assert a <= t < b
         assert b - a <= tol or b == np.nextafter(a, np.inf)
+
+
+def _largest_feasible_by_bisection(margin, hi):
+    """The radius as one scalar doubling and ``_bisect``, one radius per call."""
+    def passes(r):
+        return margin(r) >= -ENTRY_TOL
+
+    lo = 0.0
+    while passes(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e12:
+            return math.inf
+    return _bisect(passes, lo, hi, BISECT_TOL)[0]
+
+
+@st.composite
+def _margins(draw):
+    """A starting bracket end and a margin crossing -ENTRY_TOL at t.
+
+    The margin is 0 up to t and -slope |r - t|^power - 2 ENTRY_TOL past
+    it; inside a band around t the outcome follows the bits of r, and
+    past t + gap the margin can be non-finite.  Radii in ``singular``
+    raise LinAlgError and radii in ``overflow`` overflow, as a canonical
+    solve can at huge radii.
+    """
+    hi = draw(st.sampled_from([0.5, 1.0, 3.0, 4.0, 9.0]) | st.floats(1e-3, 50.0))
+    kind = draw(st.sampled_from(["end", "ulp", "large", "free", "zero", "unbounded"]))
+    if kind == "end":  # a bracket end, or one of the first midpoints
+        t = hi * 2.0 ** draw(st.integers(-4, 5))
+    elif kind == "ulp":  # within a few floats of a midpoint of the first bracket
+        t = hi * draw(st.integers(1, 255)) / 256
+        for _ in range(draw(st.integers(0, 3))):
+            t = float(np.nextafter(t, draw(st.sampled_from([-math.inf, math.inf]))))
+    elif kind == "large":  # the bisection ends on neighbouring floats
+        t = draw(st.floats(5e5, 1e11))
+    elif kind == "free":
+        t = draw(st.floats(0.0, 3.0 * hi))
+    elif kind == "zero":
+        t = 0.0
+    else:
+        t = 2e12
+    slope = draw(st.floats(1e-6, 1e6))
+    power = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    band = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-2])) * max(t, 1.0)
+    gap = draw(st.none() | st.floats(0.0, 2.0 * hi))
+    beyond = draw(st.sampled_from([math.nan, -math.inf]))
+    # bands around a dyadic point of the first bracket, where midpoints fall
+    bands = st.none() | st.tuples(st.integers(1, 47).map(lambda n: hi * n / 16),
+                                  st.sampled_from([0.0, 2.0**-12, 2.0**-7]).map(lambda w: hi * w))
+    singular, overflow = draw(bands), draw(bands)
+
+    def margin(r):
+        r = np.asarray(r, dtype=float)
+        if singular and np.any(abs(r - singular[0]) <= singular[1]):
+            raise np.linalg.LinAlgError("Singular matrix")
+        m = np.where(r <= t, 0.0, -slope * np.abs(r - t) ** power - 2.0 * ENTRY_TOL)
+        noisy = np.abs(r - t) < band
+        bits = r.view(np.uint64)
+        m = np.where(noisy & (bits % 7 < 3), -ENTRY_TOL, m)
+        m = np.where(noisy & (bits % 7 == 3), np.nextafter(-ENTRY_TOL, -1.0), m)
+        if gap is not None:
+            m = np.where(r > t + gap, beyond, m)
+        if overflow:
+            hit = abs(r - overflow[0]) <= overflow[1]
+            m = np.where(hit, -(np.full(r.shape, 1e300) * np.where(hit, 1e300, 1.0)), m)
+        return m
+
+    return margin, hi
+
+
+def _outcome(find, margin, hi):
+    """The result or exception of ``find``, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = find(margin, hi)
+        except np.linalg.LinAlgError as exc:
+            result = exc
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestLargestFeasible:
+    @settings(max_examples=300, deadline=None)
+    @given(_margins())
+    def test_same_radius_as_the_scalar_bisection(self, case):
+        margin, hi = case
+        want, want_warnings = _outcome(_largest_feasible_by_bisection, margin, hi)
+        got, got_warnings = _outcome(_largest_feasible, margin, hi)
+        assert got_warnings == want_warnings
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+        else:
+            assert type(got) is float
+            assert got.hex() == float(want).hex()
+
+    def test_evaluates_a_path_per_call(self):
+        sizes = []
+
+        def margin(r):
+            sizes.append(np.size(r))
+            return np.where(np.asarray(r) <= 1.0 / 3.0, 0.0, 1.0 / 3.0 - np.asarray(r))
+
+        got = _largest_feasible(margin, 1.0)
+        assert max(sizes) == methods._PATH_LENGTH and len(sizes) <= 6
+        sizes.clear()
+        assert got == _largest_feasible_by_bisection(margin, 1.0)
+        assert len(sizes) == 35  # the end of the bracket and 34 midpoints
 
 
 class TestAbscissae:

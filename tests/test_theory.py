@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from sspmsrk import methods, msrkio, theory
 from sspmsrk.methods import (
-    ENTRY_TOL, _largest_feasible, forward_euler, ssp_coefficient, ssprk33, to_spijker,
+    BISECT_TOL, ENTRY_TOL, _bisect, forward_euler, ssp_coefficient, ssprk33, to_spijker,
 )
 from sspmsrk.orderlab import oracle_order
 from sspmsrk.pdelab import msrk_step
@@ -26,6 +29,8 @@ from sspmsrk.theory import (
 )
 
 from conftest import random_valid_method
+
+BENCH_METHODS = Path(__file__).resolve().parents[1] / "perfbench" / "methods"
 
 
 class TestStabilityPolynomials:
@@ -84,6 +89,16 @@ class TestShiftedBasis:
     def test_nonpositive_r_rejected(self):
         with pytest.raises(ValueError):
             shifted_basis(np.array([1.0, 1.0]), 0.0)
+        with pytest.raises(ValueError):
+            shifted_basis(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+
+    def test_several_radii_match_each_radius(self, rng):
+        rs = np.array([0.5, 1.0, 1.7, 4.0, 1e3])
+        so2 = stability_polynomials(to_spijker(gen_second_order(4, 3)))
+        for psi in [rng.standard_normal(5), so2]:
+            gamma = shifted_basis(psi, rs)
+            assert gamma.shape == rs.shape + psi.shape
+            assert np.array_equal(gamma, [shifted_basis(psi, r) for r in rs])
 
 
 class TestRadiusAbsMonotonicity:
@@ -133,6 +148,31 @@ class TestThresholdFactor:
             assert threshold_factor(psi) == pytest.approx(r_sk2(s, k), abs=1e-8)
 
 
+def test_radii_take_a_few_stacked_calls(monkeypatch):
+    # the bisection visits about 38 radii; each call evaluates several of them
+    library = [ssprk33()] + [gen_second_order(s, k) for s in range(2, 9) for k in range(2, 6)]
+    library += [msrkio.read_method(path) for path in sorted(BENCH_METHODS.glob("*.msrk"))]
+    assert len(library) == 32
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(methods, "canonical")
+    counted(theory, "shifted_basis")
+    for method in library:
+        calls.clear()
+        sp = to_spijker(method)
+        ssp_coefficient(sp)
+        threshold_factor(stability_polynomials(sp))
+        assert calls["canonical"] <= 12 and calls["shifted_basis"] <= 12, (method.name, calls)
+
+
 class TestLinearOrder:
     def test_forward_euler(self):
         assert linear_order(stability_polynomials(to_spijker(forward_euler()))) == 1
@@ -154,20 +194,26 @@ _methods = st.one_of(
 
 
 def _row_radius_as_first_written(psi):
-    """The radius of one nonzero row by a bisection of its own, through npoly."""
-    def shifted(r):
+    """The radius of one nonzero row by a doubling and bisection of its own,
+    one radius per call, through npoly."""
+    def passes(r):
         gamma = np.array([psi[-1]])
         for c in psi[-2::-1]:
             gamma = npoly.polymul(gamma, [-r, r])
             gamma[0] += c
-        return gamma
+        return gamma.min() >= -ENTRY_TOL
 
     deg = int(np.flatnonzero(psi)[-1])
     if psi.min() < -ENTRY_TOL:
         return 0.0
     if deg == 0:
         return math.inf
-    return _largest_feasible(lambda r: shifted(r).min() >= -ENTRY_TOL, 2.0 * deg + 2.0)
+    lo, hi = 0.0, 2.0 * deg + 2.0
+    while passes(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e12:
+            return math.inf
+    return _bisect(passes, lo, hi, BISECT_TOL)[0]
 
 
 def _linear_order_as_first_written(psis):
