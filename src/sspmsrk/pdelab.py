@@ -10,8 +10,11 @@ step, not at tf.  A problem's ``u0`` is read-only, and it keeps its
 SSPRK(3,3) start-ups per substep and count for every later run.  Runs
 record convex monitor values (total variation, minimum entry) at every
 step.  A bisection search over the step size locates the largest step for
-which a monotonicity property holds over a whole run; each probe reads
-only its property's monitor and stops at the first violating step.
+which a monotonicity property holds over a whole run.  A probe's run
+reads each property's monitor until that property fails and stops once
+every one has failed, so one run answers every property of the problem;
+until their answers differ, the problem keeps them for the other
+properties' searches, which probe the same step sizes.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def positivity_min(u: NDArray) -> float:
 class SemiDiscretization:
     """A semi-discretized problem u' = rhs(u) with its forward-Euler SSP bound.  ``u0`` is
     a read-only copy; ``startup`` keeps the problem's rk3_substeps start-ups per substep
-    and count, and ``dataclasses.replace`` keeps none."""
+    and count, ``max_stable_step`` its joint probes' answers, and ``dataclasses.replace``
+    keeps none of either."""
 
     name: str
     dim: int
@@ -91,6 +95,7 @@ class SemiDiscretization:
     exact: Optional[Callable[[float], NDArray]] = None
     dx: Optional[float] = None
     _startups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _probes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dt_fe <= 0:
@@ -378,29 +383,36 @@ def _steps(problem, method, start, dt, n):
 _PROPERTY_MONITORS = {"tvd": "tv", "positivity": "min"}
 
 
-def _holds(problem, method, prop, dt, tf, startup_mode) -> bool:
-    """Whether ``prop`` holds in a run to tf: positivity at every state, TVD
-    from the first step on against the max over the k states before.  Reads
-    only the property's monitor and stops at the first violating state; a run
-    with no whole step after start-up, or a non-finite state, fails.
+def _holds(problem, method, props, dt, tf, startup_mode) -> tuple[bool, ...]:
+    """Whether each of ``props`` holds in one run to tf: positivity at every
+    state, TVD from the first step on against the max over the k states
+    before.  Reads each property's monitor until that property fails, and
+    stops once every one has failed; a run with no whole step after
+    start-up, or a non-finite state, fails them all.
     """
     k = method.k
     n = _whole_steps(dt, tf, k)[0]
     if n < 1:  # horizon too short for startup plus one whole step
-        return False
-    monitor = problem.monitors[_PROPERTY_MONITORS[prop]]
-    values = []
+        return (False,) * len(props)
+    monitors = [problem.monitors[_PROPERTY_MONITORS[prop]] for prop in props]
+    values = [[] for _ in props]
+    holding = [True] * len(props)
+    states = 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
             for u in _trajectory(problem, method, dt, n, startup_mode):
-                v = monitor(u)
-                if (not v >= -MONOTONICITY_SLACK if prop == "positivity"
-                        else len(values) >= k and v > max(values[-k:]) + MONOTONICITY_SLACK):
-                    return False
-                values.append(v)
+                for i, (prop, seen) in enumerate(zip(props, values)):
+                    if holding[i]:
+                        v = monitors[i](u)
+                        holding[i] = (v >= -MONOTONICITY_SLACK if prop == "positivity" else
+                                      states < k or not v > max(seen[-k:]) + MONOTONICITY_SLACK)
+                        seen.append(v)
+                if not any(holding):
+                    break
+                states += 1
     except RunAbortedError:
-        return False
-    return len(values) > k
+        return (False,) * len(props)
+    return tuple(h and states > k for h in holding)
 
 
 def max_stable_step(
@@ -419,6 +431,14 @@ def max_stable_step(
     The default horizon max(0.125, 12*k*max(C, 1)*dt_fe) makes a run at
     the theoretical step C*dt_fe last at least 12*k steps; C*dt_fe is
     capped at 20*dt_fe, so a method with C = inf gets a finite horizon.
+
+    Every property's search starts on the same bracket, so two of them
+    probe the same dt until their answers first differ.  Up to and
+    including that probe, a probe asks every property the problem has a
+    monitor for in one run, and the problem keeps the answers under the
+    method's [S | T], k, claimed order, tf, start-up mode and dt, on which
+    alone the run depends; a later search reads them instead of running
+    again.  After it, the search asks its own property alone.
     Raises ValueError, before any run, when the problem has no monitor
     for ``prop`` or when ``resolution`` is not below the bracket, which
     would leave the bisection no probe.
@@ -434,11 +454,27 @@ def max_stable_step(
         raise ValueError(f"resolution must be below the bracket 20*dt_fe = {hi:g}")
     if tf is not None and not 0.0 < tf < math.inf:
         raise ValueError("tf must be positive and finite")
-    C = ssp_coefficient(to_spijker(method))
+    sp = to_spijker(method)
+    C = ssp_coefficient(sp)
     if tf is None:
         tf = max(0.125, 12.0 * method.k * min(max(C, 1.0) * problem.dt_fe, hi))
 
-    passes = functools.partial(_holds, problem, method, prop, tf=tf, startup_mode=startup_mode)
+    props = tuple(p for p, name in _PROPERTY_MONITORS.items() if name in problem.monitors)
+    own = props.index(prop)
+    run_key = (sp.ST.tobytes(), method.k, method.claimed_order, tf, startup_mode)
+    joint = True
+
+    def passes(dt):
+        nonlocal joint
+        if not joint:
+            return _holds(problem, method, (prop,), dt, tf, startup_mode)[0]
+        answers = problem._probes.get(run_key + (dt,))
+        if answers is None:
+            answers = _holds(problem, method, props, dt, tf, startup_mode)
+            problem._probes[run_key + (dt,)] = answers
+        joint = len(set(answers)) == 1
+        return answers[own]
+
     lo, hi = (hi, hi) if passes(hi) else _bisect(passes, 0.0, hi, resolution)
 
     dx = problem.dx if problem.dx is not None else problem.dt_fe

@@ -157,8 +157,7 @@ def test_criterion_5_ssp_guarantee(request, shipped, problems, stepsearch_result
             C = ssp_coefficient(to_spijker(method))
             dt = 0.999 * C * tvd_factor * problem.dt_fe
             tf = max(0.125, 12.0 * method.k * dt)
-            if not all(_holds(problem, method, prop, dt, tf, None)
-                       for prop in ("tvd", "positivity")):
+            if not all(_holds(problem, method, ("tvd", "positivity"), dt, tf, None)):
                 ok = False
                 worst = f"guarantee broken: {method.name} on {pname}"
             for prop in ("tvd", "positivity"):

@@ -278,7 +278,9 @@ class TestStartup:
     def test_probe_with_non_finite_start_up_fails(self):
         problem = dataclasses.replace(buckley_leverett(), rhs=lambda u: np.full_like(u, np.inf))
         method = gen_second_order(2, 2)
-        assert not pdelab._holds(problem, method, "positivity", 0.001, 0.125, "rk3_substeps")
+        for props in [("positivity",), ("tvd", "positivity")]:
+            holds = pdelab._holds(problem, method, props, 0.001, 0.125, "rk3_substeps")
+            assert holds == (False,) * len(props)
 
     @pytest.mark.parametrize("dt, p", [
         (0.001, 400),  # dt**(p/3) underflows to 0
@@ -614,13 +616,17 @@ class TestMaxStableStep:
         assert res.dt_max == 20.0 * problem.dt_fe
 
     def test_failing_probe_stops_at_first_violation(self, monkeypatch):
-        # at 20*dt_fe SSPRK(3,3) breaks TVD on the first step; a full run
-        # at that dt takes every step of the horizon
+        # at 20*dt_fe SSPRK(3,3) breaks TVD and positivity within a few
+        # steps; a full run at that dt takes every step of the horizon
         problem, method, tf = advection_upwind(), ssprk33(), 2.0
         dt = 20.0 * problem.dt_fe
         whole = pdelab._whole_steps(dt, tf, method.k)[0]
-        tv = [tv_seminorm(u) for u in pdelab._trajectory(problem, method, dt, whole, None)]
-        first = next(n for n in range(len(tv)) if not _two_branch_holds(tv[: n + 1], "tvd", 1))
+        states = list(pdelab._trajectory(problem, method, dt, whole, None))
+        tv = [tv_seminorm(u) for u in states]
+        low = [positivity_min(u) for u in states]
+        # the joint probe runs until both properties have failed
+        first = max(next(n for n in range(len(tv)) if not _two_branch_holds(v[: n + 1], prop, 1))
+                    for v, prop in [(tv, "tvd"), (low, "positivity")])
         probe_steps = []
 
         def counting(method, history, history_rhs, rhs, h):
@@ -632,26 +638,123 @@ class TestMaxStableStep:
         assert probe_steps.count(dt) == first - method.k + 1
         assert probe_steps.count(dt) < len(tv) - method.k
 
-    @pytest.mark.parametrize("prop, other", [("tvd", "min"), ("positivity", "tv")])
-    def test_probe_reads_only_its_own_monitor(self, prop, other):
-        problem = advection_upwind()
-        expected = max_stable_step(problem, ssprk33(), prop)
-        blind = dataclasses.replace(problem, monitors={**problem.monitors, other: _unreachable})
-        assert max_stable_step(blind, ssprk33(), prop) == expected
+    @pytest.mark.parametrize("make", [advection_upwind, buckley_leverett])
+    def test_each_property_as_with_its_monitor_alone(self, make):
+        # a problem with one monitor probes its property alone throughout
+        problem = make()
+        for method in [ssprk33(), gen_second_order(3, 2), read_method(BENCH_OPT_234)]:
+            for prop, monitor in [("tvd", "tv"), ("positivity", "min")]:
+                alone = dataclasses.replace(
+                    problem, monitors={monitor: problem.monitors[monitor]})
+                assert (max_stable_step(problem, method, prop)
+                        == max_stable_step(alone, method, prop)), (method.name, prop)
+
+    @pytest.mark.parametrize("make, method", [(advection_upwind, ssprk33()),
+                                              (buckley_leverett, gen_second_order(3, 2))],
+                             ids=["advection", "buckley"])
+    def test_other_monitor_unread_once_the_answers_part(self, monkeypatch, make, method):
+        reads = []
+
+        def counted(name, fn):
+            def monitor(u):
+                reads.append(name)
+                return fn(u)
+            return monitor
+
+        probes, run_probe = [], pdelab._holds
+
+        def holds(problem, method, props, *args):
+            reads.clear()
+            answers = run_probe(problem, method, props, *args)
+            probes.append((props, answers, set(reads)))
+            return answers
+
+        monkeypatch.setattr(pdelab, "_holds", holds)
+        for first, second in [("tvd", "positivity"), ("positivity", "tvd")]:
+            base = make()
+            problem = dataclasses.replace(
+                base, monitors={name: counted(name, fn) for name, fn in base.monitors.items()})
+            for prop in (first, second):
+                other = "min" if prop == "tvd" else "tv"
+                probes.clear()
+                max_stable_step(problem, method, prop)
+                parted = next((i for i, (_, answers, _) in enumerate(probes)
+                               if len(set(answers)) > 1), None)
+                if prop == first:  # its search runs the joint probes up to where they part
+                    assert parted is not None
+                    assert all(props == ("tvd", "positivity") for props, _, _ in
+                               probes[: parted + 1])
+                else:  # the second reads them, and runs only its own probes after
+                    assert parted is None
+                    assert probes
+                after = probes if parted is None else probes[parted + 1:]
+                assert all(props == (prop,) and other not in read for props, _, read in after)
+
+    @pytest.mark.parametrize("watched", [("tv", "min"), ("tv",), ("min",)])
+    def test_remembered_probes_are_keyed_by_all_a_run_depends_on(self, watched):
+        # every search on a shared problem matches a fresh problem's; with
+        # one monitor, a search remembers every probe, not just a prefix
+        def make(build):
+            problem = build()
+            return dataclasses.replace(problem,
+                                       monitors={m: problem.monitors[m] for m in watched})
+
+        props = [p for p, m in pdelab._PROPERTY_MONITORS.items() if m in watched]
+        so2 = gen_second_order(3, 2)
+        higher = dataclasses.replace(so2, claimed_order=4)  # more rk3 substeps per step
+        shared = make(buckley_leverett)
+        for method in [so2, higher]:
+            for prop in props:
+                fresh = max_stable_step(make(buckley_leverett), method, prop)
+                assert max_stable_step(shared, method, prop) == fresh, (method.claimed_order, prop)
+
+        # SO2(2,2) differs from SO2(3,2) in its coefficients alone at tf = 0.1
+        shared = make(advection_upwind)
+        for method in [so2, gen_second_order(2, 2)]:
+            for kwargs in [dict(), dict(startup_mode="rk3_substeps"),
+                           dict(tf=0.1, startup_mode="rk3_substeps"), dict(tf=0.1)]:
+                for prop in props:
+                    fresh = max_stable_step(make(advection_upwind), method, prop, **kwargs)
+                    assert (max_stable_step(shared, method, prop, **kwargs)
+                            == fresh), (method.name, kwargs, prop)
+
+    def test_replaced_problem_remembers_no_probe(self):
+        # the negative entry breaks positivity at every step size
+        so2, original = gen_second_order(3, 2), buckley_leverett()
+        u0 = np.array(original.u0)
+        u0[0] = -0.25
+        max_stable_step(original, so2, "tvd")
+        negative = dataclasses.replace(original, u0=u0)
+        res = max_stable_step(negative, so2, "positivity")
+        assert res == max_stable_step(dataclasses.replace(buckley_leverett(), u0=u0), so2,
+                                      "positivity")
+        assert res.dt_max == 0.0
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5), st.sampled_from(["tvd", "positivity"]),
+@given(st.integers(1, 5),
+       st.sampled_from([("tvd",), ("positivity",), ("tvd", "positivity"), ("positivity", "tvd")]),
        st.lists(st.sampled_from([-1.0, -2e-12, -1e-12, 0.0, 1e-12, 2e-12, 0.5, 1.0])
                 | st.floats(-1.0, 2.0), max_size=30))
-def test_property_rule_matches_two_branch_formula(k, prop, values):
-    # the stubbed run yields the monitor values themselves as states
+def test_property_rule_matches_two_branch_formula(k, props, values):
+    # the stubbed run yields the monitor values themselves as states, and
+    # none after the state where the last asked property fails
     problem = dataclasses.replace(advection_upwind(N=3), monitors={"tv": float, "min": float})
-    states = lambda *args, **kwargs: iter(values)
+    fails = [next((n for n in range(len(values))
+                   if not _two_branch_holds(values[: n + 1], prop, k)), None) for prop in props]
+    last = len(values) - 1 if None in fails else max(fails)
+
+    def states(*args, **kwargs):
+        for n, v in enumerate(values):
+            if n > last:
+                pytest.fail("a state was asked for after every property had failed")
+            yield v
+
     with mock.patch.object(pdelab, "_trajectory", states):
-        holds = pdelab._holds(problem, types.SimpleNamespace(k=k), prop, 1.0, float(k), None)
+        holds = pdelab._holds(problem, types.SimpleNamespace(k=k), props, 1.0, float(k), None)
     # a run without a full step after start-up fails
-    assert holds == (len(values) > k and _two_branch_holds(values, prop, k))
+    assert holds == tuple(len(values) > k and _two_branch_holds(values, prop, k)
+                          for prop in props)
 
 
 class TestConvergence:
