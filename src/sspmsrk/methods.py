@@ -38,8 +38,6 @@ __all__ = [
 ENTRY_TOL = 1e-12
 #: bisection width for the SSP coefficient and absolute-monotonicity radii
 BISECT_TOL = 1e-10
-#: midpoints of the bisection's path that ``_largest_feasible`` evaluates per call
-_PATH_LENGTH = 10
 
 
 class MethodStructureError(ValueError):
@@ -233,40 +231,46 @@ def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h):
     return w.reshape(shape), F[..., k - 1 :, :]
 
 
-def canonical(sp: SpijkerForm, r) -> CanonicalForm:
+def canonical(sp: SpijkerForm, r: float) -> CanonicalForm:
     """Compute P = r (I + rT)^{-1} T and R = (I + rT)^{-1} S.
 
     Since T is strictly lower triangular, I + rT is unit lower
     triangular and nonsingular in exact arithmetic; the pivoted LU of
     ``np.linalg.solve`` can still report it singular when rT has huge
     entries (1e200, say), and raises LinAlgError.  One solve covers
-    [S | T], for every member of a stack, or for one form at every
-    radius of a 1-D ndarray ``r``, the radii leading.
+    [S | T], for every member of a stack.
     """
-    several = isinstance(r, np.ndarray) and r.ndim > 0
-    if (r < 0).any() if several else r < 0:
+    if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
     n, k = sp.S.shape[-2:]
-    b = sp.ST
-    if several:
-        r = r[:, None, None]
-        # b gets a's ndim: numpy 1.x reads a b one axis short of a as a
-        # stack of vectors
-        b = np.broadcast_to(b, r.shape[:1] + b.shape)
-    X = np.linalg.solve(np.eye(n) + r * sp.T, b)
+    X = np.linalg.solve(np.eye(n) + r * sp.T, sp.ST)
     return CanonicalForm(P=r * X[..., k:], R=X[..., :k])
 
 
-def _margin(sp: SpijkerForm, r):
-    """min(P.min(), R.min()) at r, or at each radius of a 1-D array ``r``;
-    as with Python's ``min``, a NaN in R alone does not show."""
-    cf = canonical(sp, r)
-    P, R = cf.P.min(axis=(-2, -1)), cf.R.min(axis=(-2, -1))
-    return np.where(R < P, R, P)
-
-
 def _feasible(sp: SpijkerForm, r: float) -> bool:
-    return _margin(sp, r) >= -ENTRY_TOL
+    cf = canonical(sp, r)
+    return min(cf.P.min(), cf.R.min()) >= -ENTRY_TOL
+
+
+def _canonical_table(sp: SpijkerForm) -> NDArray:
+    """[R | P] as a polynomial table in r: row j holds the coefficients of r^j.
+
+    T is strictly lower triangular with s nonzero rows, so (I + rT)^{-1}
+    = sum_{j<=s} (-rT)^j and X = (I + rT)^{-1} [S | T] = sum_j r^j M_j,
+    with M_0 = [S | T] and M_{j+1} = -T M_j.  R = X_S takes rows 0..s
+    and P = r X_T rows 1..s+1.  Raises FloatingPointError when an M_j
+    overflows.
+    """
+    k, s = sp.k, sp.s
+    M = [sp.ST]
+    with np.errstate(over="raise", invalid="raise"):
+        for _ in range(s):
+            M.append(-sp.T @ M[-1])
+    M = np.array(M)
+    table = np.zeros((s + 2,) + sp.ST.shape)
+    table[:-1, :, :k] = M[..., :k]
+    table[1:, :, k:] = M[..., k:]
+    return table
 
 
 def _bisect(passes, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -281,74 +285,53 @@ def _bisect(passes, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _crossing(fails: list[tuple[float, float]], lo: float, hi: float) -> float:
-    """Estimated r where the margin crosses -ENTRY_TOL: the secant through
-    the last two failing radii of the path, or the bracket's midpoint.
+def _horner(coef: NDArray, r: float) -> NDArray:
+    """The polynomial table ``coef``, whose row j holds the coefficients of r^j, at r."""
+    v = coef[-1]
+    for c in coef[-2::-1]:
+        v = v * r + c
+    return v
 
-    The passing side is no help: structural zeros hold its margin at 0.
+
+def _largest_nonnegative(coef: NDArray, hi: float) -> float:
+    """Largest r at which every entry of the polynomial table ``coef``,
+    whose row j holds the coefficients of r^j, is at least -ENTRY_TOL,
+    for a feasible set [0, r*].
+
+    The bracket [0, hi] doubles while hi passes; past 1e12 the radius
+    counts as unbounded and inf is returned.  Otherwise the bracket is
+    bisected to BISECT_TOL, or to neighbouring floats from about 5e5 up,
+    where the spacing of doubles reaches BISECT_TOL.  A radius at which
+    Horner's rule overflows or meets a NaN fails, without a warning.
     """
-    if len(fails) > 1:
-        (r2, m2), (r1, m1) = fails[-2:]
-        if math.isfinite(m1) and math.isfinite(m2) and m1 != m2:
-            return r1 + (-ENTRY_TOL - m1) * (r1 - r2) / (m1 - m2)
-    return 0.5 * (lo + hi)
+    coef = coef.reshape(len(coef), -1)  # a flat table evaluates about twice as fast
 
+    def passes(r: float) -> bool:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return bool(_horner(coef, r).min() >= -ENTRY_TOL)
+        except FloatingPointError:
+            return False
 
-def _largest_feasible(margin, hi: float) -> float:
-    """Largest r with ``margin(r) >= -ENTRY_TOL`` for a feasible set [0, r*].
-
-    The bracket [0, hi] doubles while hi is feasible; past 1e12 the
-    radius counts as unbounded and inf is returned.  Otherwise the
-    bracket is bisected exactly as ``_bisect`` would, to BISECT_TOL, or
-    to neighbouring floats from about 5e5 up, where the spacing of
-    doubles reaches BISECT_TOL.
-
-    ``margin`` also takes a 1-D array of radii.  Each call evaluates up
-    to _PATH_LENGTH midpoints: the bisection's path if the outcomes
-    follow the estimated crossing.  The walk keeps them up to the first
-    outcome that differs from the estimate, so every midpoint it keeps
-    is the one ``_bisect`` visits.  Should the stacked call raise or meet
-    a floating-point error, which a midpoint off the path may cause, the
-    path's first midpoint is evaluated alone, as ``_bisect`` would.
-    """
     lo = 0.0
-    while (m := margin(hi)) >= -ENTRY_TOL:
+    while passes(hi):
         lo, hi = hi, 2.0 * hi
         if hi > 1e12:
             return math.inf
-    fails = [(hi, float(m))]  # the failing radii of the path, nearest the crossing last
-    while True:
-        guess, path, a, b = _crossing(fails, lo, hi), [], lo, hi
-        while len(path) < _PATH_LENGTH and b - a > BISECT_TOL and a < (mid := 0.5 * (a + b)) < b:
-            path.append(mid)
-            a, b = (mid, b) if mid <= guess else (a, mid)
-        if not path:
-            return lo
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                margins = margin(np.array(path))
-        except (np.linalg.LinAlgError, FloatingPointError):
-            path, margins = path[:1], [margin(path[0])]
-        for mid, m in zip(path, margins):
-            passed = m >= -ENTRY_TOL
-            if passed:
-                lo = mid
-            else:
-                hi = mid
-                fails.append((mid, float(m)))
-            if passed != (mid <= guess):
-                break
+    return _bisect(passes, lo, hi, BISECT_TOL)[0]
 
 
 def ssp_coefficient(sp: SpijkerForm) -> float:
     """Largest r, to BISECT_TOL, at which the float P and R clear -ENTRY_TOL.
 
+    P and R are evaluated as polynomials in r (``_canonical_table``).
     The bracket starts at s+1, above the first-order threshold bound s,
     and doubles while the canonical form is still feasible there; a
     method still feasible past 1e12 (one that never uses f, say) gets
     inf.  Returns 0.0 when S itself has a negative entry.  Rounding can
-    put the result on either side of the exact coefficient.  The result
-    is kept on the form.
+    put the result on either side of the exact coefficient.  Raises
+    FloatingPointError when the table overflows.  The result is kept on
+    the form.
     """
     if sp._C is None:
         object.__setattr__(sp, "_C", _ssp_coefficient(sp))
@@ -358,8 +341,8 @@ def ssp_coefficient(sp: SpijkerForm) -> float:
 def _ssp_coefficient(sp: SpijkerForm) -> float:
     if sp.S.min() < -ENTRY_TOL:
         return 0.0
-    lo = _largest_feasible(lambda r: _margin(sp, r), float(sp.s + 1))
-    # guard against a false positive exactly at the boundary
+    lo = _largest_nonnegative(_canonical_table(sp), float(sp.s + 1))
+    # guard against a false positive exactly at the boundary, by the LU solve
     if 0.0 < lo < math.inf and not _feasible(sp, lo * (1.0 - 1e-9)):
         return 0.0
     return lo

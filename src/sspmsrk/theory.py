@@ -16,7 +16,9 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .methods import ENTRY_TOL, MSRKMethod, SpijkerForm, _bisect, _largest_feasible, _spijker_step
+from .methods import (
+    ENTRY_TOL, MSRKMethod, SpijkerForm, _bisect, _horner, _largest_nonnegative, _spijker_step,
+)
 
 __all__ = [
     "stability_polynomials",
@@ -61,26 +63,27 @@ def stability_polynomials(sp: SpijkerForm) -> NDArray:
     return last[:, ::-1].T.copy()
 
 
-def shifted_basis(psi: NDArray, r) -> NDArray:
+def _shifted_table(psi: NDArray) -> NDArray:
+    """The shifted-basis coefficients of ``psi`` as a polynomial table in r.
+
+    gamma_j(r) = sum_m psi_m C(m, j) (-1)^(m-j) r^m, so row m of the
+    table holds the coefficients of r^m, shaped like ``psi``.
+    """
+    n = psi.shape[-1]
+    signed = np.array([[math.comb(m, j) * (-1) ** (m - j) for j in range(n)] for m in range(n)],
+                      dtype=float)
+    return np.einsum("...m,mj->m...j", psi, signed)
+
+
+def shifted_basis(psi: NDArray, r: float) -> NDArray:
     """Exact change of basis from monomials in z to powers of (1 + z/r).
 
     Writing t = 1 + z/r, the result is the coefficient table of
-    psi(r*(t-1)) in t along the last axis; same shape as the input, or
-    with the radii of a 1-D array ``r`` leading.
+    psi(r*(t-1)) in t along the last axis; same shape as the input.
     """
-    r = np.asarray(r, dtype=float)
-    if (r <= 0).any():
+    if r <= 0:
         raise ValueError("r must be positive")
-    psi = np.asarray(psi, dtype=float)
-    r = r.reshape(r.shape + (1,) * psi.ndim)
-    gamma = np.zeros(np.broadcast_shapes(r.shape, psi.shape))
-    rg = np.empty_like(gamma)
-    # Horner's rule, highest power first: gamma <- gamma * (r t - r) + c
-    for c in np.moveaxis(psi, -1, 0)[::-1]:
-        np.multiply(gamma, r, out=rg)
-        np.subtract(rg[..., :-1], rg[..., 1:], out=gamma[..., 1:])
-        gamma[..., 0] = c - rg[..., 0]
-    return gamma
+    return _horner(_shifted_table(np.asarray(psi, dtype=float)), r)
 
 
 def radius_abs_monotonicity(psi: NDArray) -> float:
@@ -108,7 +111,7 @@ def threshold_factor(psis: NDArray) -> float:
         return math.inf  # nonnegative constants: absolutely monotonic everywhere
     # the positive leading coefficients make the radius finite, but it can
     # exceed the starting bracket 2 deg + 2
-    return _largest_feasible(lambda r: shifted_basis(psis, r).min(axis=(-2, -1)), 2.0 * deg + 2)
+    return _largest_nonnegative(_shifted_table(psis), 2.0 * deg + 2)
 
 
 def _linear_conditions(basis: NDArray, k: int, p: int) -> tuple[NDArray, NDArray]:

@@ -348,8 +348,8 @@ def test_too_many_or_vanishing_start_up_substeps_exit_2(tmp_path, capsys, monkey
     assert "Traceback" not in err
 
 
-def test_singular_canonical_solve_exits_5(tmp_path, capsys):
-    # at A entries of 1e200 the LU of I + rT reports a singular matrix
+def test_overflowing_canonical_table_exits_5(tmp_path, capsys):
+    # at A entries of 1e200 the polynomial table of P and R in r overflows
     method = ssprk33()
     A = np.where(np.tri(3, k=-1) > 0, 1e200, 0.0)
     path = tmp_path / "huge.msrk"
@@ -359,7 +359,7 @@ def test_singular_canonical_solve_exits_5(tmp_path, capsys):
         code = main(["analyze", str(path)])
     assert code == EXIT_NUMERICAL
     assert not caught
-    assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+    assert capsys.readouterr().err == "numerical failure: overflow encountered in matmul\n"
 
 
 def test_non_finite_start_up_exits_5(tmp_path, so2_file, capsys, monkeypatch):

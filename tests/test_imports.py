@@ -1,6 +1,7 @@
 """No module of the package or of its tests imports a name that it never uses,
-every name a package module exports is bound in it, and scipy's solvers load
-only when a function needs them."""
+every name a package module exports is bound in it, every private name a
+package module defines is read in the package, and scipy's solvers load only
+when a function needs them."""
 
 import ast
 import json
@@ -70,6 +71,54 @@ def test_checker_flags_only_unread_names():
                          ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of every private name that a module binds at its
+    top level, by def, class or assignment, and that no module of ``sources``
+    reads as a name, an attribute or an imported name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [(module, node.lineno, name) for name in names
+                      if name.startswith("_") and not name.startswith("__") and name not in read]
+    return found
+
+
+def test_checker_flags_only_unread_private_names():
+    sources = {"a": ("_A = 1\n"
+                     "_B: int = 2\n"
+                     "__all__ = []\n"
+                     "def _f(): return _A\n"
+                     "class _K: _D = 3\n"
+                     "def g(): _E = 4\n"
+                     "_G = _H = 5\n"),
+               "b": ("from a import _K\n"
+                     "import a\n"
+                     "x = a._G\n")}
+    assert unread_private_names(sources) == [("a", 2, "_B"), ("a", 4, "_f"), ("a", 7, "_H")]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def test_checker_flags_only_unbound_exports():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from sspmsrk import methods
 from sspmsrk.methods import (
@@ -13,7 +15,8 @@ from sspmsrk.methods import (
     MethodStructureError,
     MSRKMethod,
     _bisect,
-    _largest_feasible,
+    _canonical_table,
+    _largest_nonnegative,
     canonical,
     forward_euler,
     ssp_coefficient,
@@ -115,17 +118,6 @@ class TestCanonical:
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             canonical(to_spijker(forward_euler()), -0.5)
-        with pytest.raises(ValueError):
-            canonical(to_spijker(forward_euler()), np.array([0.5, -0.5]))
-
-    @pytest.mark.parametrize("s, k", [(1, 1), (2, 2), (3, 4), (8, 5)])
-    def test_several_radii_match_each_radius(self, rng, s, k):
-        # the stacked solve runs the same LU per radius, so the bits agree
-        rs = np.array([0.0, 0.3, 1.7, 4.0, 1e3])
-        for sp in [to_spijker(random_valid_method(rng, s, k)), to_spijker(ssprk33())]:
-            cf = canonical(sp, rs)
-            assert np.array_equal(cf.P, [canonical(sp, r).P for r in rs])
-            assert np.array_equal(cf.R, [canonical(sp, r).R for r in rs])
 
     def test_feasible_at_known_optimum(self):
         sp = to_spijker(gen_second_order(3, 2))
@@ -194,6 +186,15 @@ class TestSSPCoefficient:
         monkeypatch.setattr(methods, "canonical", None)  # a second solve would fail
         assert ssp_coefficient(sp) is C
 
+    def test_overflowing_table_raises_without_a_warning(self):
+        # at A entries of 1e200, -T @ [S | T] overflows while the table is built
+        A = np.where(np.tri(3, k=-1) > 0, 1e200, 0.0)
+        sp = to_spijker(dataclasses.replace(ssprk33(), A=A))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow encountered in matmul"):
+                ssp_coefficient(sp)
+
     @pytest.mark.parametrize(
         "b, expected", [([0.0, 0.0], np.inf), ([0.1, 0.0], 10.0), ([1e-6, 0.0], 1e6)]
     )
@@ -227,11 +228,8 @@ class TestBisect:
         assert b - a <= tol or b == np.nextafter(a, np.inf)
 
 
-def _largest_feasible_by_bisection(margin, hi):
-    """The radius as one scalar doubling and ``_bisect``, one radius per call."""
-    def passes(r):
-        return margin(r) >= -ENTRY_TOL
-
+def _doubled_and_bisected(passes, hi):
+    """The largest passing radius by a doubling from hi and ``_bisect``, one radius per call."""
     lo = 0.0
     while passes(hi):
         lo, hi = hi, 2.0 * hi
@@ -240,98 +238,52 @@ def _largest_feasible_by_bisection(margin, hi):
     return _bisect(passes, lo, hi, BISECT_TOL)[0]
 
 
-@st.composite
-def _margins(draw):
-    """A starting bracket end and a margin crossing -ENTRY_TOL at t.
+def _ssp_coefficient_by_lu(sp):
+    """C on the margin of the LU solve."""
+    def passes(r):
+        cf = canonical(sp, r)
+        return min(cf.P.min(), cf.R.min()) >= -ENTRY_TOL
 
-    The margin is 0 up to t and -slope |r - t|^power - 2 ENTRY_TOL past
-    it; inside a band around t the outcome follows the bits of r, and
-    past t + gap the margin can be non-finite.  Radii in ``singular``
-    raise LinAlgError and radii in ``overflow`` overflow, as a canonical
-    solve can at huge radii.
-    """
-    hi = draw(st.sampled_from([0.5, 1.0, 3.0, 4.0, 9.0]) | st.floats(1e-3, 50.0))
-    kind = draw(st.sampled_from(["end", "ulp", "large", "free", "zero", "unbounded"]))
-    if kind == "end":  # a bracket end, or one of the first midpoints
-        t = hi * 2.0 ** draw(st.integers(-4, 5))
-    elif kind == "ulp":  # within a few floats of a midpoint of the first bracket
-        t = hi * draw(st.integers(1, 255)) / 256
-        for _ in range(draw(st.integers(0, 3))):
-            t = float(np.nextafter(t, draw(st.sampled_from([-math.inf, math.inf]))))
-    elif kind == "large":  # the bisection ends on neighbouring floats
-        t = draw(st.floats(5e5, 1e11))
-    elif kind == "free":
-        t = draw(st.floats(0.0, 3.0 * hi))
-    elif kind == "zero":
-        t = 0.0
-    else:
-        t = 2e12
-    slope = draw(st.floats(1e-6, 1e6))
-    power = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
-    band = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-2])) * max(t, 1.0)
-    gap = draw(st.none() | st.floats(0.0, 2.0 * hi))
-    beyond = draw(st.sampled_from([math.nan, -math.inf]))
-    # bands around a dyadic point of the first bracket, where midpoints fall
-    bands = st.none() | st.tuples(st.integers(1, 47).map(lambda n: hi * n / 16),
-                                  st.sampled_from([0.0, 2.0**-12, 2.0**-7]).map(lambda w: hi * w))
-    singular, overflow = draw(bands), draw(bands)
-
-    def margin(r):
-        r = np.asarray(r, dtype=float)
-        if singular and np.any(abs(r - singular[0]) <= singular[1]):
-            raise np.linalg.LinAlgError("Singular matrix")
-        m = np.where(r <= t, 0.0, -slope * np.abs(r - t) ** power - 2.0 * ENTRY_TOL)
-        noisy = np.abs(r - t) < band
-        bits = r.view(np.uint64)
-        m = np.where(noisy & (bits % 7 < 3), -ENTRY_TOL, m)
-        m = np.where(noisy & (bits % 7 == 3), np.nextafter(-ENTRY_TOL, -1.0), m)
-        if gap is not None:
-            m = np.where(r > t + gap, beyond, m)
-        if overflow:
-            hit = abs(r - overflow[0]) <= overflow[1]
-            m = np.where(hit, -(np.full(r.shape, 1e300) * np.where(hit, 1e300, 1.0)), m)
-        return m
-
-    return margin, hi
+    return 0.0 if sp.S.min() < -ENTRY_TOL else _doubled_and_bisected(passes, float(sp.s + 1))
 
 
-def _outcome(find, margin, hi):
-    """The result or exception of ``find``, and the warnings it gave."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = find(margin, hi)
-        except np.linalg.LinAlgError as exc:
-            result = exc
-    return result, [(w.category, str(w.message)) for w in caught]
+def _finite_and_nonnegative(coef):
+    """Whether the table at r is finite and at least -ENTRY_TOL, through npoly."""
+    def passes(r):
+        with np.errstate(all="ignore"):
+            v = polyval(r, coef)
+        return bool(np.isfinite(v).all() and v.min() >= -ENTRY_TOL)
+
+    return passes
 
 
-class TestLargestFeasible:
-    @settings(max_examples=300, deadline=None)
-    @given(_margins())
-    def test_same_radius_as_the_scalar_bisection(self, case):
-        margin, hi = case
-        want, want_warnings = _outcome(_largest_feasible_by_bisection, margin, hi)
-        got, got_warnings = _outcome(_largest_feasible, margin, hi)
-        assert got_warnings == want_warnings
-        if isinstance(want, Exception):
-            assert type(got) is type(want)
-        else:
-            assert type(got) is float
-            assert got.hex() == float(want).hex()
+class TestLargestNonnegative:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4), st.floats(0.0, 2.0))
+    def test_table_matches_the_lu_solve(self, seed, s, k, frac):
+        sp = to_spijker(random_valid_method(np.random.default_rng(seed), s, k))
+        C = ssp_coefficient(sp)
+        r = frac * C
+        cf = canonical(sp, r)
+        want = np.hstack([cf.R, cf.P])
+        got = polyval(r, _canonical_table(sp))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+        assert C == pytest.approx(_ssp_coefficient_by_lu(sp), rel=0, abs=BISECT_TOL)
 
-    def test_evaluates_a_path_per_call(self):
-        sizes = []
-
-        def margin(r):
-            sizes.append(np.size(r))
-            return np.where(np.asarray(r) <= 1.0 / 3.0, 0.0, 1.0 / 3.0 - np.asarray(r))
-
-        got = _largest_feasible(margin, 1.0)
-        assert max(sizes) == methods._PATH_LENGTH and len(sizes) <= 6
-        sizes.clear()
-        assert got == _largest_feasible_by_bisection(margin, 1.0)
-        assert len(sizes) == 35  # the end of the bracket and 34 midpoints
+    @pytest.mark.parametrize("coef, hi", [
+        ([[1.0 / 3.0], [-1.0]], 1.0),  # crosses at 1/3 + ENTRY_TOL
+        ([[1.0], [0.0], [1e300]], 1.0),  # positive, but overflows past about 1.3e4
+        ([[1.0], [-np.inf]], 0.5),  # an infinite coefficient fails every radius
+        ([[0.0, np.nan]], 3.0),  # a NaN fails every radius
+        ([[0.0], [np.inf], [-np.inf]], 4.0),  # inf - inf
+    ])
+    def test_a_non_finite_radius_fails_without_a_warning(self, coef, hi):
+        coef = np.array(coef)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _largest_nonnegative(coef, hi)
+        assert type(got) is float
+        assert got.hex() == _doubled_and_bisected(_finite_and_nonnegative(coef), hi).hex()
 
 
 class TestAbscissae:
