@@ -234,17 +234,21 @@ def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h):
 def canonical(sp: SpijkerForm, r: float) -> CanonicalForm:
     """Compute P = r (I + rT)^{-1} T and R = (I + rT)^{-1} S.
 
-    Since T is strictly lower triangular, I + rT is unit lower
-    triangular and nonsingular in exact arithmetic; the pivoted LU of
-    ``np.linalg.solve`` can still report it singular when rT has huge
-    entries (1e200, say), and raises LinAlgError.  One solve covers
-    [S | T], for every member of a stack.
+    T is strictly lower triangular and its first k rows are zero, so
+    X = (I + rT)^{-1} [S | T] is found by forward substitution, row i of
+    [S | T] less r T[i, :i] X[:i], for every member of a stack.  Raises
+    FloatingPointError when a row overflows.
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    n, k = sp.S.shape[-2:]
-    X = np.linalg.solve(np.eye(n) + r * sp.T, sp.ST)
-    return CanonicalForm(P=r * X[..., k:], R=X[..., :k])
+    k, n = sp.k, sp.k + sp.s
+    X = sp.ST.copy()
+    with np.errstate(over="raise", invalid="raise"):
+        rT = r * sp.T
+        for i in range(k, n):
+            X[..., i : i + 1, :] -= rT[..., i : i + 1, :i] @ X[..., :i, :]
+        P = r * X[..., k:]
+    return CanonicalForm(P=P, R=X[..., :k])
 
 
 def _feasible(sp: SpijkerForm, r: float) -> bool:
@@ -258,8 +262,8 @@ def _canonical_table(sp: SpijkerForm) -> NDArray:
     T is strictly lower triangular with s nonzero rows, so (I + rT)^{-1}
     = sum_{j<=s} (-rT)^j and X = (I + rT)^{-1} [S | T] = sum_j r^j M_j,
     with M_0 = [S | T] and M_{j+1} = -T M_j.  R = X_S takes rows 0..s
-    and P = r X_T rows 1..s+1.  Raises FloatingPointError when an M_j
-    overflows.
+    and P = r X_T rows 1..s+1, for a form or a stack.  Raises
+    FloatingPointError when an M_j overflows.
     """
     k, s = sp.k, sp.s
     M = [sp.ST]
@@ -268,8 +272,8 @@ def _canonical_table(sp: SpijkerForm) -> NDArray:
             M.append(-sp.T @ M[-1])
     M = np.array(M)
     table = np.zeros((s + 2,) + sp.ST.shape)
-    table[:-1, :, :k] = M[..., :k]
-    table[1:, :, k:] = M[..., k:]
+    table[:-1, ..., :k] = M[..., :k]
+    table[1:, ..., k:] = M[..., k:]
     return table
 
 
@@ -342,7 +346,7 @@ def _ssp_coefficient(sp: SpijkerForm) -> float:
     if sp.S.min() < -ENTRY_TOL:
         return 0.0
     lo = _largest_nonnegative(_canonical_table(sp), float(sp.s + 1))
-    # guard against a false positive exactly at the boundary, by the LU solve
+    # guard against a false positive exactly at the boundary, by forward substitution
     if 0.0 < lo < math.inf and not _feasible(sp, lo * (1.0 - 1e-9)):
         return 0.0
     return lo

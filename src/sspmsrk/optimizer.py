@@ -184,25 +184,34 @@ def constraint_residuals(sp: SpijkerForm, r: float, p: int):
     return eq, ineq
 
 
-def _merit_residuals(x, s, k, r, p):
-    """Merit residuals at x, or one row per point of a stack x of shape (B, n).
-
-    x goes straight into the Spijker form, whose structure holds by
-    construction, so no method is built or validated.
-    """
+def _raw_residuals(x, s, k, r, p):
+    """:func:`constraint_residuals` at x, or at each point of a stack x of shape
+    (B, n); x goes straight into the Spijker form, whose structure holds by
+    construction, so no method is built or validated."""
     if not np.isfinite(x).all():
         raise MethodStructureError("coefficients must be finite")
-    eq, ineq = constraint_residuals(_scatter(x, s, k), r, p)
+    return constraint_residuals(_scatter(x, s, k), r, p)
+
+
+def _merit_residuals(x, s, k, r, p):
+    """Merit residuals at x, or one row per point of a stack x of shape (B, n):
+    the equality residuals and the hinged inequalities max(0, ineq)."""
+    eq, ineq = _raw_residuals(x, s, k, r, p)
     return np.concatenate([eq, np.maximum(0.0, ineq)], axis=-1)
 
 
 def _merit_jacobian(x, s, k, r, p):
-    """Forward differences with scipy's '2-point' steps, h = sqrt(eps) sign(x)
-    max(1, |x|) with sign(0) = 1, divided by (x + h) - x; x and its n
-    perturbed copies are evaluated as one stack."""
+    """The merit's Jacobian on the side of each hinge where x sits: the raw rows
+    differenced forward with scipy's '2-point' steps, h = sqrt(eps) sign(x)
+    max(1, |x|) with sign(0) = 1, divided by (x + h) - x, x and its n perturbed
+    copies evaluated as one stack; then every inequality row at most 0 at x is
+    0, since differences across the kink of max(0, ineq) belong to neither side."""
     h = np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    F = _merit_residuals(np.vstack([x, x + np.diag(h)]), s, k, r, p)
-    return (F[1:] - F[0]).T / ((x + h) - x)
+    eq, ineq = _raw_residuals(np.vstack([x, x + np.diag(h)]), s, k, r, p)
+    F = np.concatenate([eq, ineq], axis=-1)
+    J = (F[1:] - F[0]).T / ((x + h) - x)
+    J[eq.shape[-1]:][ineq[0] <= 0.0] = 0.0
+    return J
 
 
 def _accepted(spec: SearchSpec, r: float, merit: float, x: NDArray) -> bool:

@@ -362,6 +362,22 @@ def test_overflowing_canonical_table_exits_5(tmp_path, capsys):
     assert capsys.readouterr().err == "numerical failure: overflow encountered in matmul\n"
 
 
+def test_analyze_overflowing_past_c_exits_5(tmp_path, capsys):
+    # at A entries of 1e100 C's table holds, but the orders and the threshold
+    # factor overflow; their overflowed values gave oracle order 1 and exit 0
+    A = np.where(np.tri(3, k=-1) > 0, 1e100, 0.0)
+    path = tmp_path / "large.msrk"
+    write_method(dataclasses.replace(ssprk33(), A=A), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["analyze", str(path)])
+    assert code == EXIT_NUMERICAL
+    assert not caught
+    out, err = capsys.readouterr()
+    assert "oracle_order" not in out
+    assert err.startswith("numerical failure: overflow encountered in ")
+
+
 def test_non_finite_start_up_exits_5(tmp_path, so2_file, capsys, monkeypatch):
     problem = pdelab.buckley_leverett()
     monkeypatch.setitem(cli._PROBLEMS, "buckley", lambda: dataclasses.replace(

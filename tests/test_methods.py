@@ -16,6 +16,7 @@ from sspmsrk.methods import (
     MSRKMethod,
     _bisect,
     _canonical_table,
+    _horner,
     _largest_nonnegative,
     canonical,
     forward_euler,
@@ -103,6 +104,24 @@ class TestSpijker:
             to_spijker(m)
 
 
+def _canonical_by_lu(sp, r):
+    """[R | P] by np.linalg.solve on I + rT, a pivoted LU, for a form or a stack."""
+    n, k = sp.S.shape[-2:]
+    X = np.linalg.solve(np.eye(n) + r * sp.T, sp.ST)
+    return np.concatenate([X[..., :k], r * X[..., k:]], axis=-1)
+
+
+@st.composite
+def _forms(draw):
+    """(sp, C): the Spijker form of a random valid method, or a stack of 2-4 forms
+    of one shape, and the largest C of its members."""
+    s, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = [random_valid_method(rng, s, k) for _ in range(draw(st.integers(1, 4)))]
+    C = max(ssp_coefficient(to_spijker(m)) for m in members)
+    return (to_spijker(members[0]) if len(members) == 1 else stack_forms(members)), C
+
+
 class TestCanonical:
     def test_r_zero_is_identity_case(self, rng):
         sp = to_spijker(random_valid_method(rng, 3, 2))
@@ -140,6 +159,27 @@ class TestCanonical:
         M = np.eye(sp.T.shape[0]) + r * sp.T
         np.testing.assert_allclose(M @ cf.R, sp.S, atol=1e-12)
         np.testing.assert_allclose(M @ cf.P, r * sp.T, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_forms(), st.floats(0.0, 2.0))
+    def test_forward_substitution_matches_the_lu_solve_and_the_table(self, forms, frac):
+        sp, C = forms
+        r = frac * C
+        cf = canonical(sp, r)
+        got = np.concatenate([cf.R, cf.P], axis=-1)
+        for want in (_canonical_by_lu(sp, r), _horner(_canonical_table(sp), r)):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    def test_overflow_raises_without_a_warning(self):
+        # at lower A entries of 1e200, r T[i, :i] X[:i] overflows; the pivoted LU
+        # called I + rT singular there
+        A = np.where(np.tri(3, k=-1) > 0, 1e200, 0.0)
+        sp = to_spijker(dataclasses.replace(ssprk33(), A=A))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow encountered in matmul"):
+                canonical(sp, 1.0)
 
 
 class TestSSPCoefficient:
@@ -241,8 +281,7 @@ def _doubled_and_bisected(passes, hi):
 def _ssp_coefficient_by_lu(sp):
     """C on the margin of the LU solve."""
     def passes(r):
-        cf = canonical(sp, r)
-        return min(cf.P.min(), cf.R.min()) >= -ENTRY_TOL
+        return _canonical_by_lu(sp, r).min() >= -ENTRY_TOL
 
     return 0.0 if sp.S.min() < -ENTRY_TOL else _doubled_and_bisected(passes, float(sp.s + 1))
 
@@ -264,8 +303,7 @@ class TestLargestNonnegative:
         sp = to_spijker(random_valid_method(np.random.default_rng(seed), s, k))
         C = ssp_coefficient(sp)
         r = frac * C
-        cf = canonical(sp, r)
-        want = np.hstack([cf.R, cf.P])
+        want = _canonical_by_lu(sp, r)
         got = polyval(r, _canonical_table(sp))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
         assert C == pytest.approx(_ssp_coefficient_by_lu(sp), rel=0, abs=BISECT_TOL)

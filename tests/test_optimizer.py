@@ -183,6 +183,26 @@ class TestStackedMerit:
         J = _merit_jacobian(x, s, k, 0.4, p)
         assert np.abs(J - expected).max() <= 1e-6 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("s, k", [(2, 2), (3, 2)])
+    def test_jacobian_takes_each_hinge_on_the_side_of_x(self, s, k):
+        # a packed SO2 method at r = C: its zero coefficients, and the P entries
+        # that vanish at C, sit exactly on their hinges' kinks
+        method = gen_second_order(s, k)
+        x, r = pack(method), ssp_coefficient(to_spijker(method))
+        h = np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+        X = np.vstack([x, x + np.diag(h)])
+        eq, ineq = constraint_residuals(_scatter(X, s, k), r, 2)
+        F = np.concatenate([eq, ineq], axis=-1)
+        raw = (F[1:] - F[0]).T / ((x + h) - x)
+        inactive = np.concatenate([np.zeros(eq.shape[-1], dtype=bool), ineq[0] <= 0.0])
+        J = _merit_jacobian(x, s, k, r, 2)
+        assert (J[inactive] == 0.0).all()
+        assert same_bits(J[~inactive], raw[~inactive])
+        # differences of the hinged rows straddle some of those kinks
+        assert (ineq[0] == 0.0).any()
+        hinged = _merit_residuals(X, s, k, r, 2)
+        assert ((hinged[1:] - hinged[0]).T[inactive] != 0.0).any()
+
     def test_at_least_as_many_residuals_as_free_coordinates(self, rng):
         # Levenberg-Marquardt needs m >= n (the solve's pad adds one to each);
         # the coefficient-bound rows alone cover every free coordinate, so
@@ -494,19 +514,28 @@ class TestMaximizeSSP:
         assert len(lines) == len(res.history) + 1
 
 
-def _acceptance_spec(s, k, p, found):
-    """A search of the acceptance suite, warm-started from the methods it found."""
-    return SearchSpec(s=s, k=k, p=p, starts=20, seed=123, r_tol=1e-4,
-                      warm_starts=warm_start_ladder(s, k, p, found))
-
-
 def _acceptance_search_223():
-    return _acceptance_spec(2, 2, 3, {})
+    """The acceptance suite's (2,2,3) search."""
+    return SearchSpec(s=2, k=2, p=3, starts=20, seed=123, r_tol=1e-4,
+                      warm_starts=warm_start_ladder(2, 2, 3))
 
 
-def _acceptance_search_323():
-    """The acceptance suite's (3,2,3) search, warm-started from its (2,2,3) result."""
-    return _acceptance_spec(3, 2, 3, {(2, 2, 3): maximize_ssp(_acceptance_search_223()).method})
+def _paper_search(s, k, p):
+    """A search at the settings of the paper-scale table: 10 starts, seed 123,
+    r_tol 1e-3 and the warm-start ladder."""
+    return SearchSpec(s=s, k=k, p=p, starts=10, seed=123, r_tol=1e-3,
+                      warm_starts=warm_start_ladder(s, k, p))
+
+
+def _paper_search_335():
+    return _paper_search(3, 3, 5)
+
+
+def test_paper_scale_535_search_is_certified_near_its_linear_bound():
+    # forward differences across the hinges' kinks stopped this search at C_eff 0.21763
+    res = maximize_ssp(_paper_search(5, 3, 5))
+    assert res.certified and res.Ceff >= 0.38
+    assert oracle_order(res.method, pmax=6) >= 5
 
 
 def _stall_at(merits, window, floor):
@@ -551,7 +580,7 @@ class TestStallRule:
         assert len(solves) == len(res.history)
         return res, solves
 
-    @pytest.mark.parametrize("make_spec", [_benchmark_search_234, _acceptance_search_323])
+    @pytest.mark.parametrize("make_spec", [_benchmark_search_234, _paper_search_335])
     def test_rule_off_gives_the_same_results(self, monkeypatch, make_spec):
         spec = make_spec()
         on = maximize_ssp(spec)
@@ -604,14 +633,62 @@ class TestStallRule:
         assert starting[0][3] > optimizer.STALL_WINDOW + 1
         assert same_bits(stalling[0][2], starting[0][2])
 
-    def test_the_solve_that_crept_over_the_budget_stops_on_its_plateau(self, search_234):
-        # from the last feasible point its merit reaches 4.1e-20 at evaluation 11
-        # and then creeps: at the budget it was still 1.158e-20 > feas_tol**2
-        res, _ = search_234
-        rows = [row for row in res.history if abs(row[0] - 0.4950117295) < 1e-9]
-        assert rows[0][1] == 0 and SearchSpec.feas_tol**2 < rows[0][2] < 1.4e-20
-        assert rows[0][3] <= 11 + max(optimizer.STALL_WINDOW, 5 * free_parameter_count(2, 3))
-        assert rows[1][2] <= SearchSpec.feas_tol**2
+    def test_a_solve_creeping_down_to_its_plateau_stops_a_window_after_reaching_it(
+            self, monkeypatch):
+        # Dennis and Schnabel's residuals (z + 1, lam z^2 + z - 1), scaled so that their
+        # least merit, at z = 0, is 2e-20 > feas_tol**2: from z = 100 Gauss-Newton comes
+        # within tenfold of it in a few steps and then creeps to it at rate lam = 0.99
+        # (Numerical Methods for Unconstrained Optimization, 1983, ch. 10).  The other
+        # coordinates are linear.  The second start is SO2(2,3), which reaches r, and
+        # the stubbed merit is 0 there.
+        s, k, p, lam, scale = 2, 3, 2, 0.99, 1e-10
+        n = free_parameter_count(s, k)
+        feasible = pack(gen_second_order(s, k))
+        far = feasible + 0.3
+        far[0] = feasible[0] + 100.0
+        merits = []
+
+        def plateau(x, *args):
+            z = x[0] - feasible[0]
+            F = scale * np.concatenate([[z + 1.0, lam * z * z + z - 1.0], x[1:] - feasible[1:]])
+            if np.array_equal(x, feasible):
+                F[:] = 0.0
+            merits.append(float(F @ F))
+            return F
+
+        def plateau_jacobian(x, *args):
+            J = np.zeros((n + 1, n))
+            J[:2, 0] = 1.0, 2.0 * lam * (x[0] - feasible[0]) + 1.0
+            J[2:, 1:] = np.eye(n - 1)
+            return scale * J
+
+        monkeypatch.setattr(optimizer, "_merit_residuals", plateau)
+        monkeypatch.setattr(optimizer, "_merit_jacobian", plateau_jacobian)
+        spec, floor = SearchSpec(s=s, k=k, p=p), SearchSpec.feas_tol**2
+        window = max(optimizer.STALL_WINDOW, 5 * n)
+        runs = {}
+        for r in (0.0, 0.4):  # the rule is off at r = 0
+            merits.clear()
+            history = []
+            x, _ = optimizer._solve_feasibility(spec, r, p, [far, feasible], history)
+            # the next start is accepted at its first evaluation
+            assert same_bits(x, feasible) and history[1][2:4] == (0.0, 1)
+            nfev = history[0][3]
+            assert merits[nfev:] == [0.0]
+            runs[r] = history[0], merits[:nfev]
+        (_, _, merit, nfev, _), unruled = runs[0.0]
+        # without the rule the solve creeps over the whole budget, still above feas_tol**2
+        assert nfev == len(unruled) == MAX_INNER_ITERS
+        assert floor < merit < 2.000001e-20 and same_bits(merit, min(unruled))
+        # with it, the solve makes the same evaluations and stops one window after the
+        # least merit came within tenfold of its plateau, at evaluation 7
+        (_, _, merit, nfev, _), ruled = runs[0.4]
+        reached = next(e for e, m in enumerate(np.minimum.accumulate(unruled), 1)
+                       if m <= 10.0 * min(unruled))
+        assert reached == 7
+        assert same_bits(ruled, unruled[:nfev])
+        assert nfev == _stall_at(unruled, window, floor) == reached + window
+        assert floor < merit < 2.00001e-20 and same_bits(merit, min(ruled))
 
 
 class TestJacobianMemo:
