@@ -205,18 +205,16 @@ def to_spijker(method: MSRKMethod) -> SpijkerForm:
     return sp
 
 
-def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h):
-    """One step as the forward substitution w_i = sum_j S_ij x_j + h(sum_{j<i} T_ij f(w_j)).
+def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h: float):
+    """One step as the forward substitution w_i = sum_j S_ij x_j + h sum_{j<i} T_ij f(w_j).
 
     ``x`` and ``fx`` stack the k inputs and their f values along axis 0.
     Rows 0..k-1 of w are the inputs themselves; rows k..n-1 are computed,
-    each on inputs flattened to one row.  ``h`` maps a flattened row to
-    its product with the step: dt times it for states, the shift by one
-    degree for polynomial tables, the identity for elementary weights.
+    each on inputs flattened to one row, with step size ``h``.
     Returns the last row, shaped like one input, and the f values of the
     s stages as rows.
-    A stack of forms steps every member from the same inputs; ``f``, ``h``
-    and the results then carry the stack's leading axes.
+    A stack of forms steps every member from the same inputs; ``f`` and
+    the results then carry the stack's leading axes.
     """
     k, n = sp.k, sp.k + sp.s
     lead = sp.S.shape[:-2]
@@ -225,7 +223,7 @@ def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h):
     F = np.empty(lead + (n - 1, X.shape[1]))
     F[..., :k, :] = fx.reshape(k, -1)
     for i in range(k, n):
-        w = sp.S[..., i, :] @ X + h((sp.T[..., i, None, :i] @ F[..., :i, :])[..., 0, :])
+        w = sp.S[..., i, :] @ X + h * (sp.T[..., i, None, :i] @ F[..., :i, :])[..., 0, :]
         if i < n - 1:
             F[..., i, :] = f(w.reshape(shape)).reshape(lead + (-1,))
     return w.reshape(shape), F[..., k - 1 :, :]

@@ -163,7 +163,7 @@ def msrk_step(
     if len(history) != k or len(history_rhs) != k:
         raise ValueError(f"history must hold exactly k={k} states with rhs values")
     return _spijker_step(to_spijker(method), np.asarray(history), np.asarray(history_rhs),
-                         rhs, lambda v: dt * v)
+                         rhs, dt)
 
 
 def startup(

@@ -124,4 +124,4 @@ def elementary_weights(sp: SpijkerForm, trees: RootedTrees) -> tuple[NDArray, ND
     stack's leading axes.
     """
     back, fback = _exact_back_values(sp.k, trees)
-    return _spijker_step(sp, back, fback, partial(_tree_system, trees), lambda v: v)
+    return _spijker_step(sp, back, fback, partial(_tree_system, trees), 1.0)

@@ -17,12 +17,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .methods import (
-    ENTRY_TOL, MSRKMethod, SpijkerForm, _bisect, _horner, _largest_nonnegative, _spijker_step,
+    ENTRY_TOL, MSRKMethod, SpijkerForm, _bisect, _canonical_table, _largest_nonnegative,
 )
 
 __all__ = [
     "stability_polynomials",
-    "shifted_basis",
     "radius_abs_monotonicity",
     "threshold_factor",
     "linear_order",
@@ -46,21 +45,13 @@ def stability_polynomials(sp: SpijkerForm) -> NDArray:
     (k, s+1) array whose row i-1 holds the monomial coefficients of
     psi_i, the multiplier of u^{n+1-i}.
 
-    Forward substitution through w = S x + z T w on tables of degree
-    by input step, where input x_j is the constant 1 at column j.  The
-    last row of w is u^{n+1}; its dependence on x_{k+1-i} is psi_i.
+    One step solves w = S x + z T w, so w = (I - zT)^{-1} S x: the R of
+    the canonical form at r = -z.  The z^j coefficient of psi_i is thus
+    (-1)^j times entry (n-1, k-i) of the r^j row of ``_canonical_table``.
+    Raises FloatingPointError when that table overflows.
     """
-    k, s = sp.k, sp.s
-    x = np.zeros((k, s + 1, k))
-    x[:, 0, :] = np.eye(k)
-
-    def times_z(v: NDArray) -> NDArray:  # a flattened row holds k columns per degree
-        out = np.zeros_like(v)
-        out[..., k:] = v[..., :-k]  # the top degree, past s, is dropped
-        return out
-
-    last, _ = _spijker_step(sp, x, x, lambda w: w, times_z)
-    return last[:, ::-1].T.copy()
+    R = _canonical_table(sp)[:-1, -1, : sp.k]  # r^0..r^s rows of R's last row
+    return (R * (-1.0) ** np.arange(sp.s + 1)[:, None])[:, ::-1].T.copy()
 
 
 def _shifted_table(psi: NDArray) -> NDArray:
@@ -73,17 +64,6 @@ def _shifted_table(psi: NDArray) -> NDArray:
     signed = np.array([[math.comb(m, j) * (-1) ** (m - j) for j in range(n)] for m in range(n)],
                       dtype=float)
     return np.einsum("...m,mj->m...j", psi, signed)
-
-
-def shifted_basis(psi: NDArray, r: float) -> NDArray:
-    """Exact change of basis from monomials in z to powers of (1 + z/r).
-
-    Writing t = 1 + z/r, the result is the coefficient table of
-    psi(r*(t-1)) in t along the last axis; same shape as the input.
-    """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return _horner(_shifted_table(np.asarray(psi, dtype=float)), r)
 
 
 def radius_abs_monotonicity(psi: NDArray) -> float:

@@ -1,7 +1,7 @@
 """No module of the package or of its tests imports a name that it never uses,
-every name a package module exports is bound in it, every private name a
-package module defines is read in the package, and scipy's solvers load only
-when a function needs them."""
+every name a package module exports is bound in it and is read in the package
+or exported by it, every private name a package module defines is read in the
+package, and scipy's solvers load only when a function needs them."""
 
 import ast
 import json
@@ -119,6 +119,43 @@ def test_checker_flags_only_unread_private_names():
 def test_every_private_name_is_read():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def orphan_exports(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of every name in a module's ``__all__`` that no module of
+    ``sources`` reads, as a name or an attribute, and that the package module
+    ``__init__`` does not export; a def and an ``__all__`` entry are no reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    package = set(_exported(trees["__init__"])) if "__init__" in trees else set()
+    return [(module, name) for module, tree in trees.items() if module != "__init__"
+            for name in _exported(tree) if name not in read | package]
+
+
+def test_checker_flags_only_orphan_exports():
+    sources = {"__init__": ("from .a import f\n"
+                            "__all__ = ['f']\n"),
+               "a": ("__all__ = ['f', 'g', 'h', 'K', 'X']\n"
+                     "X = 1\n"
+                     "def f(): pass\n"
+                     "def g(): return h()\n"
+                     "def h(): pass\n"
+                     "class K: pass\n"),
+               "b": ("from . import a\n"
+                     "from .a import X\n"
+                     "a.K = None\n")}
+    assert orphan_exports(sources) == [("a", "g"), ("a", "K"), ("a", "X")]
+
+
+def test_every_export_is_read_or_reexported():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert orphan_exports(sources) == []
 
 
 def test_checker_flags_only_unbound_exports():

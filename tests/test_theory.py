@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from numpy.polynomial import polynomial as npoly
 
 from sspmsrk import methods, msrkio, theory
 from sspmsrk.methods import (
-    BISECT_TOL, ENTRY_TOL, _bisect, forward_euler, ssp_coefficient, ssprk33, to_spijker,
+    BISECT_TOL, ENTRY_TOL, _bisect, _horner, forward_euler, ssp_coefficient, ssprk33, to_spijker,
 )
 from sspmsrk.orderlab import oracle_order
 from sspmsrk.pdelab import msrk_step
@@ -23,7 +25,6 @@ from sspmsrk.theory import (
     linear_order,
     r_sk2,
     radius_abs_monotonicity,
-    shifted_basis,
     stability_polynomials,
     threshold_factor,
 )
@@ -31,6 +32,14 @@ from sspmsrk.theory import (
 from conftest import random_valid_method
 
 BENCH_METHODS = Path(__file__).resolve().parents[1] / "perfbench" / "methods"
+
+
+def _library():
+    """SSPRK(3,3), the 28 SO2(s,k) and the benchmark's optimized methods."""
+    library = [ssprk33()] + [gen_second_order(s, k) for s in range(2, 9) for k in range(2, 6)]
+    library += [msrkio.read_method(path) for path in sorted(BENCH_METHODS.glob("*.msrk"))]
+    assert len(library) == 32
+    return library
 
 
 class TestStabilityPolynomials:
@@ -54,10 +63,20 @@ class TestStabilityPolynomials:
         # psi_1 + psi_2 evaluated at z = 0 must be 1 (consistency)
         assert psi[0][0] + psi[1][0] == pytest.approx(1.0)
 
+    def test_overflowing_table_is_a_floating_point_error(self):
+        # at A entries of 1e200 the table of (I + rT)^{-1} S overflows; read
+        # from it, psi would end in inf and give a threshold factor of 0.0
+        A = np.where(np.tri(3, k=-1) > 0, 1e200, 0.0)
+        sp = to_spijker(dataclasses.replace(ssprk33(), A=A))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow encountered in matmul"):
+                stability_polynomials(sp)
+
 
 @pytest.mark.parametrize("method", [gen_second_order(3, 2), ssprk33()], ids=lambda m: m.name)
 def test_msrk_step_on_linear_problem_matches_stability_polynomials(method):
-    # the ndarray and the polynomial-table uses of the step kernel agree
+    # the step kernel on states and the canonical table at r = -z agree
     lam, dt = -1.3, 0.4
     history = [np.array([1.0 + 0.5 * j]) for j in range(method.k)]
     u_next, _ = msrk_step(method, history, [lam * u for u in history], lambda u: lam * u, dt)
@@ -68,27 +87,28 @@ def test_msrk_step_on_linear_problem_matches_stability_polynomials(method):
 
 
 class TestShiftedBasis:
+    """``_shifted_table`` at r is the exact change of basis from monomials in z
+    to powers of t = 1 + z/r."""
+
     def test_identity_polynomial(self):
         # z = r*(t - 1) so the expansion of z in t is (-r, r)
-        np.testing.assert_allclose(shifted_basis(np.array([0.0, 1.0]), 2.0), [-2.0, 2.0])
+        np.testing.assert_allclose(_horner(theory._shifted_table(np.array([0.0, 1.0])), 2.0),
+                                   [-2.0, 2.0])
 
     def test_binomial(self):
         # (1 + z)^2 at r = 1 is exactly t^2
-        np.testing.assert_allclose(shifted_basis(np.array([1.0, 2.0, 1.0]), 1.0), [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(_horner(theory._shifted_table(np.array([1.0, 2.0, 1.0])), 1.0),
+                                   [0.0, 0.0, 1.0])
 
     def test_round_trip_evaluation(self, rng):
         psi = rng.standard_normal(5)
         r = 1.7
-        gamma = shifted_basis(psi, r)
+        gamma = _horner(theory._shifted_table(psi), r)
         for z in [-1.3, 0.0, 0.4]:
             t = 1.0 + z / r
             direct = np.polyval(psi[::-1], z)
             shifted = np.polyval(gamma[::-1], t)
             assert shifted == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
-    def test_nonpositive_r_rejected(self):
-        with pytest.raises(ValueError):
-            shifted_basis(np.array([1.0, 1.0]), 0.0)
 
 
 class TestRadiusAbsMonotonicity:
@@ -139,10 +159,8 @@ class TestThresholdFactor:
 
 
 def test_radii_bisect_tables_not_solves(monkeypatch):
-    # both radii evaluate a polynomial table in r; C's boundary guard is one LU solve
-    library = [ssprk33()] + [gen_second_order(s, k) for s in range(2, 9) for k in range(2, 6)]
-    library += [msrkio.read_method(path) for path in sorted(BENCH_METHODS.glob("*.msrk"))]
-    assert len(library) == 32
+    # both radii evaluate a polynomial table in r; C's boundary guard is one
+    # forward substitution, and the threshold factor needs none
     calls = Counter()
 
     def counted(module, name):
@@ -154,14 +172,14 @@ def test_radii_bisect_tables_not_solves(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(methods, "canonical")
-    counted(theory, "shifted_basis")
-    for method in library:
+    for method in _library():
         calls.clear()
         sp = to_spijker(method)
         ssp_coefficient(sp)
-        assert calls["canonical"] <= 1, (method.name, calls)
+        guard = calls["canonical"]
+        assert guard <= 1, (method.name, calls)
         threshold_factor(stability_polynomials(sp))
-        assert calls["shifted_basis"] == 0, (method.name, calls)
+        assert calls["canonical"] == guard, (method.name, calls)
 
 
 class TestLinearOrder:
@@ -182,6 +200,21 @@ _methods = st.one_of(
     st.sampled_from([(s, k) for s in range(2, 9) for k in range(2, 6)]).map(
         lambda sk: gen_second_order(*sk)),
 )
+
+
+def _psi_as_first_written(sp):
+    """psi by forward substitution through w = S x + z T w on tables of degree
+    by input step, where input x_j is the constant 1 at column j: a flattened
+    row holds k columns per degree, and z shifts it by one degree, dropping the
+    top degree past s.  The last row of w depends on x_{k+1-i} through psi_i."""
+    k, s, n = sp.k, sp.s, sp.k + sp.s
+    w = np.zeros((n, (s + 1) * k))
+    w[:k, :k] = np.eye(k)
+    for i in range(k, n):
+        Tw = sp.T[i, :i] @ w[:i]
+        w[i] = sp.S[i] @ w[:k]
+        w[i, k:] += Tw[:-k]
+    return w[-1].reshape(s + 1, k)[:, ::-1].T
 
 
 def _row_radius_as_first_written(psi):
@@ -228,9 +261,27 @@ def test_threshold_factor_is_the_least_row_radius(method):
     factor = threshold_factor(psis)
     assert type(factor) is float
     assert factor == pytest.approx(min(radii), rel=0, abs=1e-9)
-    # the change of basis of all rows at once is the one of each row
-    r = 0.5 + factor if math.isfinite(factor) else 1.5
-    assert np.array_equal(shifted_basis(psis, r), [shifted_basis(psi, r) for psi in psis])
+    # the shifted table of all rows at once is the one of each row
+    table = theory._shifted_table(psis)
+    assert np.array_equal(table, np.stack([theory._shifted_table(psi) for psi in psis], axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_methods)
+def test_psi_from_the_table_matches_the_forward_substitution(method):
+    sp = to_spijker(method)
+    psis, reference = stability_polynomials(sp), _psi_as_first_written(sp)
+    assert psis.shape == reference.shape == (method.k, method.s + 1)
+    assert np.abs(psis - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+def test_radii_and_orders_agree_on_both_psi():
+    # psi from the table moves in its last bits; what is read from it does not
+    for method in _library():
+        sp = to_spijker(method)
+        psis, reference = stability_polynomials(sp), _psi_as_first_written(sp)
+        assert threshold_factor(psis) == threshold_factor(reference), method.name
+        assert linear_order(psis) == linear_order(reference), method.name
 
 
 @settings(max_examples=60, deadline=None)
