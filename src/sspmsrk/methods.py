@@ -95,8 +95,9 @@ class SpijkerForm:
     s: int
     S: NDArray = field(init=False, repr=False, compare=False)
     T: NDArray = field(init=False, repr=False, compare=False)
-    # memo of ssp_coefficient: ST is read-only
+    # memos of ssp_coefficient and _canonical_table: ST is read-only
     _C: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    _table: Optional[NDArray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ST.setflags(write=False)
@@ -208,25 +209,21 @@ def to_spijker(method: MSRKMethod) -> SpijkerForm:
 def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h: float):
     """One step as the forward substitution w_i = sum_j S_ij x_j + h sum_{j<i} T_ij f(w_j).
 
-    ``x`` and ``fx`` stack the k inputs and their f values along axis 0.
-    Rows 0..k-1 of w are the inputs themselves; rows k..n-1 are computed,
-    each on inputs flattened to one row, with step size ``h``.
-    Returns the last row, shaped like one input, and the f values of the
-    s stages as rows.
+    ``x`` and ``fx`` are (k, M) arrays: the k inputs and their f values as
+    rows.  Rows 0..k-1 of w are the inputs themselves; rows k..n-1 are
+    computed, with step size ``h``.  Returns the last row and the f values
+    of the s stages as rows.
     A stack of forms steps every member from the same inputs; ``f`` and
     the results then carry the stack's leading axes.
     """
     k, n = sp.k, sp.k + sp.s
-    lead = sp.S.shape[:-2]
-    shape = lead + x.shape[1:]
-    X = x.reshape(k, -1)
-    F = np.empty(lead + (n - 1, X.shape[1]))
-    F[..., :k, :] = fx.reshape(k, -1)
+    F = np.empty(sp.S.shape[:-2] + (n - 1, x.shape[1]))
+    F[..., :k, :] = fx
     for i in range(k, n):
-        w = sp.S[..., i, :] @ X + h * (sp.T[..., i, None, :i] @ F[..., :i, :])[..., 0, :]
+        w = sp.S[..., i, :] @ x + h * (sp.T[..., i, None, :i] @ F[..., :i, :])[..., 0, :]
         if i < n - 1:
-            F[..., i, :] = f(w.reshape(shape)).reshape(lead + (-1,))
-    return w.reshape(shape), F[..., k - 1 :, :]
+            F[..., i, :] = f(w)
+    return w, F[..., k - 1 :, :]
 
 
 def canonical(sp: SpijkerForm, r: float) -> CanonicalForm:
@@ -261,8 +258,10 @@ def _canonical_table(sp: SpijkerForm) -> NDArray:
     = sum_{j<=s} (-rT)^j and X = (I + rT)^{-1} [S | T] = sum_j r^j M_j,
     with M_0 = [S | T] and M_{j+1} = -T M_j.  R = X_S takes rows 0..s
     and P = r X_T rows 1..s+1, for a form or a stack.  Raises
-    FloatingPointError when an M_j overflows.
+    FloatingPointError when an M_j overflows.  The form keeps the table.
     """
+    if sp._table is not None:
+        return sp._table
     k, s = sp.k, sp.s
     M = [sp.ST]
     with np.errstate(over="raise", invalid="raise"):
@@ -272,6 +271,8 @@ def _canonical_table(sp: SpijkerForm) -> NDArray:
     table = np.zeros((s + 2,) + sp.ST.shape)
     table[:-1, ..., :k] = M[..., :k]
     table[1:, ..., k:] = M[..., k:]
+    table.setflags(write=False)
+    object.__setattr__(sp, "_table", table)
     return table
 
 

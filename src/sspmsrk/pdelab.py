@@ -55,21 +55,15 @@ MAX_STEPS = 10**7
 _SSPRK33 = ssprk33()
 
 
-def _differences(u: NDArray) -> NDArray:
-    """u_j - u_{j-1} on a periodic grid of N cells, as an (N+1)-array d whose
-    d[:-1] holds the backward differences and d[1:] the forward ones."""
-    d = np.empty(len(u) + 1, dtype=u.dtype)
-    np.subtract(u[1:], u[:-1], out=d[1:-1])
-    d[0] = d[-1] = u[0] - u[-1]
-    return d
-
-
 def tv_seminorm(u: NDArray) -> float:
     """Periodic total variation: sum of |u_{j+1} - u_j| with wraparound."""
     u = np.asarray(u, dtype=float)
     if u.size == 0:
         raise ValueError("u must be nonempty")
-    return float(np.abs(_differences(u)[1:]).sum())
+    d = np.empty_like(u)  # u_{j+1} - u_j
+    np.subtract(u[1:], u[:-1], out=d[:-1])
+    d[-1] = u[0] - u[-1]
+    return float(np.abs(d).sum())
 
 
 def positivity_min(u: NDArray) -> float:
@@ -155,15 +149,15 @@ def msrk_step(
     """One step of the method: stages y_2..y_s, then the new step value.
 
     ``history`` holds u^{n-k+1}..u^n in order with matching rhs values
-    (sequences or (k, dim) arrays).  Returns (u_next, stage_rhs_values);
-    together with the subsequent evaluation at u_next this costs exactly
-    s evaluations per step.
+    (sequences or (k, dim) arrays).  A state is a 1-D array of dim
+    entries; a scalar or multi-axis state raises ValueError.  Returns
+    (u_next, stage_rhs_values); together with the subsequent evaluation
+    at u_next this costs exactly s evaluations per step.
     """
-    k = method.k
-    if len(history) != k or len(history_rhs) != k:
-        raise ValueError(f"history must hold exactly k={k} states with rhs values")
-    return _spijker_step(to_spijker(method), np.asarray(history), np.asarray(history_rhs),
-                         rhs, dt)
+    x, fx = np.asarray(history), np.asarray(history_rhs)
+    if x.ndim != 2 or len(x) != method.k or fx.shape != x.shape:
+        raise ValueError(f"history must hold k={method.k} 1-D states of one length, and their rhs")
+    return _spijker_step(to_spijker(method), x, fx, rhs, dt)
 
 
 def startup(
@@ -266,8 +260,10 @@ def advection_upwind(N: int = 101) -> SemiDiscretization:
         y = np.mod(y, 1.0)
         return np.where((y >= 0.0) & (y <= 0.5), 1.0, 0.0)
 
+    left = np.roll(np.arange(N), 1)  # j - 1 on the periodic grid
+
     def rhs(u):
-        return _differences(u)[:-1] / -dx  # -(u_j - u_{j-1})/dx
+        return (u - u[left]) / -dx  # -(u_j - u_{j-1})/dx
 
     def exact(t):
         return ic(x - t)
@@ -279,11 +275,12 @@ def advection_upwind(N: int = 101) -> SemiDiscretization:
     )
 
 
-def _koren_phi(theta: NDArray) -> NDArray:
-    """max(0, min(2 theta, (1 + 2 theta)/3, 2)); the operand order fixes the sign of a zero."""
-    twice = 2.0 * theta
-    phi = np.minimum(twice, (1.0 + twice) / 3.0)
-    np.minimum(phi, 2.0, out=phi)
+def _koren_half_phi(theta: NDArray) -> NDArray:
+    """max(0, min(theta, (0.5 + theta)/3, 1)): as halving is exact, the bits of half the
+    Koren limiter max(0, min(2 theta, (1 + 2 theta)/3, 2)).  The operand order fixes the
+    sign of a zero."""
+    phi = np.minimum(theta, (0.5 + theta) / 3.0)
+    np.minimum(phi, 1.0, out=phi)
     return np.maximum(0.0, phi, out=phi)
 
 
@@ -299,22 +296,18 @@ def buckley_leverett(N: int = 100) -> SemiDiscretization:
         raise ValueError("N must be at least 3")
     a = 1.0 / 3.0
     dx = 1.0 / N
-    x = dx * np.arange(N)
-    u0 = np.where(x >= 0.5, 0.5, 0.0)
-
-    def flux(u):
-        square = u**2
-        return square / (square + a * (1.0 - u) ** 2)
-
-    eps_den = 1e-14
+    u0 = np.where(dx * np.arange(N) >= 0.5, 0.5, 0.0)
+    left, right = np.roll(np.arange(N), 1), np.roll(np.arange(N), -1)  # j - 1 and j + 1
 
     def rhs(u):
-        d = _differences(u)
-        du = d[1:]  # u_{j+1} - u_j
-        # smoothness ratio, 0 where |du| is tiny; _koren_phi(0) = 0 limits those faces
-        theta = np.divide(d[:-1], du, out=np.zeros(du.shape), where=np.abs(du) > eps_den)
-        u_face = u + 0.5 * _koren_phi(theta) * du  # left value at interface j+1/2
-        return _differences(flux(u_face))[:-1] / -dx  # -(F_{j+1/2} - F_{j-1/2})/dx
+        back = u - u[left]  # u_j - u_{j-1}
+        du = back[right]  # u_{j+1} - u_j
+        # smoothness ratio, 0 where |du| <= 1e-14; the limiter of 0 is 0 on those faces
+        theta = np.divide(back, du, out=np.zeros(N), where=np.abs(du) > 1e-14)
+        u_face = u + _koren_half_phi(theta) * du  # left value at interface j+1/2
+        square = u_face**2
+        F = square / (square + a * (1.0 - u_face) ** 2)  # f(u_face)
+        return (F - F[left]) / -dx  # -(F_{j+1/2} - F_{j-1/2})/dx
 
     return SemiDiscretization(
         name="buckley", dim=N, rhs=rhs, dt_fe=dx / 4.0, u0=u0,
@@ -374,9 +367,9 @@ def _steps(problem, method, start, dt, n):
             raise RunAbortedError(f"non-finite state at step {step_index}")
         states[:-1] = states[1:]
         states[-1] = u_next
+        yield u_next  # a probe that stops here never pays for the rhs at u_next
         rhs_vals[:-1] = rhs_vals[1:]
         rhs_vals[-1] = problem.rhs(u_next)
-        yield u_next
 
 
 #: the monitor each property of ``max_stable_step`` reads

@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sspmsrk.methods import MSRKMethod, SpijkerForm, to_spijker
+from sspmsrk.methods import MSRKMethod, SpijkerForm, ssprk33, to_spijker
+from sspmsrk.msrkio import read_method
 from sspmsrk.optimizer import SearchSpec, warm_start_ladder
+from sspmsrk.theory import gen_second_order
+
+BENCH_METHODS = Path(__file__).resolve().parents[1] / "perfbench" / "methods"
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +48,14 @@ def random_valid_method(rng, s, k):
     bhat = rng.uniform(0.0, 0.5, size=k - 1)
     b = rng.uniform(0.0, 0.5, size=s)
     return MSRKMethod(s=s, k=k, D=D, Ahat=Ahat, A=A, theta=theta, bhat=bhat, b=b)
+
+
+def method_library():
+    """SSPRK(3,3), the 28 SO2(s,k) and the benchmark's optimized methods."""
+    library = [ssprk33()] + [gen_second_order(s, k) for s in range(2, 9) for k in range(2, 6)]
+    library += [read_method(path) for path in sorted(BENCH_METHODS.glob("*.msrk"))]
+    assert len(library) == 32
+    return library
 
 
 def stack_forms(methods):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import types
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from conftest import method_library, random_valid_method, stack_forms
 from conftest import same_bits as _same_bits
-from sspmsrk import pdelab
+from sspmsrk import pdelab, series
 from sspmsrk.methods import MSRKMethod, forward_euler, ssp_coefficient, ssprk33, to_spijker
 from sspmsrk.msrkio import read_method
 from sspmsrk.orderlab import convergence_order
@@ -34,6 +36,7 @@ from sspmsrk.pdelab import (
     vdp_convergence_study,
     vdp_problem,
 )
+from sspmsrk.series import elementary_weights, rooted_trees
 from sspmsrk.theory import gen_second_order
 
 BENCH_OPT_234 = Path(__file__).resolve().parents[1] / "perfbench" / "methods" / "opt_2_3_4.msrk"
@@ -56,7 +59,8 @@ def _roll_buckley_rhs(u, dx, a=1.0 / 3.0):
     du = np.roll(u, -1) - u
     du_prev = u - np.roll(u, 1)
     theta = np.where(np.abs(du) > 1e-14, du_prev / np.where(du == 0.0, 1.0, du), 0.0)
-    phi = np.where(np.abs(du) > 1e-14, pdelab._koren_phi(theta), 0.0)
+    koren = np.maximum(0.0, np.minimum(np.minimum(2.0 * theta, (1.0 + 2.0 * theta) / 3.0), 2.0))
+    phi = np.where(np.abs(du) > 1e-14, koren, 0.0)
     u_face = u + 0.5 * phi * du
     F = u_face**2 / (u_face**2 + a * (1.0 - u_face) ** 2)
     return -(F - np.roll(F, 1)) / dx
@@ -140,6 +144,60 @@ class TestMsrkStep:
         u_next, _ = msrk_step(m, hist, [rhs(h) for h in hist], rhs, 0.1)
         expected = m.theta[0] * 1.0 + m.theta[1] * 3.0
         assert u_next[0] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("history, history_rhs", [
+        ([np.zeros((2, 3))], [np.zeros((2, 3))]),
+        ([1.0], [0.0]),
+        ([np.zeros(3)], [np.zeros(4)]),
+    ], ids=["multi-axis-state", "scalar-state", "rhs-of-another-shape"])
+    def test_a_state_is_a_1d_array(self, history, history_rhs):
+        with pytest.raises(ValueError, match="1-D states"):
+            msrk_step(forward_euler(), history, history_rhs, _unreachable, 0.1)
+
+
+def _spijker_step_as_first_written(sp, x, fx, f, h):
+    """The step kernel as first written, on inputs of any shape, each
+    flattened to one row."""
+    k, n = sp.k, sp.k + sp.s
+    lead = sp.S.shape[:-2]
+    shape = lead + x.shape[1:]
+    X = x.reshape(k, -1)
+    F = np.empty(lead + (n - 1, X.shape[1]))
+    F[..., :k, :] = fx.reshape(k, -1)
+    for i in range(k, n):
+        w = sp.S[..., i, :] @ X + h * (sp.T[..., i, None, :i] @ F[..., :i, :])[..., 0, :]
+        if i < n - 1:
+            F[..., i, :] = f(w.reshape(shape)).reshape(lead + (-1,))
+    return w.reshape(shape), F[..., k - 1 :, :]
+
+
+class TestStepKernel:
+    """The kernel on (k, M) rows keeps the bits of the kernel as first written."""
+
+    @pytest.mark.parametrize("make", [advection_upwind, buckley_leverett])
+    def test_msrk_step_keeps_its_bits(self, make):
+        rng = np.random.default_rng(34)
+        problem = make()
+        for method in method_library():
+            history = rng.uniform(0.0, 1.0, size=(method.k, problem.dim))
+            history_rhs = np.array([problem.rhs(u) for u in history])
+            dt = rng.uniform(0.1, 2.0) * problem.dt_fe
+            got = msrk_step(method, list(history), list(history_rhs), problem.rhs, dt)
+            want = _spijker_step_as_first_written(to_spijker(method), history, history_rhs,
+                                                  problem.rhs, dt)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], method.name
+
+    @pytest.mark.parametrize("s, k", [(3, 2), (4, 3)])
+    def test_elementary_weights_of_a_stack_keep_their_bits(self, s, k):
+        rng = np.random.default_rng(35)
+        trees = rooted_trees(6)
+        stack = stack_forms([gen_second_order(s, k)]
+                            + [random_valid_method(rng, s, k) for _ in range(4)])
+        back, fback = series._exact_back_values(k, trees)
+        want = _spijker_step_as_first_written(
+            stack, back, fback, functools.partial(series._tree_system, trees), 1.0)
+        got = elementary_weights(stack, trees)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestStartup:
@@ -349,6 +407,15 @@ def _flat_stretches(rng, count, N=100):
 
 
 class TestProblems:
+    def test_half_limiter_keeps_the_bits_of_half_the_limiter(self):
+        rng = np.random.default_rng(6)
+        special = [0.0, -0.0, 0.25, 1.0, -0.5, np.nextafter(-0.5, 0.0), np.nextafter(-0.5, -1.0),
+                   1e14, -1e14, 5e-324, -5e-324]
+        theta = np.concatenate([special, rng.normal(0.0, 3.0, 10_000),
+                                rng.uniform(-1.0, 1.0, 1_000) * 1e-300])
+        phi = np.maximum(0.0, np.minimum(np.minimum(2.0 * theta, (1.0 + 2.0 * theta) / 3.0), 2.0))
+        assert _same_bits(pdelab._koren_half_phi(theta), 0.5 * phi)
+
     def test_buckley_rhs_keeps_the_bits_of_its_first_expression(self):
         rng = np.random.default_rng(2025)
         problem = buckley_leverett()
@@ -615,18 +682,25 @@ class TestMaxStableStep:
         assert res.theoretical == np.inf
         assert res.dt_max == 20.0 * problem.dt_fe
 
-    def test_failing_probe_stops_at_first_violation(self, monkeypatch):
-        # at 20*dt_fe SSPRK(3,3) breaks TVD and positivity within a few
-        # steps; a full run at that dt takes every step of the horizon
+    @staticmethod
+    def _failing_probe(factor):
+        """SSPRK(3,3) on advection at dt = factor*dt_fe, the states of a full
+        run at dt to tf = 2, and the state ``last`` where the later of TVD and
+        positivity fails, where the joint probe stops."""
         problem, method, tf = advection_upwind(), ssprk33(), 2.0
-        dt = 20.0 * problem.dt_fe
+        dt = factor * problem.dt_fe
         whole = pdelab._whole_steps(dt, tf, method.k)[0]
         states = list(pdelab._trajectory(problem, method, dt, whole, None))
         tv = [tv_seminorm(u) for u in states]
         low = [positivity_min(u) for u in states]
-        # the joint probe runs until both properties have failed
-        first = max(next(n for n in range(len(tv)) if not _two_branch_holds(v[: n + 1], prop, 1))
-                    for v, prop in [(tv, "tvd"), (low, "positivity")])
+        last = max(next(n for n in range(len(tv)) if not _two_branch_holds(v[: n + 1], prop, 1))
+                   for v, prop in [(tv, "tvd"), (low, "positivity")])
+        return problem, method, tf, dt, states, last
+
+    def test_failing_probe_stops_at_first_violation(self, monkeypatch):
+        # at 20*dt_fe both properties break at the first step; a full run
+        # at that dt takes every step of the horizon
+        problem, method, tf, dt, states, first = self._failing_probe(20.0)
         probe_steps = []
 
         def counting(method, history, history_rhs, rhs, h):
@@ -636,7 +710,25 @@ class TestMaxStableStep:
         monkeypatch.setattr(pdelab, "msrk_step", counting)
         max_stable_step(problem, method, "tvd", tf=tf)
         assert probe_steps.count(dt) == first - method.k + 1
-        assert probe_steps.count(dt) < len(tv) - method.k
+        assert probe_steps.count(dt) < len(states) - method.k
+
+    def test_a_stopped_probe_computes_no_rhs_at_its_last_state(self):
+        # at 1.1*dt_fe TVD breaks at step 1 and positivity at step 4
+        problem, method, tf, dt, states, last = self._failing_probe(1.1)
+        assert last == 4
+        seen = []
+
+        def rhs(u):
+            seen.append(u.tobytes())
+            return problem.rhs(u)
+
+        counted = dataclasses.replace(problem, rhs=rhs)
+        assert pdelab._holds(counted, method, ("tvd", "positivity"), dt, tf, None) == (False, False)
+        steps = last - method.k + 1
+        # the start state's rhs, s - 1 = 2 stages per step, and the rhs of
+        # every new state but the last, which no step follows
+        assert len(seen) == 1 + 2 * steps + steps - 1
+        assert states[last].tobytes() not in seen
 
     @pytest.mark.parametrize("make", [advection_upwind, buckley_leverett])
     def test_each_property_as_with_its_monitor_alone(self, make):

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import warnings
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from sspmsrk import methods, msrkio, theory
+from sspmsrk import methods, theory
 from sspmsrk.methods import (
     BISECT_TOL, ENTRY_TOL, _bisect, _horner, forward_euler, ssp_coefficient, ssprk33, to_spijker,
 )
@@ -29,20 +28,29 @@ from sspmsrk.theory import (
     threshold_factor,
 )
 
-from conftest import random_valid_method
-
-BENCH_METHODS = Path(__file__).resolve().parents[1] / "perfbench" / "methods"
-
-
-def _library():
-    """SSPRK(3,3), the 28 SO2(s,k) and the benchmark's optimized methods."""
-    library = [ssprk33()] + [gen_second_order(s, k) for s in range(2, 9) for k in range(2, 6)]
-    library += [msrkio.read_method(path) for path in sorted(BENCH_METHODS.glob("*.msrk"))]
-    assert len(library) == 32
-    return library
+from conftest import method_library, random_valid_method
 
 
 class TestStabilityPolynomials:
+    def test_an_analyze_pass_builds_one_canonical_table(self, monkeypatch):
+        # ssp_coefficient and stability_polynomials read the same table; a
+        # call finds it built when the form already keeps one
+        builds = []
+
+        def counting(sp):
+            builds.append(getattr(sp, "_table", None) is None)
+            return table_of(sp)
+
+        table_of = methods._canonical_table
+        monkeypatch.setattr(methods, "_canonical_table", counting)
+        monkeypatch.setattr(theory, "_canonical_table", counting)
+        sp = to_spijker(gen_second_order(8, 5))
+        ssp_coefficient(sp)
+        pols = stability_polynomials(sp)
+        linear_order(pols)
+        threshold_factor(pols)
+        assert builds == [True, False]
+
     def test_forward_euler(self):
         psi = stability_polynomials(to_spijker(forward_euler()))
         np.testing.assert_allclose(psi, [[1.0, 1.0]])
@@ -172,7 +180,7 @@ def test_radii_bisect_tables_not_solves(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(methods, "canonical")
-    for method in _library():
+    for method in method_library():
         calls.clear()
         sp = to_spijker(method)
         ssp_coefficient(sp)
@@ -277,7 +285,7 @@ def test_psi_from_the_table_matches_the_forward_substitution(method):
 
 def test_radii_and_orders_agree_on_both_psi():
     # psi from the table moves in its last bits; what is read from it does not
-    for method in _library():
+    for method in method_library():
         sp = to_spijker(method)
         psis, reference = stability_polynomials(sp), _psi_as_first_written(sp)
         assert threshold_factor(psis) == threshold_factor(reference), method.name
