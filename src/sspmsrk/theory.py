@@ -5,7 +5,7 @@ u^{n+1} = psi_1(z) u^n + ... + psi_k(z) u^{n-k+1} with z = dt*lambda.
 The radius of absolute monotonicity of each psi_i, and its minimum over
 i (the threshold factor), bound the SSP coefficient on linear problems.
 The largest threshold factor of any s-stage, k-step method of linear
-order p is found by linear programming; for second order it has a
+order p is found by nonnegative least squares; for second order it has a
 closed form, and a family of methods attains it.
 """
 
@@ -35,9 +35,11 @@ LINEAR_ORDER_TOL = 1e-9
 #: radii below this are not resolved: a search that finds no larger one
 #: fails, and ``linear_bound`` reports 0 below it
 MIN_POSITIVE_C = 1e-3
-#: ``linear_bound`` is within this of the exact bound: it bisects to a
-#: tenth of it, and HiGHS accepts rows met to its feasibility tolerance
+#: ``linear_bound`` is within this of the exact bound: it bisects to a tenth
+#: of it, and a radius passes when NNLS meets its rows to LINEAR_FEASIBLE_RTOL
 LINEAR_BOUND_TOL = 1e-6
+#: largest NNLS residual ||A gamma - b|| / ||b|| at which a radius is feasible
+LINEAR_FEASIBLE_RTOL = 1e-12
 
 
 def stability_polynomials(sp: SpijkerForm) -> NDArray:
@@ -123,36 +125,34 @@ def linear_order(psis: NDArray) -> int:
 
 def _linear_order_feasible(s: int, k: int, p: int, r: float) -> bool:
     """Whether some gamma >= 0 makes psi_i(z) = sum_j gamma_ij (1 + z/r)^j,
-    i <= k and j <= s, meet the linear order conditions through z^p.
-
-    Each column of :func:`_linear_conditions` is divided by its largest
-    entry, as the columns scale like r^-j.
+    i <= k and j <= s, meet the linear order conditions A gamma = b through
+    z^p, i.e. min ||A gamma - b|| over gamma >= 0 is zero (Lawson-Hanson NNLS).
+    The columns of A scale like r^-j, so each is divided by its largest entry.
     """
-    # imported here: scipy.optimize adds about 0.45 s to a fresh process,
-    # and only the linear bound and the search's inner solves need it
-    from scipy.optimize import linprog
+    from scipy.optimize import nnls  # imported here: it costs a fresh process about 0.45 s
 
     m = np.arange(p + 1)
     power = np.array([[math.comb(j, l) for l in m] for j in range(s + 1)]) / r**m
     rows, rhs = _linear_conditions(power, k, p)
     rows /= np.abs(rows).max(axis=0)
-    res = linprog(np.zeros(rows.shape[1]), A_eq=rows, b_eq=rhs, bounds=(0, None),
-                  method="highs")
-    return res.status == 0
+    try:
+        return bool(nnls(rows, rhs)[1] <= LINEAR_FEASIBLE_RTOL * np.linalg.norm(rhs))
+    except RuntimeError as exc:  # NNLS reached its iteration cap
+        raise FloatingPointError(f"NNLS for R({s},{k},{p}) did not converge at r = {r:g}") from exc
 
 
 def linear_bound(s: int, k: int, p: int) -> float:
-    """R(s, k, p): the largest threshold factor of an s-stage, k-step
-    method of linear order p, so C <= R(s, k, p) for every such method.
+    """R(s, k, p): the largest threshold factor of an s-stage, k-step method
+    of linear order p, so C <= R(s, k, p) + LINEAR_BOUND_TOL for every one.
 
     R is the largest r at which the stability polynomials can be
     nonnegative combinations of (1 + z/r)^j, j <= s, with linear order p
-    (Kraaijevanger 1986); for fixed r that is an LP feasibility problem,
-    and feasibility is monotone in r, so R is found by bisection on
-    [MIN_POSITIVE_C, s] (Ketcheson 2009), to LINEAR_BOUND_TOL; order 1
-    alone already gives R <= s.  Returns 0.0 when the LP is infeasible
-    at MIN_POSITIVE_C: nearer 0 the columns span too many magnitudes for
-    HiGHS to decide (it accepts (2, 2, 4) at r = 1e-4).
+    (Kraaijevanger 1986).  That is monotone in r, so R is found by bisection
+    on [MIN_POSITIVE_C, s] (Ketcheson 2009) to within LINEAR_BOUND_TOL of the
+    exact bound, on either side; order 1 alone gives R <= s.  Returns 0.0
+    when MIN_POSITIVE_C fails: an infeasible target's NNLS residual shrinks
+    with r ((2, 2, 4): 1.3e-4 ||b|| at r = 1e-3, 1.3e-5 ||b|| at 1e-4).
+    Raises FloatingPointError when NNLS reaches its iteration cap.
     """
     if s < 1 or k < 1 or p < 1:
         raise ValueError("s, k and p must be at least 1")

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -376,6 +377,22 @@ def test_analyze_overflowing_past_c_exits_5(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "oracle_order" not in out
     assert err.startswith("numerical failure: overflow encountered in ")
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["analyze", "{ssprk33}"], "R(3,1,3)"),
+    (["optimize", "--stages", "2", "--steps", "2", "--order", "3", "--out", "{out}"], "R(2,2,3)"),
+])
+def test_linear_bound_solver_failure_exits_5(tmp_path, ssprk33_file, capsys, monkeypatch, argv,
+                                             target):
+    def capped(A, b, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", capped)
+    code = main([a.format(ssprk33=ssprk33_file, out=tmp_path / "x.msrk") for a in argv])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        f"numerical failure: NNLS for {target} did not converge at r = 0.001\n")
 
 
 def test_non_finite_start_up_exits_5(tmp_path, so2_file, capsys, monkeypatch):

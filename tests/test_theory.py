@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
+from scipy.optimize import linprog
 
 from sspmsrk import methods, theory
 from sspmsrk.methods import (
@@ -312,8 +313,41 @@ class TestLinearBound:
         assert round(linear_bound(s, k, p) / s, 5) == ceff
 
     def test_no_positive_bound_for_two_two_four(self):
-        # HiGHS accepts this target at r = 1e-4, below the radii the bound resolves
+        # the NNLS residual of this infeasible target shrinks with r, to
+        # 1.3e-5 of ||b|| at r = 1e-4, so radii below MIN_POSITIVE_C go unresolved
         assert linear_bound(2, 2, 4) < MIN_POSITIVE_C
+
+    def test_one_step_methods_of_order_s_reach_one(self):
+        # R(s, 1, s) = 1 exactly: psi is then the degree-s Taylor polynomial of e^z
+        for s in range(1, 9):
+            assert abs(linear_bound(s, 1, s) - 1.0) <= LINEAR_BOUND_TOL, s
+
+    @pytest.mark.parametrize("s, k, p", [(4, 2, 6), (5, 2, 7), (6, 1, 6), (7, 1, 3), (7, 1, 7),
+                                         (7, 2, 10), (7, 5, 7), (8, 1, 3), (8, 1, 8)])
+    def test_matches_a_tight_tolerance_lp(self, s, k, p):
+        # an LP feasibility test on the same rows, with feasibility tolerances
+        # far below the right side's smallest entry 1/p!, bisected the same way
+        def feasible(r):
+            m = np.arange(p + 1)
+            power = np.array([[math.comb(j, l) for l in m] for j in range(s + 1)]) / r**m
+            rows, rhs = theory._linear_conditions(power, k, p)
+            rows /= np.abs(rows).max(axis=0)
+            res = linprog(np.zeros(rows.shape[1]), A_eq=rows, b_eq=rhs, bounds=(0, None),
+                          method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                                   "dual_feasibility_tolerance": 1e-10})
+            return res.status == 0
+
+        assert feasible(MIN_POSITIVE_C)
+        reference = _bisect(feasible, MIN_POSITIVE_C, float(s), 0.1 * LINEAR_BOUND_TOL)[0]
+        assert abs(linear_bound(s, k, p) - reference) <= LINEAR_BOUND_TOL
+
+    def test_bounds_the_threshold_factor_of_the_library(self):
+        # R may sit up to about 1e-7 below the exact bound, so a method's
+        # threshold factor is only bounded by R + LINEAR_BOUND_TOL
+        for m in method_library():
+            psis = stability_polynomials(to_spijker(m))
+            R = linear_bound(m.s, m.k, linear_order(psis))
+            assert threshold_factor(psis) <= R + LINEAR_BOUND_TOL, m.name
 
     def test_bounds_the_ssp_coefficient(self):
         for m in [ssprk33()] + [gen_second_order(s, k) for s in range(2, 9) for k in range(2, 6)]:
