@@ -19,8 +19,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .methods import (
-    MethodStructureError, MSRKMethod, SpijkerForm, _bisect, _feasible, _spijker_layout, canonical,
-    ssp_coefficient, to_spijker,
+    MethodStructureError, MSRKMethod, SpijkerForm, _bisect, _coefficient_shapes, _feasible,
+    _spijker_layout, canonical, ssp_coefficient, to_spijker,
 )
 from .orderlab import MAX_ORACLE_ORDER, oracle_order, order_residual_vector
 from .theory import LINEAR_BOUND_TOL, MIN_POSITIVE_C, gen_second_order, linear_bound
@@ -77,6 +77,11 @@ class SearchSpec:
             raise ValueError("r_tol must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        for m in self.warm_starts:
+            if (m.s, m.k) != (self.s, self.k):
+                raise ValueError(f"warm start {m.name} is an (s={m.s}, k={m.k}) method, "
+                                 f"not (s={self.s}, k={self.k})")
+            to_spijker(m)  # an invalid start raises MethodStructureError here
 
 
 @dataclass
@@ -341,53 +346,32 @@ def warm_start_ladder(
     s: int, k: int, p: int, found: Optional[dict] = None
 ) -> list[MSRKMethod]:
     """Warm starts: previously found (s, k-1, p) and (s-1, k, p) methods
-    zero-padded into the (s, k) shape, plus the closed-form second-order
-    method when it exists."""
+    embedded into the (s, k) shape (see :func:`embed`), plus the closed-form
+    second-order method when it exists."""
     found = found or {}
-    out: list[MSRKMethod] = []
-    m = found.get((s, k - 1, p))
-    if m is not None:
-        out.append(pad_steps(m))
-    m = found.get((s - 1, k, p))
-    if m is not None:
-        out.append(pad_stages(m))
+    near = (found.get((s, k - 1, p)), found.get((s - 1, k, p)))
+    out = [embed(m, s, k) for m in near if m is not None]
     if s >= 2 and k >= 2:
         out.append(gen_second_order(s, k))
     return out
 
 
-def pad_steps(method: MSRKMethod) -> MSRKMethod:
-    """Embed a k-step method as a (k+1)-step method ignoring the oldest step."""
-    s, k = method.s, method.k
-    return MSRKMethod(
-        s=s, k=k + 1,
-        D=np.hstack([np.zeros((s, 1)), method.D]),
-        Ahat=np.hstack([np.zeros((s, 1)), method.Ahat]),
-        A=method.A,
-        theta=np.concatenate([[0.0], method.theta]),
-        bhat=np.concatenate([[0.0], method.bhat]),
-        b=method.b,
-        name=method.name + "+step", claimed_order=method.claimed_order,
-    )
-
-
-def pad_stages(method: MSRKMethod) -> MSRKMethod:
-    """Append an unused stage (a copy of u^n with zero weight)."""
-    s, k = method.s, method.k
-    D = np.vstack([method.D, np.zeros((1, k))])
-    D[-1, -1] = 1.0
-    A = np.zeros((s + 1, s + 1))
-    A[:s, :s] = method.A
-    return MSRKMethod(
-        s=s + 1, k=k,
-        D=D,
-        Ahat=np.vstack([method.Ahat, np.zeros((1, k - 1))]),
-        A=A,
-        theta=method.theta,
-        bhat=method.bhat,
-        b=np.concatenate([method.b, [0.0]]),
-        name=method.name + "+stage", claimed_order=method.claimed_order,
-    )
+def embed(method: MSRKMethod, s: int, k: int) -> MSRKMethod:
+    """An (s0, k0) method as an (s, k) method that takes the same steps, for
+    s >= s0 and k >= k0: its stages come first and its steps last, so the
+    k - k0 oldest steps go unused, and each added stage is a copy of u^n with
+    zero weight (D row e_k; zero rows of A and Ahat; zero entry of b)."""
+    s0, k0 = method.s, method.k
+    if s < s0 or k < k0:
+        raise ValueError(f"cannot embed an (s={s0}, k={k0}) method in (s={s}, k={k})")
+    stages, steps = slice(None, s0), slice(k - k0, None)
+    arrays = {key: np.zeros(shape) for key, shape in _coefficient_shapes(s, k).items()}
+    arrays["D"][s0:, -1] = 1.0
+    for key, where in [("D", (stages, steps)), ("Ahat", (stages, steps)), ("A", (stages, stages)),
+                       ("theta", steps), ("bhat", steps), ("b", stages)]:
+        arrays[key][where] = getattr(method, key)
+    return MSRKMethod(s=s, k=k, **arrays, name=f"{method.name} in ({s},{k})",
+                      claimed_order=method.claimed_order)
 
 
 def maximize_ssp(spec: SearchSpec) -> SearchResult:

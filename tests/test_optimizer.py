@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from conftest import _benchmark_search_234, random_valid_method, same_bits, stack_forms
+from conftest import (
+    BENCH_METHODS, _benchmark_search_234, method_library, random_valid_method, same_bits,
+    stack_forms,
+)
 from sspmsrk import methods, optimizer
 from sspmsrk.methods import (
-    MethodStructureError, MSRKMethod, canonical, forward_euler, ssp_coefficient, ssprk33,
-    to_spijker, validate,
+    BISECT_TOL, MethodStructureError, MSRKMethod, canonical, forward_euler, ssp_coefficient,
+    ssprk33, to_spijker, validate,
 )
 from sspmsrk.optimizer import (
     MAX_INNER_ITERS,
@@ -22,17 +26,20 @@ from sspmsrk.optimizer import (
     _scatter,
     SearchSpec,
     constraint_residuals,
+    embed,
     free_parameter_count,
     maximize_ssp,
     pack,
-    pad_stages,
-    pad_steps,
     unpack,
     warm_start_ladder,
     write_search_log,
 )
+from sspmsrk.msrkio import read_method
 from sspmsrk.orderlab import MAX_ORACLE_ORDER, oracle_order, order_residual_vector
-from sspmsrk.theory import LINEAR_BOUND_TOL, gen_second_order, linear_bound, r_sk2
+from sspmsrk.theory import (
+    LINEAR_BOUND_TOL, gen_second_order, linear_bound, r_sk2, stability_polynomials,
+    threshold_factor,
+)
 
 
 class TestPackUnpack:
@@ -338,20 +345,56 @@ class TestMeritPlan:
         assert any(m is res.method for m in calls)
 
 
-class TestPadding:
-    def test_pad_steps_preserves_step_sequence(self):
-        m = gen_second_order(2, 2)
-        padded = pad_steps(m)
-        assert (padded.s, padded.k) == (2, 3)
-        assert validate(padded).ok
-        assert oracle_order(padded, pmax=3) >= 2
+def _threshold_factor(method):
+    return threshold_factor(stability_polynomials(to_spijker(method)))
 
-    def test_pad_stages_preserves_order(self):
-        m = gen_second_order(2, 3)
-        padded = pad_stages(m)
-        assert (padded.s, padded.k) == (3, 3)
-        assert validate(padded).ok
-        assert oracle_order(padded, pmax=3) >= 2
+
+def _free(D, Ahat, A, theta, bhat, b):
+    """pack's vector written out: D[1:, :-1], Ahat[1:], the strictly lower A,
+    theta[:-1], bhat and b."""
+    return np.concatenate([D[1:, :-1].ravel(), Ahat[1:].ravel(), A[np.tril_indices(len(A), -1)],
+                           theta[:-1], bhat, b])
+
+
+def _one_more_step(m):
+    """pack of m with a zero oldest step, padded by hand."""
+    return _free(np.pad(m.D, ((0, 0), (1, 0))), np.pad(m.Ahat, ((0, 0), (1, 0))), m.A,
+                 np.pad(m.theta, (1, 0)), np.pad(m.bhat, (1, 0)), m.b)
+
+
+def _one_more_stage(m):
+    """pack of m with a last stage u^n of zero weight, padded by hand."""
+    D = np.vstack([m.D, np.eye(m.k)[-1]])
+    return _free(D, np.pad(m.Ahat, ((0, 1), (0, 0))), np.pad(m.A, ((0, 1), (0, 1))), m.theta,
+                 m.bhat, np.pad(m.b, (0, 1)))
+
+
+class TestPadding:
+    """embed zero-pads an (s0, k0) method into a larger (s, k) shape."""
+
+    @pytest.mark.parametrize("ds, dk", [(1, 0), (0, 1), (2, 2), (3, 1)])
+    def test_embedding_keeps_order_threshold_factor_and_ssp_coefficient(self, ds, dk):
+        for m in method_library():
+            e = embed(m, m.s + ds, m.k + dk)
+            assert validate(e).ok, m.name
+            pmax = m.claimed_order + 1
+            assert oracle_order(e, pmax=pmax) == oracle_order(m, pmax=pmax), m.name
+            assert _threshold_factor(e) == _threshold_factor(m), m.name
+            # C is bisected; the worst case, OPT(3,2,3) in (6,3), moves by 1.31e-10
+            assert ssp_coefficient(to_spijker(e)) == pytest.approx(
+                ssp_coefficient(to_spijker(m)), rel=0.0, abs=2 * BISECT_TOL), m.name
+
+    def test_embedding_in_its_own_shape_keeps_the_arrays(self):
+        for m in method_library():
+            e = embed(m, m.s, m.k)
+            assert all(same_bits(getattr(e, key), getattr(m, key))
+                       for key in ("D", "Ahat", "A", "theta", "bhat", "b")), m.name
+
+    @pytest.mark.parametrize("s, k", [(2, 3), (3, 2), (2, 4)])
+    def test_smaller_shape_rejected(self, s, k):
+        message = rf"cannot embed an \(s=3, k=3\) method in \(s={s}, k={k}\)"
+        with pytest.raises(ValueError, match=message):
+            embed(gen_second_order(3, 3), s, k)
 
     def test_ladder_includes_closed_form(self):
         warm = warm_start_ladder(3, 2, 2)
@@ -360,7 +403,24 @@ class TestPadding:
     def test_ladder_uses_found_methods(self):
         base = gen_second_order(2, 2)
         warm = warm_start_ladder(2, 3, 2, {(2, 2, 2): base})
-        assert any(m.k == 3 and m.name.endswith("+step") for m in warm)
+        assert [(m.s, m.k) for m in warm] == [(2, 3), (2, 3)]
+        assert same_bits(warm[0].D[:, 1:], base.D) and same_bits(warm[0].theta[1:], base.theta)
+
+    @pytest.mark.parametrize("s, k, p, below, left", [
+        # the acceptance suite's (3,2,3), seeded from its (2,2,3); (3,1,3) is SSPRK(3,3)
+        (3, 2, 3, ssprk33(), read_method(BENCH_METHODS / "opt_2_2_3.msrk")),
+        (3, 3, 2, gen_second_order(3, 2), gen_second_order(2, 3)),
+        # an order-4 method is an order-3 one
+        (3, 3, 3, read_method(BENCH_METHODS / "opt_3_2_3.msrk"),
+         read_method(BENCH_METHODS / "opt_2_3_4.msrk")),
+    ], ids=["3-2-3", "3-3-2", "3-3-3"])
+    def test_ladder_starts_are_pinned(self, s, k, p, below, left):
+        # the (s, k-1) neighbour, the (s-1, k) neighbour and SO2(s, k), in this
+        # order: the first start a solve accepts ends that radius's multistart
+        warm = warm_start_ladder(s, k, p, {(s, k - 1, p): below, (s - 1, k, p): left})
+        expected = [_one_more_step(below), _one_more_stage(left), pack(gen_second_order(s, k))]
+        assert len(warm) == 3
+        assert all(same_bits(pack(m), x) for m, x in zip(warm, expected))
 
 
 def _unreachable(*args, **kwargs):
@@ -458,7 +518,7 @@ class TestMaximizeSSP:
     def test_radius_accepted_only_when_the_method_reaches_it(self, monkeypatch):
         # every solve claims feasibility with the same order-2 method, whose C = 1
         # is below R(2,2,2) = sqrt(2): no radius past 1 + 1e-6 may be accepted
-        x = pack(pad_steps(_heun()))
+        x = pack(embed(_heun(), 2, 2))
         assert ssp_coefficient(to_spijker(unpack(x, 2, 2))) == pytest.approx(1.0, abs=1e-9)
         monkeypatch.setattr(optimizer, "least_squares", lambda *args, **kwargs: SimpleNamespace(
             x=x, cost=0.0, nfev=1, njev=1))
@@ -468,7 +528,7 @@ class TestMaximizeSSP:
 
     def test_a_start_short_of_the_radius_does_not_end_the_multistart(self, monkeypatch):
         # both solves end with merit 0; only the second method (C = sqrt(2)) reaches r = 1.2
-        short, good = pack(pad_steps(_heun())), pack(gen_second_order(2, 2))
+        short, good = pack(embed(_heun(), 2, 2)), pack(gen_second_order(2, 2))
         solutions = iter([short, good])
         monkeypatch.setattr(optimizer, "least_squares", lambda *args, **kwargs: SimpleNamespace(
             x=next(solutions), cost=0.0, nfev=1, njev=1))
@@ -854,3 +914,17 @@ class TestSearchSpec:
         # r_tol = 0 bisected forever: the bracket stops shrinking at neighbouring floats
         with pytest.raises(ValueError, match="r_tol must be positive and finite"):
             SearchSpec(s=2, k=2, p=3, r_tol=r_tol)
+
+    @pytest.mark.parametrize("start", [gen_second_order(3, 2), ssprk33()], ids=lambda m: m.name)
+    def test_warm_start_of_another_shape_rejected(self, start):
+        message = (rf"warm start {re.escape(start.name)} is an \(s={start.s}, k={start.k}\) "
+                   r"method, not \(s=2, k=2\)")
+        with pytest.raises(ValueError, match=message):
+            SearchSpec(s=2, k=2, p=2, starts=1, warm_starts=[start])
+
+    def test_invalid_warm_start_rejected(self):
+        # rejected on construction, so before R or any solve
+        bad = MSRKMethod(s=2, k=2, D=[[0.0, 1.0], [0.5, 0.6]], Ahat=np.zeros((2, 1)),
+                         A=[[0.0, 0.0], [1.0, 0.0]], theta=[0.5, 0.5], bhat=[0.0], b=[0.5, 0.5])
+        with pytest.raises(MethodStructureError, match="row 2 of D sums to 1.1"):
+            SearchSpec(s=2, k=2, p=2, starts=1, warm_starts=[gen_second_order(2, 2), bad])
