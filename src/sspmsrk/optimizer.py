@@ -5,6 +5,8 @@ is solved as a least-squares feasibility problem (order-condition
 residuals plus hinged inequality violations) from several starts; the
 radius itself is found by outer bisection on r.  The outer/inner split
 avoids the joint maximization, which tends to stall in local minima.
+A radius's multistart ends at the first start accepted or, at r > 0,
+once two distinct starts end at the same positive minimum.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ MAX_INNER_ITERS = 500
 #: fallen by STALL_FACTOR over its last max(STALL_WINDOW, 5 n) residual evaluations
 STALL_WINDOW = 50
 STALL_FACTOR = 10.0
+
+#: at r > 0 a radius is infeasible once solves from two distinct starts, each ended
+#: by MINPACK above feas_tol**2, agree in merit to REPEAT_RTOL relative
+REPEAT_RTOL = 1e-9
 
 #: norm of the pad column of a solve's Jacobian (see :func:`least_squares`)
 _PAD_NORM = 1e-100
@@ -326,11 +332,19 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     of the coordinates, as 'trf' had, kept the (3,2,3) search at its optimum
     where MINPACK's default, column-norm scaling, often did not.  The r = 0
     solves, which a search must pass to start, run their whole budget.
+
+    A start with the bits of one already solved at r is skipped, with no history
+    row, as the padded solve is deterministic.  At r > 0 the repeat rule gives r
+    up once the solves from two distinct starts, ended by MINPACK (status > 0)
+    above feas_tol**2, agree in merit to REPEAT_RTOL relative.
     """
     s, k = spec.s, spec.k
     window = max(STALL_WINDOW, 5 * free_parameter_count(s, k)) if r > 0.0 else math.inf
-    best_merit = np.inf
+    best_merit, solved, minima = np.inf, set(), []
     for idx, x0 in enumerate(starts):
+        if x0.tobytes() in solved:
+            continue
+        solved.add(x0.tobytes())
         sol = least_squares(lambda x: _merit_residuals(x, s, k, r, p), x0,
                             jac=lambda x: _merit_jacobian(x, s, k, r, p), xtol=1e-15, ftol=1e-15,
                             gtol=1e-15, max_nfev=MAX_INNER_ITERS, stall_window=window)
@@ -339,6 +353,10 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
         if _accepted(spec, r, merit, sol.x):
             return sol.x, merit
         best_merit = min(best_merit, merit)
+        if r > 0.0 and sol.status > 0 and merit > spec.feas_tol**2:
+            if any(abs(merit - m) <= REPEAT_RTOL * m for m in minima):
+                break
+            minima.append(merit)
     return None, best_merit
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from types import SimpleNamespace
@@ -521,7 +522,7 @@ class TestMaximizeSSP:
         x = pack(embed(_heun(), 2, 2))
         assert ssp_coefficient(to_spijker(unpack(x, 2, 2))) == pytest.approx(1.0, abs=1e-9)
         monkeypatch.setattr(optimizer, "least_squares", lambda *args, **kwargs: SimpleNamespace(
-            x=x, cost=0.0, nfev=1, njev=1))
+            x=x, cost=0.0, nfev=1, njev=1, status=1))
         res = maximize_ssp(SearchSpec(s=2, k=2, p=2, starts=1, r_tol=1e-4))
         assert res.certified
         assert res.C == pytest.approx(1.0, abs=1e-9)
@@ -531,9 +532,9 @@ class TestMaximizeSSP:
         short, good = pack(embed(_heun(), 2, 2)), pack(gen_second_order(2, 2))
         solutions = iter([short, good])
         monkeypatch.setattr(optimizer, "least_squares", lambda *args, **kwargs: SimpleNamespace(
-            x=next(solutions), cost=0.0, nfev=1, njev=1))
+            x=next(solutions), cost=0.0, nfev=1, njev=1, status=1))
         history = []
-        x, _ = optimizer._solve_feasibility(SearchSpec(s=2, k=2, p=2), 1.2, 2, [short, short],
+        x, _ = optimizer._solve_feasibility(SearchSpec(s=2, k=2, p=2), 1.2, 2, [short, good],
                                             history)
         assert np.array_equal(x, good)
         assert len(history) == 2
@@ -598,6 +599,25 @@ def test_paper_scale_535_search_is_certified_near_its_linear_bound():
     assert oracle_order(res.method, pmax=6) >= 5
 
 
+def _criterion_4_chain(seed, targets=((2, 2, 3), (3, 2, 3), (2, 3, 4))):
+    """Criterion 4's searches at a seed, each warm-started from those before it."""
+    found, results = {}, []
+    for s, k, p in targets:
+        res = maximize_ssp(SearchSpec(s=s, k=k, p=p, starts=20, seed=seed, r_tol=1e-4,
+                                      warm_starts=warm_start_ladder(s, k, p, found)))
+        found[(s, k, p)] = res.method
+        results.append(res)
+    return results
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_criterion_4_chain_across_seeds(seed):
+    # criterion 4 itself searches at seed 123
+    results = _criterion_4_chain(seed)
+    assert [f"{res.Ceff:.5f}" for res in results] == ["0.36598", "0.55018", "0.24808"]
+    assert all(res.certified for res in results)
+
+
 def _stall_at(merits, window, floor):
     """The first evaluation, counted from 1, at which the least merit so far
     is above floor and above a tenth of the least merit window evaluations
@@ -607,6 +627,10 @@ def _stall_at(merits, window, floor):
         if least[e - 1] > floor and least[e - 1] > least[e - 1 - window] / 10.0:
             return e
     return None
+
+
+#: a relative tolerance that no two merits meet, which turns the repeat rule off
+_REPEAT_OFF = -1.0
 
 
 class TestStallRule:
@@ -643,6 +667,8 @@ class TestStallRule:
     @pytest.mark.parametrize("make_spec", [_benchmark_search_234, _paper_search_335])
     def test_rule_off_gives_the_same_results(self, monkeypatch, make_spec):
         spec = make_spec()
+        # the repeat rule counts only solves that MINPACK ended, which this rule decides
+        monkeypatch.setattr(optimizer, "REPEAT_RTOL", _REPEAT_OFF)
         on = maximize_ssp(spec)
         monkeypatch.setattr(optimizer, "STALL_WINDOW", MAX_INNER_ITERS)
         off = maximize_ssp(spec)
@@ -749,6 +775,158 @@ class TestStallRule:
         assert same_bits(ruled, unruled[:nfev])
         assert nfev == _stall_at(unruled, window, floor) == reached + window
         assert floor < merit < 2.00001e-20 and same_bits(merit, min(ruled))
+
+
+def _stub_solves(monkeypatch, ends):
+    """Stubs the inner solve: the i-th solve stays at its start and ends with
+    (merit, status) ends[i]; returns the list of the starts solved."""
+    solved, ends = [], iter(ends)
+
+    def solve(fun, x0, **kwargs):
+        merit, status = next(ends)
+        solved.append(x0)
+        return SimpleNamespace(x=x0, cost=0.5 * merit, nfev=1, njev=1, status=status)
+
+    monkeypatch.setattr(optimizer, "least_squares", solve)
+    return solved
+
+
+def _one_start_at_a_time(solve):
+    """solve, a _solve_feasibility, with both rules off: it gets the starts one
+    at a time, in order, until one is accepted, so no start is compared with another."""
+
+    def every_start(spec, r, p, starts, history):
+        best = np.inf
+        for idx, x0 in enumerate(starts):
+            rows = []
+            x, merit = solve(spec, r, p, [x0], rows)
+            history.extend((r, idx) + row[2:] for row in rows)
+            if x is not None:
+                return x, merit
+            best = min(best, merit)
+        return None, best
+
+    return every_start
+
+
+def _rows_by_radius(history):
+    return [(r, list(rows)) for r, rows in itertools.groupby(history, key=lambda row: row[0])]
+
+
+def _assert_same_method(a, b):
+    for key in ("D", "Ahat", "A", "theta", "bhat", "b"):
+        assert same_bits(getattr(a.method, key), getattr(b.method, key)), key
+    assert same_bits(a.C, b.C) and a.certified == b.certified
+
+
+class TestRepeatRule:
+    """A start with the bits of one already solved at a radius is skipped.  At
+    r > 0 a radius is given up once solves from two distinct starts, each ended
+    by MINPACK above feas_tol**2, agree in merit to REPEAT_RTOL relative."""
+
+    MERIT = 1e-3
+
+    @pytest.fixture
+    def starts(self, rng):
+        return list(rng.uniform(0.0, 0.5, (3, free_parameter_count(2, 2))))
+
+    @staticmethod
+    def _solve(r, starts):
+        history = []
+        x, merit = optimizer._solve_feasibility(SearchSpec(s=2, k=2, p=3), r, 3, starts, history)
+        return x, merit, [row[1] for row in history]
+
+    @pytest.mark.parametrize("second, solves", [(1.0 + 5e-10, 2), (1.0 + 2e-9, 3)])
+    def test_two_matching_minima_end_the_radius(self, monkeypatch, starts, second, solves):
+        m = self.MERIT
+        solved = _stub_solves(monkeypatch, [(m, 1), (m * second, 2), (m, 3)])
+        x, merit, rows = self._solve(0.4, starts)
+        assert x is None and merit == m
+        assert rows == list(range(solves))
+        assert all(a is b for a, b in zip(solved, starts))
+
+    def test_the_rule_is_off_at_r_0(self, monkeypatch, starts):
+        _stub_solves(monkeypatch, [(self.MERIT, 1)] * 3)
+        assert self._solve(0.0, starts)[2] == [0, 1, 2]
+
+    @pytest.mark.parametrize("status", [-2, 0])
+    def test_a_stalled_or_spent_solve_never_counts(self, monkeypatch, starts, status):
+        m = self.MERIT
+        _stub_solves(monkeypatch, [(m, status), (m, 1), (m, status)])
+        assert self._solve(0.4, starts)[2] == [0, 1, 2]
+
+    def test_a_merit_within_feas_tol_squared_never_counts(self, monkeypatch, starts):
+        # the stubbed solves stay at random starts, short of r = 3
+        m = 0.1 * SearchSpec.feas_tol**2
+        _stub_solves(monkeypatch, [(m, 1)] * 3)
+        x, merit, rows = self._solve(3.0, starts)
+        assert x is None and merit == m and rows == [0, 1, 2]
+
+    @pytest.mark.parametrize("r", [0.0, 0.4])
+    def test_a_duplicate_start_is_skipped_with_no_history_row(self, monkeypatch, starts, r):
+        a, b = starts[:2]
+        solved = _stub_solves(monkeypatch, [(self.MERIT, 1), (2.0 * self.MERIT, 1)])
+        assert self._solve(r, [a, b, a.copy(), b])[2] == [0, 1]
+        assert solved[0] is a and solved[1] is b
+
+    def test_a_radius_given_up_leaves_the_next_its_random_starts(self, monkeypatch):
+        solve, driver = optimizer._solve_feasibility, optimizer.least_squares
+
+        def search(inner):
+            calls = []  # per radius: r, its starts and the starts solved
+
+            def solving(spec, r, p, starts, history):
+                calls.append((r, starts, []))
+                return inner(spec, r, p, starts, history)
+
+            def recording(fun, x0, **kwargs):
+                calls[-1][2].append(x0)
+                return driver(fun, x0, **kwargs)
+
+            monkeypatch.setattr(optimizer, "_solve_feasibility", solving)
+            monkeypatch.setattr(optimizer, "least_squares", recording)
+            return maximize_ssp(_benchmark_search_234()), calls
+
+        ruled, on = search(solve)
+        unruled, off = search(_one_start_at_a_time(solve))
+        _assert_same_method(ruled, unruled)
+        assert len(on) == len(off)
+        given_up = []
+        for i, ((r, starts, solved), (r_off, starts_off, solved_off)) in enumerate(zip(on, off)):
+            assert same_bits(r, r_off)
+            assert len(starts) == len(starts_off) and all(map(same_bits, starts, starts_off))
+            # the starts solved are the distinct ones solved without the rules, up to
+            # the one after which the repeat rule gave the radius up
+            distinct = list({x.tobytes(): x for x in solved_off}.values())
+            assert 0 < len(solved) <= len(distinct) and all(map(same_bits, solved, distinct))
+            if len(solved) < len(distinct):
+                given_up.append(i)
+        assert given_up and given_up[0] < len(on) - 1
+
+    @pytest.mark.parametrize("search", [
+        lambda: maximize_ssp(_benchmark_search_234()),
+        lambda: maximize_ssp(_paper_search_335()),
+        # the warm-started (3,2,3) tries one point twice at its first radius
+        lambda: _criterion_4_chain(123, ((2, 2, 3), (3, 2, 3)))[-1],
+    ], ids=["benchmark (2,3,4)", "paper (3,3,5)", "criterion 4 (3,2,3)"])
+    def test_rules_off_give_the_same_results(self, monkeypatch, search):
+        on = search()
+        monkeypatch.setattr(optimizer, "REPEAT_RTOL", _REPEAT_OFF)
+        repeat_off = search()
+        monkeypatch.setattr(optimizer, "_solve_feasibility",
+                            _one_start_at_a_time(optimizer._solve_feasibility))
+        both_off = search()
+        for off in (repeat_off, both_off):
+            _assert_same_method(on, off)
+            assert [r for r, _ in _rows_by_radius(on.history)] == [
+                r for r, _ in _rows_by_radius(off.history)]
+        # at each radius the repeat rule ends the solves early, and the skip drops repeats
+        for (_, a), (_, b), (_, c) in zip(*map(_rows_by_radius, (
+                on.history, repeat_off.history, both_off.history))):
+            assert a == b[:len(a)]
+            assert b == [row for row in c if row[1] in {i for _, i, *_ in b}]
+        nfev = [sum(row[3] for row in res.history) for res in (on, repeat_off, both_off)]
+        assert nfev[0] <= nfev[1] and nfev[0] < nfev[2]
 
 
 class TestJacobianMemo:
