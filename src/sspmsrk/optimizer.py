@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Optional
 
@@ -42,11 +41,6 @@ __all__ = [
 
 #: evaluation budget (max_nfev) of one inner least-squares solve
 MAX_INNER_ITERS = 500
-
-#: a solve at r > 0 stops once its least merit, still above feas_tol**2, has not
-#: fallen by STALL_FACTOR over its last max(STALL_WINDOW, 5 n) residual evaluations
-STALL_WINDOW = 50
-STALL_FACTOR = 10.0
 
 #: at r > 0 a radius is infeasible once solves from two distinct starts, each ended
 #: by MINPACK above feas_tol**2, agree in merit to REPEAT_RTOL relative
@@ -233,19 +227,18 @@ def _accepted(spec: SearchSpec, r: float, merit: float, x: NDArray) -> bool:
         r == 0.0 or _feasible(_scatter(x, spec.s, spec.k), max(0.0, r - 1e-6)))
 
 
-class _Stalled(Exception):
-    """Raised from a solve's residual to stop it, as MINPACK's loop takes no callback."""
-
-
 def _once_per_point(f):
-    """f, which gives its last value again, uncomputed, when called again at its last point."""
+    """f, which gives its last value again, uncomputed, when called again at its last
+    point; its attribute ``computed`` counts the values computed."""
     last = [None, None]
 
     def memo(z):
         if last[0] is None or not np.array_equal(z, last[0]):
             last[:] = z.copy(), f(z)
+            memo.computed += 1
         return last[1]
 
+    memo.computed = 0
     return memo
 
 
@@ -253,7 +246,7 @@ def _once_per_point(f):
 _STATUS = {0: -1, 1: 2, 2: 3, 3: 4, 4: 1, 5: 0}
 
 
-def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev, stall_window=math.inf):
+def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev):
     """One inner solve of fun(x) = 0, jac(x) its Jacobian, by MINPACK's
     Levenberg-Marquardt (``lmder``) through scipy's ``leastsq``: the loop that scipy's
     ``least_squares(method="lm", x_scale=1.0)`` runs on the padded problem, less the
@@ -270,37 +263,13 @@ def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev, stall_window=math
     Pivoting takes it after every column with a norm left and before those whose
     norm fell to zero, which are never recomputed either.
 
-    The stall rule: the solve stops once its least merit (squared residual norm),
-    still above feas_tol**2, has not fallen by STALL_FACTOR over its last
-    stall_window residuals; Levenberg-Marquardt converges fast near a zero
-    residual, so a long plateau above feas_tol**2 is a solve that fails.
-
-    Returns x, cost (half the last residual's squared norm or, when the solve
-    stalled, the least one's, at x), nfev and njev (the residuals and Jacobians
-    computed, each once per point, though ``leastsq`` checks both at x0 before
-    MINPACK asks for them) and status (0: max_nfev ran out, -2: stalled).
+    Returns x, cost (half the last residual's squared norm), nfev and njev (the
+    residuals and Jacobians computed, each once per point, though ``leastsq``
+    checks both at x0 before MINPACK asks for them) and status (0: max_nfev ran out).
     """
     from scipy.optimize import OptimizeResult, leastsq
 
-    floor = SearchSpec.feas_tol**2
-    least: list[float] = []  # the least merit after each residual computed
-    at_least, njev = None, 0  # the point of the least merit; the Jacobians computed
-
-    def residuals(z):
-        nonlocal at_least
-        F = np.append(fun(z[:-1]), 0.0)
-        merit = float(F @ F)
-        if not least or merit < least[-1]:
-            at_least = z[:-1].copy()
-        least.append(min(merit, least[-1]) if least else merit)
-        if len(least) > stall_window and least[-1] > max(
-                floor, least[-1 - stall_window] / STALL_FACTOR):
-            raise _Stalled
-        return F
-
     def jacobian(z):
-        nonlocal njev
-        njev += 1
         J = jac(z[:-1])
         bordered = np.zeros((J.shape[0] + 1, J.shape[1] + 1))
         bordered[:-1, :-1] = J
@@ -308,19 +277,16 @@ def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev, stall_window=math
         return bordered
 
     z0 = np.append(x0, 0.0)
-    residuals, jacobian = _once_per_point(residuals), _once_per_point(jacobian)
+    residuals = _once_per_point(lambda z: np.append(fun(z[:-1]), 0.0))
+    jacobian = _once_per_point(jacobian)
     if not np.isfinite(residuals(z0)).all():
         raise ValueError("Residuals are not finite in the initial point.")
-    try:
-        z, _, info, _, exit_code = leastsq(
-            residuals, z0, Dfun=jacobian, full_output=True, ftol=ftol, xtol=xtol, gtol=gtol,
-            maxfev=max_nfev, diag=np.ones(len(z0)))
-    except _Stalled:
-        return OptimizeResult(x=at_least, cost=0.5 * least[-1], nfev=len(least), njev=njev,
-                              status=-2)
+    z, _, info, _, exit_code = leastsq(
+        residuals, z0, Dfun=jacobian, full_output=True, ftol=ftol, xtol=xtol, gtol=gtol,
+        maxfev=max_nfev, diag=np.ones(len(z0)))
     f = info["fvec"]
-    return OptimizeResult(x=z[:-1], cost=0.5 * np.dot(f, f), nfev=len(least), njev=njev,
-                          status=_STATUS[exit_code])
+    return OptimizeResult(x=z[:-1], cost=0.5 * np.dot(f, f), nfev=residuals.computed,
+                          njev=jacobian.computed, status=_STATUS[exit_code])
 
 
 def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
@@ -330,8 +296,8 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     Each start is solved by MINPACK's Levenberg-Marquardt (:func:`least_squares`),
     as the merit has no bounds (they are hinged into the residual).  Unit scaling
     of the coordinates, as 'trf' had, kept the (3,2,3) search at its optimum
-    where MINPACK's default, column-norm scaling, often did not.  The r = 0
-    solves, which a search must pass to start, run their whole budget.
+    where MINPACK's default, column-norm scaling, often did not.  Every solve
+    ends by MINPACK's own tests or once MAX_INNER_ITERS residuals are spent.
 
     A start with the bits of one already solved at r is skipped, with no history
     row, as the padded solve is deterministic.  At r > 0 the repeat rule gives r
@@ -339,7 +305,6 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     above feas_tol**2, agree in merit to REPEAT_RTOL relative.
     """
     s, k = spec.s, spec.k
-    window = max(STALL_WINDOW, 5 * free_parameter_count(s, k)) if r > 0.0 else math.inf
     best_merit, solved, minima = np.inf, set(), []
     for idx, x0 in enumerate(starts):
         if x0.tobytes() in solved:
@@ -347,7 +312,7 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
         solved.add(x0.tobytes())
         sol = least_squares(lambda x: _merit_residuals(x, s, k, r, p), x0,
                             jac=lambda x: _merit_jacobian(x, s, k, r, p), xtol=1e-15, ftol=1e-15,
-                            gtol=1e-15, max_nfev=MAX_INNER_ITERS, stall_window=window)
+                            gtol=1e-15, max_nfev=MAX_INNER_ITERS)
         merit = float(2.0 * sol.cost)  # cost is half the squared norm
         history.append((r, idx, merit, sol.nfev, sol.njev))
         if _accepted(spec, r, merit, sol.x):

@@ -42,6 +42,16 @@ LINEAR_BOUND_TOL = 1e-6
 LINEAR_FEASIBLE_RTOL = 1e-12
 
 
+def _finite_array(a, ndim: int, name: str) -> NDArray:
+    """a as a float array; ValueError unless it is a finite ndim-D array."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def stability_polynomials(sp: SpijkerForm) -> NDArray:
     """Polynomials in z produced by one step on u' = lambda*u, as a
     (k, s+1) array whose row i-1 holds the monomial coefficients of
@@ -73,8 +83,8 @@ def radius_abs_monotonicity(psi: NDArray) -> float:
 
     For polynomials this is equivalent to nonnegativity of all
     shifted-basis coefficients at r, which is what the bisection tests.
-    """
-    psi = np.asarray(psi, dtype=float)
+    Raises ValueError unless psi is a finite, nonzero 1-D array."""
+    psi = _finite_array(psi, 1, "psi")
     if not psi.any():
         raise ValueError("psi must be nonzero")
     return threshold_factor(psi[None])
@@ -83,8 +93,8 @@ def radius_abs_monotonicity(psi: NDArray) -> float:
 def threshold_factor(psis: NDArray) -> float:
     """min_i R(psi_i) over the rows of :func:`stability_polynomials`, found
     by one bisection on all rows at once; identically-zero polynomials
-    count as +inf."""
-    psis = np.asarray(psis, dtype=float)
+    count as +inf.  Raises ValueError unless psis is a finite 2-D array."""
+    psis = _finite_array(psis, 2, "psis")
     deg = int(max(np.flatnonzero(psis.any(axis=0)), default=0))
     # feasibility at r -> 0+ means all Taylor coefficients at 0 are nonnegative
     if psis.min() < -ENTRY_TOL:
@@ -113,9 +123,9 @@ def _linear_conditions(basis: NDArray, k: int, p: int) -> tuple[NDArray, NDArray
 
 
 def linear_order(psis: NDArray) -> int:
-    """Largest p with sum_i psi_i(z) e^{-(i-1)z} = e^z through order z^p,
-    psi_i being row i-1 of :func:`stability_polynomials`."""
-    psis = np.asarray(psis, dtype=float)
+    """Largest p with sum_i psi_i(z) e^{-(i-1)z} = e^z through order z^p, psi_i being
+    row i-1 of :func:`stability_polynomials`; ValueError unless psis is finite and 2-D."""
+    psis = _finite_array(psis, 2, "psis")
     k, n = psis.shape
     N = int(max(np.flatnonzero(psis.any(axis=0)), default=-1)) + k + 4
     rows, rhs = _linear_conditions(np.eye(n, N + 1), k, N)

@@ -40,7 +40,7 @@ def test_feasibility_tolerance_is_a_class_attribute():
 
 
 def test_the_tracer_counts_every_inner_solve():
-    # stalled solves included: they end in the traced driver like every other solve
+    # every solve, accepted or not, ends in the traced driver
     spans = tracer.Spans()
     instrumentation = tracer.Instrumentation(spans, feas_tol=SearchSpec.feas_tol)
     instrumentation.install()

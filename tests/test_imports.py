@@ -1,10 +1,13 @@
 """No module of the package or of its tests imports a name that it never uses,
 every name a package module exports is bound in it and is read in the package
 or exported by it, every private name a package module defines is read in the
-package, and scipy's solvers load only when a function needs them."""
+package, every name the README gives in code is still in the package, and
+scipy's solvers load only when a function needs them."""
 
 import ast
+import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +18,7 @@ from sspmsrk import optimizer, theory
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "sspmsrk"
+README = TESTS.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -172,6 +176,34 @@ def test_checker_flags_only_unbound_exports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def readme_names(text: str, modules: list[str]) -> tuple[list[tuple[str, str]], list[str]]:
+    """The (module, name) of every code span of ``text`` that starts with
+    ``module.name`` for one of ``modules``, and every code span that is a
+    constant: upper case with an underscore."""
+    spans = re.findall(r"`([^`\n]+)`", text)
+    dotted = [m.groups() for m in (re.match(r"(\w+)\.(\w+)", span) for span in spans)
+              if m and m.group(1) in modules]
+    constants = [span for span in spans if re.fullmatch(r"[A-Z][A-Z0-9]*_[A-Z0-9_]*", span)]
+    return dotted, constants
+
+
+def test_readme_checker_finds_module_names_and_constants():
+    text = ("`optimizer.embed(method, s, k)` and `scipy.optimize`, `SearchResult.R`,\n"
+            "`MAX_INNER_ITERS` = 500, `PYTHONPATH`, `R_sk2(s)` and `theory.R`.")
+    assert readme_names(text, ["optimizer", "theory"]) == (
+        [("optimizer", "embed"), ("theory", "R")], ["MAX_INNER_ITERS"])
+
+
+def test_every_name_the_readme_gives_exists():
+    stems = [path.stem for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    modules = {stem: importlib.import_module(f"sspmsrk.{stem}") for stem in stems}
+    dotted, constants = readme_names(README.read_text(), stems)
+    assert dotted and constants
+    assert [f"{m}.{name}" for m, name in dotted if not hasattr(modules[m], name)] == []
+    assert [name for name in constants
+            if not any(hasattr(module, name) for module in modules.values())] == []
 
 
 #: scipy subpackages the package loads only inside the functions that need them

@@ -147,6 +147,16 @@ class TestRadiusAbsMonotonicity:
         # near 1e6 the spacing of doubles exceeds the bisection width
         assert radius_abs_monotonicity(np.array([1.0, 1e-6])) == pytest.approx(1e6, rel=1e-9)
 
+    @pytest.mark.parametrize("psi, message", [
+        ([np.nan, 1.0], "psi must be finite"),
+        ([1.0, np.inf], "psi must be finite"),
+        ([[1.0, 1.0]], r"psi must be a 1-D array, got shape \(1, 2\)"),
+        (1.0, r"psi must be a 1-D array, got shape \(\)"),
+    ])
+    def test_bad_psi_rejected(self, psi, message):
+        with pytest.raises(ValueError, match=message):
+            radius_abs_monotonicity(np.array(psi))
+
 
 class TestThresholdFactor:
     def test_forward_euler(self):
@@ -189,6 +199,22 @@ def test_radii_bisect_tables_not_solves(monkeypatch):
         assert guard <= 1, (method.name, calls)
         threshold_factor(stability_polynomials(sp))
         assert calls["canonical"] == guard, (method.name, calls)
+
+
+_BAD_PSIS = [
+    ([1.0, 1.0, 0.5], r"psis must be a 2-D array, got shape \(3,\)"),
+    ([[[1.0, 1.0]]], r"psis must be a 2-D array, got shape \(1, 1, 2\)"),
+    ([[np.nan, 1.0]], "psis must be finite"),
+    ([[1.0, 1.0], [0.5, -np.inf]], "psis must be finite"),
+]
+
+
+@pytest.mark.parametrize("function", [threshold_factor, linear_order])
+@pytest.mark.parametrize("psis, message", _BAD_PSIS)
+def test_bad_psis_rejected(function, psis, message):
+    # a 1-D psi such as 1 + z + z^2/2 (radius 1) would read as constant rows, radius inf
+    with pytest.raises(ValueError, match=message):
+        function(np.array(psis))
 
 
 class TestLinearOrder:
