@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -58,6 +57,7 @@ class MSRKMethod:
     derivatives through ``Ahat``, and earlier stage derivatives through
     the strictly lower triangular ``A``.  The new step combines previous
     steps through ``theta`` and derivatives through ``bhat`` and ``b``.
+    The method keeps read-only copies of the arrays it is given.
     """
 
     s: int
@@ -70,16 +70,26 @@ class MSRKMethod:
     b: NDArray
     name: str = "unnamed"
     claimed_order: int = 1
-    # memo of to_spijker: the instance is frozen and its arrays read-only
-    _spijker: Optional["SpijkerForm"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s < 1 or self.k < 1:
             raise MethodStructureError("s and k must be at least 1")
         for key, shape in _coefficient_shapes(self.s, self.k).items():
-            arr = np.asarray(getattr(self, key), dtype=float).reshape(shape)
+            arr = np.array(getattr(self, key), dtype=float).reshape(shape)
             arr.setflags(write=False)
             object.__setattr__(self, key, arr)
+
+    @cached_property
+    def _spijker(self) -> SpijkerForm:
+        """The validated Spijker form; see :func:`to_spijker`."""
+        report = validate(self)
+        if not report.ok:
+            raise MethodStructureError(report.violations[0])
+        where, fixed = _spijker_layout(self.s, self.k)
+        ST = fixed.copy()
+        for key, pos in where.items():
+            ST[pos] = getattr(self, key)
+        return SpijkerForm(ST.reshape(self.k + self.s, 2 * self.k + self.s), k=self.k, s=self.s)
 
 
 @dataclass(frozen=True)
@@ -95,14 +105,44 @@ class SpijkerForm:
     s: int
     S: NDArray = field(init=False, repr=False, compare=False)
     T: NDArray = field(init=False, repr=False, compare=False)
-    # memos of ssp_coefficient and _canonical_table: ST is read-only
-    _C: Optional[float] = field(default=None, init=False, repr=False, compare=False)
-    _table: Optional[NDArray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ST.setflags(write=False)
         object.__setattr__(self, "S", self.ST[..., : self.k])
         object.__setattr__(self, "T", self.ST[..., self.k :])
+
+    @cached_property
+    def _table(self) -> NDArray:
+        """[R | P] as a polynomial table in r: row j holds the coefficients of r^j.
+
+        T is strictly lower triangular with s nonzero rows, so (I + rT)^{-1}
+        = sum_{j<=s} (-rT)^j and X = (I + rT)^{-1} [S | T] = sum_j r^j M_j,
+        with M_0 = [S | T] and M_{j+1} = -T M_j.  R = X_S takes rows 0..s
+        and P = r X_T rows 1..s+1, for a form or a stack.  Raises
+        FloatingPointError when an M_j overflows.
+        """
+        k, s = self.k, self.s
+        M = [self.ST]
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(s):
+                M.append(-self.T @ M[-1])
+        M = np.array(M)
+        table = np.zeros((s + 2,) + self.ST.shape)
+        table[:-1, ..., :k] = M[..., :k]
+        table[1:, ..., k:] = M[..., k:]
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def _C(self) -> float:
+        """The SSP coefficient; see :func:`ssp_coefficient`."""
+        if self.S.min() < -ENTRY_TOL:
+            return 0.0
+        lo = _largest_nonnegative(self._table, float(self.s + 1))
+        # guard against a false positive exactly at the boundary, by forward substitution
+        if 0.0 < lo < math.inf and not _feasible(self, lo * (1.0 - 1e-9)):
+            return 0.0
+        return lo
 
 
 @dataclass(frozen=True)
@@ -190,20 +230,7 @@ def to_spijker(method: MSRKMethod) -> SpijkerForm:
     the method.  Raises :class:`MethodStructureError` naming the first
     violated invariant if the method is invalid.
     """
-    if method._spijker is not None:
-        return method._spijker
-    report = validate(method)
-    if not report.ok:
-        raise MethodStructureError(report.violations[0])
-
-    s, k = method.s, method.k
-    where, fixed = _spijker_layout(s, k)
-    ST = fixed.copy()
-    for key, pos in where.items():
-        ST[pos] = getattr(method, key)
-    sp = SpijkerForm(ST.reshape(k + s, 2 * k + s), k=k, s=s)
-    object.__setattr__(method, "_spijker", sp)
-    return sp
+    return method._spijker
 
 
 def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h: float):
@@ -216,11 +243,11 @@ def _spijker_step(sp: SpijkerForm, x: NDArray, fx: NDArray, f, h: float):
     A stack of forms steps every member from the same inputs; ``f`` and
     the results then carry the stack's leading axes.
     """
-    k, n = sp.k, sp.k + sp.s
-    F = np.empty(sp.S.shape[:-2] + (n - 1, x.shape[1]))
+    S, T, k, n = sp.S, sp.T, sp.k, sp.k + sp.s
+    F = np.empty(S.shape[:-2] + (n - 1, x.shape[1]))
     F[..., :k, :] = fx
     for i in range(k, n):
-        w = sp.S[..., i, :] @ x + h * (sp.T[..., i, None, :i] @ F[..., :i, :])[..., 0, :]
+        w = S[..., i, :] @ x + h * (T[..., i, None, :i] @ F[..., :i, :])[..., 0, :]
         if i < n - 1:
             F[..., i, :] = f(w)
     return w, F[..., k - 1 :, :]
@@ -249,31 +276,6 @@ def canonical(sp: SpijkerForm, r: float) -> CanonicalForm:
 def _feasible(sp: SpijkerForm, r: float) -> bool:
     cf = canonical(sp, r)
     return min(cf.P.min(), cf.R.min()) >= -ENTRY_TOL
-
-
-def _canonical_table(sp: SpijkerForm) -> NDArray:
-    """[R | P] as a polynomial table in r: row j holds the coefficients of r^j.
-
-    T is strictly lower triangular with s nonzero rows, so (I + rT)^{-1}
-    = sum_{j<=s} (-rT)^j and X = (I + rT)^{-1} [S | T] = sum_j r^j M_j,
-    with M_0 = [S | T] and M_{j+1} = -T M_j.  R = X_S takes rows 0..s
-    and P = r X_T rows 1..s+1, for a form or a stack.  Raises
-    FloatingPointError when an M_j overflows.  The form keeps the table.
-    """
-    if sp._table is not None:
-        return sp._table
-    k, s = sp.k, sp.s
-    M = [sp.ST]
-    with np.errstate(over="raise", invalid="raise"):
-        for _ in range(s):
-            M.append(-sp.T @ M[-1])
-    M = np.array(M)
-    table = np.zeros((s + 2,) + sp.ST.shape)
-    table[:-1, ..., :k] = M[..., :k]
-    table[1:, ..., k:] = M[..., k:]
-    table.setflags(write=False)
-    object.__setattr__(sp, "_table", table)
-    return table
 
 
 def _bisect(passes, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -327,7 +329,7 @@ def _largest_nonnegative(coef: NDArray, hi: float) -> float:
 def ssp_coefficient(sp: SpijkerForm) -> float:
     """Largest r, to BISECT_TOL, at which the float P and R clear -ENTRY_TOL.
 
-    P and R are evaluated as polynomials in r (``_canonical_table``).
+    P and R are evaluated as polynomials in r (the form's ``_table``).
     The bracket starts at s+1, above the first-order threshold bound s,
     and doubles while the canonical form is still feasible there; a
     method still feasible past 1e12 (one that never uses f, say) gets
@@ -336,19 +338,7 @@ def ssp_coefficient(sp: SpijkerForm) -> float:
     FloatingPointError when the table overflows.  The result is kept on
     the form.
     """
-    if sp._C is None:
-        object.__setattr__(sp, "_C", _ssp_coefficient(sp))
     return sp._C
-
-
-def _ssp_coefficient(sp: SpijkerForm) -> float:
-    if sp.S.min() < -ENTRY_TOL:
-        return 0.0
-    lo = _largest_nonnegative(_canonical_table(sp), float(sp.s + 1))
-    # guard against a false positive exactly at the boundary, by forward substitution
-    if 0.0 < lo < math.inf and not _feasible(sp, lo * (1.0 - 1e-9)):
-        return 0.0
-    return lo
 
 
 def forward_euler() -> MSRKMethod:

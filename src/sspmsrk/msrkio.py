@@ -49,8 +49,8 @@ def _fmt_nested(a: np.ndarray) -> str:
 
 
 def dumps_method(method: MSRKMethod) -> str:
-    """The file text of a method; a name with a line break or surrounding
-    whitespace would not read back, and raises ValueError."""
+    """The file text of a method; MethodFileError names the field when the
+    name has a line break or surrounding whitespace, or a coefficient is not finite."""
     name = method.name
     if name != name.strip() or "".join(name.splitlines()) != name:
         raise MethodFileError(f"{name!r} has a line break or surrounding whitespace",
@@ -63,6 +63,8 @@ def dumps_method(method: MSRKMethod) -> str:
         f"claimed_order = {method.claimed_order}",
     ]
     for key in _ARRAYS:
+        if not np.isfinite(getattr(method, key)).all():
+            raise MethodFileError("a non-finite coefficient would not read back", field=key)
         lines.append(f"{key} = {_fmt_nested(getattr(method, key))}")
     return "\n".join(lines) + "\n"
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
@@ -64,7 +64,8 @@ class SearchSpec:
     r_tol: float = 1e-6
     #: a solve is feasible when its merit (squared residual norm) is at most feas_tol**2
     feas_tol: ClassVar[float] = 1e-10
-    warm_starts: list[MSRKMethod] = field(default_factory=list)
+    #: any sequence of methods, kept as a tuple
+    warm_starts: tuple[MSRKMethod, ...] = ()
 
     def __post_init__(self):
         if self.s < 1 or self.k < 1:
@@ -77,6 +78,7 @@ class SearchSpec:
             raise ValueError("r_tol must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        object.__setattr__(self, "warm_starts", tuple(self.warm_starts))
         for m in self.warm_starts:
             if (m.s, m.k) != (self.s, self.k):
                 raise ValueError(f"warm start {m.name} is an (s={m.s}, k={m.k}) method, "

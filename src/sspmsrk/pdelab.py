@@ -160,6 +160,13 @@ def msrk_step(
     return _spijker_step(to_spijker(method), x, fx, rhs, dt)
 
 
+def _resolve_startup(problem: SemiDiscretization, mode: Optional[str]) -> str:
+    """``mode``; None means exact when the problem has an exact solution, else rk3_substeps."""
+    if mode is None:
+        return "exact" if problem.exact is not None else "rk3_substeps"
+    return mode
+
+
 def startup(
     problem: SemiDiscretization,
     dt: float,
@@ -180,8 +187,7 @@ def startup(
     kept state, and keeps the longer run only if it completes.  None: exact
     when the problem has an exact solution, rk3_substeps otherwise.
     """
-    if mode is None:
-        mode = "exact" if problem.exact is not None else "rk3_substeps"
+    mode = _resolve_startup(problem, mode)
     if mode == "exact":
         if problem.exact is None:
             raise ValueError(f"problem {problem.name!r} has no exact solution for startup")
@@ -454,6 +460,7 @@ def max_stable_step(
 
     props = tuple(p for p, name in _PROPERTY_MONITORS.items() if name in problem.monitors)
     own = props.index(prop)
+    startup_mode = _resolve_startup(problem, startup_mode)
     run_key = (sp.ST.tobytes(), method.k, method.claimed_order, tf, startup_mode)
     joint = True
 

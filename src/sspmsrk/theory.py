@@ -16,9 +16,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .methods import (
-    ENTRY_TOL, MSRKMethod, SpijkerForm, _bisect, _canonical_table, _largest_nonnegative,
-)
+from .methods import ENTRY_TOL, MSRKMethod, SpijkerForm, _bisect, _largest_nonnegative
 
 __all__ = [
     "stability_polynomials",
@@ -59,10 +57,10 @@ def stability_polynomials(sp: SpijkerForm) -> NDArray:
 
     One step solves w = S x + z T w, so w = (I - zT)^{-1} S x: the R of
     the canonical form at r = -z.  The z^j coefficient of psi_i is thus
-    (-1)^j times entry (n-1, k-i) of the r^j row of ``_canonical_table``.
+    (-1)^j times entry (n-1, k-i) of the r^j row of the form's ``_table``.
     Raises FloatingPointError when that table overflows.
     """
-    R = _canonical_table(sp)[:-1, -1, : sp.k]  # r^0..r^s rows of R's last row
+    R = sp._table[:-1, -1, : sp.k]  # r^0..r^s rows of R's last row
     return (R * (-1.0) ** np.arange(sp.s + 1)[:, None])[:, ::-1].T.copy()
 
 

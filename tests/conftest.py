@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,22 @@ BENCH_METHODS = Path(__file__).resolve().parents[1] / "perfbench" / "methods"
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def count_builds(monkeypatch, cls, name) -> list:
+    """Replace the cached property ``cls.name`` by one that appends each
+    object it builds the value for to the returned list."""
+    builds = []
+    build = vars(cls)[name].func
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return builds
 
 
 def same_bits(a, b) -> bool:

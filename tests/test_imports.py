@@ -1,8 +1,9 @@
 """No module of the package or of its tests imports a name that it never uses,
 every name a package module exports is bound in it and is read in the package
 or exported by it, every private name a package module defines is read in the
-package, every name the README gives in code is still in the package, and
-scipy's solvers load only when a function needs them."""
+package, every name the README gives in code is still in the package,
+scipy's solvers load only when a function needs them, and no package module
+writes past a frozen dataclass outside its ``__post_init__``."""
 
 import ast
 import importlib
@@ -294,3 +295,42 @@ def test_cold_start_loads_the_solvers_only_on_first_use(tmp_path):
     assert report["R"] == theory.linear_bound(2, 2, 3).hex()
     result = optimizer.maximize_ssp(optimizer.SearchSpec(s=2, k=2, p=3, starts=1))
     assert (report["C"], report["certified"]) == (result.C.hex(), True)
+
+
+def frozen_writes(source: str) -> list[tuple[int, str]]:
+    """(line, innermost enclosing function) of every ``object.__setattr__``
+    call outside a ``__post_init__``: a frozen object normalizes its fields
+    there, and a value computed from it is a ``functools.cached_property``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__setattr__"
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "object"
+                    and function != "__post_init__"):
+                found.append((child.lineno, function))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_only_frozen_writes_outside_post_init():
+    source = ("object.__setattr__(a, 'x', 1)\n"
+              "class K:\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n"
+              "        def inner():\n"
+              "            object.__setattr__(self, 'y', 2)\n"
+              "    def memo(self):\n"
+              "        setattr(self, 'x', 1)\n"
+              "        self.__setattr__('x', 1)\n"
+              "        return object.__setattr__(self, 'z', 3)\n")
+    assert frozen_writes(source) == [(1, "<module>"), (6, "inner"), (10, "memo")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_frozen_write_outside_post_init(path):
+    assert frozen_writes(path.read_text()) == []

@@ -14,8 +14,8 @@ from sspmsrk.methods import (
     ENTRY_TOL,
     MethodStructureError,
     MSRKMethod,
+    SpijkerForm,
     _bisect,
-    _canonical_table,
     _horner,
     _largest_nonnegative,
     canonical,
@@ -26,9 +26,9 @@ from sspmsrk.methods import (
     validate,
 )
 from sspmsrk.series import bushy_trees, elementary_weights
-from sspmsrk.theory import gen_second_order, r_sk2
+from sspmsrk.theory import gen_second_order, r_sk2, stability_polynomials
 
-from conftest import random_valid_method, stack_forms
+from conftest import count_builds, random_valid_method, stack_forms
 
 
 class TestValidate:
@@ -104,6 +104,38 @@ class TestSpijker:
             to_spijker(m)
 
 
+class TestCaches:
+    """A method owns its coefficients, so its form, C and the canonical
+    table are computed once per object."""
+
+    def test_writing_the_callers_arrays_changes_nothing(self):
+        ref = ssprk33()
+        arrays = {f: np.array(getattr(ref, f)) for f in ("D", "Ahat", "A", "theta", "bhat", "b")}
+        m = MSRKMethod(s=3, k=1, **arrays)
+        sp = to_spijker(m)
+        ST, C = sp.ST.copy(), ssp_coefficient(sp)
+        arrays["A"][2, 0] = -5.0
+        arrays["b"][:] = np.nan
+        assert m.A[2, 0] == 0.25 and np.array_equal(m.b, ref.b)
+        assert validate(m).ok
+        assert to_spijker(m) is sp and np.array_equal(sp.ST, ST)
+        assert ssp_coefficient(to_spijker(m)) == C == ssp_coefficient(to_spijker(ssprk33()))
+
+    def test_each_value_is_built_once(self, monkeypatch):
+        forms = count_builds(monkeypatch, MSRKMethod, "_spijker")
+        coefficients = count_builds(monkeypatch, SpijkerForm, "_C")
+        tables = count_builds(monkeypatch, SpijkerForm, "_table")
+        m = gen_second_order(3, 2)
+        sp = to_spijker(m)
+        assert to_spijker(m) is sp and len(forms) == 1 and forms[0] is m
+        C = ssp_coefficient(sp)
+        assert ssp_coefficient(sp) is C and len(coefficients) == 1 and coefficients[0] is sp
+        table = sp._table
+        psi = stability_polynomials(sp)
+        np.testing.assert_array_equal(stability_polynomials(sp), psi)
+        assert sp._table is table and len(tables) == 1 and tables[0] is sp
+
+
 def _canonical_by_lu(sp, r):
     """[R | P] by np.linalg.solve on I + rT, a pivoted LU, for a form or a stack."""
     n, k = sp.S.shape[-2:]
@@ -167,7 +199,7 @@ class TestCanonical:
         r = frac * C
         cf = canonical(sp, r)
         got = np.concatenate([cf.R, cf.P], axis=-1)
-        for want in (_canonical_by_lu(sp, r), _horner(_canonical_table(sp), r)):
+        for want in (_canonical_by_lu(sp, r), _horner(sp._table, r)):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * max(1.0, np.abs(want).max()))
 
@@ -304,7 +336,7 @@ class TestLargestNonnegative:
         C = ssp_coefficient(sp)
         r = frac * C
         want = _canonical_by_lu(sp, r)
-        got = polyval(r, _canonical_table(sp))
+        got = polyval(r, sp._table)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
         assert C == pytest.approx(_ssp_coefficient_by_lu(sp), rel=0, abs=BISECT_TOL)
 

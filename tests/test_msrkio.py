@@ -61,6 +61,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="field 'name'"):
             dumps_method(dataclasses.replace(forward_euler(), name=name))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected_on_write(self, value):
+        b = np.array(ssprk33().b)
+        b[0] = value
+        with pytest.raises(MethodFileError, match=r"non-finite coefficient .*\(field 'b'\)$"):
+            dumps_method(dataclasses.replace(ssprk33(), b=b))
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\n" + dumps_method(forward_euler())
         assert_methods_equal(loads_method(text), forward_euler())

@@ -966,6 +966,15 @@ class TestSearchSpec:
         with pytest.raises(ValueError, match=message):
             SearchSpec(s=2, k=2, p=2, starts=1, warm_starts=[start])
 
+    def test_warm_starts_cannot_change_after_the_shape_check(self):
+        starts = warm_start_ladder(2, 2, 3)
+        spec = SearchSpec(s=2, k=2, p=3, starts=1, warm_starts=starts)
+        starts.insert(0, gen_second_order(3, 2))
+        assert isinstance(spec.warm_starts, tuple)
+        assert [m.name for m in spec.warm_starts] == [m.name for m in starts[1:]]
+        with pytest.raises(AttributeError):
+            spec.warm_starts.insert(0, gen_second_order(3, 2))
+
     def test_invalid_warm_start_rejected(self):
         # rejected on construction, so before R or any solve
         bad = MSRKMethod(s=2, k=2, D=[[0.0, 1.0], [0.5, 0.6]], Ahat=np.zeros((2, 1)),

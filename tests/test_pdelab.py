@@ -822,6 +822,24 @@ class TestMaxStableStep:
                                       "positivity")
         assert res.dt_max == 0.0
 
+    def test_remembered_probes_are_shared_by_either_spelling_of_the_default_startup(
+            self, monkeypatch):
+        # None stands for rk3_substeps on Buckley-Leverett, which has no exact solution
+        so2, runs, run_probe = gen_second_order(3, 2), [], pdelab._holds
+
+        def holds(*args):
+            runs.append(args)
+            return run_probe(*args)
+
+        monkeypatch.setattr(pdelab, "_holds", holds)
+        fresh = max_stable_step(buckley_leverett(), so2, "positivity")
+        for mode in (None, "rk3_substeps"):
+            problem = buckley_leverett()
+            max_stable_step(problem, so2, "tvd")
+            runs.clear()
+            assert max_stable_step(problem, so2, "positivity", startup_mode=mode) == fresh, mode
+            assert len(runs) == 13, mode
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5),

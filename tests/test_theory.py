@@ -29,28 +29,19 @@ from sspmsrk.theory import (
     threshold_factor,
 )
 
-from conftest import method_library, random_valid_method
+from conftest import count_builds, method_library, random_valid_method
 
 
 class TestStabilityPolynomials:
     def test_an_analyze_pass_builds_one_canonical_table(self, monkeypatch):
-        # ssp_coefficient and stability_polynomials read the same table; a
-        # call finds it built when the form already keeps one
-        builds = []
-
-        def counting(sp):
-            builds.append(getattr(sp, "_table", None) is None)
-            return table_of(sp)
-
-        table_of = methods._canonical_table
-        monkeypatch.setattr(methods, "_canonical_table", counting)
-        monkeypatch.setattr(theory, "_canonical_table", counting)
+        # ssp_coefficient and stability_polynomials read the same table on the form
+        builds = count_builds(monkeypatch, methods.SpijkerForm, "_table")
         sp = to_spijker(gen_second_order(8, 5))
         ssp_coefficient(sp)
         pols = stability_polynomials(sp)
         linear_order(pols)
         threshold_factor(pols)
-        assert builds == [True, False]
+        assert len(builds) == 1 and builds[0] is sp
 
     def test_forward_euler(self):
         psi = stability_polynomials(to_spijker(forward_euler()))
