@@ -89,27 +89,39 @@ class MSRKMethod:
         ST = fixed.copy()
         for key, pos in where.items():
             ST[pos] = getattr(self, key)
-        return SpijkerForm(ST.reshape(self.k + self.s, 2 * self.k + self.s), k=self.k, s=self.s)
+        return SpijkerForm(ST.reshape(self.k + self.s, 2 * self.k + self.s))
 
 
 @dataclass(frozen=True)
 class SpijkerForm:
-    """The representation w = S x + dt * T f, held as one read-only matrix
-    ``ST`` = [S | T] of shape (k+s, 2k+s); ``S`` and ``T`` are views of it.
+    """The representation w = S x + dt * T f, held as one read-only copy
+    ``ST`` = [S | T] of the matrix it is given, of shape (k+s, 2k+s), from
+    which k and s are read; ``S`` and ``T`` are views of it.
 
-    A stack of forms carries its leading axes on ST.
+    A stack of forms carries its leading axes on ST.  A matrix of fewer
+    than two axes, or of a shape that gives k < 1 or s < 1, raises
+    :class:`MethodStructureError`.
     """
 
     ST: NDArray
-    k: int
-    s: int
+    k: int = field(init=False)
+    s: int = field(init=False)
     S: NDArray = field(init=False, repr=False, compare=False)
     T: NDArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.ST.setflags(write=False)
-        object.__setattr__(self, "S", self.ST[..., : self.k])
-        object.__setattr__(self, "T", self.ST[..., self.k :])
+        ST = np.array(self.ST)
+        rows, cols = ST.shape[-2:] if ST.ndim >= 2 else (0, 0)
+        k, s = cols - rows, 2 * rows - cols
+        if k < 1 or s < 1:
+            raise MethodStructureError(f"a Spijker form needs shape (k+s, 2k+s) with k, s >= 1, "
+                                       f"got {ST.shape}")
+        ST.setflags(write=False)
+        object.__setattr__(self, "ST", ST)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "S", ST[..., :k])
+        object.__setattr__(self, "T", ST[..., k:])
 
     @cached_property
     def _table(self) -> NDArray:

@@ -133,6 +133,10 @@ def _plan(s: int, k: int) -> _Plan:
     free = [(D[1:, :-1], 1.0), (where["Ahat"][1:], 2.0 / s),
             (where["A"][np.tril_indices(s, -1)], 2.0 / s), (theta[:-1], 1.0),
             (where["bhat"], 2.0 / s), (where["b"], 2.0 / s)]
+    # D <= 1 and theta <= 1 follow from D, theta >= 0 and their unit row sums, but only
+    # at a feasible point: on the way there their hinges steer the solve.  Without them
+    # criterion 4's (3,2,3) fell from C_eff 0.55018 to 0.33810 at every seed 1-12 and 123
+    # (nfev 448 -> 1,774); (2,2,3), (2,3,4) and seven paper shapes kept their C_eff.
     rows = [(D, False), (D, True), (theta, False), (theta, True)]
     rows += [(where[key], False) for key in ("A", "Ahat", "b", "bhat")]
     plan = _Plan(
@@ -155,7 +159,7 @@ def _scatter(x: NDArray, s: int, k: int) -> SpijkerForm:
     ST = np.tile(_spijker_layout(s, k)[1], x.shape[:-1] + (1,))
     ST[..., plan.free] = x
     ST[..., plan.last] = 1.0 - ST[..., plan.rest].sum(axis=-1)
-    return SpijkerForm(ST.reshape(x.shape[:-1] + (k + s, 2 * k + s)), k=k, s=s)
+    return SpijkerForm(ST.reshape(x.shape[:-1] + (k + s, 2 * k + s)))
 
 
 def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int = 1) -> MSRKMethod:
@@ -248,11 +252,13 @@ def _once_per_point(f):
 _STATUS = {0: -1, 1: 2, 2: 3, 3: 4, 4: 1, 5: 0}
 
 
-def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev):
+def least_squares(fun, x0, *, jac):
     """One inner solve of fun(x) = 0, jac(x) its Jacobian, by MINPACK's
     Levenberg-Marquardt (``lmder``) through scipy's ``leastsq``: the loop that scipy's
     ``least_squares(method="lm", x_scale=1.0)`` runs on the padded problem, less the
-    wrapper around each call and the Jacobian it adds at the end.  Imports
+    wrapper around each call and the Jacobian it adds at the end.  xtol, ftol and
+    gtol are 1e-15 (MINPACK needs them above machine epsilon) and the budget is
+    MAX_INNER_ITERS residuals.  Imports
     scipy.optimize on first call (about 0.45 s in a fresh process); a module
     global, so it can be wrapped.
 
@@ -267,7 +273,7 @@ def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev):
 
     Returns x, cost (half the last residual's squared norm), nfev and njev (the
     residuals and Jacobians computed, each once per point, though ``leastsq``
-    checks both at x0 before MINPACK asks for them) and status (0: max_nfev ran out).
+    checks both at x0 before MINPACK asks for them) and status (0: the budget ran out).
     """
     from scipy.optimize import OptimizeResult, leastsq
 
@@ -284,14 +290,14 @@ def least_squares(fun, x0, *, jac, xtol, ftol, gtol, max_nfev):
     if not np.isfinite(residuals(z0)).all():
         raise ValueError("Residuals are not finite in the initial point.")
     z, _, info, _, exit_code = leastsq(
-        residuals, z0, Dfun=jacobian, full_output=True, ftol=ftol, xtol=xtol, gtol=gtol,
-        maxfev=max_nfev, diag=np.ones(len(z0)))
+        residuals, z0, Dfun=jacobian, full_output=True, ftol=1e-15, xtol=1e-15, gtol=1e-15,
+        maxfev=MAX_INNER_ITERS, diag=np.ones(len(z0)))
     f = info["fvec"]
     return OptimizeResult(x=z[:-1], cost=0.5 * np.dot(f, f), nfev=residuals.computed,
                           njev=jacobian.computed, status=_STATUS[exit_code])
 
 
-def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
+def _solve_feasibility(spec: SearchSpec, r: float, starts, history):
     """(x, best merit): x of the first start whose solve is :func:`_accepted`
     at r, or None, and the least merit over the solves made.
 
@@ -306,15 +312,14 @@ def _solve_feasibility(spec: SearchSpec, r: float, p: int, starts, history):
     up once the solves from two distinct starts, ended by MINPACK (status > 0)
     above feas_tol**2, agree in merit to REPEAT_RTOL relative.
     """
-    s, k = spec.s, spec.k
+    s, k, p = spec.s, spec.k, spec.p
     best_merit, solved, minima = np.inf, set(), []
     for idx, x0 in enumerate(starts):
         if x0.tobytes() in solved:
             continue
         solved.add(x0.tobytes())
         sol = least_squares(lambda x: _merit_residuals(x, s, k, r, p), x0,
-                            jac=lambda x: _merit_jacobian(x, s, k, r, p), xtol=1e-15, ftol=1e-15,
-                            gtol=1e-15, max_nfev=MAX_INNER_ITERS)
+                            jac=lambda x: _merit_jacobian(x, s, k, r, p))
         merit = float(2.0 * sol.cost)  # cost is half the squared norm
         history.append((r, idx, merit, sol.nfev, sol.njev))
         if _accepted(spec, r, merit, sol.x):
@@ -394,7 +399,7 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
         return out
 
     # establish feasibility at r = 0 with the full multistart budget
-    x0, merit0 = _solve_feasibility(spec, 0.0, p, starts_at(None, spec.starts), history)
+    x0, merit0 = _solve_feasibility(spec, 0.0, starts_at(None, spec.starts), history)
     if x0 is None:
         raise SearchFailure(
             f"no order-{p} method found at r=0 for (s={s}, k={k}); best merit {merit0:.3e}"
@@ -405,7 +410,7 @@ def maximize_ssp(spec: SearchSpec) -> SearchResult:
 
     def feasible(r):
         nonlocal best_x
-        x, _ = _solve_feasibility(spec, r, p, starts_at(best_x, n_random_later), history)
+        x, _ = _solve_feasibility(spec, r, starts_at(best_x, n_random_later), history)
         if x is not None:
             best_x = x
         return x is not None

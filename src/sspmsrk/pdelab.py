@@ -76,18 +76,18 @@ def positivity_min(u: NDArray) -> float:
 @dataclass(frozen=True)
 class SemiDiscretization:
     """A semi-discretized problem u' = rhs(u) with its forward-Euler SSP bound.  ``u0`` is
-    a read-only copy; ``startup`` keeps the problem's rk3_substeps start-ups per substep
-    and count, ``max_stable_step`` its joint probes' answers, and ``dataclasses.replace``
-    keeps none of either."""
+    a read-only copy and ``dim`` its size; ``startup`` keeps the problem's rk3_substeps
+    start-ups per substep and count, ``max_stable_step`` its joint probes' answers, and
+    ``dataclasses.replace`` keeps none of either."""
 
     name: str
-    dim: int
     rhs: Callable[[NDArray], NDArray]
     dt_fe: float
     u0: NDArray
     monitors: dict[str, Callable[[NDArray], float]] = field(default_factory=dict)
     exact: Optional[Callable[[float], NDArray]] = None
     dx: Optional[float] = None
+    dim: int = field(init=False)
     _startups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _probes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -96,6 +96,7 @@ class SemiDiscretization:
             raise ValueError("dt_fe must be positive")
         object.__setattr__(self, "u0", np.array(self.u0, dtype=float))
         self.u0.flags.writeable = False
+        object.__setattr__(self, "dim", self.u0.size)
 
 
 @dataclass
@@ -185,8 +186,13 @@ def startup(
     on which alone the substeps depend, for any later call of any method or
     property; a call that needs more of them continues the run from the last
     kept state, and keeps the longer run only if it completes.  None: exact
-    when the problem has an exact solution, rk3_substeps otherwise.
+    when the problem has an exact solution, rk3_substeps otherwise.  Raises
+    ValueError, before any work, unless 0 < dt < inf and k >= 1.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     mode = _resolve_startup(problem, mode)
     if mode == "exact":
         if problem.exact is None:
@@ -242,12 +248,14 @@ def vdp_problem(eps: float = 10.0) -> SemiDiscretization:
         if not t <= VDP_MAX_HORIZON:
             raise ValueError(f"the van der Pol reference ends at t = {VDP_MAX_HORIZON:g}; "
                              f"t = {t:g} is past it")
+        if not t >= 0.0:
+            raise ValueError(f"the van der Pol reference starts at t = 0; t = {t:g} is before it")
         # the horizon, the smallest 4*2^m >= t, depends on t alone, and so does u(t)
         return _vdp_reference(eps, 4.0 * 2.0 ** math.ceil(math.log2(max(t / 4.0, 1.0))))(t)
 
     # dt_fe is nominal: the oscillator carries no convex monitor of interest
     return SemiDiscretization(
-        name="vdp", dim=2, rhs=functools.partial(_vdp_rhs, eps=eps), dt_fe=eps / 10.0,
+        name="vdp", rhs=functools.partial(_vdp_rhs, eps=eps), dt_fe=eps / 10.0,
         u0=np.array(_VDP_U0), monitors={}, exact=exact,
     )
 
@@ -275,7 +283,7 @@ def advection_upwind(N: int = 101) -> SemiDiscretization:
         return ic(x - t)
 
     return SemiDiscretization(
-        name="advection", dim=N, rhs=rhs, dt_fe=dx, u0=ic(x),
+        name="advection", rhs=rhs, dt_fe=dx, u0=ic(x),
         monitors={"tv": tv_seminorm, "min": positivity_min},
         exact=exact, dx=dx,
     )
@@ -316,7 +324,7 @@ def buckley_leverett(N: int = 100) -> SemiDiscretization:
         return (F - F[left]) / -dx  # -(F_{j+1/2} - F_{j-1/2})/dx
 
     return SemiDiscretization(
-        name="buckley", dim=N, rhs=rhs, dt_fe=dx / 4.0, u0=u0,
+        name="buckley", rhs=rhs, dt_fe=dx / 4.0, u0=u0,
         monitors={"tv": tv_seminorm, "min": positivity_min},
         dx=dx,
     )

@@ -78,7 +78,7 @@ def method_library():
 def stack_forms(methods):
     """The Spijker forms of methods of one shape, stacked along a new first axis."""
     forms = [to_spijker(m) for m in methods]
-    return SpijkerForm(ST=np.array([f.ST for f in forms]), k=forms[0].k, s=forms[0].s)
+    return SpijkerForm(np.array([f.ST for f in forms]))
 
 
 @st.composite

@@ -1,9 +1,9 @@
 """The library API that the benchmark in ``perfbench/`` calls.
 
-``perfbench/`` has its own tests, which the default test run does not
-collect; this module builds one round of each workload and runs four
-cheap operations, so a renamed or removed name fails here, and so does a
-broken start-up on either step-search problem.  It also checks that the
+``perfbench/`` has its own tests, which the default test run also collects
+(``testpaths``); this module builds one round of each workload and runs
+four cheap operations, so a renamed or removed name fails here, and so
+does a broken start-up on either step-search problem.  It also checks that the
 tracer's solve counts agree with a search's history.
 """
 

@@ -198,7 +198,7 @@ class TestOptimize:
     def test_any_shape_order_and_r_tol_exits_cleanly(self, tmp_path_factory, s, k, p, r_tol,
                                                      seed):
         # the solver reports every radius infeasible, so no real search runs
-        def infeasible(spec, r, p, starts, history):
+        def infeasible(spec, r, starts, history):
             return None, float("inf")
 
         out = tmp_path_factory.mktemp("optimize") / "x.msrk"
@@ -556,6 +556,17 @@ class TestTable1:
         assert rows[0] == ["s", "k=2", "k=3"]
         assert rows[1][1] == f"{r_sk2(2, 2) / 2:.5f}"
         assert not any(cell.endswith("!") for row in rows[1:] for cell in row[1:])
+
+    def test_mismatch_flagged_and_warned(self, tmp_path, capsys, monkeypatch):
+        # a formula off by 1 disagrees with every generated method of the grid
+        monkeypatch.setattr(cli, "r_sk2", lambda s, k: r_sk2(s, k) + 1.0)
+        out = tmp_path / "table1.csv"
+        assert main(["table1", "--smax", "3", "--kmax", "3", "--out", str(out)]) == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert all(cell.endswith("!") for row in rows[1:] for cell in row[1:])
+        assert capsys.readouterr().out.endswith(
+            "warning: 4 generator/formula mismatches flagged with '!'\n")
 
     def test_oversized_grid_rejected(self, tmp_path, capsys):
         code = main(["table1", "--smax", "40", "--out", str(tmp_path / "t.csv")])

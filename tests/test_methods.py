@@ -1,6 +1,9 @@
 import dataclasses
+import inspect
 import math
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +75,19 @@ class TestValidate:
         )
         assert validate(m).violations[0] == "coefficients must be finite"
 
+    def test_nonzero_first_row_of_Ahat(self):
+        m = MSRKMethod(
+            s=2, k=2,
+            D=[[0.0, 1.0], [0.0, 1.0]], Ahat=[[0.5], [0.0]], A=[[0.0, 0.0], [1.0, 0.0]],
+            theta=[0.0, 1.0], bhat=[0.0], b=[0.5, 0.5],
+        )
+        assert validate(m).violations == ["row 1 of Ahat must be identically zero"]
+
+    @pytest.mark.parametrize("s, k", [(0, 1), (1, 0), (-1, 2)])
+    def test_no_stage_or_step_rejected(self, s, k):
+        with pytest.raises(MethodStructureError, match="^s and k must be at least 1$"):
+            MSRKMethod(s=s, k=k, D=[], Ahat=[], A=[], theta=[], bhat=[], b=[])
+
 
 class TestSpijker:
     def test_forward_euler_blocks(self):
@@ -102,6 +118,40 @@ class TestSpijker:
         )
         with pytest.raises(MethodStructureError, match="theta sums"):
             to_spijker(m)
+
+    def test_the_matrix_alone_is_given(self):
+        assert list(inspect.signature(SpijkerForm).parameters) == ["ST"]
+
+    @pytest.mark.parametrize("shape, k, s", [((2, 3), 1, 1), ((4, 5), 1, 3), ((5, 7), 2, 3),
+                                             ((6, 2, 3, 4), 1, 2)])
+    def test_k_and_s_are_read_from_the_shape(self, shape, k, s):
+        sp = SpijkerForm(np.zeros(shape))
+        assert (sp.k, sp.s) == (k, s)
+        assert sp.S.shape == shape[:-1] + (k,) and sp.T.shape == shape[:-1] + (k + s,)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 4), (3,), (), (3, 3)])
+    def test_a_shape_with_no_stage_or_step_rejected(self, shape):
+        with pytest.raises(MethodStructureError, match=f"got {re.escape(str(shape))}$"):
+            SpijkerForm(np.zeros(shape))
+
+    def test_the_dtype_is_kept(self):
+        ST = np.array([[Fraction(1), Fraction(0), Fraction(0)],
+                       [Fraction(1), Fraction(1, 2), Fraction(0)]], dtype=object)
+        sp = SpijkerForm(ST)
+        assert sp.ST.dtype == object and (sp.k, sp.s) == (1, 1)
+        assert sp.T[1, 0] == Fraction(1, 2)
+
+    def test_the_form_owns_a_read_only_copy(self):
+        base = to_spijker(ssprk33()).ST.copy()
+        view = base[:]
+        sp = SpijkerForm(view)
+        ST, C = sp.ST.copy(), ssp_coefficient(sp)
+        assert C == pytest.approx(1.0, abs=1e-9)
+        assert base.flags.writeable and view.flags.writeable and not sp.ST.flags.writeable
+        base[3, 2] = -5.0
+        assert np.array_equal(sp.ST, ST) and ssp_coefficient(sp) == C
+        # the write is one that matters: a fresh form of the written matrix reads 0
+        assert ssp_coefficient(SpijkerForm(view)) == 0.0
 
 
 class TestCaches:
@@ -233,7 +283,12 @@ class TestSSPCoefficient:
         S = np.array([[0.0, 1.0], [0.0, 1.0], [-0.5, 1.5]])
         T = np.zeros((3, 3))
         T[2, 1] = 1.0
-        assert ssp_coefficient(SpijkerForm(ST=np.hstack([S, T]), k=2, s=1)) == 0.0
+        assert ssp_coefficient(SpijkerForm(np.hstack([S, T]))) == 0.0
+
+    def test_a_bound_that_fails_at_the_boundary_gives_zero(self, monkeypatch):
+        # the forward-substitution guard overrules the polynomial table
+        monkeypatch.setattr(methods, "_feasible", lambda sp, r: False)
+        assert ssp_coefficient(to_spijker(ssprk33())) == 0.0
 
     def test_feasibility_interval_sampling(self):
         # nonnegativity must hold at every r below the computed coefficient

@@ -102,6 +102,12 @@ class TestErrors:
         with pytest.raises(MethodFileError, match="not a numeric array"):
             loads_method(text)
 
+    @pytest.mark.parametrize("field", ["s", "k"])
+    def test_no_stage_or_step_rejected(self, field):
+        text = dumps_method(forward_euler()).replace(f"{field} = 1", f"{field} = 0")
+        with pytest.raises(MethodFileError, match="^s and k must be at least 1$"):
+            loads_method(text)
+
     def test_shape_mismatch_reported(self):
         text = dumps_method(forward_euler()).replace("b = [1]", "b = [0.5, 0.5]")
         with pytest.raises(MethodFileError):

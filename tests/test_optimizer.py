@@ -86,7 +86,7 @@ class TestPackUnpack:
     def test_random_start_draws_array_by_array(self, monkeypatch):
         drawn = []
 
-        def failing(spec, r, p, starts, history):  # records the r = 0 starts and finds none
+        def failing(spec, r, starts, history):  # records the r = 0 starts and finds none
             drawn.extend(starts)
             return None, np.inf
 
@@ -232,8 +232,7 @@ class TestStackedMerit:
 
         monkeypatch.setattr(scipy.optimize, "leastsq", leastsq)
         sol = optimizer.least_squares(lambda x: _merit_residuals(x, 3, 2, 0.4, 3), x,
-                                      jac=lambda x: _merit_jacobian(x, 3, 2, 0.4, 3),
-                                      max_nfev=MAX_INNER_ITERS, **_TOLS)
+                                      jac=lambda x: _merit_jacobian(x, 3, 2, 0.4, 3))
         assert same_bits(sol.x, x)  # the pad leaves with the solve
         F, J = seen
         assert same_bits(F, np.append(_merit_residuals(x, 3, 2, 0.4, 3), 0.0))
@@ -462,11 +461,19 @@ class TestMaximizeSSP:
         with pytest.raises(SearchFailure, match=r"linear bound R\(2,2,4\)"):
             maximize_ssp(SearchSpec(s=2, k=2, p=4, starts=20, seed=123, r_tol=1e-4))
 
+    def test_no_radius_above_zero_fails_the_search(self, monkeypatch):
+        # every solve at r > 0 fails, so the bisection ends at lo = 0
+        x = pack(gen_second_order(2, 2))
+        monkeypatch.setattr(optimizer, "_solve_feasibility",
+                            lambda spec, r, starts, history: (x, 0.0) if r == 0.0 else (None, 1.0))
+        with pytest.raises(SearchFailure, match=r"radius for \(s=2, k=2, p=2\) is 0\.000e\+00;"):
+            maximize_ssp(SearchSpec(s=2, k=2, p=2, starts=1, r_tol=1e-3))
+
     def test_bisection_stays_under_the_linear_bound(self, monkeypatch):
         x = pack(gen_second_order(2, 2))
         radii = []
 
-        def solve(spec, r, p, starts, history):
+        def solve(spec, r, starts, history):
             radii.append(r)
             return x, 0.0
 
@@ -481,7 +488,7 @@ class TestMaximizeSSP:
         x = pack(gen_second_order(2, 2))
         radii = []
 
-        def solve(spec, r, p, starts, history):
+        def solve(spec, r, starts, history):
             radii.append(r)
             if len(radii) > 200:
                 pytest.fail("the bisection did not end")
@@ -506,7 +513,7 @@ class TestMaximizeSSP:
         x = pack(gen_second_order(2, 2))
         radii = []
 
-        def solve(spec, r, p, starts, history):
+        def solve(spec, r, starts, history):
             radii.append(r)
             return x, 0.0
 
@@ -533,7 +540,7 @@ class TestMaximizeSSP:
         monkeypatch.setattr(optimizer, "least_squares", lambda *args, **kwargs: SimpleNamespace(
             x=next(solutions), cost=0.0, nfev=1, njev=1, status=1))
         history = []
-        x, _ = optimizer._solve_feasibility(SearchSpec(s=2, k=2, p=2), 1.2, 2, [short, good],
+        x, _ = optimizer._solve_feasibility(SearchSpec(s=2, k=2, p=2), 1.2, [short, good],
                                             history)
         assert np.array_equal(x, good)
         assert len(history) == 2
@@ -663,11 +670,11 @@ def _one_start_at_a_time(solve):
     """solve, a _solve_feasibility, with both rules off: it gets the starts one
     at a time, in order, until one is accepted, so no start is compared with another."""
 
-    def every_start(spec, r, p, starts, history):
+    def every_start(spec, r, starts, history):
         best = np.inf
         for idx, x0 in enumerate(starts):
             rows = []
-            x, merit = solve(spec, r, p, [x0], rows)
+            x, merit = solve(spec, r, [x0], rows)
             history.extend((r, idx) + row[2:] for row in rows)
             if x is not None:
                 return x, merit
@@ -701,7 +708,7 @@ class TestRepeatRule:
     @staticmethod
     def _solve(r, starts):
         history = []
-        x, merit = optimizer._solve_feasibility(SearchSpec(s=2, k=2, p=3), r, 3, starts, history)
+        x, merit = optimizer._solve_feasibility(SearchSpec(s=2, k=2, p=3), r, starts, history)
         return x, merit, [row[1] for row in history]
 
     @pytest.mark.parametrize("second, solves", [(1.0 + 5e-10, 2), (1.0 + 2e-9, 3)])
@@ -743,9 +750,9 @@ class TestRepeatRule:
         def search(inner):
             calls = []  # per radius: r, its starts and the starts solved
 
-            def solving(spec, r, p, starts, history):
+            def solving(spec, r, starts, history):
                 calls.append((r, starts, []))
-                return inner(spec, r, p, starts, history)
+                return inner(spec, r, starts, history)
 
             def recording(fun, x0, **kwargs):
                 calls[-1][2].append(x0)
@@ -810,10 +817,10 @@ class TestJacobianMemo:
             return real(func, z0, Dfun=jacobian, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "leastsq", spying)
+        monkeypatch.setattr(optimizer, "MAX_INNER_ITERS", 20)
         x = rng.uniform(0.0, 0.5, free_parameter_count(2, 2))
         sol = optimizer.least_squares(lambda x: _merit_residuals(x, 2, 2, 0.4, 3), x,
-                                      jac=lambda x: _merit_jacobian(x, 2, 2, 0.4, 3),
-                                      max_nfev=20, **_TOLS)
+                                      jac=lambda x: _merit_jacobian(x, 2, 2, 0.4, 3))
         # leastsq checks the Jacobian at x0, and MINPACK then asks for it there
         (z, J), (z_again, J_again) = calls[:2]
         assert np.array_equal(z, z_again) and J_again is J
@@ -842,12 +849,14 @@ class TestJacobianMemo:
         assert sum(len(xs) for xs in points) == sum(row[4] for row in res.history)
 
 
-def _scipy_lm(fun, x0, **kwargs):
-    """The inner solve as scipy's ``least_squares`` runs it: 'lm' with unit scaling."""
-    return least_squares(fun, x0, method="lm", x_scale=1.0, **kwargs)
+def _scipy_lm(fun, x0, *, jac):
+    """The inner solve as scipy's ``least_squares`` runs it: 'lm' with unit scaling,
+    tolerances 1e-15 and a budget of ``optimizer.MAX_INNER_ITERS`` residuals."""
+    return least_squares(fun, x0, jac=jac, method="lm", x_scale=1.0, xtol=1e-15, ftol=1e-15,
+                         gtol=1e-15, max_nfev=optimizer.MAX_INNER_ITERS)
 
 
-def _scipy_lm_padded(fun, x0, *, jac, **kwargs):
+def _scipy_lm_padded(fun, x0, *, jac):
     """:func:`_scipy_lm` on the problem with the driver's pad.  nfev counts the
     residuals computed and njev the Jacobians, each computed once when asked
     again at its point."""
@@ -868,7 +877,7 @@ def _scipy_lm_padded(fun, x0, *, jac, **kwargs):
             counts["njev"] += 1
         return last[1]
 
-    sol = _scipy_lm(residuals, np.append(x0, 0.0), jac=jacobian, **kwargs)
+    sol = _scipy_lm(residuals, np.append(x0, 0.0), jac=jacobian)
     sol.x, sol.nfev, sol.njev = sol.x[:-1], counts["nfev"], counts["njev"]
     return sol
 
@@ -879,9 +888,6 @@ def _rosenbrock(z):
 
 def _rosenbrock_jacobian(z):
     return np.array([[-20.0 * z[0], 10.0], [-1.0, 0.0]])
-
-
-_TOLS = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
 
 
 class TestInnerDriver:
@@ -905,11 +911,11 @@ class TestInnerDriver:
         assert sum(row[4] for row in ours.history) < sum(row[4] for row in theirs.history)
 
     @pytest.mark.parametrize("max_nfev", [3, MAX_INNER_ITERS])
-    def test_result_fields_match_scipy(self, max_nfev):
+    def test_result_fields_match_scipy(self, monkeypatch, max_nfev):
+        monkeypatch.setattr(optimizer, "MAX_INNER_ITERS", max_nfev)
         x0 = np.array([-1.2, 1.0])
-        ours = optimizer.least_squares(_rosenbrock, x0, jac=_rosenbrock_jacobian,
-                                       max_nfev=max_nfev, **_TOLS)
-        theirs = _scipy_lm(_rosenbrock, x0, jac=_rosenbrock_jacobian, max_nfev=max_nfev, **_TOLS)
+        ours = optimizer.least_squares(_rosenbrock, x0, jac=_rosenbrock_jacobian)
+        theirs = _scipy_lm(_rosenbrock, x0, jac=_rosenbrock_jacobian)
         assert same_bits(ours.x, theirs.x) and same_bits(ours.cost, theirs.cost)
         assert same_bits(ours.cost, 0.5 * np.dot(_rosenbrock(ours.x), _rosenbrock(ours.x)))
         assert (ours.nfev, ours.njev, ours.status) == (theirs.nfev, theirs.njev, theirs.status)
@@ -924,15 +930,14 @@ class TestInnerDriver:
             return _rosenbrock(z)
 
         x0 = np.array([-1.2, 1.0])
-        sol = optimizer.least_squares(counting, x0, jac=_rosenbrock_jacobian,
-                                      max_nfev=MAX_INNER_ITERS, **_TOLS)
+        sol = optimizer.least_squares(counting, x0, jac=_rosenbrock_jacobian)
         assert sol.status > 0 and len(points) == sol.nfev
         assert sum(np.array_equal(z, x0) for z in points) == 1
 
     def test_non_finite_residual_at_the_start_raises(self):
         with pytest.raises(ValueError, match="Residuals are not finite in the initial point"):
             optimizer.least_squares(lambda z: np.array([np.nan, z[0]]), np.zeros(2),
-                                    jac=lambda z: np.eye(2), max_nfev=MAX_INNER_ITERS, **_TOLS)
+                                    jac=lambda z: np.eye(2))
 
 
 class TestSearchSpec:

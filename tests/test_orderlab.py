@@ -105,6 +105,10 @@ class TestStageOrder:
 
 
 class TestOracleOrder:
+    def test_pmax_above_the_tree_tables_rejected(self):
+        with pytest.raises(ValueError, match="^pmax must be at most 12$"):
+            oracle_order(ssprk33(), pmax=13)
+
     def test_forward_euler(self):
         assert oracle_order(forward_euler(), pmax=3) == 1
 
@@ -152,6 +156,10 @@ def _rk4_with_bc3(bc3):
 
 
 class TestOrderResidualVector:
+    def test_p_above_the_tree_tables_rejected(self):
+        with pytest.raises(ValueError, match="^p must be at most 12$"):
+            order_residual_vector(to_spijker(ssprk33()), 13)
+
     def test_ssprk33_satisfies_order_three(self):
         r = order_residual_vector(to_spijker(ssprk33()), 3)
         assert np.abs(r).max() <= 1e-12

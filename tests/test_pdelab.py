@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import math
 import re
 import types
@@ -25,6 +26,7 @@ from sspmsrk.pdelab import (
     MONOTONICITY_SLACK,
     VDP_MAX_HORIZON,
     RunAbortedError,
+    SemiDiscretization,
     advection_upwind,
     buckley_leverett,
     max_stable_step,
@@ -111,6 +113,8 @@ class TestMonitors:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             tv_seminorm(np.array([]))
+        with pytest.raises(ValueError, match="^u must be nonempty$"):
+            positivity_min([])
 
 
 class TestMsrkStep:
@@ -318,6 +322,18 @@ class TestStartup:
         again = startup(problem, 0.006, 3, 3, mode="rk3_substeps")
         assert [u.tobytes() for u in again] == expected
 
+    @pytest.mark.parametrize("mode", ["exact", "rk3_substeps"])
+    @pytest.mark.parametrize("dt, k, message", [
+        (-0.01, 3, "dt must be positive and finite"), (0.0, 2, "dt must be positive and finite"),
+        (math.inf, 2, "dt must be positive and finite"), (math.nan, 2, "dt must be positive and finite"),
+        (0.01, 0, "k must be at least 1"), (0.01, -1, "k must be at least 1")])
+    def test_bad_step_or_step_count_rejected_before_any_work(self, mode, dt, k, message):
+        for problem in (advection_upwind(), buckley_leverett()):
+            problem = dataclasses.replace(problem, rhs=_unreachable, exact=_unreachable)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                startup(problem, dt, k, 2, mode=mode)
+            assert problem._startups == {}
+
     def test_replace_starts_with_no_start_ups(self):
         problem = buckley_leverett()
         startup(problem, 0.006, 3, 3, mode="rk3_substeps")
@@ -332,6 +348,14 @@ class TestStartup:
         u0 = np.array(problem.u0)
         dataclasses.replace(problem, u0=u0)
         u0[0] = 1.0  # the caller's array stays writable
+
+    @pytest.mark.parametrize("make, dim", [(vdp_problem, 2), (lambda: advection_upwind(7), 7),
+                                           (lambda: buckley_leverett(9), 9)])
+    def test_dim_is_the_size_of_the_initial_data(self, make, dim):
+        problem = make()
+        assert "dim" not in inspect.signature(SemiDiscretization).parameters
+        assert problem.dim == problem.u0.size == dim
+        assert dataclasses.replace(problem, u0=np.zeros(dim + 3)).dim == dim + 3
 
     def test_probe_with_non_finite_start_up_fails(self):
         problem = dataclasses.replace(buckley_leverett(), rhs=lambda u: np.full_like(u, np.inf))
@@ -463,6 +487,13 @@ class TestProblems:
             vdp_problem(eps=0.0)
         with pytest.raises(ValueError):
             advection_upwind(N=2)
+        with pytest.raises(ValueError, match="^N must be at least 3$"):
+            buckley_leverett(N=2)
+
+    @pytest.mark.parametrize("dt_fe", [0.0, -0.01])
+    def test_nonpositive_forward_euler_step_rejected(self, dt_fe):
+        with pytest.raises(ValueError, match="^dt_fe must be positive$"):
+            dataclasses.replace(advection_upwind(), dt_fe=dt_fe)
 
 
 class TestRun:
@@ -897,6 +928,13 @@ class TestConvergence:
         # a time past the cap fails before DOP853 integrates anything
         monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
         with pytest.raises(ValueError, match=f"ends at t = {VDP_MAX_HORIZON:g}"):
+            vdp_problem(eps=6.5).exact(t)
+
+    @pytest.mark.parametrize("t", [-1e-3, -1.0, -np.inf])
+    def test_reference_before_its_start_rejected(self, monkeypatch, t):
+        # DOP853's dense output would extrapolate back from t = 0, or warn and give nan
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
+        with pytest.raises(ValueError, match="starts at t = 0"):
             vdp_problem(eps=6.5).exact(t)
 
     def test_ssprk33_order_three_on_vdp(self):

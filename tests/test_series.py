@@ -27,6 +27,11 @@ def _tall(children, n):
 
 
 class TestRootedTrees:
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_no_bushy_tree_rejected(self, N):
+        with pytest.raises(ValueError, match="^N must be at least 1$"):
+            bushy_trees(N)
+
     def test_counts_per_order(self):
         trees = rooted_trees(12)
         np.testing.assert_array_equal(
@@ -121,7 +126,7 @@ def test_stacked_eval_matches_members(N):
     rng = np.random.default_rng(N)
     members = [[random_valid_method(rng, 3, 2) for _ in range(3)] for _ in range(2)]
     rows = [stack_forms(row) for row in members]
-    stack = SpijkerForm(ST=np.array([sp.ST for sp in rows]), k=2, s=3)
+    stack = SpijkerForm(np.array([sp.ST for sp in rows]))
     phi = elementary_weights(stack, rooted_trees(N))[0]
     assert phi.shape == (2, 3, len(rooted_trees(N).order))
     np.testing.assert_allclose(phi, _weights_by_trees(stack, N), rtol=0, atol=1e-12)
