@@ -121,7 +121,7 @@ def cmd_optimize(args) -> int:
 def cmd_run(args) -> int:
     problem = _PROBLEMS[args.problem]()
     method = msrkio.read_method(args.method)
-    record = pdelab.run(problem, method, args.dt, args.tf, startup_mode=args.startup)
+    record = pdelab.run(problem, method, args.dt, args.tf)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         names = sorted(record.monitors)
@@ -142,11 +142,8 @@ def cmd_stepsearch(args) -> int:
     rows = []
     for method in methods:
         s = method.s
-        results = {
-            prop: pdelab.max_stable_step(problem, method, prop, resolution=args.resolution,
-                                         tf=args.tf, startup_mode=args.startup)
-            for prop in props
-        }
+        results = {prop: pdelab.max_stable_step(problem, method, prop, args.resolution, args.tf)
+                   for prop in props}
         theoretical = results[props[0]].theoretical / dx
         row = {
             "name": method.name,
@@ -247,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--tf", type=float, required=True)
-    p.add_argument("--startup", default=None, choices=["exact", "rk3_substeps"],
-                   help="default: exact if the problem has an exact solution")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_run)
 
@@ -259,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=float, default=None)
     p.add_argument("--tf", type=float, default=None,
                    help="default: a horizon scaled by k and the SSP coefficient")
-    p.add_argument("--startup", default=None, choices=["exact", "rk3_substeps"],
-                   help="default: exact if the problem has an exact solution")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_stepsearch)
 

@@ -49,7 +49,7 @@ def _coefficient_shapes(s: int, k: int) -> dict[str, tuple[int, ...]]:
             "theta": (k,), "bhat": (k - 1,), "b": (s,)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MSRKMethod:
     """An explicit s-stage, k-step method in coefficient form.
 
@@ -57,7 +57,8 @@ class MSRKMethod:
     derivatives through ``Ahat``, and earlier stage derivatives through
     the strictly lower triangular ``A``.  The new step combines previous
     steps through ``theta`` and derivatives through ``bhat`` and ``b``.
-    The method keeps read-only copies of the arrays it is given.
+    The method keeps read-only copies of the arrays it is given.  Methods
+    compare and hash by identity.
     """
 
     s: int
@@ -92,7 +93,7 @@ class MSRKMethod:
         return SpijkerForm(ST.reshape(self.k + self.s, 2 * self.k + self.s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpijkerForm:
     """The representation w = S x + dt * T f, held as one read-only copy
     ``ST`` = [S | T] of the matrix it is given, of shape (k+s, 2k+s), from
@@ -100,14 +101,14 @@ class SpijkerForm:
 
     A stack of forms carries its leading axes on ST.  A matrix of fewer
     than two axes, or of a shape that gives k < 1 or s < 1, raises
-    :class:`MethodStructureError`.
+    :class:`MethodStructureError`.  Forms compare and hash by identity.
     """
 
     ST: NDArray
     k: int = field(init=False)
     s: int = field(init=False)
-    S: NDArray = field(init=False, repr=False, compare=False)
-    T: NDArray = field(init=False, repr=False, compare=False)
+    S: NDArray = field(init=False, repr=False)
+    T: NDArray = field(init=False, repr=False)
 
     def __post_init__(self):
         ST = np.array(self.ST)

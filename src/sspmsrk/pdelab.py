@@ -6,8 +6,9 @@ scheme.  Van der Pol errors are measured against DOP853 dense output
 at rtol = atol = 1e-13 (scipy's ``solve_ivp``) up to t = VDP_MAX_HORIZON.
 A run counts its whole steps of dt once, as an integer n, before its
 start-up; state j sits at j*dt, and its error is read at its last whole
-step, not at tf.  A problem's ``u0`` is read-only, and it keeps its
-SSPRK(3,3) start-ups per substep and count for every later run.  Runs
+step, not at tf.  A problem's ``u0`` is read-only.  It starts up from its
+exact solution when it has one, else by SSPRK(3,3) substeps, which it
+keeps per substep and count for every later run.  Runs
 record convex monitor values (total variation, minimum entry) at every
 step.  A bisection search over the step size locates the largest step for
 which a monotonicity property holds over a whole run.  A probe's run
@@ -51,7 +52,7 @@ VDP_MAX_HORIZON = 1024.0
 _VDP_U0 = (0.5, 0.0)
 #: a run of more steps than this fails before its start-up
 MAX_STEPS = 10**7
-#: the one-step method of the rk3_substeps start-up
+#: the one-step method of the start-up of a problem without an exact solution
 _SSPRK33 = ssprk33()
 
 
@@ -76,7 +77,7 @@ def positivity_min(u: NDArray) -> float:
 @dataclass(frozen=True)
 class SemiDiscretization:
     """A semi-discretized problem u' = rhs(u) with its forward-Euler SSP bound.  ``u0`` is
-    a read-only copy and ``dim`` its size; ``startup`` keeps the problem's rk3_substeps
+    a read-only copy and ``dim`` its size; ``startup`` keeps the problem's SSPRK(3,3)
     start-ups per substep and count, ``max_stable_step`` its joint probes' answers, and
     ``dataclasses.replace`` keeps none of either."""
 
@@ -161,45 +162,28 @@ def msrk_step(
     return _spijker_step(to_spijker(method), x, fx, rhs, dt)
 
 
-def _resolve_startup(problem: SemiDiscretization, mode: Optional[str]) -> str:
-    """``mode``; None means exact when the problem has an exact solution, else rk3_substeps."""
-    if mode is None:
-        return "exact" if problem.exact is not None else "rk3_substeps"
-    return mode
-
-
-def startup(
-    problem: SemiDiscretization,
-    dt: float,
-    k: int,
-    p: int,
-    mode: Optional[str] = None,
-) -> list[NDArray]:
+def startup(problem: SemiDiscretization, dt: float, k: int, p: int) -> list[NDArray]:
     """The k initial states u(t_0)..u(t_{k-1}) a k-step method needs.
 
-    exact: sample the problem's exact solution.  rk3_substeps: an SSPRK(3,3)
-    run (``_steps``) of (k-1)*nsub substeps dt/nsub, at most dt**(p/3) and
-    0.9*dt_fe so the startup states inherit the forward-Euler monotonicity
+    A problem with an exact solution samples it.  One without runs
+    SSPRK(3,3) (``_steps``) for (k-1)*nsub substeps dt/nsub, at most dt**(p/3)
+    and 0.9*dt_fe so the startup states inherit the forward-Euler monotonicity
     properties; a non-finite substep raises RunAbortedError naming its interval,
     and more than MAX_STEPS substeps (or a substep that underflows to 0) raise
     ValueError.  The problem keeps the states, read-only, under (dt/nsub, nsub),
     on which alone the substeps depend, for any later call of any method or
     property; a call that needs more of them continues the run from the last
-    kept state, and keeps the longer run only if it completes.  None: exact
-    when the problem has an exact solution, rk3_substeps otherwise.  Raises
-    ValueError, before any work, unless 0 < dt < inf and k >= 1.
+    kept state, and keeps the longer run only if it completes.  For the
+    substeps on a problem with an exact solution, pass
+    ``dataclasses.replace(problem, exact=None)``.  Raises ValueError, before
+    any work, unless 0 < dt < inf and k >= 1.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     if k < 1:
         raise ValueError("k must be at least 1")
-    mode = _resolve_startup(problem, mode)
-    if mode == "exact":
-        if problem.exact is None:
-            raise ValueError(f"problem {problem.name!r} has no exact solution for startup")
+    if problem.exact is not None:
         return [problem.exact(j * dt) for j in range(k)]
-    if mode != "rk3_substeps":
-        raise ValueError(f"unknown startup mode {mode!r}")
     if k == 1:
         return [problem.u0]
     substep = min(dt ** (p / 3.0), 0.9 * problem.dt_fe)
@@ -245,6 +229,8 @@ def vdp_problem(eps: float = 10.0) -> SemiDiscretization:
         raise ValueError("eps must be positive and finite")
 
     def exact(t: float) -> NDArray:
+        if math.isnan(t):  # ±inf fall past either end of the reference below
+            raise ValueError("the van der Pol reference needs a finite t; t = nan is not")
         if not t <= VDP_MAX_HORIZON:
             raise ValueError(f"the van der Pol reference ends at t = {VDP_MAX_HORIZON:g}; "
                              f"t = {t:g} is past it")
@@ -330,13 +316,7 @@ def buckley_leverett(N: int = 100) -> SemiDiscretization:
     )
 
 
-def run(
-    problem: SemiDiscretization,
-    method: MSRKMethod,
-    dt: float,
-    tf: float,
-    startup_mode: Optional[str] = None,
-) -> RunRecord:
+def run(problem: SemiDiscretization, method: MSRKMethod, dt: float, tf: float) -> RunRecord:
     """Integrate in whole steps of dt, sampling every monitor at every state.
 
     The run, and ``final_error``, end at the last whole step at or before
@@ -355,7 +335,7 @@ def run(
     u_exact = problem.exact(t_end) if problem.exact is not None else None
     monitors = {name: [] for name in problem.monitors}
     with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises, or its error is inf
-        for u in _trajectory(problem, method, dt, n, startup_mode):
+        for u in _trajectory(problem, method, dt, n):
             for name, fn in problem.monitors.items():
                 monitors[name].append(fn(u))
         final_error = None if u_exact is None else float(np.linalg.norm(u - u_exact))
@@ -363,9 +343,9 @@ def run(
     return RunRecord(times=times, monitors=monitors, final_error=final_error)
 
 
-def _trajectory(problem, method, dt, n, startup_mode):
+def _trajectory(problem, method, dt, n):
     """Each startup state, then the state after each of n whole steps of dt."""
-    start = startup(problem, dt, method.k, method.claimed_order, startup_mode)
+    start = startup(problem, dt, method.k, method.claimed_order)
     yield from start
     yield from _steps(problem, method, start, dt, n)
 
@@ -390,7 +370,7 @@ def _steps(problem, method, start, dt, n):
 _PROPERTY_MONITORS = {"tvd": "tv", "positivity": "min"}
 
 
-def _holds(problem, method, props, dt, tf, startup_mode) -> tuple[bool, ...]:
+def _holds(problem, method, props, dt, tf) -> tuple[bool, ...]:
     """Whether each of ``props`` holds in one run to tf: positivity at every
     state, TVD from the first step on against the max over the k states
     before.  Reads each property's monitor until that property fails, and
@@ -407,7 +387,7 @@ def _holds(problem, method, props, dt, tf, startup_mode) -> tuple[bool, ...]:
     states = 0
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
-            for u in _trajectory(problem, method, dt, n, startup_mode):
+            for u in _trajectory(problem, method, dt, n):
                 for i, (prop, seen) in enumerate(zip(props, values)):
                     if holding[i]:
                         v = monitors[i](u)
@@ -419,7 +399,7 @@ def _holds(problem, method, props, dt, tf, startup_mode) -> tuple[bool, ...]:
                 states += 1
     except RunAbortedError:
         return (False,) * len(props)
-    return tuple(h and states > k for h in holding)
+    return tuple(holding)
 
 
 def max_stable_step(
@@ -443,13 +423,23 @@ def max_stable_step(
     probe the same dt until their answers first differ.  Up to and
     including that probe, a probe asks every property the problem has a
     monitor for in one run, and the problem keeps the answers under the
-    method's [S | T], k, claimed order, tf, start-up mode and dt, on which
-    alone the run depends; a later search reads them instead of running
-    again.  After it, the search asks its own property alone.
-    Raises ValueError, before any run, when the problem has no monitor
-    for ``prop`` or when ``resolution`` is not below the bracket, which
-    would leave the bisection no probe.
+    method's [S | T], k, claimed order, tf and dt, on which alone the run
+    depends; a later search reads them instead of running again.  After
+    it, the search asks its own property alone.
+
+    The problem fixes its start-up (see ``startup``).  ``startup_mode``
+    stays only because the benchmark's step-search workload passes it: it
+    must be None or that start-up's name, "exact" for a problem with an
+    exact solution and "rk3_substeps" otherwise.
+    Raises ValueError, before any run, when ``startup_mode`` is another
+    value, when the problem has no monitor for ``prop`` or when
+    ``resolution`` is not below the bracket, which would leave the
+    bisection no probe.
     """
+    own_startup = "exact" if problem.exact is not None else "rk3_substeps"
+    if startup_mode not in (None, own_startup):
+        raise ValueError(f"problem {problem.name!r} starts up by {own_startup!r}, "
+                         f"not {startup_mode!r}")
     if _PROPERTY_MONITORS.get(prop) not in problem.monitors:
         raise ValueError(f"problem {problem.name!r} has no monitor for property {prop!r}")
     if resolution is None:
@@ -468,17 +458,16 @@ def max_stable_step(
 
     props = tuple(p for p, name in _PROPERTY_MONITORS.items() if name in problem.monitors)
     own = props.index(prop)
-    startup_mode = _resolve_startup(problem, startup_mode)
-    run_key = (sp.ST.tobytes(), method.k, method.claimed_order, tf, startup_mode)
+    run_key = (sp.ST.tobytes(), method.k, method.claimed_order, tf)
     joint = True
 
     def passes(dt):
         nonlocal joint
         if not joint:
-            return _holds(problem, method, (prop,), dt, tf, startup_mode)[0]
+            return _holds(problem, method, (prop,), dt, tf)[0]
         answers = problem._probes.get(run_key + (dt,))
         if answers is None:
-            answers = _holds(problem, method, props, dt, tf, startup_mode)
+            answers = _holds(problem, method, props, dt, tf)
             problem._probes[run_key + (dt,)] = answers
         joint = len(set(answers)) == 1
         return answers[own]
@@ -506,6 +495,6 @@ def vdp_convergence_study(
     out = []
     for N in Ns:
         dt = tf / (N - 1)
-        record = run(problem, method, dt, tf, startup_mode="exact")
+        record = run(problem, method, dt, tf)
         out.append((dt, record.final_error))
     return out

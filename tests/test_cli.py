@@ -18,6 +18,7 @@ from sspmsrk.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_UNCERTIFIED,
     EXIT_USAGE,
     EXIT_VALIDATION,
     main,
@@ -208,6 +209,16 @@ class TestOptimize:
                          f"--r-tol={r_tol}", f"--seed={seed}", f"--out={out}"])
         assert code in {0, 1, 2, 3, 4, 5}
 
+    def test_uncertified_result_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the oracle finds one order less than asked, so the search's method is not certified
+        monkeypatch.setattr(optimizer, "oracle_order", lambda method, pmax: pmax - 1)
+        out = tmp_path / "opt.msrk"
+        code = main(["optimize", "--stages", "2", "--steps", "2", "--order", "2",
+                     "--starts", "8", "--seed", "11", "--r-tol", "1e-3", "--out", str(out)])
+        assert code == EXIT_UNCERTIFIED
+        assert "certified: no\n" in capsys.readouterr().out
+        assert read_method(out).claimed_order == 2  # the method is still written
+
     def test_tiny_r_tol_ends_certified(self, tmp_path, capsys):
         # the bisection runs to neighbouring floats; a merit under feas_tol**2
         # that leaves the method short of its radius must not move it up
@@ -244,6 +255,14 @@ class TestRun:
         printed = capsys.readouterr().out
         assert "final_error: " in printed
         assert f"wrote 11 rows to {out}, the last at t = 0.048\n" in printed
+
+    @pytest.mark.parametrize("command", ["run", "stepsearch"])
+    def test_start_up_is_no_flag(self, capsys, command):
+        # the problem fixes its start-up
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--startup" not in capsys.readouterr().out
 
     def test_buckley_default_startup(self, tmp_path, so2_file):
         code = main(["run", "--problem", "buckley", "--method", so2_file,
@@ -612,12 +631,11 @@ class TestFuzzExitCodes:
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["advection", "buckley", "vdp"]), st.integers(0, 1),
-           _flag(1e-2, 1.0), _flag(0.0, 4.0), st.sampled_from([None, "exact", "rk3_substeps"]))
-    def test_run(self, fuzz_files, problem, method, dt, tf, startup):
+           _flag(1e-2, 1.0), _flag(0.0, 4.0))
+    def test_run(self, fuzz_files, problem, method, dt, tf):
         paths, out = fuzz_files
         _exits_cleanly(["run", f"--problem={problem}", f"--method={paths[method]}",
-                        f"--dt={dt}", f"--tf={tf}", f"--out={out}"]
-                       + ([f"--startup={startup}"] if startup else []))
+                        f"--dt={dt}", f"--tf={tf}", f"--out={out}"])
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["advection", "buckley", "vdp"]), st.integers(0, 1),

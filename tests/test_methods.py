@@ -186,6 +186,19 @@ class TestCaches:
         assert sp._table is table and len(tables) == 1 and tables[0] is sp
 
 
+class TestIdentity:
+    """Methods and forms hold arrays, so they compare and hash by identity."""
+
+    @pytest.mark.parametrize("make", [ssprk33, lambda: to_spijker(ssprk33())],
+                             ids=["method", "form"])
+    def test_equal_only_to_itself(self, make):
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and hash(a) != hash(b)
+        assert a in {a} and b not in {a} and len({a, b, a}) == 2
+
+
 def _canonical_by_lu(sp, r):
     """[R | P] by np.linalg.solve on I + rT, a pivoted LU, for a form or a stack."""
     n, k = sp.S.shape[-2:]

@@ -980,6 +980,14 @@ class TestSearchSpec:
         with pytest.raises(AttributeError):
             spec.warm_starts.insert(0, gen_second_order(3, 2))
 
+    def test_specs_compare_by_their_warm_starts_identity(self):
+        starts = warm_start_ladder(2, 2, 3)
+        spec = SearchSpec(s=2, k=2, p=3, starts=1, warm_starts=starts)
+        same = SearchSpec(s=2, k=2, p=3, starts=1, warm_starts=starts)
+        rebuilt = SearchSpec(s=2, k=2, p=3, starts=1, warm_starts=warm_start_ladder(2, 2, 3))
+        assert spec == same and hash(spec) == hash(same)
+        assert spec != rebuilt and len({spec, same, rebuilt}) == 2
+
     def test_invalid_warm_start_rejected(self):
         # rejected on construction, so before R or any solve
         bad = MSRKMethod(s=2, k=2, D=[[0.0, 1.0], [0.5, 0.6]], Ahat=np.zeros((2, 1)),

@@ -207,31 +207,28 @@ class TestStepKernel:
 class TestStartup:
     def test_exact_mode_samples_exact_solution(self):
         problem = advection_upwind(N=20)
-        states = startup(problem, 0.01, 3, 2, mode="exact")
+        states = startup(problem, 0.01, 3, 2)
         assert len(states) == 3
         np.testing.assert_allclose(states[0], problem.u0)
         np.testing.assert_allclose(states[2], problem.exact(0.02))
+        assert problem._startups == {}
 
     def test_rk3_substeps_matches_exact_for_vdp(self):
         problem = vdp_problem()
         dt = 0.05
-        states = startup(problem, dt, 2, 2, mode="rk3_substeps")
+        states = startup(dataclasses.replace(problem, exact=None), dt, 2, 2)
         np.testing.assert_allclose(states[1], problem.exact(dt), atol=1e-5)
 
-    def test_missing_exact_rejected(self):
-        with pytest.raises(ValueError):
-            startup(buckley_leverett(), 0.001, 2, 2, mode="exact")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            startup(vdp_problem(), 0.01, 2, 2, mode="magic")
+    def test_start_up_follows_from_the_problem(self):
+        assert list(inspect.signature(startup).parameters) == ["problem", "dt", "k", "p"]
+        assert list(inspect.signature(run).parameters) == ["problem", "method", "dt", "tf"]
 
     @pytest.mark.parametrize("problem, dt", [(buckley_leverett, 0.006), (vdp_problem, 0.05)])
     def test_rk3_substeps_match_the_loop_as_first_written(self, problem, dt):
-        problem = problem()
+        problem = dataclasses.replace(problem(), exact=None)
         for k in range(1, 6):
             for p in range(1, 6):
-                states = startup(problem, dt, k, p, mode="rk3_substeps")
+                states = startup(problem, dt, k, p)
                 assert len(states) == k
                 expected = _startup_as_first_written(problem, dt, k, p)
                 assert all(_same_bits(u, v) for u, v in zip(states, expected)), (k, p)
@@ -240,11 +237,11 @@ class TestStartup:
         (buckley_leverett, 0.006, 5, 6),  # 167 substeps per interval
         (buckley_leverett, 1e-9, 2, 4),  # substeps of about 1e-12
         # 643 substeps of 0.3 per interval, whose running sum fell short of 2*dt
-        (lambda: advection_upwind(3), 192.90369775982902, 3, 3),
+        (lambda: dataclasses.replace(advection_upwind(3), exact=None), 192.90369775982902, 3, 3),
     ], ids=["0.006-5-6", "1e-09-2-4", "advection3-192.9-3-3"])
     def test_many_or_tiny_substeps(self, problem, dt, k, p):
         problem = problem()
-        states = startup(problem, dt, k, p, mode="rk3_substeps")
+        states = startup(problem, dt, k, p)
         assert len(states) == k
         expected = _startup_as_first_written(problem, dt, k, p)
         assert all(_same_bits(u, v) for u, v in zip(states, expected))
@@ -252,20 +249,20 @@ class TestStartup:
     def test_non_finite_substep_aborts(self):
         problem = dataclasses.replace(buckley_leverett(), rhs=lambda u: np.full_like(u, np.inf))
         with pytest.raises(RunAbortedError):
-            startup(problem, 0.006, 2, 3, mode="rk3_substeps")
+            startup(problem, 0.006, 2, 3)
 
     @pytest.mark.parametrize("k, interval", [(2, 1), (4, 1), (4, 2), (4, 3)])
     def test_non_finite_substep_names_its_start_up_interval(self, k, interval):
         problem, calls, nsub = _blowing_up(0.006, interval)
         message = f"non-finite state during start-up, in interval {interval} of 1..{k - 1}"
         with pytest.raises(RunAbortedError, match=re.escape(message)):
-            startup(problem, 0.006, k, 3, mode="rk3_substeps")
+            startup(problem, 0.006, k, 3)
         assert len(calls) == 1 + 3 * nsub * (interval - 1) + 2  # no substep after the failing one
 
     def test_aborted_start_up_stores_nothing(self):
         problem, calls, _ = _blowing_up(0.006, 2)
         with pytest.raises(RunAbortedError):
-            startup(problem, 0.006, 3, 3, mode="rk3_substeps")
+            startup(problem, 0.006, 3, 3)
         assert problem._startups == {}
 
     def test_later_calls_read_the_first_written_states(self):
@@ -275,7 +272,7 @@ class TestStartup:
         for dt in (0.0015, 0.002, 0.003, 0.006):
             for p in range(2, 6):
                 for k in (2, 4, 3, 5, 2):
-                    states = startup(problem, dt, k, p, mode="rk3_substeps")
+                    states = startup(problem, dt, k, p)
                     expected = _startup_as_first_written(problem, dt, k, p)
                     assert [u.tobytes() for u in states] == [u.tobytes() for u in expected], \
                         (dt, k, p)
@@ -298,10 +295,10 @@ class TestStartup:
             return dataclasses.replace(problem, rhs=rhs)
 
         grown, direct = counting("grown"), counting("direct")
-        startup(grown, 0.006, 2, 3, mode="rk3_substeps")
+        startup(grown, 0.006, 2, 3)
         first = calls["grown"]
-        states = startup(grown, 0.006, 4, 3, mode="rk3_substeps")
-        expected = startup(direct, 0.006, 4, 3, mode="rk3_substeps")
+        states = startup(grown, 0.006, 4, 3)
+        expected = startup(direct, 0.006, 4, 3)
         assert [u.tobytes() for u in states] == [u.tobytes() for u in expected]
         assert len(grown._startups) == 1
         # one rhs call at the start of each run, then 3 per substep
@@ -313,30 +310,30 @@ class TestStartup:
     def test_returned_states_cannot_change_later_ones(self):
         problem = buckley_leverett()
         expected = [u.tobytes() for u in _startup_as_first_written(problem, 0.006, 3, 3)]
-        states = startup(problem, 0.006, 3, 3, mode="rk3_substeps")
+        states = startup(problem, 0.006, 3, 3)
         for u in states:
             with pytest.raises(ValueError, match="read-only"):
                 u[0] = 1.0
         states[1] = np.zeros(problem.dim)
         states.append(np.zeros(problem.dim))
-        again = startup(problem, 0.006, 3, 3, mode="rk3_substeps")
+        again = startup(problem, 0.006, 3, 3)
         assert [u.tobytes() for u in again] == expected
 
-    @pytest.mark.parametrize("mode", ["exact", "rk3_substeps"])
+    @pytest.mark.parametrize("exact", [_unreachable, None], ids=["exact", "rk3_substeps"])
     @pytest.mark.parametrize("dt, k, message", [
         (-0.01, 3, "dt must be positive and finite"), (0.0, 2, "dt must be positive and finite"),
         (math.inf, 2, "dt must be positive and finite"), (math.nan, 2, "dt must be positive and finite"),
         (0.01, 0, "k must be at least 1"), (0.01, -1, "k must be at least 1")])
-    def test_bad_step_or_step_count_rejected_before_any_work(self, mode, dt, k, message):
+    def test_bad_step_or_step_count_rejected_before_any_work(self, exact, dt, k, message):
         for problem in (advection_upwind(), buckley_leverett()):
-            problem = dataclasses.replace(problem, rhs=_unreachable, exact=_unreachable)
+            problem = dataclasses.replace(problem, rhs=_unreachable, exact=exact)
             with pytest.raises(ValueError, match=f"^{message}$"):
-                startup(problem, dt, k, 2, mode=mode)
+                startup(problem, dt, k, 2)
             assert problem._startups == {}
 
     def test_replace_starts_with_no_start_ups(self):
         problem = buckley_leverett()
-        startup(problem, 0.006, 3, 3, mode="rk3_substeps")
+        startup(problem, 0.006, 3, 3)
         assert problem._startups
         assert dataclasses.replace(problem)._startups == {}
 
@@ -361,7 +358,7 @@ class TestStartup:
         problem = dataclasses.replace(buckley_leverett(), rhs=lambda u: np.full_like(u, np.inf))
         method = gen_second_order(2, 2)
         for props in [("positivity",), ("tvd", "positivity")]:
-            holds = pdelab._holds(problem, method, props, 0.001, 0.125, "rk3_substeps")
+            holds = pdelab._holds(problem, method, props, 0.001, 0.125)
             assert holds == (False,) * len(props)
 
     @pytest.mark.parametrize("dt, p", [
@@ -373,7 +370,7 @@ class TestStartup:
         monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
         with pytest.raises(ValueError, match=re.escape(
                 f"steps, more than MAX_STEPS = {MAX_STEPS:g}")):
-            startup(buckley_leverett(), dt, 3, p, mode="rk3_substeps")
+            startup(buckley_leverett(), dt, 3, p)
 
 
 def _blowing_up(dt, interval):
@@ -515,7 +512,7 @@ class TestRun:
         # coefficients is no step of a k-step method, and its error is O(1e-2)
         method = read_method(BENCH_OPT_234)
         dt, tf = 0.93 * 4.0 / 42, 4.0
-        record = run(vdp_problem(), method, dt, tf, startup_mode="exact")
+        record = run(vdp_problem(), method, dt, tf)
         assert record.final_error < 1e-5
         np.testing.assert_allclose(np.diff(record.times), dt, rtol=0, atol=1e-12)
         assert record.times[-1] <= tf
@@ -532,7 +529,7 @@ class TestRun:
     def test_trajectory_stops_at_last_whole_step(self):
         problem = advection_upwind()
         n, t_end = pdelab._whole_steps(0.003, 0.1, 1)
-        states = list(pdelab._trajectory(problem, ssprk33(), 0.003, n, None))
+        states = list(pdelab._trajectory(problem, ssprk33(), 0.003, n))
         times = [j * 0.003 for j in range(len(states) - 1)] + [t_end]
         assert n == 33 and len(states) == 1 + n  # 0.1 is 33.3 steps of 0.003
         assert times[-1] <= 0.1
@@ -599,7 +596,7 @@ class TestRun:
             record = run(dataclasses.replace(problem, exact=exact), ssprk33(), dt, tf)
             assert sorted(calls) == [0.0, 4.0]  # startup sample and the last step, each once
             n, t = pdelab._whole_steps(dt, tf, 1)
-            *_, u = pdelab._trajectory(problem, ssprk33(), dt, n, None)
+            *_, u = pdelab._trajectory(problem, ssprk33(), dt, n)
             assert t == 4.0
             assert record.final_error == float(np.linalg.norm(u - problem.exact(4.0)))
 
@@ -645,7 +642,7 @@ class TestMaxStableStep:
         problem = advection_upwind()
         steps = []
 
-        def fake_trajectory(problem, method, dt, n, startup_mode):
+        def fake_trajectory(problem, method, dt, n):
             steps.append(dt)
             if len(steps) > 200:
                 pytest.fail("the bisection did not end")
@@ -673,6 +670,21 @@ class TestMaxStableStep:
     def test_unknown_property_rejected(self):
         with pytest.raises(ValueError):
             max_stable_step(advection_upwind(), forward_euler(), prop="entropy")
+
+    @pytest.mark.parametrize("make, own, other", [(advection_upwind, "exact", "rk3_substeps"),
+                                                  (buckley_leverett, "rk3_substeps", "exact")],
+                             ids=["advection", "buckley"])
+    def test_startup_mode_must_name_the_problems_own(self, monkeypatch, make, own, other):
+        # the keyword stays for the benchmark's step-search workload: None and
+        # the problem's own start-up give one result; any other value fails
+        # before any run
+        method = gen_second_order(3, 2)
+        res = max_stable_step(make(), method, "tvd")
+        assert max_stable_step(make(), method, "tvd", startup_mode=own) == res
+        monkeypatch.setattr(pdelab, "startup", _unreachable)
+        for mode in (other, "magic"):
+            with pytest.raises(ValueError, match=f"starts up by '{own}', not '{mode}'$"):
+                max_stable_step(make(), method, "tvd", startup_mode=mode)
 
     def test_default_horizon_and_startup(self):
         problem, method = buckley_leverett(), gen_second_order(3, 2)
@@ -721,7 +733,7 @@ class TestMaxStableStep:
         problem, method, tf = advection_upwind(), ssprk33(), 2.0
         dt = factor * problem.dt_fe
         whole = pdelab._whole_steps(dt, tf, method.k)[0]
-        states = list(pdelab._trajectory(problem, method, dt, whole, None))
+        states = list(pdelab._trajectory(problem, method, dt, whole))
         tv = [tv_seminorm(u) for u in states]
         low = [positivity_min(u) for u in states]
         last = max(next(n for n in range(len(tv)) if not _two_branch_holds(v[: n + 1], prop, 1))
@@ -754,7 +766,7 @@ class TestMaxStableStep:
             return problem.rhs(u)
 
         counted = dataclasses.replace(problem, rhs=rhs)
-        assert pdelab._holds(counted, method, ("tvd", "positivity"), dt, tf, None) == (False, False)
+        assert pdelab._holds(counted, method, ("tvd", "positivity"), dt, tf) == (False, False)
         steps = last - method.k + 1
         # the start state's rhs, s - 1 = 2 stages per step, and the rhs of
         # every new state but the last, which no step follows
@@ -834,8 +846,7 @@ class TestMaxStableStep:
         # SO2(2,2) differs from SO2(3,2) in its coefficients alone at tf = 0.1
         shared = make(advection_upwind)
         for method in [so2, gen_second_order(2, 2)]:
-            for kwargs in [dict(), dict(startup_mode="rk3_substeps"),
-                           dict(tf=0.1, startup_mode="rk3_substeps"), dict(tf=0.1)]:
+            for kwargs in [dict(), dict(tf=0.1)]:
                 for prop in props:
                     fresh = max_stable_step(make(advection_upwind), method, prop, **kwargs)
                     assert (max_stable_step(shared, method, prop, **kwargs)
@@ -878,8 +889,9 @@ class TestMaxStableStep:
        st.lists(st.sampled_from([-1.0, -2e-12, -1e-12, 0.0, 1e-12, 2e-12, 0.5, 1.0])
                 | st.floats(-1.0, 2.0), max_size=30))
 def test_property_rule_matches_two_branch_formula(k, props, values):
-    # the stubbed run yields the monitor values themselves as states, and
-    # none after the state where the last asked property fails
+    # the stubbed run yields the monitor values themselves as states, as
+    # many as a run to tf = len(values) - 1 in steps of 1 has, and none
+    # after the state where the last asked property fails
     problem = dataclasses.replace(advection_upwind(N=3), monitors={"tv": float, "min": float})
     fails = [next((n for n in range(len(values))
                    if not _two_branch_holds(values[: n + 1], prop, k)), None) for prop in props]
@@ -892,7 +904,8 @@ def test_property_rule_matches_two_branch_formula(k, props, values):
             yield v
 
     with mock.patch.object(pdelab, "_trajectory", states):
-        holds = pdelab._holds(problem, types.SimpleNamespace(k=k), props, 1.0, float(k), None)
+        holds = pdelab._holds(problem, types.SimpleNamespace(k=k), props, 1.0,
+                              float(len(values) - 1))
     # a run without a full step after start-up fails
     assert holds == tuple(len(values) > k and _two_branch_holds(values, prop, k)
                           for prop in props)
@@ -923,7 +936,7 @@ class TestConvergence:
         exact(9.0)
         assert np.array_equal(exact(0.71), alone)
 
-    @pytest.mark.parametrize("t", [2.0 * VDP_MAX_HORIZON, 1e299, np.inf, np.nan])
+    @pytest.mark.parametrize("t", [2.0 * VDP_MAX_HORIZON, 1e299, np.inf])
     def test_reference_past_its_horizon_rejected(self, monkeypatch, t):
         # a time past the cap fails before DOP853 integrates anything
         monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
@@ -936,6 +949,13 @@ class TestConvergence:
         monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
         with pytest.raises(ValueError, match="starts at t = 0"):
             vdp_problem(eps=6.5).exact(t)
+
+    def test_reference_at_nan_rejected(self, monkeypatch):
+        # nan is neither past the horizon nor before the start; the message says so
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
+        with pytest.raises(ValueError, match="^the van der Pol reference needs a finite t; "
+                                             "t = nan is not$"):
+            vdp_problem(eps=6.5).exact(np.nan)
 
     def test_ssprk33_order_three_on_vdp(self):
         errors = vdp_convergence_study(ssprk33(), tf=2.0, Ns=(15, 19, 23, 27, 31))
