@@ -39,11 +39,8 @@ EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
 
-_PROBLEMS = {
-    "vdp": lambda: pdelab.vdp_problem(),
-    "advection": lambda: pdelab.advection_upwind(),
-    "buckley": lambda: pdelab.buckley_leverett(),
-}
+_PROBLEMS = {"vdp": pdelab.vdp_problem, "advection": pdelab.advection_upwind,
+             "buckley": pdelab.buckley_leverett}
 
 
 def cmd_analyze(args) -> int:

@@ -44,7 +44,8 @@ class MethodStructureError(ValueError):
 
 
 def _coefficient_shapes(s: int, k: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each coefficient array of one s-stage, k-step method."""
+    """Shape of each coefficient array of one s-stage, k-step method.  It allocates
+    nothing, so ``msrkio.loads_method`` names a wrong size for any s and k."""
     return {"D": (s, k), "Ahat": (s, k - 1), "A": (s, s),
             "theta": (k,), "bhat": (k - 1,), "b": (s,)}
 
@@ -158,9 +159,10 @@ class SpijkerForm:
         return lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalForm:
-    """Matrices of the convex-combination rewrite at parameter r."""
+    """Matrices of the convex-combination rewrite at parameter r; compared and hashed
+    by identity."""
 
     P: NDArray
     R: NDArray

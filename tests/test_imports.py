@@ -2,8 +2,9 @@
 every name a package module exports is bound in it and is read in the package
 or exported by it, every private name a package module defines is read in the
 package, every name the README gives in code is still in the package,
-scipy's solvers load only when a function needs them, and no package module
-writes past a frozen dataclass outside its ``__post_init__``."""
+scipy's solvers load only when a function needs them, no package module
+writes past a frozen dataclass outside its ``__post_init__``, and every
+dataclass that holds an array compares by identity."""
 
 import ast
 import importlib
@@ -334,3 +335,54 @@ def test_checker_flags_only_frozen_writes_outside_post_init():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_frozen_write_outside_post_init(path):
     assert frozen_writes(path.read_text()) == []
+
+
+def array_dataclasses_compared_by_value(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every class decorated ``@dataclass`` (or ``@dataclasses.dataclass``)
+    with a field whose annotation names ``NDArray``, and without ``eq=False``: the
+    generated ``==`` raises on the arrays, and the class is unhashable."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        holds_array = any(
+            isinstance(n, ast.Name) and n.id == "NDArray"
+            for field in node.body if isinstance(field, ast.AnnAssign)
+            for n in ast.walk(field.annotation))
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            target = call.func if call else deco
+            if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+                continue
+            eq = [kw.value for kw in (call.keywords if call else ()) if kw.arg == "eq"]
+            by_identity = eq and isinstance(eq[0], ast.Constant) and eq[0].value is False
+            if holds_array and not by_identity:
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_checker_flags_only_array_dataclasses_compared_by_value():
+    source = ("@dataclass\n"
+              "class A:\n"
+              "    x: NDArray\n"
+              "@dataclasses.dataclass(frozen=True)\n"
+              "class B:\n"
+              "    x: Optional[NDArray] = None\n"
+              "@dataclass(frozen=True, eq=False)\n"
+              "class C:\n"
+              "    x: NDArray\n"
+              "@dataclass(eq=True)\n"
+              "class D:\n"
+              "    x: list[NDArray]\n"
+              "@dataclass\n"
+              "class E:\n"
+              "    x: float\n"
+              "    y = np.zeros(3)\n"
+              "class F(NamedTuple):\n"
+              "    x: NDArray\n")
+    assert array_dataclasses_compared_by_value(source) == [(2, "A"), (5, "B"), (11, "D")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_array_dataclasses_compare_by_identity(path):
+    assert array_dataclasses_compared_by_value(path.read_text()) == []

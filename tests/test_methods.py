@@ -28,6 +28,7 @@ from sspmsrk.methods import (
     to_spijker,
     validate,
 )
+from sspmsrk.pdelab import advection_upwind
 from sspmsrk.series import bushy_trees, elementary_weights
 from sspmsrk.theory import gen_second_order, r_sk2, stability_polynomials
 
@@ -187,10 +188,13 @@ class TestCaches:
 
 
 class TestIdentity:
-    """Methods and forms hold arrays, so they compare and hash by identity."""
+    """Methods, forms, canonical forms and problems hold arrays, so they compare
+    and hash by identity."""
 
-    @pytest.mark.parametrize("make", [ssprk33, lambda: to_spijker(ssprk33())],
-                             ids=["method", "form"])
+    @pytest.mark.parametrize("make", [ssprk33, lambda: to_spijker(ssprk33()),
+                                      lambda: canonical(to_spijker(ssprk33()), 0.5),
+                                      advection_upwind],
+                             ids=["method", "form", "canonical", "problem"])
     def test_equal_only_to_itself(self, make):
         a, b = make(), make()
         assert a == a and not a != a

@@ -337,6 +337,12 @@ class TestStartup:
         assert problem._startups
         assert dataclasses.replace(problem)._startups == {}
 
+    def test_replace_gives_a_distinct_problem(self):
+        problem = advection_upwind()
+        copy = dataclasses.replace(problem)
+        assert copy is not problem and copy != problem and not copy == problem
+        assert np.array_equal(copy.u0, problem.u0) and copy.rhs is problem.rhs
+
     @pytest.mark.parametrize("make", [vdp_problem, advection_upwind, buckley_leverett])
     def test_initial_data_is_a_read_only_copy(self, make):
         problem = make()
@@ -572,7 +578,8 @@ class TestRun:
 
     def test_horizon_past_the_exact_solution_fails_before_stepping(self, monkeypatch):
         monkeypatch.setattr(pdelab, "msrk_step", _unreachable)
-        with pytest.raises(ValueError, match=f"ends at t = {VDP_MAX_HORIZON:g}"):
+        with pytest.raises(ValueError, match=f"covers 0 <= t <= {VDP_MAX_HORIZON:g}; "
+                                             f"t = 2000 is outside it"):
             run(vdp_problem(), ssprk33(), 0.01, 2000.0)
 
     def test_finite_blow_up_has_an_infinite_error_and_no_warning(self):
@@ -627,13 +634,16 @@ class TestMaxStableStep:
     def test_non_finite_or_zero_resolution_and_horizon_rejected(self, monkeypatch, kwargs):
         # a missing check fails at the first probe's startup instead of bisecting forever
         monkeypatch.setattr(pdelab, "startup", _unreachable)
-        with pytest.raises(ValueError, match="must be positive and finite"):
+        message = {"resolution": "resolution must be positive and below the bracket",
+                   "tf": "tf must be positive and finite"}[next(iter(kwargs))]
+        with pytest.raises(ValueError, match=f"^{message}"):
             max_stable_step(advection_upwind(), ssprk33(), "tvd", **kwargs)
 
     def test_resolution_at_the_bracket_rejected(self, monkeypatch):
         monkeypatch.setattr(pdelab, "startup", _unreachable)
         problem = advection_upwind()
-        with pytest.raises(ValueError, match="must be below the bracket"):
+        with pytest.raises(ValueError, match="^resolution must be positive and below the bracket "
+                                             "20\\*dt_fe = 0.19802$"):
             max_stable_step(problem, ssprk33(), "tvd", resolution=20.0 * problem.dt_fe)
 
     def test_tiny_resolution_ends_on_neighbouring_floats(self, monkeypatch):
@@ -913,8 +923,9 @@ def test_property_rule_matches_two_branch_formula(k, props, values):
 
 class TestConvergence:
     def test_studies_share_the_reference(self, monkeypatch):
-        # an eps no other test uses, so the first study integrates the reference
-        kwargs = dict(eps=7.25, tf=0.5, Ns=(5, 9))
+        # the first study integrates the reference and the second reads it
+        pdelab._vdp_reference.cache_clear()
+        kwargs = dict(tf=0.5, Ns=(5, 9))
         first = vdp_convergence_study(ssprk33(), **kwargs)
         calls = []
 
@@ -936,26 +947,26 @@ class TestConvergence:
         exact(9.0)
         assert np.array_equal(exact(0.71), alone)
 
+    @staticmethod
+    def _outside_rejected(monkeypatch, t):
+        # fails before DOP853 integrates anything, with the one message for the domain
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
+        message = (f"the van der Pol reference covers 0 <= t <= {VDP_MAX_HORIZON:g}; "
+                   f"t = {t:g} is outside it")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            vdp_problem(eps=6.5).exact(t)
+
     @pytest.mark.parametrize("t", [2.0 * VDP_MAX_HORIZON, 1e299, np.inf])
     def test_reference_past_its_horizon_rejected(self, monkeypatch, t):
-        # a time past the cap fails before DOP853 integrates anything
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
-        with pytest.raises(ValueError, match=f"ends at t = {VDP_MAX_HORIZON:g}"):
-            vdp_problem(eps=6.5).exact(t)
+        self._outside_rejected(monkeypatch, t)
 
     @pytest.mark.parametrize("t", [-1e-3, -1.0, -np.inf])
     def test_reference_before_its_start_rejected(self, monkeypatch, t):
         # DOP853's dense output would extrapolate back from t = 0, or warn and give nan
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
-        with pytest.raises(ValueError, match="starts at t = 0"):
-            vdp_problem(eps=6.5).exact(t)
+        self._outside_rejected(monkeypatch, t)
 
     def test_reference_at_nan_rejected(self, monkeypatch):
-        # nan is neither past the horizon nor before the start; the message says so
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
-        with pytest.raises(ValueError, match="^the van der Pol reference needs a finite t; "
-                                             "t = nan is not$"):
-            vdp_problem(eps=6.5).exact(np.nan)
+        self._outside_rejected(monkeypatch, np.nan)
 
     def test_ssprk33_order_three_on_vdp(self):
         errors = vdp_convergence_study(ssprk33(), tf=2.0, Ns=(15, 19, 23, 27, 31))
