@@ -17,7 +17,7 @@ from .methods import (
     validate,
 )
 from .orderlab import convergence_order, oracle_order, stage_order
-from .theory import gen_second_order, r_sk2, radius_abs_monotonicity, threshold_factor
+from .theory import gen_second_order, r_sk2, threshold_factor
 
 __all__ = [
     "CanonicalForm",
@@ -29,7 +29,6 @@ __all__ = [
     "gen_second_order",
     "oracle_order",
     "r_sk2",
-    "radius_abs_monotonicity",
     "ssp_coefficient",
     "ssprk33",
     "stage_order",

@@ -229,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--starts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--r-tol", type=float, default=1e-6)
+    p.add_argument("--starts", type=int, default=SearchSpec.starts)
+    p.add_argument("--seed", type=int, default=SearchSpec.seed)
+    p.add_argument("--r-tol", type=float, default=SearchSpec.r_tol)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="CSV search log path")
     p.set_defaults(fn=cmd_optimize)
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     except SearchFailure as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (FloatingPointError, pdelab.RunAbortedError) as exc:
+    except (ArithmeticError, pdelab.RunAbortedError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (MethodStructureError, msrkio.MethodFileError) as exc:

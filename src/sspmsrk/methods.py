@@ -276,7 +276,7 @@ def canonical(sp: SpijkerForm, r: float) -> CanonicalForm:
     [S | T] less r T[i, :i] X[:i], for every member of a stack.  Raises
     FloatingPointError when a row overflows.
     """
-    if r < 0:
+    if not r >= 0.0:  # nan fails too
         raise ValueError(f"r must be nonnegative, got {r}")
     k, n = sp.k, sp.k + sp.s
     X = sp.ST.copy()

@@ -183,8 +183,6 @@ def constraint_residuals(sp: SpijkerForm, r: float, p: int):
     entries of P and R at radius r, plus the coefficient bounds
     0 <= D <= 1, 0 <= theta <= 1, and nonnegativity of A, Ahat, b, bhat.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
     eq = order_residual_vector(sp, p)
     cf = canonical(sp, r)
     plan = _plan(sp.s, sp.k)

@@ -20,7 +20,6 @@ from .methods import ENTRY_TOL, MSRKMethod, SpijkerForm, _bisect, _largest_nonne
 
 __all__ = [
     "stability_polynomials",
-    "radius_abs_monotonicity",
     "threshold_factor",
     "linear_order",
     "linear_bound",
@@ -40,14 +39,14 @@ LINEAR_BOUND_TOL = 1e-6
 LINEAR_FEASIBLE_RTOL = 1e-12
 
 
-def _finite_array(a, ndim: int, name: str) -> NDArray:
-    """a as a float array; ValueError unless it is a finite ndim-D array."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != ndim:
-        raise ValueError(f"{name} must be a {ndim}-D array, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} must be finite")
-    return a
+def _finite_psis(psis) -> NDArray:
+    """psis as a float array; ValueError unless it is a finite 2-D array."""
+    psis = np.asarray(psis, dtype=float)
+    if psis.ndim != 2:
+        raise ValueError(f"psis must be a 2-D array, got shape {psis.shape}")
+    if not np.isfinite(psis).all():
+        raise ValueError("psis must be finite")
+    return psis
 
 
 def stability_polynomials(sp: SpijkerForm) -> NDArray:
@@ -76,31 +75,18 @@ def _shifted_table(psi: NDArray) -> NDArray:
     return np.einsum("...m,mj->m...j", psi, signed)
 
 
-def radius_abs_monotonicity(psi: NDArray) -> float:
-    """Largest r with all derivatives of psi nonnegative on [-r, 0].
-
-    For polynomials this is equivalent to nonnegativity of all
-    shifted-basis coefficients at r, which is what the bisection tests.
-    Raises ValueError unless psi is a finite, nonzero 1-D array."""
-    psi = _finite_array(psi, 1, "psi")
-    if not psi.any():
-        raise ValueError("psi must be nonzero")
-    return threshold_factor(psi[None])
-
-
 def threshold_factor(psis: NDArray) -> float:
     """min_i R(psi_i) over the rows of :func:`stability_polynomials`, found
-    by one bisection on all rows at once; identically-zero polynomials
-    count as +inf.  Raises ValueError unless psis is a finite 2-D array."""
-    psis = _finite_array(psis, 2, "psis")
+    by one bisection on all rows at once; R(psi), the largest r with every
+    derivative of psi nonnegative on [-r, 0], is ``threshold_factor(psi[None])``.
+    Zero rows count as +inf.  Raises ValueError unless psis is a finite 2-D array."""
+    psis = _finite_psis(psis)
     deg = int(max(np.flatnonzero(psis.any(axis=0)), default=0))
     # feasibility at r -> 0+ means all Taylor coefficients at 0 are nonnegative
     if psis.min() < -ENTRY_TOL:
         return 0.0
-    if deg == 0:
-        return math.inf  # nonnegative constants: absolutely monotonic everywhere
     # the positive leading coefficients make the radius finite, but it can
-    # exceed the starting bracket 2 deg + 2
+    # exceed the starting bracket 2 deg + 2, which grows to inf on constants
     return _largest_nonnegative(_shifted_table(psis), 2.0 * deg + 2)
 
 
@@ -123,7 +109,7 @@ def _linear_conditions(basis: NDArray, k: int, p: int) -> tuple[NDArray, NDArray
 def linear_order(psis: NDArray) -> int:
     """Largest p with sum_i psi_i(z) e^{-(i-1)z} = e^z through order z^p, psi_i being
     row i-1 of :func:`stability_polynomials`; ValueError unless psis is finite and 2-D."""
-    psis = _finite_array(psis, 2, "psis")
+    psis = _finite_psis(psis)
     k, n = psis.shape
     N = int(max(np.flatnonzero(psis.any(axis=0)), default=-1)) + k + 4
     rows, rhs = _linear_conditions(np.eye(n, N + 1), k, N)

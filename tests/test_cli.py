@@ -23,9 +23,11 @@ from sspmsrk.cli import (
     EXIT_VALIDATION,
     main,
 )
-from sspmsrk.methods import ssprk33
+from sspmsrk.methods import MSRKMethod, ssprk33
 from sspmsrk.msrkio import dumps_method, read_method, write_method
 from sspmsrk.theory import gen_second_order, r_sk2
+
+from conftest import BENCH_METHODS
 
 
 def _unreachable(*args, **kwargs):
@@ -176,6 +178,21 @@ class TestOptimize:
                      "--out", str(tmp_path / "x.msrk")])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_absent_search_flags_take_the_spec_defaults(self, tmp_path, monkeypatch):
+        specs = []
+
+        def capture(spec):
+            specs.append(spec)
+            raise optimizer.SearchFailure("captured")
+
+        monkeypatch.setattr(cli, "maximize_ssp", capture)
+        code = main(["optimize", "--stages", "2", "--steps", "2", "--order", "3",
+                     "--out", str(tmp_path / "x.msrk")])
+        assert code == EXIT_INFEASIBLE
+        defaults = optimizer.SearchSpec(s=2, k=2, p=3)
+        assert [(sp.starts, sp.seed, sp.r_tol) for sp in specs] == [
+            (defaults.starts, defaults.seed, defaults.r_tol)]
 
     def test_negative_seed_exits_2_before_the_linear_bound(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(optimizer, "linear_bound", _unreachable)
@@ -395,6 +412,33 @@ def test_analyze_overflowing_past_c_exits_5(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "oracle_order" not in out
     assert err.startswith("numerical failure: overflow encountered in ")
+
+
+def _forward_euler_with_unused_steps(k):
+    # one stage reads u^n only; the k-1 older steps carry zero weight
+    return MSRKMethod(s=1, k=k, D=[[0.0] * (k - 1) + [1.0]], Ahat=np.zeros((1, k - 1)),
+                      A=[[0.0]], theta=[0.0] * (k - 1) + [1.0], bhat=np.zeros(k - 1), b=[1.0],
+                      name=f"FE with {k - 1} unused steps", claimed_order=1)
+
+
+@pytest.mark.parametrize("method, argv", [
+    # the start-up substep dt**(p/3) overflows a float
+    (None, ["run", "--problem", "buckley", "--method", "{path}", "--dt", "1e300", "--tf", "3e300",
+            "--out", "{out}"]),
+    (dataclasses.replace(gen_second_order(2, 2), claimed_order=-10000),
+     ["stepsearch", "--problem", "buckley", "--method", "{path}", "--out", "{out}"]),
+    # the linear order conditions of 200 steps convert 171! and above to float
+    (_forward_euler_with_unused_steps(200), ["analyze", "{path}"]),
+], ids=["run", "stepsearch", "analyze"])
+def test_overflowing_python_float_exits_5(tmp_path, capsys, method, argv):
+    path = BENCH_METHODS / "opt_2_3_4.msrk"
+    if method is not None:
+        path = tmp_path / "method.msrk"
+        write_method(method, path)
+    code = main([a.format(path=path, out=tmp_path / "out.csv") for a in argv])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, target", [

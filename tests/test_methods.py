@@ -234,8 +234,26 @@ class TestCanonical:
         np.testing.assert_allclose(cf.R, [[1.0], [0.0]], atol=1e-15)
 
     def test_negative_r_rejected(self):
-        with pytest.raises(ValueError):
-            canonical(to_spijker(forward_euler()), -0.5)
+        with pytest.raises(ValueError, match="^r must be nonnegative, got -1.0$"):
+            canonical(to_spijker(forward_euler()), -1.0)
+
+    def test_nan_r_rejected(self):
+        # a nan r gave P and R of nan
+        with pytest.raises(ValueError, match="^r must be nonnegative, got nan$"):
+            canonical(to_spijker(forward_euler()), math.nan)
+
+    def test_fraction_form_element_types(self):
+        # the types that come out are not settled: a float r mixes them in R
+        ST = to_spijker(ssprk33()).ST
+        f = SpijkerForm(np.array([[Fraction(x).limit_denominator(6) for x in row] for row in ST],
+                                  dtype=object))
+        cf = canonical(f, 0.5)
+        assert {type(x) for x in cf.P.ravel()} == {float}
+        assert {type(x) for x in cf.R[: f.k].ravel()} == {Fraction}
+        assert {type(x) for x in cf.R[f.k :].ravel()} == {float}
+        cf = canonical(f, Fraction(1, 2))
+        assert {type(x) for x in np.concatenate([cf.P.ravel(), cf.R.ravel()])} == {Fraction}
+        assert cf.R[-1, 0] == Fraction(29, 48)
 
     def test_feasible_at_known_optimum(self):
         sp = to_spijker(gen_second_order(3, 2))

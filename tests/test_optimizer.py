@@ -149,8 +149,13 @@ class TestConstraintResiduals:
         assert len(calls) == 1
 
     def test_negative_r_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^r must be nonnegative, got -1.0$"):
             constraint_residuals(to_spijker(forward_euler()), -1.0, 1)
+
+    def test_nan_r_rejected(self):
+        # a nan r gave violations of nan
+        with pytest.raises(ValueError, match="^r must be nonnegative, got nan$"):
+            constraint_residuals(to_spijker(forward_euler()), np.nan, 1)
 
     def test_search_evaluates_every_residual_through_it(self, monkeypatch):
         # each residual and each Jacobian stack of an inner solve is one call

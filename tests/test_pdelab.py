@@ -475,7 +475,7 @@ class TestProblems:
         np.testing.assert_allclose(problem.rhs(np.full(problem.dim, 0.3)), 0.0, atol=1e-12)
 
     def test_vdp_rhs(self):
-        problem = vdp_problem(eps=10.0)
+        problem = vdp_problem()
         np.testing.assert_allclose(problem.rhs(np.array([0.5, 0.0])), [0.0, -0.05])
 
     def test_vdp_exact_agrees_with_finer_reference(self):
@@ -486,8 +486,6 @@ class TestProblems:
             np.testing.assert_allclose(problem.exact(t), u, rtol=0, atol=1e-10)
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            vdp_problem(eps=0.0)
         with pytest.raises(ValueError):
             advection_upwind(N=2)
         with pytest.raises(ValueError, match="^N must be at least 3$"):
@@ -925,8 +923,8 @@ class TestConvergence:
     def test_studies_share_the_reference(self, monkeypatch):
         # the first study integrates the reference and the second reads it
         pdelab._vdp_reference.cache_clear()
-        kwargs = dict(tf=0.5, Ns=(5, 9))
-        first = vdp_convergence_study(ssprk33(), **kwargs)
+        first = vdp_convergence_study(ssprk33(), tf=0.5)
+        assert [dt for dt, _ in first] == [0.5 / (N - 1) for N in (15, 19, 23, 27, 31, 35, 39, 43)]
         calls = []
 
         def counting(*args, **kwargs):
@@ -934,7 +932,7 @@ class TestConvergence:
             return solve_ivp(*args, **kwargs)
 
         monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
-        assert vdp_convergence_study(ssprk33(), **kwargs) == first
+        assert vdp_convergence_study(ssprk33(), tf=0.5) == first
         assert calls == []
 
     def test_reference_value_ignores_earlier_times(self):
@@ -950,11 +948,12 @@ class TestConvergence:
     @staticmethod
     def _outside_rejected(monkeypatch, t):
         # fails before DOP853 integrates anything, with the one message for the domain
+        pdelab._vdp_reference.cache_clear()
         monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
         message = (f"the van der Pol reference covers 0 <= t <= {VDP_MAX_HORIZON:g}; "
                    f"t = {t:g} is outside it")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            vdp_problem(eps=6.5).exact(t)
+            vdp_problem().exact(t)
 
     @pytest.mark.parametrize("t", [2.0 * VDP_MAX_HORIZON, 1e299, np.inf])
     def test_reference_past_its_horizon_rejected(self, monkeypatch, t):
@@ -968,10 +967,16 @@ class TestConvergence:
     def test_reference_at_nan_rejected(self, monkeypatch):
         self._outside_rejected(monkeypatch, np.nan)
 
+    def test_the_problem_and_study_are_fixed(self):
+        # one stiffness, 10 (test_vdp_rhs), and one set of step counts (the test above)
+        assert list(inspect.signature(vdp_problem).parameters) == []
+        assert list(inspect.signature(vdp_convergence_study).parameters) == ["method", "tf"]
+        assert vdp_problem().dt_fe == 1.0
+
     def test_ssprk33_order_three_on_vdp(self):
-        errors = vdp_convergence_study(ssprk33(), tf=2.0, Ns=(15, 19, 23, 27, 31))
+        errors = vdp_convergence_study(ssprk33(), tf=2.0)
         assert convergence_order(errors) == pytest.approx(3.0, abs=0.3)
 
     def test_so2_order_two_on_vdp(self):
-        errors = vdp_convergence_study(gen_second_order(2, 2), tf=2.0, Ns=(15, 19, 23, 27, 31))
+        errors = vdp_convergence_study(gen_second_order(2, 2), tf=2.0)
         assert convergence_order(errors) == pytest.approx(2.0, abs=0.3)

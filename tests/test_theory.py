@@ -24,7 +24,6 @@ from sspmsrk.theory import (
     linear_bound,
     linear_order,
     r_sk2,
-    radius_abs_monotonicity,
     stability_polynomials,
     threshold_factor,
 )
@@ -112,41 +111,37 @@ class TestShiftedBasis:
 
 
 class TestRadiusAbsMonotonicity:
+    """The radius of one polynomial psi is ``threshold_factor(psi[None])``."""
+
+    @staticmethod
+    def radius(psi):
+        return threshold_factor(np.array(psi, dtype=float)[None])
+
     def test_linear(self):
         # 1 + z is absolutely monotonic up to r = 1
-        assert radius_abs_monotonicity(np.array([1.0, 1.0])) == pytest.approx(1.0, abs=1e-9)
+        assert self.radius([1.0, 1.0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_truncated_exponential_degree_three(self):
-        psi = np.array([1.0, 1.0, 0.5, 1.0 / 6.0])
-        assert radius_abs_monotonicity(psi) == pytest.approx(1.0, abs=1e-9)
+        assert self.radius([1.0, 1.0, 0.5, 1.0 / 6.0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_nonnegative_constant_is_infinite(self):
-        assert radius_abs_monotonicity(np.array([0.5])) == math.inf
+        assert self.radius([0.5]) == math.inf
 
     def test_negative_coefficient_at_origin(self):
-        assert radius_abs_monotonicity(np.array([1.0, -1.0])) == 0.0
+        assert self.radius([1.0, -1.0]) == 0.0
 
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            radius_abs_monotonicity(np.zeros(3))
+    def test_zero_polynomial_is_infinite(self):
+        # a zero row restricts no radius, in a table and alone
+        assert self.radius(np.zeros(3)) == math.inf
+        assert threshold_factor(np.array([[0.0, 0.0], [1.0, 1.0]])) == pytest.approx(1.0, abs=1e-9)
 
     def test_scaled_linear_exceeds_default_bracket(self):
         # 1 + z/20 has radius 20, beyond the initial bracket of 2*deg+2
-        assert radius_abs_monotonicity(np.array([1.0, 0.05])) == pytest.approx(20.0, abs=1e-8)
+        assert self.radius([1.0, 0.05]) == pytest.approx(20.0, abs=1e-8)
 
     def test_large_radius_ends_on_neighbouring_floats(self):
         # near 1e6 the spacing of doubles exceeds the bisection width
-        assert radius_abs_monotonicity(np.array([1.0, 1e-6])) == pytest.approx(1e6, rel=1e-9)
-
-    @pytest.mark.parametrize("psi, message", [
-        ([np.nan, 1.0], "psi must be finite"),
-        ([1.0, np.inf], "psi must be finite"),
-        ([[1.0, 1.0]], r"psi must be a 1-D array, got shape \(1, 2\)"),
-        (1.0, r"psi must be a 1-D array, got shape \(\)"),
-    ])
-    def test_bad_psi_rejected(self, psi, message):
-        with pytest.raises(ValueError, match=message):
-            radius_abs_monotonicity(np.array(psi))
+        assert self.radius([1.0, 1e-6]) == pytest.approx(1e6, rel=1e-9)
 
 
 class TestThresholdFactor:
