@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import msrkio, pdelab
-from .methods import MethodStructureError, ssp_coefficient, to_spijker, validate
+from .methods import MethodStructureError, ssp_coefficient, to_spijker
 from .optimizer import SearchFailure, SearchSpec, maximize_ssp, warm_start_ladder, write_search_log
 from .orderlab import MAX_ORACLE_ORDER, convergence_order, oracle_order, stage_order
 from .theory import (
@@ -45,44 +45,35 @@ _PROBLEMS = {"vdp": pdelab.vdp_problem, "advection": pdelab.advection_upwind,
 
 def cmd_analyze(args) -> int:
     method = msrkio.read_method(args.method_file)
-    report = validate(method)
     print(f"name: {method.name}")
     print(f"s: {method.s}")
     print(f"k: {method.k}")
-    print(f"valid: {'yes' if report.ok else 'no'}")
-    for v in report.violations:
-        print(f"violation: {v}")
 
     # overflowed values would give a wrong report, so overflow is a numerical failure
     with np.errstate(over="raise", invalid="raise"):
-        if report.ok:
-            sp = to_spijker(method)
-            C = ssp_coefficient(sp)
-        else:
-            C = 0.0
-            print("warning: method invalid; SSP coefficient reported as 0")
+        sp = to_spijker(method)
+        C = ssp_coefficient(sp)
         print(f"C: {C:.9f}")
         print(f"C_eff: {C / method.s:.9f}")
 
-        if report.ok:
-            pols = stability_polynomials(sp)
-            q = stage_order(method)
-            lin = linear_order(pols)
-            pmax = min(MAX_ORACLE_ORDER, max(lin, method.claimed_order) + 1)
-            orc = oracle_order(method, pmax=pmax)
-            thr = threshold_factor(pols)
-            print(f"stage_order: {q}")
-            print(f"linear_order: {lin}")
-            print(f"oracle_order: {orc}")
-            print("threshold_factor: " + ("inf" if math.isinf(thr) else f"{thr:.9f}"))
-            if orc >= 1:
-                print(f"bound_C_le_s: {'ok' if C <= method.s + 1e-8 else 'VIOLATED'}")
-                R = linear_bound(method.s, method.k, orc)
-                print(f"linear_bound: {R:.9f}")
-                # R = 0 only says that the bound is below MIN_POSITIVE_C
-                ok = C <= max(R, MIN_POSITIVE_C) + LINEAR_BOUND_TOL
-                print(f"bound_C_le_R: {'ok' if ok else 'VIOLATED'}")
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+        pols = stability_polynomials(sp)
+        q = stage_order(method)
+        lin = linear_order(pols)
+        pmax = min(MAX_ORACLE_ORDER, max(lin, method.claimed_order) + 1)
+        orc = oracle_order(method, pmax=pmax)
+        thr = threshold_factor(pols)
+        print(f"stage_order: {q}")
+        print(f"linear_order: {lin}")
+        print(f"oracle_order: {orc}")
+        print("threshold_factor: " + ("inf" if math.isinf(thr) else f"{thr:.9f}"))
+        if orc >= 1:
+            print(f"bound_C_le_s: {'ok' if C <= method.s + 1e-8 else 'VIOLATED'}")
+            R = linear_bound(method.s, method.k, orc)
+            print(f"linear_bound: {R:.9f}")
+            # R = 0 only says that the bound is below MIN_POSITIVE_C
+            ok = C <= max(R, MIN_POSITIVE_C) + LINEAR_BOUND_TOL
+            print(f"bound_C_le_R: {'ok' if ok else 'VIOLATED'}")
+    return EXIT_OK
 
 
 def cmd_gen_so2(args) -> int:

@@ -40,7 +40,8 @@ BISECT_TOL = 1e-10
 
 
 class MethodStructureError(ValueError):
-    """Raised when a structurally invalid method is used where validity is required."""
+    """Raised when a method or form is built from coefficients that break its
+    structure; a method is validated when built, so every one that exists is valid."""
 
 
 def _coefficient_shapes(s: int, k: int) -> dict[str, tuple[int, ...]]:
@@ -58,8 +59,9 @@ class MSRKMethod:
     derivatives through ``Ahat``, and earlier stage derivatives through
     the strictly lower triangular ``A``.  The new step combines previous
     steps through ``theta`` and derivatives through ``bhat`` and ``b``.
-    The method keeps read-only copies of the arrays it is given.  Methods
-    compare and hash by identity.
+    The method keeps read-only copies of the arrays it is given.  Building
+    it runs :func:`validate` once, and :class:`MethodStructureError` names
+    every violation, joined by "; ".  Methods compare and hash by identity.
     """
 
     s: int
@@ -80,13 +82,13 @@ class MSRKMethod:
             arr = np.array(getattr(self, key), dtype=float).reshape(shape)
             arr.setflags(write=False)
             object.__setattr__(self, key, arr)
+        report = validate(self)
+        if not report.ok:
+            raise MethodStructureError("; ".join(report.violations))
 
     @cached_property
     def _spijker(self) -> SpijkerForm:
-        """The validated Spijker form; see :func:`to_spijker`."""
-        report = validate(self)
-        if not report.ok:
-            raise MethodStructureError(report.violations[0])
+        """The Spijker form; see :func:`to_spijker`."""
         where, fixed = _spijker_layout(self.s, self.k)
         ST = fixed.copy()
         for key, pos in where.items():
@@ -185,7 +187,8 @@ _CONSISTENCY_TOL = 1e-12
 def validate(method: MSRKMethod) -> ValidationReport:
     """Check the structural invariants of an explicit MSRK method.
 
-    Diagnostic only: all violations are collected, nothing is raised.
+    All violations are collected, nothing is raised; building an
+    :class:`MSRKMethod` raises on a report that is not ok.
     """
     v: list[str] = []
     k = method.k
@@ -206,12 +209,15 @@ def validate(method: MSRKMethod) -> ValidationReport:
     if np.any(np.triu(method.A) != 0.0):
         v.append("A must be strictly lower triangular (explicit method)")
 
-    for i, rs in enumerate(method.D.sum(axis=1)):
+    with np.errstate(over="ignore", invalid="ignore"):  # a nan sum has a non-finite entry
+        row_sums, theta_sum = method.D.sum(axis=1), method.theta.sum()
+    for i, rs in enumerate(row_sums):
         if abs(rs - 1.0) > _CONSISTENCY_TOL:
             v.append(f"row {i + 1} of D sums to {rs:.17g} != 1")
-    theta_sum = method.theta.sum()
     if abs(theta_sum - 1.0) > _CONSISTENCY_TOL:
         v.append(f"theta sums to {theta_sum:.17g} != 1")
+    if method.claimed_order < 1:
+        v.append(f"the claimed order must be at least 1, got {method.claimed_order}")
 
     return ValidationReport(v)
 
@@ -241,9 +247,8 @@ def _spijker_layout(s: int, k: int) -> tuple[dict[str, NDArray], NDArray]:
 def to_spijker(method: MSRKMethod) -> SpijkerForm:
     """Assemble [S | T] from the block matrices S ((k+s) x k) and T ((k+s) x (k+s)).
 
-    The method is validated on the first call and the result is kept on
-    the method.  Raises :class:`MethodStructureError` naming the first
-    violated invariant if the method is invalid.
+    Building the method validated it, so this only assembles the form;
+    the result is kept on the method.
     """
     return method._spijker
 

@@ -49,8 +49,8 @@ def _fmt_nested(a: np.ndarray) -> str:
 
 
 def dumps_method(method: MSRKMethod) -> str:
-    """The file text of a method; MethodFileError names the field when the
-    name has a line break or surrounding whitespace, or a coefficient is not finite."""
+    """The file text of a method, whose coefficients are finite since it was
+    built; MethodFileError when the name has a line break or surrounding whitespace."""
     name = method.name
     if name != name.strip() or "".join(name.splitlines()) != name:
         raise MethodFileError(f"{name!r} has a line break or surrounding whitespace",
@@ -63,8 +63,6 @@ def dumps_method(method: MSRKMethod) -> str:
         f"claimed_order = {method.claimed_order}",
     ]
     for key in _ARRAYS:
-        if not np.isfinite(getattr(method, key)).all():
-            raise MethodFileError("a non-finite coefficient would not read back", field=key)
         lines.append(f"{key} = {_fmt_nested(getattr(method, key))}")
     return "\n".join(lines) + "\n"
 

@@ -83,7 +83,6 @@ class SearchSpec:
             if (m.s, m.k) != (self.s, self.k):
                 raise ValueError(f"warm start {m.name} is an (s={m.s}, k={m.k}) method, "
                                  f"not (s={self.s}, k={self.k})")
-            to_spijker(m)  # an invalid start raises MethodStructureError here
 
 
 @dataclass
@@ -102,7 +101,7 @@ def free_parameter_count(s: int, k: int) -> int:
 
 
 def pack(method: MSRKMethod) -> NDArray:
-    """Free coordinates of a valid method, read from its Spijker form; the
+    """Free coordinates of a method, read from its Spijker form; the
     entries dropped here are restored by normalization in :func:`unpack`."""
     return to_spijker(method).ST.reshape(-1)[_plan(method.s, method.k).free]
 
@@ -164,8 +163,8 @@ def _scatter(x: NDArray, s: int, k: int) -> SpijkerForm:
 
 def unpack(x: NDArray, s: int, k: int, name: str = "search", claimed_order: int = 1) -> MSRKMethod:
     """Inverse of :func:`pack`; D rows and theta regain sum 1 via their
-    last entry, so any vector of the right length yields a consistent
-    method."""
+    last entry.  MethodStructureError when x is not finite, or so large
+    that a row sum rounds away from 1."""
     x = np.asarray(x, dtype=float)
     n = free_parameter_count(s, k)
     if x.shape != (n,):

@@ -108,8 +108,10 @@ def _linear_conditions(basis: NDArray, k: int, p: int) -> tuple[NDArray, NDArray
 
 def linear_order(psis: NDArray) -> int:
     """Largest p with sum_i psi_i(z) e^{-(i-1)z} = e^z through order z^p, psi_i being
-    row i-1 of :func:`stability_polynomials`; ValueError unless psis is finite and 2-D."""
+    row i-1 of :func:`stability_polynomials`; ValueError unless psis is finite and 2-D.
+    Trailing zero rows, steps the method never reads, add no condition and are dropped."""
     psis = _finite_psis(psis)
+    psis = psis[: int(max(np.flatnonzero(psis.any(axis=1)), default=0)) + 1]
     k, n = psis.shape
     N = int(max(np.flatnonzero(psis.any(axis=0)), default=-1)) + k + 4
     rows, rhs = _linear_conditions(np.eye(n, N + 1), k, N)

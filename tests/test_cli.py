@@ -71,7 +71,7 @@ class TestAnalyze:
     def test_ssprk33_report(self, ssprk33_file, capsys):
         assert main(["analyze", ssprk33_file]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "valid: yes" in out
+        assert "valid" not in out
         assert "C: 1.000000000" in out
         assert "oracle_order: 3" in out
         assert "stage_order: 1" in out
@@ -84,9 +84,12 @@ class TestAnalyze:
             "theta = [1]", "theta = [0.5]"
         )
         path = tmp_path / "bad.msrk"
-        path.write_text(text)
+        path.write_text(text.replace("D = [[1], [1], [1]]", "D = [[0.5], [1], [1]]"))
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
-        assert "valid: no" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out == ""  # the file fails when read, before any report
+        assert err == ("error: row 1 of D must be [1.0], got [0.5]; row 1 of D sums to 0.5 != 1; "
+                       "theta sums to 0.5 != 1\n")
 
     @pytest.mark.parametrize("value", ["{}", "[{}]", "[" * 100_000, "1" + "0" * 400],
                              ids=["dict", "list-of-dict", "deep-nesting", "huge-integer"])
@@ -104,9 +107,7 @@ class TestAnalyze:
         path = tmp_path / "nan.msrk"
         path.write_text(text[:start] + "b = [NaN, 0.3, 0.3]" + text[end:])
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
-        out = capsys.readouterr().out
-        assert "valid: no" in out
-        assert "violation: coefficients must be finite" in out
+        assert capsys.readouterr() == ("", "error: coefficients must be finite\n")
 
     def test_method_without_f_has_no_stage_bound(self, tmp_path, capsys):
         m = dataclasses.replace(ssprk33(), s=2, D=[[1.0], [1.0]], Ahat=[[], []],
@@ -414,22 +415,21 @@ def test_analyze_overflowing_past_c_exits_5(tmp_path, capsys):
     assert err.startswith("numerical failure: overflow encountered in ")
 
 
-def _forward_euler_with_unused_steps(k):
-    # one stage reads u^n only; the k-1 older steps carry zero weight
+def _two_hundred_steps_reading_the_oldest():
+    # one stage reads u^n; the new step averages it with u^{n-199}
+    k = 200
     return MSRKMethod(s=1, k=k, D=[[0.0] * (k - 1) + [1.0]], Ahat=np.zeros((1, k - 1)),
-                      A=[[0.0]], theta=[0.0] * (k - 1) + [1.0], bhat=np.zeros(k - 1), b=[1.0],
-                      name=f"FE with {k - 1} unused steps", claimed_order=1)
+                      A=[[0.0]], theta=[0.5] + [0.0] * (k - 2) + [0.5], bhat=np.zeros(k - 1),
+                      b=[1.0], name="200 steps", claimed_order=1)
 
 
 @pytest.mark.parametrize("method, argv", [
     # the start-up substep dt**(p/3) overflows a float
     (None, ["run", "--problem", "buckley", "--method", "{path}", "--dt", "1e300", "--tf", "3e300",
             "--out", "{out}"]),
-    (dataclasses.replace(gen_second_order(2, 2), claimed_order=-10000),
-     ["stepsearch", "--problem", "buckley", "--method", "{path}", "--out", "{out}"]),
     # the linear order conditions of 200 steps convert 171! and above to float
-    (_forward_euler_with_unused_steps(200), ["analyze", "{path}"]),
-], ids=["run", "stepsearch", "analyze"])
+    (_two_hundred_steps_reading_the_oldest(), ["analyze", "{path}"]),
+], ids=["run", "analyze"])
 def test_overflowing_python_float_exits_5(tmp_path, capsys, method, argv):
     path = BENCH_METHODS / "opt_2_3_4.msrk"
     if method is not None:
@@ -482,6 +482,18 @@ class TestStepsearch:
         assert len(rows) == 1
         assert float(rows[0]["dt_tvd/dx"]) == pytest.approx(1.0, abs=0.02)
         assert rows[0]["dt_pos/dx"] == ""
+
+    @pytest.mark.parametrize("order", [0, -10000])
+    def test_claimed_order_below_one_exits_3(self, tmp_path, capsys, monkeypatch, order):
+        # at -10000 the start-up substep dt**(p/3) overflowed, and exit 5 named neither
+        monkeypatch.setattr(pdelab, "startup", _unreachable)
+        text = (BENCH_METHODS / "opt_2_2_3.msrk").read_text()
+        path = tmp_path / "low.msrk"
+        path.write_text(text.replace("claimed_order = 3", f"claimed_order = {order}"))
+        code = main(["stepsearch", "--problem", "buckley", "--method", str(path),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: the claimed order must be at least 1, got {order}\n"
 
     @pytest.mark.parametrize("flag, value", [("--resolution", "0"), ("--resolution", "nan"),
                                              ("--tf", "nan")])

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from sspmsrk import methods
+from sspmsrk import methods, pdelab
 from sspmsrk.methods import (
     BISECT_TOL,
     ENTRY_TOL,
@@ -28,6 +28,8 @@ from sspmsrk.methods import (
     to_spijker,
     validate,
 )
+from sspmsrk.optimizer import pack
+from sspmsrk.orderlab import oracle_order
 from sspmsrk.pdelab import advection_upwind
 from sspmsrk.series import bushy_trees, elementary_weights
 from sspmsrk.theory import gen_second_order, r_sk2, stability_polynomials
@@ -40,49 +42,81 @@ class TestValidate:
         assert validate(forward_euler()).ok
 
     def test_bad_theta_sum_reported(self):
-        m = MSRKMethod(
-            s=1, k=2,
-            D=[[0.0, 1.0]], Ahat=[[0.0]], A=[[0.0]],
-            theta=[0.5, 0.4], bhat=[0.0], b=[1.0],
-        )
-        report = validate(m)
-        assert not report.ok
-        assert any("theta sums to 0.9" in v for v in report.violations)
+        with pytest.raises(MethodStructureError, match="theta sums to 0.9"):
+            MSRKMethod(
+                s=1, k=2,
+                D=[[0.0, 1.0]], Ahat=[[0.0]], A=[[0.0]],
+                theta=[0.5, 0.4], bhat=[0.0], b=[1.0],
+            )
 
     def test_gen_second_order_valid(self):
         assert validate(gen_second_order(2, 2)).ok
 
     def test_bad_first_row_of_D(self):
-        m = MSRKMethod(
-            s=1, k=2,
-            D=[[1.0, 0.0]], Ahat=[[0.0]], A=[[0.0]],
-            theta=[0.5, 0.5], bhat=[0.0], b=[1.0],
-        )
-        assert any("row 1 of D" in v for v in validate(m).violations)
+        with pytest.raises(MethodStructureError, match=r"^row 1 of D must be \[0.0, 1.0\]"):
+            MSRKMethod(
+                s=1, k=2,
+                D=[[1.0, 0.0]], Ahat=[[0.0]], A=[[0.0]],
+                theta=[0.5, 0.5], bhat=[0.0], b=[1.0],
+            )
 
     def test_nonexplicit_A(self):
-        m = MSRKMethod(
-            s=2, k=1,
-            D=[[1.0], [1.0]], Ahat=np.zeros((2, 0)), A=[[0.0, 0.5], [0.5, 0.0]],
-            theta=[1.0], bhat=[], b=[0.5, 0.5],
-        )
-        assert any("strictly lower triangular" in v for v in validate(m).violations)
+        with pytest.raises(MethodStructureError, match="strictly lower triangular"):
+            MSRKMethod(
+                s=2, k=1,
+                D=[[1.0], [1.0]], Ahat=np.zeros((2, 0)), A=[[0.0, 0.5], [0.5, 0.0]],
+                theta=[1.0], bhat=[], b=[0.5, 0.5],
+            )
 
     def test_non_finite_coefficient_reported(self):
-        m = MSRKMethod(
-            s=3, k=1,
-            D=[[1.0], [1.0], [1.0]], Ahat=np.zeros((3, 0)), A=ssprk33().A,
-            theta=[1.0], bhat=[], b=[np.nan, 0.3, 0.3],
-        )
-        assert validate(m).violations[0] == "coefficients must be finite"
+        with pytest.raises(MethodStructureError, match="^coefficients must be finite$"):
+            MSRKMethod(
+                s=3, k=1,
+                D=[[1.0], [1.0], [1.0]], Ahat=np.zeros((3, 0)), A=ssprk33().A,
+                theta=[1.0], bhat=[], b=[np.nan, 0.3, 0.3],
+            )
 
     def test_nonzero_first_row_of_Ahat(self):
-        m = MSRKMethod(
-            s=2, k=2,
-            D=[[0.0, 1.0], [0.0, 1.0]], Ahat=[[0.5], [0.0]], A=[[0.0, 0.0], [1.0, 0.0]],
-            theta=[0.0, 1.0], bhat=[0.0], b=[0.5, 0.5],
-        )
-        assert validate(m).violations == ["row 1 of Ahat must be identically zero"]
+        with pytest.raises(MethodStructureError, match="^row 1 of Ahat must be identically zero$"):
+            MSRKMethod(
+                s=2, k=2,
+                D=[[0.0, 1.0], [0.0, 1.0]], Ahat=[[0.5], [0.0]], A=[[0.0, 0.0], [1.0, 0.0]],
+                theta=[0.0, 1.0], bhat=[0.0], b=[0.5, 0.5],
+            )
+
+    def test_invalid_method_raises_with_every_violation(self):
+        with pytest.raises(MethodStructureError) as exc:
+            MSRKMethod(s=2, k=2, D=[[0.5, 0.5], [0.0, 1.0]], Ahat=[[0.0], [0.0]],
+                       A=[[0.0, 1.0], [1.0, 0.0]], theta=[0.5, 0.4], bhat=[0.0], b=[0.5, 0.5])
+        assert str(exc.value) == ("row 1 of D must be [0.0, 1.0], got [0.5, 0.5]; "
+                                  "row 1 of A must be identically zero; "
+                                  "A must be strictly lower triangular (explicit method); "
+                                  "theta sums to 0.90000000000000002 != 1")
+
+    @pytest.mark.parametrize("order", [0, -10000])
+    def test_claimed_order_below_one_rejected(self, order):
+        # pdelab.startup's substeps dt**(p/3) need p >= 1
+        with pytest.raises(MethodStructureError,
+                           match=f"^the claimed order must be at least 1, got {order}$"):
+            dataclasses.replace(ssprk33(), claimed_order=order)
+
+    def test_replace_with_a_violation_raises(self):
+        with pytest.raises(MethodStructureError, match="^theta sums to 0.5 != 1$"):
+            dataclasses.replace(ssprk33(), theta=[0.5])
+
+    def test_validated_once_per_method(self, monkeypatch):
+        # building the method validates it; nothing the method is later used for does
+        calls = []
+        monkeypatch.setattr(methods, "validate", lambda m: calls.append(m) or validate(m))
+        m = ssprk33()
+        assert calls == [m]
+        sp = to_spijker(m)
+        pack(m)
+        ssp_coefficient(sp)
+        oracle_order(m, pmax=4)
+        problem = advection_upwind()
+        pdelab.run(problem, m, 0.5 * problem.dt_fe, 4 * problem.dt_fe)
+        assert calls == [m]
 
     @pytest.mark.parametrize("s, k", [(0, 1), (1, 0), (-1, 2)])
     def test_no_stage_or_step_rejected(self, s, k):
@@ -110,15 +144,6 @@ class TestSpijker:
         # first k-1 rows of T vanish, last column too
         assert np.all(sp.T[:2] == 0.0)
         assert np.all(sp.T[:, -1] == 0.0)
-
-    def test_invalid_method_raises_with_first_violation(self):
-        m = MSRKMethod(
-            s=1, k=2,
-            D=[[0.0, 1.0]], Ahat=[[0.0]], A=[[0.0]],
-            theta=[0.5, 0.4], bhat=[0.0], b=[1.0],
-        )
-        with pytest.raises(MethodStructureError, match="theta sums"):
-            to_spijker(m)
 
     def test_the_matrix_alone_is_given(self):
         assert list(inspect.signature(SpijkerForm).parameters) == ["ST"]

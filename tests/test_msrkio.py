@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspmsrk.cli import main
-from sspmsrk.methods import forward_euler, ssprk33
+from sspmsrk.methods import MethodStructureError, forward_euler, ssprk33
 from sspmsrk.msrkio import (
     MethodFileError,
     dumps_method,
@@ -62,11 +62,14 @@ class TestRoundTrip:
             dumps_method(dataclasses.replace(forward_euler(), name=name))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_coefficient_rejected_on_write(self, value):
+    def test_non_finite_coefficient_rejected_on_write(self, tmp_path, value):
+        # no such method can be built, so none reaches the file
         b = np.array(ssprk33().b)
         b[0] = value
-        with pytest.raises(MethodFileError, match=r"non-finite coefficient .*\(field 'b'\)$"):
-            dumps_method(dataclasses.replace(ssprk33(), b=b))
+        path = tmp_path / "bad.msrk"
+        with pytest.raises(MethodStructureError, match="^coefficients must be finite$"):
+            write_method(dataclasses.replace(ssprk33(), b=b), path)
+        assert not path.exists()
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# a comment\n\n" + dumps_method(forward_euler())
@@ -132,6 +135,24 @@ class TestErrors:
         with pytest.raises(MethodFileError):
             loads_method(text)
         with pytest.raises(MethodFileError, match=r"\(line 6, field 'D'\)"):
+            loads_method(text)
+
+    def test_invalid_method_fails_when_read_naming_every_violation(self, tmp_path):
+        text = dumps_method(forward_euler()).replace("D = [[1]]", "D = [[0.5]]")
+        path = tmp_path / "bad.msrk"
+        path.write_text(text.replace("theta = [1]", "theta = [0.5]"))
+        message = (r"^row 1 of D must be \[1.0\], got \[0.5\]; row 1 of D sums to 0.5 != 1; "
+                   r"theta sums to 0.5 != 1$")
+        with pytest.raises(MethodFileError, match=message):
+            loads_method(path.read_text())
+        with pytest.raises(MethodFileError, match=message):
+            read_method(path)
+
+    @pytest.mark.parametrize("order", [0, -10000])
+    def test_claimed_order_below_one_rejected(self, order):
+        text = dumps_method(ssprk33()).replace("claimed_order = 3", f"claimed_order = {order}")
+        with pytest.raises(MethodFileError,
+                           match=f"^the claimed order must be at least 1, got {order}$"):
             loads_method(text)
 
     @pytest.mark.parametrize("field", ["claimed_order", "theta"])

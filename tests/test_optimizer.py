@@ -108,10 +108,16 @@ class TestPackUnpack:
 
     def test_pack_of_an_invalid_method_raises(self):
         method = ssprk33()
-        bad = MSRKMethod(s=3, k=1, D=method.D, Ahat=method.Ahat, A=method.A, theta=[0.5],
-                         bhat=[], b=method.b)
-        with pytest.raises(MethodStructureError, match="theta sums to"):
-            pack(bad)
+        with pytest.raises(MethodStructureError, match="theta sums to"):  # building it raises
+            pack(MSRKMethod(s=3, k=1, D=method.D, Ahat=method.Ahat, A=method.A, theta=[0.5],
+                            bhat=[], b=method.b))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_unpack_of_a_non_finite_x_raises(self, value):
+        x = np.full(free_parameter_count(2, 2), 0.25)
+        x[3] = value
+        with pytest.raises(MethodStructureError, match="^coefficients must be finite"):
+            unpack(x, 2, 2)
 
 
 def _free_masks(s, k):
@@ -994,8 +1000,11 @@ class TestSearchSpec:
         assert spec != rebuilt and len({spec, same, rebuilt}) == 2
 
     def test_invalid_warm_start_rejected(self):
-        # rejected on construction, so before R or any solve
-        bad = MSRKMethod(s=2, k=2, D=[[0.0, 1.0], [0.5, 0.6]], Ahat=np.zeros((2, 1)),
-                         A=[[0.0, 0.0], [1.0, 0.0]], theta=[0.5, 0.5], bhat=[0.0], b=[0.5, 0.5])
-        with pytest.raises(MethodStructureError, match="row 2 of D sums to 1.1"):
-            SearchSpec(s=2, k=2, p=2, starts=1, warm_starts=[gen_second_order(2, 2), bad])
+        # rejected when the start is built, so before the spec, R or any solve
+        with pytest.raises(MethodStructureError, match="^row 2 of D sums to 1.1"):
+            SearchSpec(s=2, k=2, p=2, starts=1, warm_starts=[
+                gen_second_order(2, 2),
+                MSRKMethod(s=2, k=2, D=[[0.0, 1.0], [0.5, 0.6]], Ahat=np.zeros((2, 1)),
+                           A=[[0.0, 0.0], [1.0, 0.0]], theta=[0.5, 0.5], bhat=[0.0],
+                           b=[0.5, 0.5]),
+            ])

@@ -12,7 +12,8 @@ from scipy.optimize import linprog
 
 from sspmsrk import methods, theory
 from sspmsrk.methods import (
-    BISECT_TOL, ENTRY_TOL, _bisect, _horner, forward_euler, ssp_coefficient, ssprk33, to_spijker,
+    BISECT_TOL, ENTRY_TOL, MSRKMethod, _bisect, _horner, forward_euler, ssp_coefficient, ssprk33,
+    to_spijker,
 )
 from sspmsrk.orderlab import oracle_order
 from sspmsrk.pdelab import msrk_step
@@ -212,6 +213,17 @@ class TestLinearOrder:
 
     def test_gen_so2(self):
         assert linear_order(stability_polynomials(to_spijker(gen_second_order(3, 3)))) == 2
+
+    @pytest.mark.parametrize("unused", [149, 164, 169, 199])
+    def test_forward_euler_with_unused_steps(self, unused):
+        # the unused steps' zero rows sized the conditions: their powers overflowed
+        # from 149 unused steps on, and 171! did not convert to float from 169 on
+        k = unused + 1
+        m = MSRKMethod(s=1, k=k, D=[[0.0] * unused + [1.0]], Ahat=np.zeros((1, unused)),
+                       A=[[0.0]], theta=[0.0] * unused + [1.0], bhat=np.zeros(unused), b=[1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linear_order(stability_polynomials(to_spijker(m))) == 1
 
 
 # random valid methods of up to 5 stages and 4 steps, and the SO2 family
