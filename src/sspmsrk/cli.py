@@ -267,7 +267,7 @@ def main(argv=None) -> int:
     except SearchFailure as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ArithmeticError, pdelab.RunAbortedError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (MethodStructureError, msrkio.MethodFileError) as exc:

@@ -6,16 +6,16 @@ scheme.  Van der Pol errors are measured against DOP853 dense output
 at rtol = atol = 1e-13 (scipy's ``solve_ivp``) up to t = VDP_MAX_HORIZON.
 A run counts its whole steps of dt once, as an integer n, before its
 start-up; state j sits at j*dt, and its error is read at its last whole
-step, not at tf.  A problem's ``u0`` is read-only.  It starts up from its
-exact solution when it has one, else by SSPRK(3,3) substeps, which it
-keeps per substep and count for every later run.  Runs
-record convex monitor values (total variation, minimum entry) at every
-step.  A bisection search over the step size locates the largest step for
-which a monotonicity property holds over a whole run.  A probe's run
-reads each property's monitor until that property fails and stops once
-every one has failed, so one run answers every property of the problem;
-until their answers differ, the problem keeps them for the other
-properties' searches, which probe the same step sizes.
+step, not at tf; a non-finite state raises FloatingPointError.  A
+problem's ``u0`` is read-only.  It starts up from its exact solution when
+it has one, else by SSPRK(3,3) substeps, which it keeps per substep and
+count for every later run.  Runs record convex monitor values (total
+variation, minimum entry) at every step.  A bisection search over the
+step size locates the largest step for which a monotonicity property
+holds over a whole run.  A probe's run reads each property's monitor
+until that property fails and stops once every one has failed, so one
+run answers every property of the problem; until their answers differ,
+the problem keeps them per method for the other properties' searches.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ def positivity_min(u: NDArray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SemiDiscretization:
-    """A semi-discretized problem u' = rhs(u) with its forward-Euler SSP bound.  ``u0`` is
-    a read-only copy and ``dim`` its size; ``startup`` keeps the problem's SSPRK(3,3)
-    start-ups per substep and count, ``max_stable_step`` its joint probes' answers, and
-    ``dataclasses.replace`` keeps none of either.  Problems compare and hash by identity."""
+    """A semi-discretized problem u' = rhs(u) with its forward-Euler SSP bound, a positive
+    finite ``dt_fe``.  ``u0`` is a read-only copy and ``dim`` its size; ``startup`` keeps its
+    SSPRK(3,3) start-ups per substep and count, ``max_stable_step`` its probes per method, tf
+    and dt, and ``dataclasses.replace`` neither.  Problems compare and hash by identity."""
 
     name: str
     rhs: Callable[[NDArray], NDArray]
@@ -93,8 +93,8 @@ class SemiDiscretization:
     _probes: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.dt_fe <= 0:
-            raise ValueError("dt_fe must be positive")
+        if not 0.0 < self.dt_fe < math.inf:
+            raise ValueError("dt_fe must be positive and finite")
         object.__setattr__(self, "u0", np.array(self.u0, dtype=float))
         self.u0.flags.writeable = False
         object.__setattr__(self, "dim", self.u0.size)
@@ -120,10 +120,6 @@ class StepSearchResult:
     theoretical: float
     resolution: float
     horizon_limited: bool
-
-
-class RunAbortedError(RuntimeError):
-    """A run produced a non-finite state."""
 
 
 def _check_step_count(steps: float) -> None:
@@ -168,7 +164,7 @@ def startup(problem: SemiDiscretization, dt: float, k: int, p: int) -> list[NDAr
     A problem with an exact solution samples it.  One without runs
     SSPRK(3,3) (``_steps``) for (k-1)*nsub substeps dt/nsub, at most dt**(p/3)
     and 0.9*dt_fe so the startup states inherit the forward-Euler monotonicity
-    properties; a non-finite substep raises RunAbortedError naming its interval,
+    properties; a non-finite substep raises FloatingPointError naming its interval,
     and more than MAX_STEPS substeps (or a substep that underflows to 0) raise
     ValueError.  The problem keeps the states, read-only, under (dt/nsub, nsub),
     on which alone the substeps depend, for any later call of any method or
@@ -193,16 +189,16 @@ def startup(problem: SemiDiscretization, dt: float, k: int, p: int) -> list[NDAr
     states = list(problem._startups.get(key, [problem.u0]))
     if len(states) < k:
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
+            with np.errstate(over="ignore", invalid="ignore"):  # _steps raises on a blow-up
                 more = (k - len(states)) * nsub
                 for j, u in enumerate(_steps(problem, _SSPRK33, states[-1:], dt / nsub, more), 1):
                     if j % nsub == 0:
                         u.flags.writeable = False
                         states.append(u)
-        except RunAbortedError as exc:
+        except FloatingPointError as exc:
             # states holds u0 and the end of every interval before the failing one
-            raise RunAbortedError(f"non-finite state during start-up, in interval "
-                                  f"{len(states)} of 1..{k - 1}") from exc
+            raise FloatingPointError(f"non-finite state during start-up, in interval "
+                                     f"{len(states)} of 1..{k - 1}") from exc
         problem._startups[key] = states
     return states[:k]
 
@@ -211,9 +207,10 @@ def _vdp_rhs(u: NDArray) -> NDArray:
     return np.array([u[1], (-u[0] + (1.0 - u[0] ** 2) * u[1]) / 10.0])
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=None)
 def _vdp_reference(horizon: float):
-    """Dense output of DOP853 at rtol = atol = 1e-13 on [0, horizon] from _VDP_U0."""
+    """Dense output of DOP853 at rtol = atol = 1e-13 on [0, horizon] from _VDP_U0.  The
+    cache keeps every horizon ``exact`` reads, the nine 4*2^m <= VDP_MAX_HORIZON."""
     # imported here: only van der Pol needs scipy.integrate, which loads
     # scipy.optimize and scipy.linalg; a fresh `import numpy, scipy.integrate`
     # takes 0.62 s against 0.16 s for numpy alone (2-core x86-64, medians of 9)
@@ -352,7 +349,7 @@ def _steps(problem, method, start, dt, n):
     for step_index in range(1, n + 1):
         u_next, _ = msrk_step(method, states, rhs_vals, problem.rhs, dt)
         if not np.isfinite(u_next).all():
-            raise RunAbortedError(f"non-finite state at step {step_index}")
+            raise FloatingPointError(f"non-finite state at step {step_index}")
         states[:-1] = states[1:]
         states[-1] = u_next
         yield u_next  # a probe that stops here never pays for the rhs at u_next
@@ -379,7 +376,7 @@ def _holds(problem, method, props, dt, tf) -> tuple[bool, ...]:
     values = [[] for _ in props]
     holding = [True] * len(props)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # RunAbortedError names a blow-up
+        with np.errstate(over="ignore", invalid="ignore"):  # _steps raises on a blow-up
             for u in _trajectory(problem, method, dt, n):
                 for i, (prop, seen) in enumerate(zip(props, values)):
                     if holding[i]:
@@ -389,7 +386,7 @@ def _holds(problem, method, props, dt, tf) -> tuple[bool, ...]:
                         seen.append(v)
                 if not any(holding):
                     break
-    except RunAbortedError:
+    except FloatingPointError:
         return (False,) * len(props)
     return tuple(holding)
 
@@ -415,9 +412,10 @@ def max_stable_step(
     probe the same dt until their answers first differ.  Up to and
     including that probe, a probe asks every property the problem has a
     monitor for in one run, and the problem keeps the answers under the
-    method's [S | T], k, claimed order, tf and dt, on which alone the run
-    depends; a later search reads them instead of running again.  After
-    it, the search asks its own property alone.
+    method object, which is immutable, tf and dt; a later search with that
+    object reads them instead of running again.  After it, the search asks
+    its own property alone.  A run that reaches a non-finite state fails
+    every property.
 
     The problem fixes its start-up (see ``startup``).  ``startup_mode``
     stays only because the benchmark's step-search workload passes it: it
@@ -441,24 +439,22 @@ def max_stable_step(
         raise ValueError(f"resolution must be positive and below the bracket 20*dt_fe = {hi:g}")
     if tf is not None and not 0.0 < tf < math.inf:
         raise ValueError("tf must be positive and finite")
-    sp = to_spijker(method)
-    C = ssp_coefficient(sp)
+    C = ssp_coefficient(to_spijker(method))
     if tf is None:
         tf = max(0.125, 12.0 * method.k * min(max(C, 1.0) * problem.dt_fe, hi))
 
     props = tuple(p for p, name in _PROPERTY_MONITORS.items() if name in problem.monitors)
     own = props.index(prop)
-    run_key = (sp.ST.tobytes(), method.k, method.claimed_order, tf)
     joint = True
 
     def passes(dt):
         nonlocal joint
         if not joint:
             return _holds(problem, method, (prop,), dt, tf)[0]
-        answers = problem._probes.get(run_key + (dt,))
+        answers = problem._probes.get((method, tf, dt))
         if answers is None:
             answers = _holds(problem, method, props, dt, tf)
-            problem._probes[run_key + (dt,)] = answers
+            problem._probes[method, tf, dt] = answers
         joint = len(set(answers)) == 1
         return answers[own]
 
@@ -475,7 +471,10 @@ def max_stable_step(
 
 
 def vdp_convergence_study(method: MSRKMethod, tf: float = 4.0) -> list[tuple[float, float]]:
-    """(dt, error at tf) pairs on ``vdp_problem()``, dt = tf/(N-1) for N = 15, 19, ..., 43."""
+    """(dt, error at tf) pairs on ``vdp_problem()``, dt = tf/(N-1) for N = 15, 19, ..., 43.
+    Raises ValueError, before any run, unless 0 < tf < inf."""
+    if not 0.0 < tf < math.inf:
+        raise ValueError("tf must be positive and finite")
     problem = vdp_problem()
     out = []
     for N in range(15, 44, 4):

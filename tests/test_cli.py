@@ -599,6 +599,13 @@ class TestConvergence:
         assert err.startswith("numerical failure: non-finite state at step ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("tf", ["0", "-1", "nan", "inf"])
+    def test_bad_horizon_exits_2_naming_tf(self, tmp_path, ssprk33_file, capsys, tf):
+        code = main(["convergence", "--method", ssprk33_file, f"--tf={tf}",
+                     "--out", str(tmp_path / "conv.csv")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: tf must be positive and finite\n"
+
     def test_horizon_past_the_reference_exits_2(self, tmp_path, capsys, monkeypatch):
         # the last step's exact value u(1e300), read before the start-up, is past the
         # reference's cap, so DOP853 never starts on it

@@ -3,10 +3,13 @@ every name a package module exports is bound in it and is read in the package
 or exported by it, every private name a package module defines is read in the
 package, every name the README gives in code is still in the package,
 scipy's solvers load only when a function needs them, no package module
-writes past a frozen dataclass outside its ``__post_init__``, and every
-dataclass that holds an array compares by identity."""
+writes past a frozen dataclass outside its ``__post_init__``, every
+dataclass that holds an array compares by identity, and ``cli.main``
+catches every exception class the package defines."""
 
 import ast
+import builtins
+import functools
 import importlib
 import json
 import re
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from sspmsrk import optimizer, theory
+from sspmsrk import cli, optimizer, theory
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "sspmsrk"
@@ -386,3 +389,57 @@ def test_checker_flags_only_array_dataclasses_compared_by_value():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_array_dataclasses_compare_by_identity(path):
     assert array_dataclasses_compared_by_value(path.read_text()) == []
+
+
+def main_handlers(source: str) -> list[str]:
+    """The dotted name of every exception type that an except clause of the
+    module's top-level ``main`` names, alone or in a tuple."""
+    main = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    names = []
+    for handler in (n for n in ast.walk(main) if isinstance(n, ast.ExceptHandler)):
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        names += [ast.unparse(t) for t in types]
+    return names
+
+
+def uncaught_exceptions(sources: dict[str, str], caught: tuple[type, ...]) -> list[str]:
+    """module.name of every exception class that a module of ``sources``
+    defines at its top level and that is no subclass of one of ``caught``."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(importlib.import_module(f"sspmsrk.{module}"), node.name)
+                if issubclass(cls, BaseException) and not issubclass(cls, caught):
+                    found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_checker_reads_every_handler_of_main():
+    source = ("def helper():\n"
+              "    try: pass\n"
+              "    except KeyError: pass\n"
+              "def main():\n"
+              "    try: pass\n"
+              "    except m.Failure as exc: pass\n"
+              "    except (ArithmeticError, m.Bad) as exc: pass\n")
+    assert main_handlers(source) == ["m.Failure", "ArithmeticError", "m.Bad"]
+
+
+def test_checker_flags_only_uncaught_exception_classes():
+    sources = {"methods": "class MethodStructureError(ValueError): pass\n",
+               "optimizer": "class SearchSpec: pass\nclass SearchFailure(RuntimeError): pass\n"}
+    assert uncaught_exceptions(sources, (ValueError,)) == ["optimizer.SearchFailure"]
+
+
+def test_no_package_exception_escapes_the_cli():
+    # a failure reaches its exit code with one stderr line, never a traceback
+    def resolve(dotted):
+        head, *rest = dotted.split(".")
+        return functools.reduce(getattr, rest, getattr(cli, head, None) or getattr(builtins, head))
+
+    caught = tuple(resolve(name) for name in main_handlers((SRC / "cli.py").read_text()))
+    assert ArithmeticError in caught
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert uncaught_exceptions(sources, caught) == []

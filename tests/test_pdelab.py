@@ -25,7 +25,6 @@ from sspmsrk.pdelab import (
     MAX_STEPS,
     MONOTONICITY_SLACK,
     VDP_MAX_HORIZON,
-    RunAbortedError,
     SemiDiscretization,
     advection_upwind,
     buckley_leverett,
@@ -248,20 +247,20 @@ class TestStartup:
 
     def test_non_finite_substep_aborts(self):
         problem = dataclasses.replace(buckley_leverett(), rhs=lambda u: np.full_like(u, np.inf))
-        with pytest.raises(RunAbortedError):
+        with pytest.raises(FloatingPointError):
             startup(problem, 0.006, 2, 3)
 
     @pytest.mark.parametrize("k, interval", [(2, 1), (4, 1), (4, 2), (4, 3)])
     def test_non_finite_substep_names_its_start_up_interval(self, k, interval):
         problem, calls, nsub = _blowing_up(0.006, interval)
         message = f"non-finite state during start-up, in interval {interval} of 1..{k - 1}"
-        with pytest.raises(RunAbortedError, match=re.escape(message)):
+        with pytest.raises(FloatingPointError, match=re.escape(message)):
             startup(problem, 0.006, k, 3)
         assert len(calls) == 1 + 3 * nsub * (interval - 1) + 2  # no substep after the failing one
 
     def test_aborted_start_up_stores_nothing(self):
         problem, calls, _ = _blowing_up(0.006, 2)
-        with pytest.raises(RunAbortedError):
+        with pytest.raises(FloatingPointError):
             startup(problem, 0.006, 3, 3)
         assert problem._startups == {}
 
@@ -491,9 +490,10 @@ class TestProblems:
         with pytest.raises(ValueError, match="^N must be at least 3$"):
             buckley_leverett(N=2)
 
-    @pytest.mark.parametrize("dt_fe", [0.0, -0.01])
+    @pytest.mark.parametrize("dt_fe", [0.0, -0.01, math.nan, math.inf, -math.inf])
     def test_nonpositive_forward_euler_step_rejected(self, dt_fe):
-        with pytest.raises(ValueError, match="^dt_fe must be positive$"):
+        # a nan would drop the 0.9*dt_fe cap on the start-up substeps unseen
+        with pytest.raises(ValueError, match="^dt_fe must be positive and finite$"):
             dataclasses.replace(advection_upwind(), dt_fe=dt_fe)
 
 
@@ -579,6 +579,13 @@ class TestRun:
         with pytest.raises(ValueError, match=f"covers 0 <= t <= {VDP_MAX_HORIZON:g}; "
                                              f"t = 2000 is outside it"):
             run(vdp_problem(), ssprk33(), 0.01, 2000.0)
+
+    def test_non_finite_state_raises_the_packages_numerical_error(self):
+        # the one type every numerical failure of the package has, exit 5 in the CLI
+        assert not hasattr(pdelab, "RunAbortedError")
+        problem = dataclasses.replace(advection_upwind(), rhs=lambda u: np.full_like(u, np.inf))
+        with pytest.raises(FloatingPointError, match="^non-finite state at step 1$"):
+            run(problem, forward_euler(), 0.001, 0.01)
 
     def test_finite_blow_up_has_an_infinite_error_and_no_warning(self):
         # SSPRK(3,3) at dt = 6.3 dx: every state stays finite, but the last
@@ -860,6 +867,18 @@ class TestMaxStableStep:
                     assert (max_stable_step(shared, method, prop, **kwargs)
                             == fresh), (method.name, kwargs, prop)
 
+    @pytest.mark.parametrize("prop", ["tvd", "positivity"])
+    def test_remembered_probes_are_keyed_by_the_method_object(self, prop):
+        # a method is immutable, so the object stands for everything a run
+        # depends on; an equal but distinct one runs its own probes
+        problem, first, second = buckley_leverett(), gen_second_order(3, 2), gen_second_order(3, 2)
+        res = max_stable_step(problem, first, prop)
+        kept = len(problem._probes)
+        assert kept and all(key[0] is first for key in problem._probes)
+        assert max_stable_step(problem, second, prop) == res
+        assert len(problem._probes) == 2 * kept
+        assert {key[0] for key in problem._probes} == {first, second}
+
     def test_replaced_problem_remembers_no_probe(self):
         # the negative entry breaks positivity at every step size
         so2, original = gen_second_order(3, 2), buckley_leverett()
@@ -934,6 +953,27 @@ class TestConvergence:
         monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
         assert vdp_convergence_study(ssprk33(), tf=0.5) == first
         assert calls == []
+
+    def test_reference_keeps_every_horizon(self, monkeypatch):
+        # exact reads the nine horizons 4*2^m <= 1024; none is integrated twice
+        reference = types.SimpleNamespace(sol=lambda t: np.zeros(2))
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: reference)
+        exact = vdp_problem().exact
+        pdelab._vdp_reference.cache_clear()
+        try:
+            for t in [4.0 * 2.0**m for m in range(9)] + [4.0]:
+                exact(t)
+            info = pdelab._vdp_reference.cache_info()
+        finally:
+            pdelab._vdp_reference.cache_clear()  # the stub's references go
+        assert (info.misses, info.hits) == (9, 1)
+
+    @pytest.mark.parametrize("tf", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_horizon_rejected_before_any_run(self, monkeypatch, tf):
+        # the message names tf, not the step tf/(N-1) it gives
+        monkeypatch.setattr(pdelab, "run", _unreachable)
+        with pytest.raises(ValueError, match="^tf must be positive and finite$"):
+            vdp_convergence_study(ssprk33(), tf=tf)
 
     def test_reference_value_ignores_earlier_times(self):
         # t = 9 reads a reference with the longer horizon 16; u(0.71)
