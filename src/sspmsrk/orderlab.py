@@ -101,6 +101,8 @@ def convergence_order(errors: list[tuple[float, float]]) -> float:
         raise ValueError("at least 4 (dt, error) points are required")
     dts = np.array([dt for dt, _ in errors])
     errs = np.array([e for _, e in errors])
+    if not (np.isfinite(dts).all() and np.isfinite(errs).all()):
+        raise ValueError("dt values and errors must be finite")
     if np.any(np.diff(dts) >= 0):
         raise ValueError("dt values must be strictly decreasing")
     if np.any(errs <= 0):

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -608,8 +607,9 @@ class TestConvergence:
 
     def test_horizon_past_the_reference_exits_2(self, tmp_path, capsys, monkeypatch):
         # the last step's exact value u(1e300), read before the start-up, is past the
-        # reference's cap, so DOP853 never starts on it
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
+        # reference's cap, so the reference takes no step toward it
+        pdelab._vdp_reference.cache_clear()
+        monkeypatch.setattr(pdelab, "_vdp_taylor", _unreachable)
         path = tmp_path / "so2_22.msrk"
         write_method(gen_second_order(2, 2), path)
         code = main(["convergence", "--method", str(path), "--tf", "1e300",

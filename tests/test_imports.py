@@ -2,10 +2,11 @@
 every name a package module exports is bound in it and is read in the package
 or exported by it, every private name a package module defines is read in the
 package, every name the README gives in code is still in the package,
-scipy's solvers load only when a function needs them, no package module
-writes past a frozen dataclass outside its ``__post_init__``, every
-dataclass that holds an array compares by identity, and ``cli.main``
-catches every exception class the package defines."""
+scipy's solvers load only when a function needs them, the package never
+uses scipy.integrate, no package module writes past a frozen dataclass
+outside its ``__post_init__``, every dataclass that holds an array
+compares by identity, and ``cli.main`` catches every exception class the
+package defines."""
 
 import ast
 import builtins
@@ -212,7 +213,7 @@ def test_every_name_the_readme_gives_exists():
 
 
 #: scipy subpackages the package loads only inside the functions that need them
-SOLVERS = ("scipy.optimize", "scipy.integrate")
+SOLVERS = ("scipy.optimize",)
 
 
 def eager_solver_imports(source: str) -> list[tuple[int, str]]:
@@ -241,21 +242,73 @@ def test_checker_flags_only_module_level_solver_imports():
     source = ("import scipy, scipy.linalg\n"
               "from scipy import optimize\n"
               "try:\n"
-              "    import scipy.integrate as si\n"
+              "    import scipy.optimize as so\n"
               "except ImportError:\n"
               "    pass\n"
               "class K:\n"
               "    from scipy.optimize import linprog\n"
               "def f():\n"
               "    from scipy.optimize import least_squares\n"
-              "    import scipy.integrate\n")
+              "    import scipy.optimize\n")
     assert eager_solver_imports(source) == [
-        (2, "scipy.optimize"), (4, "scipy.integrate"), (8, "scipy.optimize.linprog")]
+        (2, "scipy.optimize"), (4, "scipy.optimize"), (8, "scipy.optimize.linprog")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_solver_import_at_module_level(path):
     assert eager_solver_imports(path.read_text()) == []
+
+
+def integrate_uses(source: str) -> list[int]:
+    """Line of every import of scipy.integrate or of a name from it, and of every
+    ``scipy.integrate`` attribute, anywhere in the source, function bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            names = [ast.unparse(node)] if isinstance(node, ast.Attribute) else []
+        if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+            found.append(node.lineno)
+    return sorted(set(found))  # scipy.integrate.f holds scipy.integrate
+
+
+def test_checker_flags_every_integrate_use():
+    source = ("import scipy, scipy.optimize\n"
+              "from scipy import integrate\n"
+              "def f():\n"
+              "    from scipy.integrate import solve_ivp\n"
+              "    import scipy.integrate.ode as ode\n"
+              "    return scipy.integrate.quad, scipy.optimize.nnls\n"
+              "from scipy.optimize import integrate_like\n")
+    assert integrate_uses(source) == [2, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_integrate_use(path):
+    # the van der Pol reference is the package's own Taylor series method
+    assert integrate_uses(path.read_text()) == []
+
+
+#: a van der Pol study and run, in a fresh interpreter; prints the scipy modules loaded
+_VDP_COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from sspmsrk import methods, pdelab
+method = methods.ssprk33()
+assert len(pdelab.vdp_convergence_study(method)) == 8
+assert pdelab.run(pdelab.vdp_problem(), method, 0.01, 100.0).final_error < 1e-4
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_van_der_pol_loads_no_scipy():
+    proc = subprocess.run([sys.executable, "-c", _VDP_COLD_START, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 #: run in a fresh interpreter, as the test process has scipy.optimize loaded

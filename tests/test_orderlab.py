@@ -231,6 +231,17 @@ class TestConvergenceOrder:
         with pytest.raises(ValueError):
             convergence_order([(0.1, 1.0), (0.1, 0.5), (0.05, 0.2), (0.025, 0.1)])
 
+    @pytest.mark.parametrize("where, value", [("error", math.inf), ("error", math.nan),
+                                              ("dt", math.inf), ("dt", math.nan)])
+    def test_non_finite_point_rejected(self, capfd, where, value):
+        # before the fit, which gave the slope nan, a RuntimeWarning or LAPACK's
+        # "illegal value" lines and a LinAlgError
+        errors = [[0.1, 1e-2], [0.05, 2.5e-3], [0.025, 6e-4], [0.0125, 1.6e-4]]
+        errors[0 if where == "dt" else 2][where == "error"] = value
+        with pytest.raises(ValueError, match="^dt values and errors must be finite$"):
+            convergence_order([tuple(point) for point in errors])
+        assert capfd.readouterr() == ("", "")
+
 
 def test_stage_order_necessity_for_ssp_methods():
     # SSP methods of oracle order p need stage order >= floor((p-1)/2)

@@ -10,7 +10,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
@@ -112,8 +111,15 @@ class TestMonitors:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             tv_seminorm(np.array([]))
-        with pytest.raises(ValueError, match="^u must be nonempty$"):
+        with pytest.raises(ValueError, match="^u must be a nonempty 1-D array$"):
             positivity_min([])
+
+    @pytest.mark.parametrize("monitor", [tv_seminorm, positivity_min])
+    @pytest.mark.parametrize("u", [[[0.0, 1.0], [1.0, 0.0]], 0.5, [[]]], ids=["2-D", "scalar", "[[]]"])
+    def test_non_vector_rejected(self, monitor, u):
+        # the TV of [[0, 1], [1, 0]] read as a flat row would be 4.0
+        with pytest.raises(ValueError, match="^u must be a nonempty 1-D array$"):
+            monitor(u)
 
 
 class TestMsrkStep:
@@ -939,25 +945,33 @@ def test_property_rule_matches_two_branch_formula(k, props, values):
 
 
 class TestConvergence:
-    def test_studies_share_the_reference(self, monkeypatch):
-        # the first study integrates the reference and the second reads it
-        pdelab._vdp_reference.cache_clear()
-        first = vdp_convergence_study(ssprk33(), tf=0.5)
-        assert [dt for dt, _ in first] == [0.5 / (N - 1) for N in (15, 19, 23, 27, 31, 35, 39, 43)]
+    @staticmethod
+    def _counting_taylor(monkeypatch, taylor=pdelab._vdp_taylor):
+        """Replace the reference's Taylor step by ``taylor``; the list returned grows by
+        one entry per step taken."""
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve_ivp(*args, **kwargs)
+        def counting(u):
+            calls.append(u)
+            return taylor(u)
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+        monkeypatch.setattr(pdelab, "_vdp_taylor", counting)
+        return calls
+
+    def test_studies_share_the_reference(self, monkeypatch):
+        # the first study steps the horizon-4 reference and the second reads it
+        pdelab._vdp_reference.cache_clear()
+        calls = self._counting_taylor(monkeypatch)
+        first = vdp_convergence_study(ssprk33(), tf=0.5)
+        assert [dt for dt, _ in first] == [0.5 / (N - 1) for N in (15, 19, 23, 27, 31, 35, 39, 43)]
+        assert len(calls) == 4.0 / pdelab._VDP_STEP
+        calls.clear()
         assert vdp_convergence_study(ssprk33(), tf=0.5) == first
         assert calls == []
 
     def test_reference_keeps_every_horizon(self, monkeypatch):
-        # exact reads the nine horizons 4*2^m <= 1024; none is integrated twice
-        reference = types.SimpleNamespace(sol=lambda t: np.zeros(2))
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: reference)
+        # exact reads the nine horizons 4*2^m <= 1024; none is stepped twice
+        calls = self._counting_taylor(monkeypatch, lambda u: np.zeros((2, pdelab._VDP_DEGREE + 1)))
         exact = vdp_problem().exact
         pdelab._vdp_reference.cache_clear()
         try:
@@ -965,8 +979,31 @@ class TestConvergence:
                 exact(t)
             info = pdelab._vdp_reference.cache_info()
         finally:
-            pdelab._vdp_reference.cache_clear()  # the stub's references go
+            pdelab._vdp_reference.cache_clear()  # the stub's tables go
         assert (info.misses, info.hits) == (9, 1)
+        assert len(calls) == sum(4.0 * 2.0**m for m in range(9)) / pdelab._VDP_STEP
+
+    def test_reference_agrees_with_dop853(self):
+        # DOP853 at rtol = atol = 1e-13 is the less accurate of the two: the Taylor
+        # steps agree with a 30-digit solve on [0, 4] to 2.2e-16
+        exact = vdp_problem().exact
+        ref = solve_ivp(lambda t, u: pdelab._vdp_rhs(u), (0.0, VDP_MAX_HORIZON), pdelab._VDP_U0,
+                        method="DOP853", rtol=1e-13, atol=1e-13, dense_output=True).sol
+        for t in [0.5, 2.5, 4.0, 100.0, VDP_MAX_HORIZON]:
+            np.testing.assert_allclose(exact(t), ref(t), rtol=0, atol=1e-10)
+
+    def test_reference_steps_join(self):
+        # each step's polynomial ends where the next one starts
+        tab = pdelab._vdp_reference(VDP_MAX_HORIZON)
+        ends = tab[:-1] @ pdelab._VDP_STEP ** np.arange(pdelab._VDP_DEGREE + 1)
+        np.testing.assert_allclose(ends, tab[1:, :, 0], rtol=0, atol=1e-15)
+
+    def test_taylor_slope_is_the_rhs(self):
+        # the recurrence's degree-1 coefficients are u' = _vdp_rhs(u), up to rounding
+        states = np.random.default_rng(3).uniform(-3.0, 3.0, (50, 2))
+        for u in [*states, np.array(pdelab._VDP_U0)]:
+            np.testing.assert_allclose(pdelab._vdp_taylor(u)[:, 1], pdelab._vdp_rhs(u),
+                                       rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("tf", [0.0, -1.0, math.nan, math.inf])
     def test_bad_horizon_rejected_before_any_run(self, monkeypatch, tf):
@@ -987,9 +1024,9 @@ class TestConvergence:
 
     @staticmethod
     def _outside_rejected(monkeypatch, t):
-        # fails before DOP853 integrates anything, with the one message for the domain
+        # fails before the reference takes any step, with the one message for the domain
         pdelab._vdp_reference.cache_clear()
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", _unreachable)
+        monkeypatch.setattr(pdelab, "_vdp_taylor", _unreachable)
         message = (f"the van der Pol reference covers 0 <= t <= {VDP_MAX_HORIZON:g}; "
                    f"t = {t:g} is outside it")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -1001,7 +1038,7 @@ class TestConvergence:
 
     @pytest.mark.parametrize("t", [-1e-3, -1.0, -np.inf])
     def test_reference_before_its_start_rejected(self, monkeypatch, t):
-        # DOP853's dense output would extrapolate back from t = 0, or warn and give nan
+        # the first step's polynomial would extrapolate back from t = 0
         self._outside_rejected(monkeypatch, t)
 
     def test_reference_at_nan_rejected(self, monkeypatch):
